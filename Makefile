@@ -156,9 +156,12 @@ chaos-smoke:
 # the hashes actually asserted by the test suite: the table in the doc
 # and the map in internal/core/ctx_test.go must agree bit for bit, so
 # neither can drift without the other (and the doc's re-pinning policy)
-# being updated in the same change.
+# being updated in the same change. It also gates the 1-D Lloyd kernel's
+# bit-identity with the point-by-point loop it replaced
+# (TestOneDMatchesOracle, docs/NUMERICS.md § Determinism).
 numerics-check:
 	$(GO) test -run '^TestNumericsGoldenTable$$' .
+	$(GO) test -run '^TestOneDMatchesOracle$$' ./internal/kmeans
 
 # docs-check fails on gofmt drift, vet findings, or broken relative
 # links in the repository's Markdown (see docs_link_test.go).

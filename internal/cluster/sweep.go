@@ -78,17 +78,18 @@ func SweepKappaCtx(ctx context.Context, data []float64, opts SweepOptions) (*Swe
 		sampleN = n
 	}
 
-	// One clustering scratch and one means buffer serve the whole sweep;
-	// Measure reads them and retains nothing, so per-κ allocations are
-	// limited to the recorded SweepPoint.
+	// One clustering scratch, sorting the sample once, and one means
+	// buffer serve the whole sweep; Measure reads them and retains
+	// nothing, so per-κ allocations are limited to the recorded SweepPoint.
 	sw := &Sweep{SampleN: sampleN}
 	var ks kmeans.Scratch
+	ks.Prepare(sample)
 	meansBuf := make([]float64, hi)
 	for kappa := lo; kappa <= hi; kappa++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cluster: κ-sweep interrupted at κ=%d: %w", kappa, err)
 		}
-		res, err := ks.OneD(sample, kappa, 0)
+		res, err := ks.Cluster(kappa, 0)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: κ=%d: %w", kappa, err)
 		}

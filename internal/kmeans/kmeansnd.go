@@ -16,7 +16,7 @@ var (
 	ndRestarts = obs.Default().Counter("roadpart_kmeans_restarts_total",
 		"k-means restarts executed on spectral embeddings.")
 	ndIterations = obs.Default().Counter("roadpart_kmeans_iterations_total",
-		"Lloyd iterations consumed across all k-means restarts.")
+		"Lloyd iterations consumed across the k-means restarts on spectral embeddings (1-D runs count in roadpart_kmeans_1d_iterations_total).")
 )
 
 // Seeding selects the initialization strategy for ND.

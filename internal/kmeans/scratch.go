@@ -25,8 +25,8 @@ type ndScratch struct {
 // growing buffers as needed. Contents are unspecified after reset; the
 // seeding and Lloyd passes overwrite everything they read.
 func (s *ndScratch) reset(n, k, dim int) {
-	s.meansBack = growFloats(s.meansBack, k*dim)
-	s.sumsBack = growFloats(s.sumsBack, k*dim)
+	s.meansBack = grow(s.meansBack, k*dim)
+	s.sumsBack = grow(s.sumsBack, k*dim)
 	if cap(s.means) < k {
 		s.means = make([][]float64, k)
 		s.sums = make([][]float64, k)
@@ -37,10 +37,10 @@ func (s *ndScratch) reset(n, k, dim int) {
 		s.means[c] = s.meansBack[c*dim : (c+1)*dim]
 		s.sums[c] = s.sumsBack[c*dim : (c+1)*dim]
 	}
-	s.d2 = growFloats(s.d2, n)
-	s.perm = growInts(s.perm, n)
-	s.assign = growInts(s.assign, n)
-	s.sizes = growInts(s.sizes, k)
+	s.d2 = grow(s.d2, n)
+	s.perm = grow(s.perm, n)
+	s.assign = grow(s.assign, n)
+	s.sizes = grow(s.sizes, k)
 }
 
 // footprint returns the scratch's buffer capacity in bytes, for the

@@ -32,7 +32,8 @@ func TestScratchOneDMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.OneD(data[:cfg.n], cfg.k, 0)
+		s.Prepare(data[:cfg.n])
+		got, err := s.Cluster(cfg.k, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,24 +53,41 @@ func TestScratchOneDMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestScratchOneDSteadyStateAllocFree pins a warmed-up scratch clustering
-// at zero allocations per call (the Result is scratch-owned).
+// TestScratchOneDSteadyStateAllocFree pins warm scratch clusterings at
+// zero allocations (the Result is scratch-owned): one Prepare plus one
+// Cluster, and a whole prepared κ-sweep — one Prepare, then κ = 2…25, the
+// shape of the supernode miner's sweeps — whose sorted view and per-κ
+// buffers all live in the scratch.
 func TestScratchOneDSteadyStateAllocFree(t *testing.T) {
 	var s Scratch
-	data := make([]float64, 256)
-	for i := range data {
-		data[i] = float64(i%17) * 1.5
+	small := make([]float64, 256)
+	for i := range small {
+		small[i] = float64(i%17) * 1.5
 	}
-	if _, err := s.OneD(data, 5, 0); err != nil { // warm up
-		t.Fatal(err)
+	sweep := make([]float64, 2000)
+	for i := range sweep {
+		sweep[i] = math.Exp(math.Sin(float64(i)*0.37) * 3)
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := s.OneD(data, 5, 0); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name       string
+		data       []float64
+		kMin, kMax int
+	}{
+		{"single", small, 5, 5},
+		{"sweep", sweep, 2, 25},
+	} {
+		run := func() {
+			s.Prepare(tc.data)
+			for k := tc.kMin; k <= tc.kMax; k++ {
+				if _, err := s.Cluster(k, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm Scratch.OneD allocates %v per call, want 0", allocs)
+		run() // warm up
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Fatalf("warm %s run allocates %v, want 0", tc.name, allocs)
+		}
 	}
 }
 

@@ -3,7 +3,10 @@ package supergraph
 import (
 	"testing"
 
+	"roadpart/internal/gen"
 	"roadpart/internal/graph"
+	"roadpart/internal/roadnet"
+	"roadpart/internal/traffic"
 )
 
 // benchGraph builds a 10k-node ring with 8 density stripes.
@@ -22,6 +25,36 @@ func benchGraph() (*graph.Graph, []float64) {
 
 func BenchmarkMine10k(b *testing.B) {
 	g, f := benchGraph()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Mine(g, f, MineOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMineFixture mines the 2.1k-segment congested city the
+// pipeline benchmarks and the daemon benchmark (perfbench) use. Unlike
+// Mine10k's well-separated stripes, its heavy-tailed densities make the
+// κ-sweep's 1-D k-means runs take many Lloyd iterations, so this is the
+// benchmark that shows the mining kernel's cost.
+func BenchmarkMineFixture(b *testing.B) {
+	net, err := gen.City(gen.CityConfig{TargetIntersections: 1200, TargetSegments: 2100, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap, err := traffic.SyntheticField(net, traffic.FieldConfig{Hotspots: 6, Seed: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := traffic.ApplySnapshot(net, snap); err != nil {
+		b.Fatal(err)
+	}
+	g, err := roadnet.DualGraph(net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := net.Densities()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Mine(g, f, MineOptions{}); err != nil {

@@ -166,8 +166,9 @@ func MineCtx(ctx context.Context, g *graph.Graph, features []float64, opts MineO
 
 	// Stage 2: full-data clustering per shortlisted κ; fewest connected
 	// components wins (Alg. 1 lines 10–16).
-	// Every candidate κ clusters and labels into reused scratch; only the
-	// best configuration so far is copied out, so the loop's steady-state
+	// The features are sorted once for every candidate κ, and each κ
+	// clusters and labels into reused scratch; only the best
+	// configuration so far is copied out, so the loop's steady-state
 	// allocations are bounded by the number of improvements, not by the
 	// shortlist length.
 	spKMeans := stageFullKMeans.Start()
@@ -176,13 +177,14 @@ func MineCtx(ctx context.Context, g *graph.Graph, features []float64, opts MineO
 	var bestMeans []float64
 	chosen := 0
 	var ks kmeans.Scratch
+	ks.Prepare(features)
 	labels := linalg.GetInts(n)
 	defer linalg.PutInts(labels)
 	for _, kappa := range shortlist {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("supergraph: full clustering interrupted at κ=%d: %w", kappa, err)
 		}
-		res, err := ks.OneD(features, kappa, 0)
+		res, err := ks.Cluster(kappa, 0)
 		if err != nil {
 			return nil, fmt.Errorf("supergraph: κ=%d: %w", kappa, err)
 		}
