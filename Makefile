@@ -7,7 +7,8 @@
 # (bench-check), the XL-tier multilevel smoke (scale-smoke, see
 # docs/SCALING.md), the job-durability chaos suite (chaos-smoke), the
 # sharded-serving integration suite (cluster-smoke, docs/DISTRIBUTED.md),
-# and the docs checks (gofmt drift + relative-link rot in *.md).
+# the docs checks (gofmt drift + relative-link rot in *.md), and the
+# vet + unit tests of the nested perfbench module (perfbench-check).
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -31,7 +32,7 @@ BENCH_TABLE3_ANCHOR ?= BENCH_4.json
 BENCH_TABLE3_GATE ?= -0.40
 BENCH_SWEEP_RATIO ?= 1.5
 
-.PHONY: build vet test race bench bench-smoke bench-check bench-scale scale-smoke fuzz-smoke sse-smoke chaos-smoke cluster-smoke docs-check numerics-check verify
+.PHONY: build vet test race bench bench-smoke bench-check bench-scale scale-smoke fuzz-smoke sse-smoke chaos-smoke cluster-smoke docs-check numerics-check perfbench-check verify
 
 build:
 	$(GO) build ./...
@@ -171,4 +172,11 @@ docs-check:
 	$(GO) vet ./...
 	$(GO) test -run TestDocsLinks .
 
-verify: build vet test race fuzz-smoke bench-smoke bench-check scale-smoke sse-smoke chaos-smoke cluster-smoke docs-check numerics-check
+# perfbench-check vets and unit-tests perfbench/, the end-to-end daemon
+# benchmark (BENCHMARK.json). It is a nested module, so `go test ./...`
+# never builds it; this target is what fails when an internal API change
+# breaks the benchmark harness.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
+verify: build vet test race fuzz-smoke bench-smoke bench-check scale-smoke sse-smoke chaos-smoke cluster-smoke docs-check numerics-check perfbench-check

@@ -172,7 +172,7 @@ func BenchmarkSweepDeep(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for k := 2; k <= 30; k++ {
 				s := cut.NewSpectral(wg, cut.MethodAlphaCut, cut.Options{Seed: 1, ColdWiden: true})
-				if err := s.Warm(k); err != nil {
+				if err := s.WarmCtx(context.Background(), k); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -182,7 +182,7 @@ func BenchmarkSweepDeep(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := cut.NewSpectral(wg, cut.MethodAlphaCut, cut.Options{Seed: 1})
 			for k := 2; k <= 30; k++ {
-				if err := s.Warm(k); err != nil {
+				if err := s.WarmCtx(context.Background(), k); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -299,7 +299,7 @@ func BenchmarkPartitionNCutDirect(b *testing.B) {
 	wg := core.SimilarityWeighted(g, net.Densities())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cut.Partition(wg, 5, cut.MethodNCut, cut.Options{Seed: 1}); err != nil {
+		if _, err := cut.NewSpectral(wg, cut.MethodNCut, cut.Options{Seed: 1}).PartitionCtx(context.Background(), 5); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -104,8 +104,9 @@ type Config struct {
 	// Restarts is the k-means best-of-n on the spectral embedding;
 	// 0 selects 5.
 	Restarts int
-	// DenseCutoff switches the eigensolver from dense to Lanczos; 0
-	// selects 900.
+	// DenseCutoff selects no solver (the partitioner is always
+	// matrix-free Lanczos); it is kept because the result fingerprint
+	// hashes it. 0 selects 900.
 	DenseCutoff int
 	// Weighting selects the superlink weight formula (Eq. 3 by default).
 	Weighting supergraph.WeightMode
@@ -477,8 +478,8 @@ func (p *Pipeline) MultilevelLevels() int {
 
 // Spectral exposes the pipeline's cached spectral partitioner, the hook
 // the temporal tracker uses to carry an eigenbasis across successive
-// pipelines: read WarmVector() from the finished pipeline, hand it to the
-// successor's SetWarmStart before partitioning.
+// pipelines: read WarmBlock() from the finished pipeline, hand it to the
+// successor's SetWarmStartBlock before partitioning.
 func (p *Pipeline) Spectral() *cut.Spectral { return p.spec }
 
 // SweepK partitions for every k in [kMin, kMax], reusing modules 1–2.

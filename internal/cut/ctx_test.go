@@ -24,16 +24,19 @@ func TestPartitionCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestPartitionCtxUncancelledMatchesPartition pins that a live context
-// leaves the cached path bit-identical to the legacy entry point.
+// TestPartitionCtxUncancelledMatchesPartition pins that a live,
+// cancellable context that never fires leaves the partitioner
+// bit-identical to a run under context.Background.
 func TestPartitionCtxUncancelledMatchesPartition(t *testing.T) {
 	g := barbell(6, 1, 0.05)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, k := range []int{2, 3, 4} {
-		want, err := NewSpectral(g, MethodAlphaCut, Options{Seed: 1}).Partition(k)
+		want, err := partition(g, k, MethodAlphaCut, Options{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewSpectral(g, MethodAlphaCut, Options{Seed: 1}).PartitionCtx(context.Background(), k)
+		got, err := NewSpectral(g, MethodAlphaCut, Options{Seed: 1}).PartitionCtx(ctx, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +52,7 @@ func TestPartitionCtxUncancelledMatchesPartition(t *testing.T) {
 }
 
 // TestCancelledWarmDoesNotPoisonCache asserts the cache recovers after a
-// cancelled call: a fresh Warm and Partition succeed as if the cancelled
+// cancelled call: a fresh WarmCtx and PartitionCtx succeed as if the cancelled
 // attempt never happened.
 func TestCancelledWarmDoesNotPoisonCache(t *testing.T) {
 	g := barbell(8, 1, 0.05)
@@ -59,11 +62,11 @@ func TestCancelledWarmDoesNotPoisonCache(t *testing.T) {
 	if err := s.WarmCtx(ctx, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled WarmCtx err = %v", err)
 	}
-	if err := s.Warm(4); err != nil {
-		t.Fatalf("Warm after cancelled attempt: %v", err)
+	if err := s.WarmCtx(context.Background(), 4); err != nil {
+		t.Fatalf("WarmCtx after cancelled attempt: %v", err)
 	}
-	if _, err := s.Partition(3); err != nil {
-		t.Fatalf("Partition after cancelled attempt: %v", err)
+	if _, err := s.PartitionCtx(context.Background(), 3); err != nil {
+		t.Fatalf("PartitionCtx after cancelled attempt: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cut
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,6 +9,12 @@ import (
 	"roadpart/internal/graph"
 	"roadpart/internal/linalg"
 )
+
+// partition runs a fresh Spectral once — the single-k form of the
+// partitioner.
+func partition(g *graph.Graph, k int, method Method, opts Options) (*Result, error) {
+	return NewSpectral(g, method, opts).PartitionCtx(context.Background(), k)
+}
 
 // barbell builds two cliques of size m joined by a single weak bridge.
 func barbell(m int, inW, bridgeW float64) *graph.Graph {
@@ -110,7 +117,7 @@ func TestNCutSmallestEigenvalueZero(t *testing.T) {
 
 func TestPartitionAlphaCutBarbell(t *testing.T) {
 	g := barbell(6, 1, 0.05)
-	res, err := Partition(g, 2, MethodAlphaCut, Options{Seed: 1})
+	res, err := partition(g, 2, MethodAlphaCut, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +142,7 @@ func TestPartitionAlphaCutBarbell(t *testing.T) {
 
 func TestPartitionNCutBarbell(t *testing.T) {
 	g := barbell(6, 1, 0.05)
-	res, err := Partition(g, 2, MethodNCut, Options{Seed: 1})
+	res, err := partition(g, 2, MethodNCut, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +170,7 @@ func TestPartitionProducesConnectedPartitions(t *testing.T) {
 		g.AddEdge(c*m, ((c+1)%4)*m, 0.1)
 	}
 	for _, method := range []Method{MethodAlphaCut, MethodNCut} {
-		res, err := Partition(g, 3, method, Options{Seed: 2})
+		res, err := partition(g, 3, method, Options{Seed: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -184,14 +191,14 @@ func TestPartitionProducesConnectedPartitions(t *testing.T) {
 
 func TestPartitionKEqualsOneAndN(t *testing.T) {
 	g := barbell(3, 1, 1)
-	one, err := Partition(g, 1, MethodAlphaCut, Options{})
+	one, err := partition(g, 1, MethodAlphaCut, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if one.K != 1 {
 		t.Fatalf("k=1 gave K=%d", one.K)
 	}
-	full, err := Partition(g, g.N(), MethodAlphaCut, Options{Seed: 3})
+	full, err := partition(g, g.N(), MethodAlphaCut, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,21 +209,21 @@ func TestPartitionKEqualsOneAndN(t *testing.T) {
 
 func TestPartitionErrors(t *testing.T) {
 	g := barbell(3, 1, 1)
-	if _, err := Partition(g, 0, MethodAlphaCut, Options{}); err == nil {
+	if _, err := partition(g, 0, MethodAlphaCut, Options{}); err == nil {
 		t.Fatal("k=0 should error")
 	}
-	if _, err := Partition(g, g.N()+1, MethodAlphaCut, Options{}); err == nil {
+	if _, err := partition(g, g.N()+1, MethodAlphaCut, Options{}); err == nil {
 		t.Fatal("k>n should error")
 	}
 }
 
 func TestPartitionDeterministic(t *testing.T) {
 	g := barbell(5, 1, 0.1)
-	a, err := Partition(g, 2, MethodAlphaCut, Options{Seed: 4})
+	a, err := partition(g, 2, MethodAlphaCut, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Partition(g, 2, MethodAlphaCut, Options{Seed: 4})
+	b, err := partition(g, 2, MethodAlphaCut, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +325,7 @@ func TestGreedyPruningReduction(t *testing.T) {
 	for c := 0; c < 3; c++ {
 		g.AddEdge(c*m, (c+1)*m, 0.1)
 	}
-	res, err := Partition(g, 2, MethodAlphaCut, Options{Seed: 5, Reduction: ReduceGreedyPruning})
+	res, err := partition(g, 2, MethodAlphaCut, Options{Seed: 5, Reduction: ReduceGreedyPruning})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +346,7 @@ func TestGrowPathOnUniformGraph(t *testing.T) {
 			g.AddEdge(i, j, 1)
 		}
 	}
-	res, err := Partition(g, 3, MethodAlphaCut, Options{Seed: 1})
+	res, err := partition(g, 3, MethodAlphaCut, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +377,7 @@ func TestAcceptKPrime(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		g.AddEdge(c*m, ((c+1)%4)*m, 0.05)
 	}
-	res, err := Partition(g, 2, MethodAlphaCut, Options{Seed: 6, AcceptKPrime: true})
+	res, err := partition(g, 2, MethodAlphaCut, Options{Seed: 6, AcceptKPrime: true})
 	if err != nil {
 		t.Fatal(err)
 	}

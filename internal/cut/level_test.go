@@ -15,11 +15,11 @@ func TestFlatLevelIdentity(t *testing.T) {
 		direct := NewSpectral(g, method, Options{Seed: 3})
 		viaLevel := NewSpectralLevel(Flat(g), method, Options{Seed: 3})
 		for k := 1; k <= 4; k++ {
-			a, err := direct.Partition(k)
+			a, err := direct.PartitionCtx(context.Background(), k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := viaLevel.Partition(k)
+			b, err := viaLevel.PartitionCtx(context.Background(), k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package cut
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -33,17 +34,17 @@ func grid(w, h int) *graph.Graph {
 // decomposition and the compute-outside-lock restructuring are
 // race-clean.
 func TestSpectralConcurrentPartition(t *testing.T) {
-	g := grid(8, 8) // 64 nodes: dense path, schedule-independent embeddings
+	g := grid(8, 8) // 64 nodes: schedule-independent embeddings
 	ks := []int{2, 3, 4, 5, 6}
 
 	// Serial reference on an identically-configured warmed partitioner.
 	ref := map[int]*Result{}
 	serial := NewSpectral(g, MethodAlphaCut, Options{Seed: 3})
-	if err := serial.Warm(ks[len(ks)-1]); err != nil {
+	if err := serial.WarmCtx(context.Background(), ks[len(ks)-1]); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range ks {
-		res, err := serial.Partition(k)
+		res, err := serial.PartitionCtx(context.Background(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +52,7 @@ func TestSpectralConcurrentPartition(t *testing.T) {
 	}
 
 	s := NewSpectral(g, MethodAlphaCut, Options{Seed: 3})
-	if err := s.Warm(ks[len(ks)-1]); err != nil {
+	if err := s.WarmCtx(context.Background(), ks[len(ks)-1]); err != nil {
 		t.Fatal(err)
 	}
 	const goroutines = 16
@@ -63,7 +64,7 @@ func TestSpectralConcurrentPartition(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
 				k := ks[(gi+rep)%len(ks)]
-				res, err := s.Partition(k)
+				res, err := s.PartitionCtx(context.Background(), k)
 				if err != nil {
 					errs[gi] = err
 					return
@@ -105,7 +106,7 @@ func TestSpectralConcurrentColdCache(t *testing.T) {
 		wg.Add(1)
 		go func(gi int) {
 			defer wg.Done()
-			results[gi], errs[gi] = s.Partition(4)
+			results[gi], errs[gi] = s.PartitionCtx(context.Background(), 4)
 		}(gi)
 	}
 	wg.Wait()
@@ -128,16 +129,16 @@ func TestSpectralConcurrentColdCache(t *testing.T) {
 }
 
 // TestPartitionWorkersDeterministic pins the cut-layer guarantee: the
-// one-shot Partition produces the identical result for Workers=1 and
+// single-k partitioner produces the identical result for Workers=1 and
 // Workers=8 at the same seed.
 func TestPartitionWorkersDeterministic(t *testing.T) {
 	g := grid(9, 6)
 	for _, method := range []Method{MethodAlphaCut, MethodNCut} {
-		serial, err := Partition(g, 5, method, Options{Seed: 21, Workers: 1})
+		serial, err := partition(g, 5, method, Options{Seed: 21, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := Partition(g, 5, method, Options{Seed: 21, Workers: 8})
+		par, err := partition(g, 5, method, Options{Seed: 21, Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestConcurrentPartitionPoolIsolation drives Partition concurrently on
+// TestConcurrentPartitionPoolIsolation drives fresh partitioners concurrently on
 // differently sized graphs so the shared scratch pools (eigen
 // workspaces, k-means restart scratches, embedding buffers, component
 // label buffers) are constantly recycled across mismatched shapes.
@@ -20,7 +20,7 @@ func TestConcurrentPartitionPoolIsolation(t *testing.T) {
 	}
 	refs := make([]*Result, len(shapes))
 	for i, s := range shapes {
-		res, err := Partition(grid(s.w, s.h), s.k, MethodAlphaCut, Options{Seed: 17})
+		res, err := partition(grid(s.w, s.h), s.k, MethodAlphaCut, Options{Seed: 17})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestConcurrentPartitionPoolIsolation(t *testing.T) {
 			wg.Add(1)
 			go func(i int, w, h, k int) {
 				defer wg.Done()
-				res, err := Partition(grid(w, h), k, MethodAlphaCut, Options{Seed: 17})
+				res, err := partition(grid(w, h), k, MethodAlphaCut, Options{Seed: 17})
 				if err != nil {
 					errs <- err
 					return

@@ -37,7 +37,7 @@ func TestPartitionValidityProperty(t *testing.T) {
 		}
 		g := randomConnected(n, extra)
 		for _, method := range []Method{MethodAlphaCut, MethodNCut} {
-			res, err := Partition(g, k, method, Options{Seed: 7})
+			res, err := partition(g, k, method, Options{Seed: 7})
 			if err != nil {
 				return false
 			}

@@ -124,7 +124,7 @@ func TestScalarAlphaOpValidation(t *testing.T) {
 
 func TestPartitionScalarAlphaBarbell(t *testing.T) {
 	g := barbell(6, 1, 0.05)
-	res, err := Partition(g, 2, MethodScalarAlpha, Options{Seed: 1, Alpha: 0.5})
+	res, err := partition(g, 2, MethodScalarAlpha, Options{Seed: 1, Alpha: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"roadpart/internal/eigen"
 	"roadpart/internal/graph"
 	"roadpart/internal/kmeans"
 	"roadpart/internal/linalg"
@@ -91,10 +92,10 @@ type Options struct {
 func (o Options) Normalized() Options { return o.normalized() }
 
 // normalized returns o with every zero-value field replaced by its
-// default. It is the single source of option defaults: Partition and
-// NewSpectral both normalize through here, so a cached sweep and a
-// one-shot call can never silently apply different Restarts/DenseCutoff/
-// Alpha values to the same graph.
+// default. It is the single source of option defaults: NewSpectral and
+// core.Config.Normalized both normalize through here, so the partitioner
+// and the result fingerprint can never disagree on Restarts/DenseCutoff/
+// Alpha.
 func (o Options) normalized() Options {
 	if o.Restarts == 0 {
 		o.Restarts = 5
@@ -109,7 +110,7 @@ func (o Options) normalized() Options {
 }
 
 // kmeansOptions maps the partitioner options onto the embedding
-// clustering step, shared by the cached and one-shot paths.
+// clustering step, shared by the top-level cut and every bipartition.
 func (o Options) kmeansOptions() kmeans.NDOptions {
 	return kmeans.NDOptions{Seed: o.Seed, Restarts: o.Restarts, Workers: o.Workers}
 }
@@ -141,95 +142,18 @@ type Result struct {
 	KPrime int
 }
 
-// Partition splits g into k spatially connected partitions using the
-// selected spectral method, following Algorithm 3: embed nodes with the k
-// smallest eigenvectors, row-normalize, cluster with k-means, extract
-// connected components (k′ partitions), then reduce k′ to k by global
-// recursive bipartitioning (or grow toward k by splitting the largest
-// partitions when k-means left clusters empty).
-func Partition(g *graph.Graph, k int, method Method, opts Options) (*Result, error) {
-	return PartitionCtx(context.Background(), g, k, method, opts)
-}
-
-// PartitionCtx is Partition with cooperative cancellation: ctx is
-// observed between the algorithm's work items — Lanczos steps and k-means
-// restarts inside the embedding, and each bipartition of the k′→k
-// reduction — and PartitionCtx returns ctx's error once it is done. An
-// uncancelled run is bit-identical to Partition at the same options.
-func PartitionCtx(ctx context.Context, g *graph.Graph, k int, method Method, opts Options) (*Result, error) {
-	n := g.N()
-	if k < 1 {
-		return nil, fmt.Errorf("cut: k must be >= 1, got %d", k)
-	}
-	if k > n {
-		return nil, fmt.Errorf("cut: k=%d exceeds %d nodes", k, n)
-	}
-	opts = opts.normalized()
-	if k == 1 {
-		return &Result{Assign: make([]int, n), K: 1, KPrime: 1}, nil
-	}
-
-	eb := getEmbedBuf()
-	want := k + sweepHeadroom
-	if want > n {
-		want = n
-	}
-	rows, err := embed(ctx, g, k, want, method, opts, eb)
-	if err != nil {
-		putEmbedBuf(eb)
-		return nil, err
-	}
-	km, err := kmeans.NDCtx(ctx, rows, k, opts.kmeansOptions())
-	putEmbedBuf(eb) // the embedding is dead once clustered
-	if err != nil {
-		return nil, err
-	}
-
-	// Alg. 3 line 11: connected components inside each spectral cluster
-	// become disjoint partitions.
-	lbuf := linalg.GetInts(n)
-	defer linalg.PutInts(lbuf)
-	kPrime := g.GroupComponentsInto(km.Assign, lbuf)
-	labels := lbuf
-	res := &Result{KPrime: kPrime}
-
-	switch {
-	case kPrime > k && !opts.AcceptKPrime:
-		labels, err = reduce(ctx, g, labels, kPrime, k, method, opts)
-		if err != nil {
-			return nil, err
-		}
-	case kPrime < k:
-		labels, err = grow(ctx, g, labels, kPrime, k, method, opts)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res.Assign, res.K = renumber(labels)
-	return res, nil
-}
-
-// embed computes the row-normalized spectral embedding Z (Alg. 3 lines
-// 1–8): n rows of k coordinates from the k smallest eigenvectors of the
-// method's matrix, where the eigensolve computes want >= k pairs and the
-// embedding keeps the first k. The top-level one-shot path passes the
-// same want the cached Spectral would use, so Partition and
-// Spectral.Partition run the same eigensolve; the recursive bipartition
-// passes want = k = 2 for lean solves on the small meta-graphs. The rows
-// live in eb, which the caller returns to the pool once the embedding
-// has been consumed.
-func embed(ctx context.Context, g *graph.Graph, k, want int, method Method, opts Options, eb *embedBuf) ([][]float64, error) {
-	dec, err := decompose(ctx, g, want, method, opts, nil)
-	if err != nil {
-		return nil, err
-	}
+// embedRows fills eb with the row-normalized spectral embedding Z
+// (Alg. 3 lines 1–8, Equation 8): n rows holding the first k columns of
+// dec's eigenvectors, each scaled to unit length. The caller returns eb to
+// the pool once the embedding has been consumed.
+func embedRows(dec *eigen.Decomposition, k int, eb *embedBuf) [][]float64 {
 	cols := len(dec.Values)
-	rows := eb.shape(g.N(), k)
+	rows := eb.shape(dec.N, k)
 	for i := range rows {
 		copy(rows[i], dec.Vectors[i*cols:i*cols+k])
-		linalg.Normalize(rows[i]) // Equation 8 row normalization
+		linalg.Normalize(rows[i])
 	}
-	return rows, nil
+	return rows
 }
 
 // reduce implements global recursive bipartitioning (Alg. 3 lines 12–24):
@@ -379,12 +303,15 @@ func bipartition(ctx context.Context, g *graph.Graph, method Method, opts Option
 	if n == 2 {
 		return []int{0, 1}, nil
 	}
-	eb := getEmbedBuf()
-	defer putEmbedBuf(eb) // the degenerate fallback below still reads rows
-	rows, err := embed(ctx, g, 2, 2, method, opts, eb)
+	// A lean two-pair solve: the meta-graphs and partitions split here are
+	// small and never widened.
+	dec, err := decompose(ctx, g, 2, method, opts, nil)
 	if err != nil {
 		return nil, err
 	}
+	eb := getEmbedBuf()
+	defer putEmbedBuf(eb) // the degenerate fallback below still reads rows
+	rows := embedRows(dec, 2, eb)
 	km, err := kmeans.NDCtx(ctx, rows, 2, opts.kmeansOptions())
 	if err != nil {
 		return nil, err

@@ -65,9 +65,10 @@ type specFlight struct {
 	err  error
 }
 
-// NewSpectral prepares a cached spectral partitioner for g. Options are
-// normalized through the same Options.normalized as Partition, so the
-// cached and one-shot paths can never apply different defaults.
+// NewSpectral prepares a cached spectral partitioner for g. A fresh
+// Spectral is also the single-k partitioner: its first call runs one cold
+// solve of k+sweepHeadroom eigenpairs, so a caller that needs one k
+// builds one and calls PartitionCtx once.
 func NewSpectral(g *graph.Graph, method Method, opts Options) *Spectral {
 	return NewSpectralLevel(Flat(g), method, opts)
 }
@@ -82,16 +83,18 @@ func NewSpectralLevel(level Level, method Method, opts Options) *Spectral {
 	return &Spectral{level: level, g: level.Graph(), method: method, opts: opts.normalized()}
 }
 
-// Partition splits the graph into k partitions, reusing the cached
-// decomposition when it already has at least k eigenpairs.
-func (s *Spectral) Partition(k int) (*Result, error) {
-	return s.PartitionCtx(context.Background(), k)
-}
-
-// PartitionCtx is Partition with cooperative cancellation: the embedding,
-// k-means and reduction stages observe ctx between work items, and a
-// cancelled call never leaves the shared cache in a worse state than
-// before it ran. An uncancelled call is bit-identical to Partition.
+// PartitionCtx splits the graph into k spatially connected partitions
+// following Algorithm 3: embed nodes with the k smallest eigenvectors,
+// row-normalize, cluster with k-means, extract connected components (k′
+// partitions), then reduce k′ to k by global recursive bipartitioning (or
+// grow toward k by splitting the largest partitions when k-means left
+// clusters empty). The cached decomposition is reused when it already
+// has at least k eigenpairs.
+//
+// ctx is observed between work items — Lanczos steps and k-means
+// restarts inside the embedding, and each bipartition of the k′→k
+// reduction — and a cancelled call never leaves the shared cache in a
+// worse state than before it ran.
 func (s *Spectral) PartitionCtx(ctx context.Context, k int) (*Result, error) {
 	n := s.g.N()
 	if k < 1 || k > n {
@@ -104,12 +107,12 @@ func (s *Spectral) PartitionCtx(ctx context.Context, k int) (*Result, error) {
 		}
 		return &Result{Assign: fine, K: fineK, KPrime: 1}, nil
 	}
-	eb := getEmbedBuf()
-	rows, err := s.rows(ctx, k, eb)
+	dec, err := s.decomposition(ctx, k)
 	if err != nil {
-		putEmbedBuf(eb)
 		return nil, err
 	}
+	eb := getEmbedBuf()
+	rows := embedRows(dec, k, eb)
 	km, err := kmeans.NDCtx(ctx, rows, k, s.opts.kmeansOptions())
 	putEmbedBuf(eb) // the embedding is dead once clustered
 	if err != nil {
@@ -142,17 +145,6 @@ func (s *Spectral) PartitionCtx(ctx context.Context, k int) (*Result, error) {
 	}
 	res.Assign, res.K = fine, fineK
 	return res, nil
-}
-
-// SetWarmStart seeds the next eigendecomposition from the single vector
-// v — the legacy single-vector form of SetWarmStartBlock, equivalent to a
-// one-row block. A nil or wrong-length v clears any pending warm state.
-func (s *Spectral) SetWarmStart(v []float64) {
-	if v == nil {
-		s.SetWarmStartBlock(nil)
-		return
-	}
-	s.SetWarmStartBlock([][]float64{v})
 }
 
 // SetWarmStartBlock seeds the next eigendecomposition from a whole block
@@ -200,30 +192,6 @@ func (s *Spectral) WarmBlock() [][]float64 {
 	return ritzBlock(dec)
 }
 
-// WarmVector aggregates the cached decomposition's Ritz vectors into one
-// start direction for a successor solve — the legacy single-vector
-// counterpart of WarmBlock, kept for callers that persist one vector. It
-// returns nil when nothing is cached.
-func (s *Spectral) WarmVector() []float64 {
-	s.mu.Lock()
-	dec := s.dec
-	s.mu.Unlock()
-	if dec == nil || len(dec.Values) == 0 {
-		return nil
-	}
-	cols := len(dec.Values)
-	v := make([]float64, dec.N)
-	for i := 0; i < dec.N; i++ {
-		for j := 0; j < cols; j++ {
-			v[i] += dec.Vectors[i*cols+j]
-		}
-	}
-	if linalg.Normalize(v) == 0 {
-		return nil
-	}
-	return v
-}
-
 // ritzBlock unpacks a decomposition's eigenvectors into freshly allocated
 // row vectors — the eigen.LanczosOptions.StartBlock shape. A nil or empty
 // decomposition yields nil.
@@ -238,16 +206,12 @@ func ritzBlock(dec *eigen.Decomposition) [][]float64 {
 	return blk
 }
 
-// Warm ensures the cached decomposition holds at least k eigenpairs,
-// computing it (once) if needed. A sweep that warms to its largest k
-// before fanning out guarantees every Partition call embeds against the
-// same eigenpairs regardless of worker count or arrival order — the
-// foundation of the Workers=1 ≡ Workers=N determinism guarantee.
-func (s *Spectral) Warm(k int) error {
-	return s.WarmCtx(context.Background(), k)
-}
-
-// WarmCtx is Warm with cooperative cancellation of the eigensolve.
+// WarmCtx ensures the cached decomposition holds at least k eigenpairs,
+// computing it (once) if needed; ctx cancels the eigensolve. A sweep that
+// warms to its largest k before fanning out guarantees every PartitionCtx
+// call embeds against the same eigenpairs regardless of worker count or
+// arrival order — the foundation of the Workers=1 ≡ Workers=N
+// determinism guarantee.
 func (s *Spectral) WarmCtx(ctx context.Context, k int) error {
 	if k < 2 {
 		return nil // k=1 never touches the decomposition
@@ -257,24 +221,6 @@ func (s *Spectral) WarmCtx(ctx context.Context, k int) error {
 	}
 	_, err := s.decomposition(ctx, k)
 	return err
-}
-
-// rows returns the row-normalized k-column spectral embedding, extending
-// the cached decomposition when it is too narrow. The rows live in eb,
-// which the caller repools once the embedding has been consumed.
-func (s *Spectral) rows(ctx context.Context, k int, eb *embedBuf) ([][]float64, error) {
-	dec, err := s.decomposition(ctx, k)
-	if err != nil {
-		return nil, err
-	}
-	cols := len(dec.Values)
-	n := s.g.N()
-	rows := eb.shape(n, k)
-	for i := 0; i < n; i++ {
-		copy(rows[i], dec.Vectors[i*cols:i*cols+k])
-		linalg.Normalize(rows[i])
-	}
-	return rows, nil
 }
 
 // ctxErr reports whether err is (or wraps) a context cancellation or

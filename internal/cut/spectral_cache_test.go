@@ -1,36 +1,40 @@
 package cut
 
 import (
+	"context"
 	"testing"
 )
 
+// TestSpectralMatchesPartition pins the cache: one Spectral shared
+// across k — whose later calls reuse or warm-widen the decomposition the
+// first call computed — partitions exactly like a fresh Spectral per k.
 func TestSpectralMatchesPartition(t *testing.T) {
 	g := barbell(6, 1, 0.05)
 	s := NewSpectral(g, MethodAlphaCut, Options{Seed: 1})
 	for _, k := range []int{2, 3, 4} {
-		cached, err := s.Partition(k)
+		cached, err := s.PartitionCtx(context.Background(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := Partition(g, k, MethodAlphaCut, Options{Seed: 1})
+		fresh, err := partition(g, k, MethodAlphaCut, Options{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cached.K != direct.K {
-			t.Fatalf("k=%d: cached K=%d vs direct K=%d", k, cached.K, direct.K)
+		if cached.K != fresh.K {
+			t.Fatalf("k=%d: cached K=%d vs fresh K=%d", k, cached.K, fresh.K)
 		}
 		for i := range cached.Assign {
-			if cached.Assign[i] != direct.Assign[i] {
-				t.Fatalf("k=%d: cached and direct assignments differ at node %d", k, i)
+			if cached.Assign[i] != fresh.Assign[i] {
+				t.Fatalf("k=%d: cached and fresh assignments differ at node %d", k, i)
 			}
 		}
 	}
 }
 
-// TestSpectralMatchesPartitionOptions repeats the cached-vs-one-shot pin
-// with non-default options. Both paths apply defaults through the shared
-// Options.normalized, so explicit and defaulted values must agree — this
-// catches any future drift between NewSpectral and Partition.
+// TestSpectralMatchesPartitionOptions repeats the cached-vs-fresh pin
+// with non-default options, explicit defaults included: every Spectral
+// applies defaults through Options.normalized, so explicit and
+// defaulted values must agree.
 func TestSpectralMatchesPartitionOptions(t *testing.T) {
 	g := barbell(6, 1, 0.05)
 	cases := []Options{
@@ -41,19 +45,19 @@ func TestSpectralMatchesPartitionOptions(t *testing.T) {
 	for ci, opts := range cases {
 		s := NewSpectral(g, MethodNCut, opts)
 		for _, k := range []int{2, 3} {
-			cached, err := s.Partition(k)
+			cached, err := s.PartitionCtx(context.Background(), k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, err := Partition(g, k, MethodNCut, opts)
+			fresh, err := partition(g, k, MethodNCut, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cached.K != direct.K {
-				t.Fatalf("case %d k=%d: cached K=%d vs direct K=%d", ci, k, cached.K, direct.K)
+			if cached.K != fresh.K {
+				t.Fatalf("case %d k=%d: cached K=%d vs fresh K=%d", ci, k, cached.K, fresh.K)
 			}
 			for i := range cached.Assign {
-				if cached.Assign[i] != direct.Assign[i] {
+				if cached.Assign[i] != fresh.Assign[i] {
 					t.Fatalf("case %d k=%d: assignments differ at node %d", ci, k, i)
 				}
 			}
@@ -66,14 +70,14 @@ func TestSpectralCacheReuse(t *testing.T) {
 	// cached object must stay internally consistent when asked downward.
 	g := barbell(6, 1, 0.05)
 	s := NewSpectral(g, MethodNCut, Options{Seed: 2})
-	if _, err := s.Partition(4); err != nil {
+	if _, err := s.PartitionCtx(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
 	width := len(s.dec.Values)
 	if width < 4 {
 		t.Fatalf("cache width %d after k=4", width)
 	}
-	res, err := s.Partition(2)
+	res, err := s.PartitionCtx(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +95,13 @@ func TestSpectralCacheReuse(t *testing.T) {
 func TestSpectralErrors(t *testing.T) {
 	g := barbell(3, 1, 1)
 	s := NewSpectral(g, MethodAlphaCut, Options{})
-	if _, err := s.Partition(0); err == nil {
+	if _, err := s.PartitionCtx(context.Background(), 0); err == nil {
 		t.Fatal("k=0 should error")
 	}
-	if _, err := s.Partition(g.N() + 1); err == nil {
+	if _, err := s.PartitionCtx(context.Background(), g.N()+1); err == nil {
 		t.Fatal("k>n should error")
 	}
-	one, err := s.Partition(1)
+	one, err := s.PartitionCtx(context.Background(), 1)
 	if err != nil || one.K != 1 {
 		t.Fatalf("k=1: %v %v", one, err)
 	}

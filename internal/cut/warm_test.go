@@ -70,11 +70,11 @@ func irregular(n, chords int, seed uint64) *graph.Graph {
 // while every k-means boundary margin exceeds that tolerance — which
 // holds here and on the evaluation datasets, but degrades for very deep
 // k on small graphs where margins shrink toward the noise floor
-// (docs/NUMERICS.md § Warm starts spells out this regime). One-shot
-// Partition is likewise not compared here: a fresh want=k+8 solve can
-// stop at a different Krylov depth than the cached wider solve, so
-// cached ≡ one-shot bit-identity is only promised for small graphs —
-// see TestSpectralMatchesPartition.
+// (docs/NUMERICS.md § Warm starts spells out this regime). A fresh
+// Spectral per k is likewise not compared here: a fresh want=k+8 solve
+// can stop at a different Krylov depth than the cached wider solve, so
+// cached ≡ fresh bit-identity is only promised for small graphs — see
+// TestSpectralMatchesPartition.
 func TestSpectralWarmWideningMatchesCold(t *testing.T) {
 	g := irregular(240, 120, 0x3a9b)
 	ks := []int{2, 6, 12} // 12 > 2+sweepHeadroom: the last step widens
@@ -82,11 +82,11 @@ func TestSpectralWarmWideningMatchesCold(t *testing.T) {
 	warm := NewSpectral(g, MethodAlphaCut, Options{Seed: 3})
 	cold := NewSpectral(g, MethodAlphaCut, Options{Seed: 3, ColdWiden: true})
 	for _, k := range ks {
-		wres, err := warm.Partition(k)
+		wres, err := warm.PartitionCtx(context.Background(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cres, err := cold.Partition(k)
+		cres, err := cold.PartitionCtx(context.Background(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestSpectralCancelLeavesWarmPending(t *testing.T) {
 	// Donor: a converged solve on the same graph supplies the block the
 	// incremental-repartitioning path would hand over.
 	donor := NewSpectral(g, MethodAlphaCut, Options{Seed: 9})
-	if err := donor.Warm(k); err != nil {
+	if err := donor.WarmCtx(context.Background(), k); err != nil {
 		t.Fatal(err)
 	}
 	blk := donor.WarmBlock()
@@ -137,7 +137,7 @@ func TestSpectralCancelLeavesWarmPending(t *testing.T) {
 	// Control: warm block applied, never cancelled.
 	control := NewSpectral(g, MethodAlphaCut, Options{Seed: 9})
 	control.SetWarmStartBlock(blk)
-	want, err := control.Partition(k)
+	want, err := control.PartitionCtx(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestSpectralCancelLeavesWarmPending(t *testing.T) {
 		}
 		// The warm block must still be pending: the retry's solve seeds
 		// from it and lands on the control's exact bits.
-		got, err := s.Partition(k)
+		got, err := s.PartitionCtx(context.Background(), k)
 		if err != nil {
 			t.Fatalf("%s retry: %v", tc.name, err)
 		}

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"roadpart/internal/linalg"
 )
 
 // zeroOp is the Laplacian of an edgeless graph: the fully degenerate
@@ -82,29 +80,5 @@ func TestLanczosDeadlineStopsSlowOperator(t *testing.T) {
 	// must come in far below that.
 	if elapsed > time.Second {
 		t.Fatalf("Lanczos ran %v past a 25ms deadline", elapsed)
-	}
-}
-
-// TestSmallestKPreCancelledDense asserts the dense path refuses to start
-// an eigensolve under a done context.
-func TestSmallestKPreCancelledDense(t *testing.T) {
-	const n = 12
-	a := linalg.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		deg := 2.0
-		if i == 0 || i == n-1 {
-			deg = 1
-		}
-		a.Set(i, i, deg)
-		if i+1 < n {
-			a.Set(i, i+1, -1)
-			a.Set(i+1, i, -1)
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := SmallestK(ctx, DenseOp{M: a}, a, 3, 1)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
 }

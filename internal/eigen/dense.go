@@ -54,44 +54,6 @@ func SymEigen(a *linalg.Dense) (*Decomposition, error) {
 	return &Decomposition{N: n, Values: d, Vectors: v}, nil
 }
 
-// symEigenK computes the k smallest eigenpairs of the symmetric matrix a
-// through the dense solver, keeping the O(n²) working matrix in the
-// linalg scratch pool instead of allocating it per call. The returned
-// values and vectors are bit-identical to truncating SymEigen's full
-// decomposition to its first k columns, and are freshly allocated — they
-// never alias pooled memory.
-func symEigenK(a *linalg.Dense, k int) (*Decomposition, error) {
-	if a.Rows() != a.Cols() {
-		return nil, fmt.Errorf("eigen: SymEigen requires a square matrix, got %dx%d", a.Rows(), a.Cols())
-	}
-	n := a.Rows()
-	if k >= n {
-		return SymEigen(a)
-	}
-	v := linalg.GetVec(n * n)
-	d := linalg.GetVec(n)
-	e := linalg.GetVec(n)
-	defer func() {
-		linalg.PutVec(v)
-		linalg.PutVec(d)
-		linalg.PutVec(e)
-	}()
-	for i := 0; i < n; i++ {
-		copy(v[i*n:(i+1)*n], a.Row(i))
-	}
-	tred2(v, d, e, n)
-	if err := SymTridEigen(d, e, v, n); err != nil {
-		return nil, err
-	}
-	vals := make([]float64, k)
-	copy(vals, d[:k])
-	vec := make([]float64, n*k)
-	for i := 0; i < n; i++ {
-		copy(vec[i*k:(i+1)*k], v[i*n:i*n+k])
-	}
-	return &Decomposition{N: n, Values: vals, Vectors: vec}, nil
-}
-
 // tred2 reduces the symmetric matrix stored row-major in v (n×n) to
 // tridiagonal form by orthogonal Householder similarity transformations.
 // On exit d holds the diagonal, e[0..n-2] the sub-diagonal (e[i] couples

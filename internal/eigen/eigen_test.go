@@ -217,7 +217,7 @@ func TestSymTridEigenKnown(t *testing.T) {
 	// eigenvalues 1-√2, 1, 1+√2.
 	d := []float64{1, 1, 1}
 	e := []float64{1, 1}
-	z := identity(3)
+	z := []float64{1, 0, 0, 0, 1, 0, 0, 0, 1}
 	if err := SymTridEigen(d, e, z, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -317,23 +317,6 @@ func TestLanczosErrors(t *testing.T) {
 	}
 	if _, err := Lanczos(context.Background(), DenseOp{a}, 5, LanczosOptions{}); err == nil {
 		t.Fatal("k>n should error")
-	}
-}
-
-func TestSmallestKChoosesCorrectly(t *testing.T) {
-	a := randomSym(25, 77)
-	dec, err := SmallestK(context.Background(), DenseOp{a}, a, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec.Values) != 3 {
-		t.Fatalf("want 3 values, got %d", len(dec.Values))
-	}
-	full, _ := SymEigen(a)
-	for j := 0; j < 3; j++ {
-		if math.Abs(dec.Values[j]-full.Values[j]) > 1e-10 {
-			t.Fatal("SmallestK dense path disagrees with SymEigen")
-		}
 	}
 }
 

@@ -41,6 +41,14 @@ func (o CSROp) Apply(dst, x []float64) { o.M.MulVec(dst, x) }
 // found) and the chain restarts from a fresh orthogonal direction.
 const deflationTol = 1e-12
 
+// convergenceTol is the residual tolerance for declaring a Ritz pair
+// converged: the iteration stops at the first periodic check where all k
+// requested pairs satisfy ‖M·y − θ·y‖ ≤ convergenceTol·max|θ| (the
+// residual is computed exactly from the Rayleigh matrix's tail couplings,
+// so seeded bases are certified correctly; docs/NUMERICS.md § Early
+// termination).
+const convergenceTol = 1e-8
+
 // LanczosOptions tunes the iterative solver (the block Lanczos variant
 // with full reorthogonalization and an explicit Rayleigh–Ritz projection;
 // docs/NUMERICS.md § The Lanczos variant). The zero value selects
@@ -49,24 +57,10 @@ type LanczosOptions struct {
 	// MaxSteps caps the basis dimension (seed columns, Krylov expansions
 	// and restarts combined). 0 selects min(n, max(4k+30, 80)).
 	MaxSteps int
-	// Tol is the residual tolerance for declaring a Ritz pair converged:
-	// the iteration stops at the first periodic check where all k
-	// requested pairs satisfy ‖M·y − θ·y‖ ≤ Tol·max|θ| (the residual is
-	// computed exactly from the Rayleigh matrix's tail couplings, so
-	// seeded bases are certified correctly; docs/NUMERICS.md
-	// § Early termination). 0 selects 1e-8.
-	Tol float64
 	// Seed drives the deterministic start vector and every
 	// invariant-subspace restart direction. The same seed always yields
 	// the same decomposition (docs/NUMERICS.md § Determinism).
 	Seed uint64
-	// Start, when its length equals the operator order, seeds the
-	// iteration from this vector (normalized) instead of the
-	// deterministic random start — the single-vector warm-start hook
-	// (equivalent to a one-row StartBlock). Ignored when StartBlock
-	// seeds at least one column. A nil or wrong-length Start degrades to
-	// the deterministic cold start.
-	Start []float64
 	// StartBlock seeds the basis with a whole block of vectors — the
 	// Ritz vectors of a previous, closely related solve (a narrower
 	// decomposition of the same operator, or the same graph under
@@ -75,14 +69,9 @@ type LanczosOptions struct {
 	// rows are dropped. Warm-started solves run the same algorithm from
 	// a different basis, so they converge to the same eigenspace but are
 	// not bit-identical to cold solves (docs/NUMERICS.md § Warm starts).
+	// When no row survives, the iteration starts from one deterministic
+	// random vector.
 	StartBlock [][]float64
-	// Block is the cold-start block size: the number of deterministic
-	// random orthonormal start vectors when no Start/StartBlock is
-	// given. Values < 1 select 1. A block > 1 resolves eigenvalue
-	// clusters of multiplicity up to the block size faster; the default
-	// single chain still finds them through full reorthogonalization and
-	// restarts.
-	Block int
 }
 
 // Lanczos computes the k algebraically smallest eigenpairs of the symmetric
@@ -148,10 +137,6 @@ func LanczosWS(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Worksp
 	if m < k {
 		m = k
 	}
-	tol := opts.Tol
-	if tol == 0 {
-		tol = 1e-8
-	}
 	rng := splitmix64{state: opts.Seed ^ 0x9e3779b97f4a7c15}
 
 	if ws == nil {
@@ -160,38 +145,21 @@ func LanczosWS(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Worksp
 	}
 	ws.reset(n, m)
 
-	// Seed the basis: StartBlock rows first (orthonormalized in order,
-	// degenerate rows dropped), else the legacy single Start vector, else
-	// a deterministic random block of opts.Block columns.
+	// Seed the basis: StartBlock rows (orthonormalized in order,
+	// degenerate rows dropped), else one deterministic random vector.
 	cnt := 0
-	seeded := false
 	for _, s := range opts.StartBlock {
 		if len(s) != n || cnt == m {
 			continue
 		}
 		if ws.seed(s, cnt) {
 			cnt++
-			seeded = true
-		}
-	}
-	if !seeded && len(opts.Start) == n {
-		if ws.seed(opts.Start, 0) {
-			cnt = 1
-			seeded = true
 		}
 	}
 	if cnt == 0 {
 		randUnitInto(&rng, ws.v)
 		copy(ws.q[0], ws.v)
 		cnt = 1
-	}
-	if !seeded {
-		for cnt < opts.Block && cnt < m {
-			if !ws.restartRows(&rng, cnt) {
-				break
-			}
-			cnt++
-		}
 	}
 
 	// Process basis columns in order. Each column j contributes one
@@ -201,7 +169,7 @@ func LanczosWS(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Worksp
 	// full, one new basis column. The loop ends when every column is
 	// processed (proc == cnt with no replenishment possible) or a
 	// periodic Rayleigh–Ritz solve certifies the k requested pairs under
-	// tol.
+	// convergenceTol.
 	proc := 0
 	solved := false
 	for proc < cnt {
@@ -229,7 +197,7 @@ func LanczosWS(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Worksp
 				cnt++
 			}
 		}
-		if proc >= k+2 && proc%8 == 0 && ws.converged(proc, cnt, k, tol) {
+		if proc >= k+2 && proc%8 == 0 && ws.converged(proc, cnt, k, convergenceTol) {
 			solved = true
 			break
 		}
@@ -339,48 +307,6 @@ func (ws *Workspace) converged(p, cnt, k int, tol float64) bool {
 	return true
 }
 
-// SmallestK returns the k smallest eigenpairs of op, choosing between the
-// dense solver and Lanczos based on the operator size. denseMat may be nil;
-// when non-nil and small enough it is decomposed directly. ctx bounds the
-// work: the Lanczos path checks it between basis columns and the dense
-// path checks it before starting (one dense solve is the cancellation
-// grain — its O(n³) is bounded by the cutoff).
-//
-// The partitioning pipeline no longer materializes its operators (cut's
-// decompose is always matrix-free via RankOneOp; docs/NUMERICS.md § The
-// sparse-plus-rank-one matvec); SmallestK remains for callers that hold a
-// dense matrix anyway, such as the dense-vs-Lanczos ablation.
-func SmallestK(ctx context.Context, op Op, denseMat *linalg.Dense, k int, seed uint64) (*Decomposition, error) {
-	return SmallestKFrom(ctx, op, denseMat, k, seed, nil)
-}
-
-// SmallestKFrom is SmallestK with an optional warm-start vector for the
-// Lanczos path (see LanczosOptions.Start). The dense path is a direct
-// factorization with no iteration to seed, so start is ignored below the
-// cutoff — which keeps dense-sized solves bit-identical whether or not a
-// caller offers a warm start. A nil or wrong-length start degrades to the
-// deterministic cold start.
-func SmallestKFrom(ctx context.Context, op Op, denseMat *linalg.Dense, k int, seed uint64, start []float64) (*Decomposition, error) {
-	n := op.Dim()
-	const denseCutoff = 900
-	if denseMat != nil && n <= denseCutoff {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("eigen: dense solve not started: %w", err)
-		}
-		return symEigenK(denseMat, k)
-	}
-	return Lanczos(ctx, op, k, LanczosOptions{Seed: seed, Start: start})
-}
-
-// identity returns a new n×n row-major identity matrix.
-func identity(n int) []float64 {
-	z := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		z[i*n+i] = 1
-	}
-	return z
-}
-
 // splitmix64 is a tiny deterministic PRNG, sufficient for start vectors.
 type splitmix64 struct{ state uint64 }
 
@@ -394,12 +320,6 @@ func (s *splitmix64) next() uint64 {
 
 func (s *splitmix64) float64() float64 {
 	return float64(s.next()>>11) / (1 << 53)
-}
-
-func randUnit(rng *splitmix64, n int) []float64 {
-	v := make([]float64, n)
-	randUnitInto(rng, v)
-	return v
 }
 
 // randUnitInto fills v with a deterministic pseudo-random unit vector,

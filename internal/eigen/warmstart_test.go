@@ -20,13 +20,13 @@ func TestLanczosWarmStartMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm-start from the sum of the converged eigenvectors — the shape
-	// the temporal tracker seeds successor solves with.
+	// Warm-start from a one-row block: the sum of the converged
+	// eigenvectors.
 	start := make([]float64, 60)
 	for j := 0; j < k; j++ {
 		linalg.Axpy(1, cold.Vector(j), start)
 	}
-	warm, err := Lanczos(context.Background(), op, k, LanczosOptions{Seed: 3, Start: start})
+	warm, err := Lanczos(context.Background(), op, k, LanczosOptions{Seed: 3, StartBlock: [][]float64{start}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +38,9 @@ func TestLanczosWarmStartMatchesCold(t *testing.T) {
 	}
 }
 
-// TestLanczosMismatchedStartIsCold: a wrong-length (or nil) Start must
-// leave the solver byte-for-byte on the deterministic cold path.
+// TestLanczosMismatchedStartIsCold: a one-row StartBlock whose row is of
+// the wrong length or zero must leave the solver byte-for-byte on the
+// deterministic cold path.
 func TestLanczosMismatchedStartIsCold(t *testing.T) {
 	a := randomSym(40, 5)
 	op := DenseOp{a}
@@ -47,11 +48,11 @@ func TestLanczosMismatchedStartIsCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, err := Lanczos(context.Background(), op, 3, LanczosOptions{Seed: 9, Start: make([]float64, 7)})
+	short, err := Lanczos(context.Background(), op, 3, LanczosOptions{Seed: 9, StartBlock: [][]float64{make([]float64, 7)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := Lanczos(context.Background(), op, 3, LanczosOptions{Seed: 9, Start: make([]float64, 40)})
+	zero, err := Lanczos(context.Background(), op, 3, LanczosOptions{Seed: 9, StartBlock: [][]float64{make([]float64, 40)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,37 +65,6 @@ func TestLanczosMismatchedStartIsCold(t *testing.T) {
 	for i := range cold.Vectors {
 		if cold.Vectors[i] != short.Vectors[i] || cold.Vectors[i] != zero.Vectors[i] {
 			t.Fatal("degraded warm starts produced different eigenvectors")
-		}
-	}
-}
-
-// TestSmallestKFromDenseIgnoresStart: below the dense cutoff the direct
-// factorization runs regardless of the start vector, so warm-started and
-// cold calls are bit-identical — the property that keeps the default
-// temporal goldens stable even with warm starts enabled.
-func TestSmallestKFromDenseIgnoresStart(t *testing.T) {
-	a := randomSym(30, 21)
-	op := DenseOp{a}
-	start := make([]float64, 30)
-	for i := range start {
-		start[i] = float64(i + 1)
-	}
-	plain, err := SmallestK(context.Background(), op, a, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeded, err := SmallestKFrom(context.Background(), op, a, 3, 1, start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range plain.Values {
-		if plain.Values[j] != seeded.Values[j] {
-			t.Fatal("dense path consulted the start vector")
-		}
-	}
-	for i := range plain.Vectors {
-		if plain.Vectors[i] != seeded.Vectors[i] {
-			t.Fatal("dense path consulted the start vector")
 		}
 	}
 }

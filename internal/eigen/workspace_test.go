@@ -160,47 +160,3 @@ func TestLanczosConcurrentPooledIdentical(t *testing.T) {
 		decompEqual(t, want, got[g])
 	}
 }
-
-// TestSymEigenKMatchesTruncatedFull pins the pooled dense path against
-// the reference full decomposition: the first k columns must agree bit
-// for bit, and k >= n must fall back to the full solve.
-func TestSymEigenKMatchesTruncatedFull(t *testing.T) {
-	n := 40
-	a := linalg.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := float64((i*7+j*3)%11) - 5
-			a.Set(i, j, v)
-			a.Set(j, i, v)
-		}
-	}
-	full, err := SymEigen(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 3, n - 1, n, n + 5} {
-		got, err := symEigenK(a, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kk := k
-		if kk > n {
-			kk = n
-		}
-		if len(got.Values) != kk {
-			t.Fatalf("k=%d: got %d values", k, len(got.Values))
-		}
-		for i := 0; i < kk; i++ {
-			if got.Values[i] != full.Values[i] {
-				t.Fatalf("k=%d value %d: %v != %v", k, i, got.Values[i], full.Values[i])
-			}
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < kk; j++ {
-				if got.Vectors[i*kk+j] != full.Vectors[i*n+j] {
-					t.Fatalf("k=%d vector (%d,%d): %v != %v", k, i, j, got.Vectors[i*kk+j], full.Vectors[i*n+j])
-				}
-			}
-		}
-	}
-}

@@ -166,8 +166,8 @@ func AblationRefine(opts Options, k int) (*AblationData, error) {
 
 // AblationEigen locates the dense-versus-Lanczos crossover for the α-Cut
 // eigenproblem: at each operator size it times both solvers for the k
-// smallest eigenpairs and reports their agreement, justifying the
-// framework's DenseCutoff default.
+// smallest eigenpairs and reports their agreement — the measurement
+// behind the partitioner running Lanczos at every size.
 func AblationEigen(k int, sizes ...int) (*AblationData, error) {
 	if k == 0 {
 		k = 6
@@ -326,7 +326,7 @@ func AblationReduction(opts Options, k int) (*AblationData, error) {
 	}
 	for _, v := range variants {
 		t0 := time.Now()
-		res, err := cut.Partition(wg, k, v.method, v.opts)
+		res, err := cut.NewSpectral(wg, v.method, v.opts).PartitionCtx(context.Background(), k)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -85,7 +86,7 @@ func schemeCurve(net *roadnet.Network, scheme core.Scheme, kMin, kMax, runs, wor
 		reports []metrics.Report // index k-kMin
 	}
 	results := make([]seedResult, runs)
-	err := parallel.ForErr(runs, workers, func(i int) error {
+	err := parallel.ForErrCtx(context.Background(), runs, workers, func(i int) error {
 		seed := i + 1
 		out := &results[i]
 		p, err := core.NewPipeline(net, core.Config{Scheme: scheme, Seed: uint64(seed), Workers: 1})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -28,7 +29,7 @@ func Fig4(opts Options) (*Fig4Data, error) {
 	kMin, kMax := opts.kRange(2, 20)
 	runs := opts.runs(11)
 	schemes := []core.Scheme{core.AG, core.ASG, core.NG}
-	curves, err := parallel.Map(len(schemes), opts.Workers, func(i int) (*Curve, error) {
+	curves, err := parallel.MapCtx(context.Background(), len(schemes), opts.Workers, func(i int) (*Curve, error) {
 		return schemeCurve(ds.Net, schemes[i], kMin, kMax, runs, opts.Workers)
 	})
 	if err != nil {

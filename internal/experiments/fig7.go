@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -39,7 +40,7 @@ func Fig7(opts Options, datasets ...string) (*Fig7Data, error) {
 	runs := opts.runs(3)
 	// Datasets are independent, so they run concurrently; the per-seed
 	// fan-out inside each curve shares the same worker budget.
-	series, err := parallel.Map(len(datasets), opts.Workers, func(i int) (Fig7Series, error) {
+	series, err := parallel.MapCtx(context.Background(), len(datasets), opts.Workers, func(i int) (Fig7Series, error) {
 		ds, err := BuildDataset(datasets[i], opts.Scale)
 		if err != nil {
 			return Fig7Series{}, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -37,7 +38,7 @@ func Table2(opts Options) (*Table2Data, error) {
 	runs := opts.runs(11)
 
 	schemes := []core.Scheme{core.AG, core.ASG, core.NG, core.NSG}
-	rows, err := parallel.Map(len(schemes), opts.Workers, func(i int) (Table2Row, error) {
+	rows, err := parallel.MapCtx(context.Background(), len(schemes), opts.Workers, func(i int) (Table2Row, error) {
 		c, err := schemeCurve(ds.Net, schemes[i], kMin, kMax, runs, opts.Workers)
 		if err != nil {
 			return Table2Row{}, err

@@ -5,6 +5,7 @@
 package jiger
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -56,7 +57,7 @@ func Partition(g *graph.Graph, f []float64, k int, opts Options) (*Result, error
 	if k0 > n {
 		k0 = n
 	}
-	initial, err := cut.Partition(g, k0, cut.MethodNCut, cut.Options{Seed: opts.Seed})
+	initial, err := cut.NewSpectral(g, cut.MethodNCut, cut.Options{Seed: opts.Seed}).PartitionCtx(context.Background(), k0)
 	if err != nil {
 		return nil, err
 	}

@@ -57,7 +57,7 @@ func TestForCtxStopsWithinOneItem(t *testing.T) {
 }
 
 // TestForCtxUncancelledMatchesFor asserts an uncancelled ForCtx runs
-// exactly the indices For runs and returns nil.
+// every index exactly once, as a plain for loop would, and returns nil.
 func TestForCtxUncancelledMatchesFor(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		seen := make([]atomic.Int32, 50)
@@ -90,8 +90,8 @@ func TestForErrCtxContextErrorWins(t *testing.T) {
 	}
 }
 
-// TestForErrCtxUncancelledReportsLowestIndex matches ForErr's rule when
-// no cancellation happens.
+// TestForErrCtxUncancelledReportsLowestIndex pins the lowest-failing-
+// index rule when no cancellation happens.
 func TestForErrCtxUncancelledReportsLowestIndex(t *testing.T) {
 	err := ForErrCtx(context.Background(), 20, 4, func(i int) error {
 		if i == 7 || i == 13 {
@@ -104,21 +104,17 @@ func TestForErrCtxUncancelledReportsLowestIndex(t *testing.T) {
 	}
 }
 
-// TestMapCtxUncancelledMatchesMap asserts MapCtx is byte-for-byte Map
-// when never cancelled.
+// TestMapCtxUncancelledMatchesMap asserts an uncancelled parallel MapCtx
+// returns exactly what a serial map over the indices computes.
 func TestMapCtxUncancelledMatchesMap(t *testing.T) {
 	fn := func(i int) (int, error) { return i * i, nil }
-	want, err := Map(30, 3, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := MapCtx(context.Background(), 30, 3, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("index %d: MapCtx=%d Map=%d", i, got[i], want[i])
+	for i, v := range got {
+		if want, _ := fn(i); v != want {
+			t.Fatalf("index %d: MapCtx=%d, serial map=%d", i, v, want)
 		}
 	}
 }

@@ -18,11 +18,10 @@
 //  3. Zero overhead when serial: with one worker (or one item) the work
 //     runs inline on the calling goroutine — no channels, no spawns —
 //     so Workers=1 is exactly the serial program.
-//  4. Cooperative cancellation: the Ctx variants observe ctx between
+//  4. Cooperative cancellation: the index loops observe ctx between
 //     items (never mid-item — one work item is the cancellation grain),
 //     always drain started work before returning, and never leak a
-//     goroutine. Uncancelled, they behave exactly like their plain
-//     counterparts.
+//     goroutine. Uncancelled, they run every index exactly once.
 package parallel
 
 import (
@@ -48,50 +47,17 @@ func Resolve(workers, n int) int {
 	return workers
 }
 
-// For runs fn(i) for every i in [0, n) on up to `workers` goroutines
+// ForCtx runs fn(i) for every i in [0, n) on up to `workers` goroutines
 // (0 = GOMAXPROCS). Indices are handed out atomically, so each index runs
-// exactly once; fn must treat distinct indices as independent. For blocks
-// until all calls return.
-func For(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	workers = Resolve(workers, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ForCtx is For with cooperative cancellation: workers observe ctx
-// between items and stop pulling new indices once it is done. Items
-// already started always run to completion (a work item is the
-// cancellation grain), and ForCtx blocks until every started item has
+// at most once; fn must treat distinct indices as independent. Workers
+// observe ctx between items and stop pulling new indices once it is
+// done. Items already started always run to completion (a work item is
+// the cancellation grain), and ForCtx blocks until every started item has
 // returned — workers fully drain, no goroutine outlives the call.
 //
 // The return value is ctx.Err() when cancellation stopped the loop
-// before every index ran, nil otherwise. An uncancelled ForCtx runs
-// exactly the indices For would, in the same per-worker pulling order,
-// so it perturbs nothing about a deterministic caller.
+// before every index ran, nil otherwise; an uncancelled ForCtx runs every
+// index exactly once.
 func ForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -141,30 +107,14 @@ func ForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	return nil
 }
 
-// ForErr is For with error collection: every index runs (there is no
-// early exit, so the set of attempted indices never depends on timing)
-// and the error of the lowest failing index is returned — the same error
-// a serial loop that kept going would report first.
-func ForErr(n, workers int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	errs := make([]error, n)
-	For(n, workers, func(i int) { errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ForErrCtx is ForErr with cooperative cancellation. When ctx is done
-// before every index ran, the context error wins: the caller's results
-// are incomplete regardless of which items succeeded, and reporting a
+// ForErrCtx is ForCtx with error collection. When ctx is done before
+// every index ran, the context error wins: the caller's results are
+// incomplete regardless of which items succeeded, and reporting a
 // per-item error from a partial run would depend on timing. For an
-// uncancelled run the error of the lowest failing index is returned,
-// exactly as ForErr reports it.
+// uncancelled run every index runs (there is no early exit on error, so
+// the set of attempted indices never depends on timing) and the error of
+// the lowest failing index is returned — the same error a serial loop
+// that kept going would report first.
 func ForErrCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -181,28 +131,10 @@ func ForErrCtx(ctx context.Context, n, workers int, fn func(i int) error) error 
 	return nil
 }
 
-// Map runs fn(i) for every i in [0, n) on up to `workers` goroutines and
-// returns the results in index order. On failure it returns the error of
-// the lowest failing index.
-func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForErr(n, workers, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MapCtx is Map with cooperative cancellation: workers stop pulling new
-// indices when ctx is done, drain, and the context error is returned.
-// Uncancelled, it is byte-for-byte Map.
+// MapCtx runs fn(i) for every i in [0, n) on up to `workers` goroutines
+// and returns the results in index order. On failure it returns the error
+// ForErrCtx selects: the context error when ctx stopped the loop, else
+// the error of the lowest failing index.
 func MapCtx[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := ForErrCtx(ctx, n, workers, func(i int) error {

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -30,7 +31,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		const n = 237
 		var hits [n]atomic.Int32
-		For(n, workers, func(i int) { hits[i].Add(1) })
+		ForCtx(context.Background(), n, workers, func(i int) { hits[i].Add(1) })
 		for i := range hits {
 			if c := hits[i].Load(); c != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
@@ -41,8 +42,8 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 
 func TestForZeroAndNegativeN(t *testing.T) {
 	ran := false
-	For(0, 4, func(i int) { ran = true })
-	For(-5, 4, func(i int) { ran = true })
+	ForCtx(context.Background(), 0, 4, func(i int) { ran = true })
+	ForCtx(context.Background(), -5, 4, func(i int) { ran = true })
 	if ran {
 		t.Fatal("fn ran for n <= 0")
 	}
@@ -50,7 +51,7 @@ func TestForZeroAndNegativeN(t *testing.T) {
 
 func TestForErrReturnsLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 7} {
-		err := ForErr(50, workers, func(i int) error {
+		err := ForErrCtx(context.Background(), 50, workers, func(i int) error {
 			if i == 3 || i == 40 {
 				return fmt.Errorf("fail at %d", i)
 			}
@@ -60,14 +61,14 @@ func TestForErrReturnsLowestIndexError(t *testing.T) {
 			t.Fatalf("workers=%d: err = %v, want fail at 3", workers, err)
 		}
 	}
-	if err := ForErr(10, 4, func(int) error { return nil }); err != nil {
+	if err := ForErrCtx(context.Background(), 10, 4, func(int) error { return nil }); err != nil {
 		t.Fatalf("clean run returned %v", err)
 	}
 }
 
 func TestMapOrdersResults(t *testing.T) {
 	for _, workers := range []int{1, 2, 16} {
-		out, err := Map(100, workers, func(i int) (int, error) { return i * i, nil })
+		out, err := MapCtx(context.Background(), 100, workers, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +82,7 @@ func TestMapOrdersResults(t *testing.T) {
 
 func TestMapError(t *testing.T) {
 	want := errors.New("boom")
-	_, err := Map(5, 3, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), 5, 3, func(i int) (int, error) {
 		if i == 2 {
 			return 0, want
 		}
@@ -127,7 +128,7 @@ func TestBlocksSerialSingleSpan(t *testing.T) {
 
 func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []int {
-		out, err := Map(64, workers, func(i int) (int, error) { return i*31 + 7, nil })
+		out, err := MapCtx(context.Background(), 64, workers, func(i int) (int, error) { return i*31 + 7, nil })
 		if err != nil {
 			t.Fatal(err)
 		}

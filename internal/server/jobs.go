@@ -169,7 +169,10 @@ func (s *service) multilevel(req string) (core.MultilevelMode, error) {
 
 // sweepConfig resolves and validates a sweep document, applying the
 // same k-range defaults as the synchronous handler so both paths hash
-// the same cache identity.
+// the same cache identity. A range that is empty or starts below 1 after
+// defaulting is rejected here, before any admission slot or mining is
+// spent on it; a range the network cannot reach (k_min above the
+// pipeline's MaxK) is only known after mining and fails in the sweep.
 func (s *service) sweepConfig(sw *SweepRequest) (core.Config, int, int, error) {
 	cfg, err := buildConfig(sw.Scheme, sw.Seed)
 	if err != nil {
@@ -192,6 +195,9 @@ func (s *service) sweepConfig(sw *SweepRequest) (core.Config, int, int, error) {
 	}
 	if kMax == 0 {
 		kMax = 10
+	}
+	if kMin < 1 || kMax < kMin {
+		return cfg, 0, 0, fmt.Errorf("bad k range [%d,%d] after defaults: want 1 <= k_min <= k_max", kMin, kMax)
 	}
 	return cfg, kMin, kMax, nil
 }

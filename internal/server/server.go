@@ -477,7 +477,7 @@ func (s *service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The requested range (after defaulting) is the cacheable identity;
-	// the supergraph clamp inside computeSweep is a deterministic
+	// the sweep's clamp to the pipeline's MaxK is a deterministic
 	// function of the same inputs, so hashing the pre-clamp range is
 	// sound.
 	cfg, kMin, kMax, err := s.sweepConfig(&req)
@@ -514,7 +514,8 @@ func (s *service) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // computeSweep runs modules 1–2 once and the k-sweep under an admission
-// slot, returning the serialized SweepResponse.
+// slot, returning the serialized SweepResponse. The sweep clamps kMax to
+// the pipeline's MaxK and fails, naming that cap, when kMin is above it.
 func (s *service) computeSweep(ctx context.Context, req *SweepRequest, cfg core.Config, kMin, kMax int) ([]byte, error) {
 	release, err := s.acquire(ctx)
 	if err != nil {
@@ -525,12 +526,6 @@ func (s *service) computeSweep(ctx context.Context, req *SweepRequest, cfg core.
 	p, err := core.NewPipelineCtx(ctx, req.Network, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if p.SG != nil && kMax > len(p.SG.Nodes) {
-		kMax = len(p.SG.Nodes)
-	}
-	if kMax < kMin {
-		return nil, fmt.Errorf("network supports no k in [%d,%d]", req.KMin, req.KMax)
 	}
 	best, sweep, err := p.BestKByANSCtx(ctx, kMin, kMax)
 	if err != nil {

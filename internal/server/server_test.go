@@ -216,3 +216,43 @@ func TestSweepEndpointDefaultsAndErrors(t *testing.T) {
 		t.Fatalf("missing network: status = %d", rec.Code)
 	}
 }
+
+// TestSweepRangeValidation pins where a sweep's k range is checked. An
+// empty or non-positive range after defaulting (k_min 2, k_max 10) is a
+// malformed request: 400 from /v1/sweep and from job submission alike,
+// before any admission slot or mining is spent, with the resolved range
+// in the message. A well-formed range whose k_min lies above what the
+// mined network supports is only known after mining: 422, naming the
+// cap.
+func TestSweepRangeValidation(t *testing.T) {
+	net := testNet(t)
+	bad := []struct {
+		name       string
+		kMin, kMax int
+		want       string
+	}{
+		{"inverted", 5, 3, "[5,3]"},
+		{"negative min", -2, 4, "[-2,4]"},
+		{"negative max", 2, -1, "[2,-1]"},
+		{"min above default max", 400, 0, "[400,10]"},
+	}
+	sv := newJobService(t, Config{})
+	for _, c := range bad {
+		doc := SweepRequest{Network: net, KMin: c.kMin, KMax: c.kMax, Scheme: "ASG", Seed: 1}
+		rec := post(t, sv, "/v1/sweep", doc)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), c.want) {
+			t.Errorf("%s: /v1/sweep = %d %s, want 400 naming %s", c.name, rec.Code, rec.Body.String(), c.want)
+		}
+		rec = post(t, sv, "/v1/jobs", JobSubmitRequest{Op: "sweep", Sweep: &doc})
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), c.want) {
+			t.Errorf("%s: /v1/jobs = %d %s, want 400 naming %s", c.name, rec.Code, rec.Body.String(), c.want)
+		}
+	}
+
+	// testNet has 180 segments, so the ASG supergraph has fewer than 150
+	// supernodes.
+	rec := post(t, sv, "/v1/sweep", SweepRequest{Network: net, KMin: 150, KMax: 200, Scheme: "ASG", Seed: 1})
+	if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "supports at most k=") {
+		t.Fatalf("k_min above the cap: status = %d body=%s, want 422 naming the cap", rec.Code, rec.Body.String())
+	}
+}

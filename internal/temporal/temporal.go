@@ -238,7 +238,7 @@ func partitionGlobal(ctx context.Context, g *graph.Graph, f []float64, cfg Confi
 		p.Spectral().SetWarmStartBlock(warm)
 	}
 	k := cfg.K
-	max := cap_(p, cfg.KMax)
+	max := min(cfg.KMax, p.MaxK())
 	if k == 0 {
 		if max < 2 {
 			k = 1
@@ -316,7 +316,7 @@ func splitRegion(ctx context.Context, sub *graph.Graph, f []float64, cfg Config)
 	if err != nil {
 		return nil, err
 	}
-	max := cap_(p, cfg.SubKMax)
+	max := min(cfg.SubKMax, p.MaxK())
 	if max < 2 {
 		return make([]int, sub.N()), nil
 	}
@@ -387,16 +387,4 @@ func MeanARI(frames []Frame) float64 {
 		return math.NaN()
 	}
 	return sum / float64(n)
-}
-
-// cap_ clamps a requested k to what the pipeline supports (supernode
-// count for supergraph schemes, node count otherwise).
-func cap_(p *core.Pipeline, k int) int {
-	if p.SG != nil && len(p.SG.Nodes) < k {
-		k = len(p.SG.Nodes)
-	}
-	if p.G.N() < k {
-		k = p.G.N()
-	}
-	return k
 }
