@@ -32,7 +32,7 @@ BENCH_TABLE3_ANCHOR ?= BENCH_4.json
 BENCH_TABLE3_GATE ?= -0.40
 BENCH_SWEEP_RATIO ?= 1.5
 
-.PHONY: build vet test race bench bench-smoke bench-check bench-scale scale-smoke fuzz-smoke sse-smoke chaos-smoke cluster-smoke docs-check numerics-check perfbench-check verify
+.PHONY: build vet test race bench bench-smoke bench-check bench-scale scale-smoke fuzz-smoke loc sse-smoke chaos-smoke cluster-smoke docs-check numerics-check perfbench-check verify
 
 build:
 	$(GO) build ./...
@@ -118,15 +118,22 @@ bench-check:
 		-min-ratio 'BenchmarkSweepDeep/cold,BenchmarkSweepDeep/warm,$(BENCH_SWEEP_RATIO)' \
 		"$$tmp/new.json"
 
-# fuzz-smoke runs each roadnet fuzz target for FUZZTIME (default 10s).
-# Go allows one -fuzz target per invocation, so the targets run in
-# sequence; seeds come from internal/roadnet/testdata plus the inline
-# f.Add corpus. A crasher fails the run and is written to
-# internal/roadnet/testdata/fuzz/ for triage.
+# fuzz-smoke runs each roadnet fuzz target, and the service-boundary
+# target FuzzJobSubmit (POST /v1/jobs, internal/server), for FUZZTIME
+# (default 10s). Go allows one -fuzz target per invocation, so the
+# targets run in sequence; seeds come from internal/roadnet/testdata plus
+# the inline f.Add corpus. A crasher fails the run and is written to the
+# package's testdata/fuzz/ for triage.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime $(FUZZTIME) ./internal/roadnet
 	$(GO) test -run '^$$' -fuzz '^FuzzReadGeoJSON$$' -fuzztime $(FUZZTIME) ./internal/roadnet
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDensitiesCSV$$' -fuzztime $(FUZZTIME) ./internal/roadnet
+	$(GO) test -run '^$$' -fuzz '^FuzzJobSubmit$$' -fuzztime $(FUZZTIME) ./internal/server
+
+# loc prints the number of non-test Go lines outside perfbench/ — the
+# "net non-test lines" figure each change reports (ROADMAP aim 2).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' -print0 | xargs -0 cat | wc -l
 
 # sse-smoke exercises the streaming daemon end to end under the race
 # detector: POST /v1/densities establishes a stream and steps it by a

@@ -90,7 +90,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	scheme, err := parseScheme(*schemeN)
+	scheme, err := core.ParseScheme(*schemeN)
 	if err != nil {
 		fatal(err)
 	}
@@ -206,21 +206,9 @@ func partition(store *resultcache.Store, p *core.Pipeline, net *roadnet.Network,
 	if err != nil {
 		return nil, "", err
 	}
-	resp := &server.PartitionResponse{
-		Assign: res.Assign,
-		K:      res.K,
-		KPrime: res.KPrime,
-		Report: res.Report,
-		Timing: server.TimingJSON{
-			Module1Ms: float64(res.Timing.Module1) / float64(time.Millisecond),
-			Module2Ms: float64(res.Timing.Module2) / float64(time.Millisecond),
-			Module3Ms: float64(res.Timing.Module3) / float64(time.Millisecond),
-			TotalMs:   float64(res.Timing.Total) / float64(time.Millisecond),
-		},
-		Elapsed: time.Since(t0).String(),
-	}
+	resp := server.NewPartitionResponse(res, time.Since(t0))
 	if store == nil {
-		return resp, "off", nil
+		return &resp, "off", nil
 	}
 	body, err := json.Marshal(resp)
 	if err != nil {
@@ -229,7 +217,7 @@ func partition(store *resultcache.Store, p *core.Pipeline, net *roadnet.Network,
 	if err := store.Write(key, body); err != nil {
 		fmt.Fprintf(os.Stderr, "roadpart: cache write: %v\n", err)
 	}
-	return resp, "miss", nil
+	return &resp, "miss", nil
 }
 
 // bestK selects k by the ANS minimum over [2, kmax], consulting and
@@ -249,11 +237,7 @@ func bestK(store *resultcache.Store, p *core.Pipeline, net *roadnet.Network, cfg
 		return 0, err
 	}
 	if store != nil {
-		resp := server.SweepResponse{BestK: best}
-		for _, pt := range sweep {
-			resp.Points = append(resp.Points, server.SweepPointJSON{K: pt.K, Report: pt.Result.Report})
-		}
-		if body, err := json.Marshal(resp); err == nil {
+		if body, err := json.Marshal(server.NewSweepResponse(best, sweep)); err == nil {
 			if err := store.Write(key, body); err != nil {
 				fmt.Fprintf(os.Stderr, "roadpart: cache write: %v\n", err)
 			}
@@ -319,21 +303,6 @@ func loadNetwork(netPath, densPath, preset string) (*roadnet.Network, error) {
 		return net, nil
 	default:
 		return nil, fmt.Errorf("provide -net FILE or -preset NAME (see -h)")
-	}
-}
-
-func parseScheme(s string) (core.Scheme, error) {
-	switch s {
-	case "AG":
-		return core.AG, nil
-	case "NG":
-		return core.NG, nil
-	case "ASG":
-		return core.ASG, nil
-	case "NSG":
-		return core.NSG, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q (want AG, NG, ASG or NSG)", s)
 	}
 }
 

@@ -72,6 +72,25 @@ func (s Scheme) String() string {
 	}
 }
 
+// ParseScheme parses the scheme spelling used by roadpart and the server
+// API: "AG", "NG", "ASG" or "NSG" (the String form; see also
+// ParseMultilevelMode). Callers that default an empty name do so before
+// calling it.
+func ParseScheme(s string) (Scheme, error) {
+	switch s {
+	case "AG":
+		return AG, nil
+	case "NG":
+		return NG, nil
+	case "ASG":
+		return ASG, nil
+	case "NSG":
+		return NSG, nil
+	default:
+		return 0, fmt.Errorf("unknown scheme %q (want AG, NG, ASG or NSG)", s)
+	}
+}
+
 // usesSupergraph reports whether the scheme runs module 2.
 func (s Scheme) usesSupergraph() bool { return s == ASG || s == NSG }
 

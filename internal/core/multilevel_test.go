@@ -231,3 +231,20 @@ func TestMultilevelModeParsing(t *testing.T) {
 		}
 	}
 }
+
+func TestParseScheme(t *testing.T) {
+	for _, want := range []core.Scheme{core.AG, core.NG, core.ASG, core.NSG} {
+		got, err := core.ParseScheme(want.String())
+		if err != nil {
+			t.Fatalf("%s: %v", want, err)
+		}
+		if got != want {
+			t.Fatalf("%s parsed to %v", want, got)
+		}
+	}
+	for _, bad := range []string{"XYZ", "", "asg"} {
+		if _, err := core.ParseScheme(bad); err == nil {
+			t.Fatalf("ParseScheme(%q) accepted", bad)
+		}
+	}
+}

@@ -206,7 +206,9 @@ func (c *Cache) Bytes() int64 {
 // GetOrCompute returns the body cached under key, coalescing concurrent
 // identical requests onto a single compute. cached reports whether the
 // body came from memory (a hit or a coalesced wait on another request's
-// flight) rather than from this call's own compute.
+// flight) rather than from this call's own compute. A successfully
+// computed body is indexed under tag (see Tag) so a later
+// InvalidateTag(tag) drops it in O(group); tag 0 means untagged.
 //
 // compute runs outside the cache lock under the caller's ctx. Following
 // the non-poisoning rule, a compute that fails with ctx's own
@@ -214,14 +216,7 @@ func (c *Cache) Bytes() int64 {
 // waiters from other requests: each live waiter re-checks and the first
 // one promotes a fresh flight. Non-context errors propagate to all
 // current waiters but are not cached, so the next request retries.
-func (c *Cache) GetOrCompute(ctx context.Context, key Key, compute func(context.Context) ([]byte, error)) (body []byte, cached bool, err error) {
-	return c.GetOrComputeTagged(ctx, key, 0, compute)
-}
-
-// GetOrComputeTagged is GetOrCompute with a fingerprint tag (see Tag):
-// a successfully computed body is indexed under tag so a later
-// InvalidateTag(tag) drops it in O(group). Tag 0 means untagged.
-func (c *Cache) GetOrComputeTagged(ctx context.Context, key Key, tag uint64, compute func(context.Context) ([]byte, error)) (body []byte, cached bool, err error) {
+func (c *Cache) GetOrCompute(ctx context.Context, key Key, tag uint64, compute func(context.Context) ([]byte, error)) (body []byte, cached bool, err error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, false, fmt.Errorf("resultcache: %s lookup not started: %w", key.Op, err)

@@ -27,11 +27,11 @@ func body(s string) func(context.Context) ([]byte, error) {
 func TestGetOrComputeMissThenHit(t *testing.T) {
 	c := newCache(t, 1<<20)
 	key := Key{Op: "partition", Sum: 1}
-	got, cached, err := c.GetOrCompute(context.Background(), key, body("result"))
+	got, cached, err := c.GetOrCompute(context.Background(), key, 0, body("result"))
 	if err != nil || cached || string(got) != "result" {
 		t.Fatalf("first call = (%q, %v, %v), want fresh result", got, cached, err)
 	}
-	got, cached, err = c.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) {
+	got, cached, err = c.GetOrCompute(context.Background(), key, 0, func(context.Context) ([]byte, error) {
 		t.Fatal("second call recomputed")
 		return nil, nil
 	})
@@ -44,13 +44,13 @@ func TestGetOrComputeDoesNotCacheErrors(t *testing.T) {
 	c := newCache(t, 1<<20)
 	key := Key{Op: "partition", Sum: 2}
 	boom := errors.New("boom")
-	if _, _, err := c.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) {
+	if _, _, err := c.GetOrCompute(context.Background(), key, 0, func(context.Context) ([]byte, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// The failure must not be cached: the next call computes fresh.
-	got, cached, err := c.GetOrCompute(context.Background(), key, body("retry"))
+	got, cached, err := c.GetOrCompute(context.Background(), key, 0, body("retry"))
 	if err != nil || cached || string(got) != "retry" {
 		t.Fatalf("retry = (%q, %v, %v), want fresh compute", got, cached, err)
 	}
@@ -60,7 +60,7 @@ func TestGetOrComputeRejectsDeadContext(t *testing.T) {
 	c := newCache(t, 1<<20)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.GetOrCompute(ctx, Key{Op: "partition", Sum: 3}, body("x"))
+	_, _, err := c.GetOrCompute(ctx, Key{Op: "partition", Sum: 3}, 0, body("x"))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -90,7 +90,7 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got, cached, err := c.GetOrCompute(context.Background(), key, compute)
+			got, cached, err := c.GetOrCompute(context.Background(), key, 0, compute)
 			if err != nil {
 				t.Errorf("goroutine %d: %v", i, err)
 				return
@@ -134,7 +134,7 @@ func TestCancelledFlightDoesNotPoison(t *testing.T) {
 	ownerStarted := make(chan struct{})
 	ownerErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrCompute(ownerCtx, key, func(ctx context.Context) ([]byte, error) {
+		_, _, err := c.GetOrCompute(ownerCtx, key, 0, func(ctx context.Context) ([]byte, error) {
 			close(ownerStarted)
 			<-ctx.Done()
 			return nil, fmt.Errorf("compute interrupted: %w", ctx.Err())
@@ -149,7 +149,7 @@ func TestCancelledFlightDoesNotPoison(t *testing.T) {
 	var waiterErr error
 	go func() {
 		defer close(waiterDone)
-		waiterBody, waiterCached, waiterErr = c.GetOrCompute(context.Background(), key,
+		waiterBody, waiterCached, waiterErr = c.GetOrCompute(context.Background(), key, 0,
 			body("recovered"))
 	}()
 	// Give the waiter a moment to park on the flight, then kill the
@@ -188,7 +188,7 @@ func TestWaiterCancellation(t *testing.T) {
 	ownerDone := make(chan struct{})
 	go func() {
 		defer close(ownerDone)
-		_, _, err := c.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) {
+		_, _, err := c.GetOrCompute(context.Background(), key, 0, func(context.Context) ([]byte, error) {
 			close(started)
 			<-gate
 			return []byte("landed"), nil
@@ -202,7 +202,7 @@ func TestWaiterCancellation(t *testing.T) {
 	waiterCtx, cancelWaiter := context.WithCancel(context.Background())
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrCompute(waiterCtx, key, body("unused"))
+		_, _, err := c.GetOrCompute(waiterCtx, key, 0, body("unused"))
 		waiterErr <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -272,7 +272,7 @@ func TestConcurrentMixedKeysRaceClean(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				key := Key{Op: "partition", Sum: uint64(i % 7)}
-				_, _, err := c.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) {
+				_, _, err := c.GetOrCompute(context.Background(), key, 0, func(context.Context) ([]byte, error) {
 					return make([]byte, 64), nil
 				})
 				if err != nil {

@@ -25,12 +25,12 @@ func TestInvalidateTagDropsOnlyItsGroup(t *testing.T) {
 	old, fresh := Tag(7, 100), Tag(7, 101)
 	keys := []Key{{Op: "partition", Sum: 1}, {Op: "sweep", Sum: 2}}
 	for _, k := range keys {
-		if _, _, err := c.GetOrComputeTagged(ctx, k, old, body("old")); err != nil {
+		if _, _, err := c.GetOrCompute(ctx, k, old, body("old")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	keep := Key{Op: "partition", Sum: 3}
-	if _, _, err := c.GetOrComputeTagged(ctx, keep, fresh, body("fresh")); err != nil {
+	if _, _, err := c.GetOrCompute(ctx, keep, fresh, body("fresh")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -66,7 +66,7 @@ func TestInvalidateTagRemovesSnapshots(t *testing.T) {
 	}
 	tag := Tag(3, 4)
 	key := Key{Op: "partition", Sum: 42}
-	if _, _, err := c.GetOrComputeTagged(context.Background(), key, tag, body(`{"x":1}`)); err != nil {
+	if _, _, err := c.GetOrCompute(context.Background(), key, tag, body(`{"x":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	snap := filepath.Join(dir, key.String()+".json")
@@ -88,10 +88,10 @@ func TestEvictionCleansTagIndex(t *testing.T) {
 	ctx := context.Background()
 	tag := Tag(9, 9)
 	a, b := Key{Op: "partition", Sum: 10}, Key{Op: "partition", Sum: 11}
-	if _, _, err := c.GetOrComputeTagged(ctx, a, tag, body("aaaa")); err != nil {
+	if _, _, err := c.GetOrCompute(ctx, a, tag, body("aaaa")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.GetOrComputeTagged(ctx, b, tag, body("bbbb")); err != nil {
+	if _, _, err := c.GetOrCompute(ctx, b, tag, body("bbbb")); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(a); ok {

@@ -249,7 +249,7 @@ func TestCacheWarmsAcrossRestart(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	req := PartitionRequest{Network: testNet(t), K: 3, Scheme: "ASG", Seed: 7}
 
-	first, err := NewChecked(Config{Workers: 1, CacheMaxBytes: 32 << 20, CacheDir: dir})
+	first, err := NewService(Config{Workers: 1, CacheMaxBytes: 32 << 20, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestCacheWarmsAcrossRestart(t *testing.T) {
 		t.Fatalf("cold status = %d", cold.Code)
 	}
 
-	second, err := NewChecked(Config{Workers: 1, CacheMaxBytes: 32 << 20, CacheDir: dir})
+	second, err := NewService(Config{Workers: 1, CacheMaxBytes: 32 << 20, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"roadpart/internal/core"
 	"roadpart/internal/jobs"
 	"roadpart/internal/resultcache"
+	"roadpart/internal/roadnet"
 )
 
 // This file is the HTTP face of internal/jobs: POST /v1/jobs accepts a
@@ -86,107 +87,58 @@ func (s *service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // jobSpec validates a submission exactly as the synchronous handler
-// would — same buildConfig, same network validation, same k-range
-// defaults — so a job can never fail later on input the API should
-// have rejected at submit time, and its fingerprint matches the one
-// the synchronous endpoint computes for the same document.
+// would — the document goes through the same resolve — so a job can
+// never fail later on input the API should have rejected at submit
+// time, and its fingerprint matches the one the synchronous endpoint
+// computes for the same document. The payload is the resolved document
+// itself, re-marshaled.
 func (s *service) jobSpec(req *JobSubmitRequest) (jobs.Spec, error) {
+	var doc interface{}
+	var have, stray bool
 	switch req.Op {
 	case resultcache.OpPartition:
-		p := req.Partition
-		if p == nil {
-			return jobs.Spec{}, fmt.Errorf("op %q needs a partition document", req.Op)
-		}
-		cfg, err := s.partitionConfig(p)
-		if err != nil {
-			return jobs.Spec{}, err
-		}
-		payload, err := json.Marshal(p)
-		if err != nil {
-			return jobs.Spec{}, err
-		}
-		return jobs.Spec{
-			Op:      resultcache.OpPartition,
-			Key:     resultcache.PartitionKey(p.Network, cfg),
-			Tag:     resultcache.NetworkTag(p.Network),
-			Payload: payload,
-		}, nil
+		doc, have, stray = req.Partition, req.Partition != nil, req.Sweep != nil
 	case resultcache.OpSweep:
-		sw := req.Sweep
-		if sw == nil {
-			return jobs.Spec{}, fmt.Errorf("op %q needs a sweep document", req.Op)
-		}
-		cfg, kMin, kMax, err := s.sweepConfig(sw)
-		if err != nil {
-			return jobs.Spec{}, err
-		}
-		payload, err := json.Marshal(sw)
-		if err != nil {
-			return jobs.Spec{}, err
-		}
-		return jobs.Spec{
-			Op:      resultcache.OpSweep,
-			Key:     resultcache.SweepKey(sw.Network, cfg, kMin, kMax),
-			Tag:     resultcache.NetworkTag(sw.Network),
-			Payload: payload,
-		}, nil
+		doc, have, stray = req.Sweep, req.Sweep != nil, req.Partition != nil
 	default:
 		return jobs.Spec{}, fmt.Errorf("unknown op %q (want %q or %q)", req.Op, resultcache.OpPartition, resultcache.OpSweep)
 	}
+	if !have {
+		return jobs.Spec{}, fmt.Errorf("op %q needs a %s document", req.Op, req.Op)
+	}
+	if stray {
+		return jobs.Spec{}, fmt.Errorf("op %q takes only a %s document, but the submission carries both", req.Op, req.Op)
+	}
+	k, err := s.resolve(doc)
+	if err != nil {
+		return jobs.Spec{}, err
+	}
+	payload, err := json.Marshal(doc)
+	if err != nil {
+		return jobs.Spec{}, err
+	}
+	return jobs.Spec{Op: req.Op, Key: k.key, Tag: k.tag, Payload: payload}, nil
 }
 
 // partitionConfig resolves and validates a partition document into its
-// core config, shared by the sync handler path and the job path.
+// core config.
 func (s *service) partitionConfig(p *PartitionRequest) (core.Config, error) {
-	cfg, err := buildConfig(p.Scheme, p.Seed)
-	if err != nil {
-		return cfg, err
-	}
+	cfg, err := s.baseConfig(p.Network, p.Scheme, p.Seed, p.Workers, p.Multilevel)
 	cfg.K = p.K
 	cfg.StabilityEps = p.StabilityEps
 	cfg.Refine = p.Refine
-	cfg.Workers = s.workers(p.Workers)
-	cfg.Multilevel, err = s.multilevel(p.Multilevel)
-	if err != nil {
-		return cfg, err
-	}
-	if p.Network == nil {
-		return cfg, fmt.Errorf("missing network")
-	}
-	return cfg, p.Network.Validate()
-}
-
-// multilevel resolves a request's multilevel field against the server
-// default: the request wins when set, otherwise Config.Multilevel, and
-// both spellings go through core.ParseMultilevelMode.
-func (s *service) multilevel(req string) (core.MultilevelMode, error) {
-	v := req
-	if v == "" {
-		v = s.cfg.Multilevel
-	}
-	return core.ParseMultilevelMode(v)
+	return cfg, err
 }
 
 // sweepConfig resolves and validates a sweep document, applying the
-// same k-range defaults as the synchronous handler so both paths hash
-// the same cache identity. A range that is empty or starts below 1 after
-// defaulting is rejected here, before any admission slot or mining is
-// spent on it; a range the network cannot reach (k_min above the
-// pipeline's MaxK) is only known after mining and fails in the sweep.
+// k-range defaults that make up its cache identity. A range that is
+// empty or starts below 1 after defaulting is rejected here, before any
+// admission slot or mining is spent on it; a range the network cannot
+// reach (k_min above the pipeline's MaxK) is only known after mining and
+// fails in the sweep.
 func (s *service) sweepConfig(sw *SweepRequest) (core.Config, int, int, error) {
-	cfg, err := buildConfig(sw.Scheme, sw.Seed)
+	cfg, err := s.baseConfig(sw.Network, sw.Scheme, sw.Seed, sw.Workers, sw.Multilevel)
 	if err != nil {
-		return cfg, 0, 0, err
-	}
-	cfg.Workers = s.workers(sw.Workers)
-	cfg.Multilevel, err = s.multilevel(sw.Multilevel)
-	if err != nil {
-		return cfg, 0, 0, err
-	}
-	if sw.Network == nil {
-		return cfg, 0, 0, fmt.Errorf("missing network")
-	}
-	if err := sw.Network.Validate(); err != nil {
 		return cfg, 0, 0, err
 	}
 	kMin, kMax := sw.KMin, sw.KMax
@@ -202,56 +154,69 @@ func (s *service) sweepConfig(sw *SweepRequest) (core.Config, int, int, error) {
 	return cfg, kMin, kMax, nil
 }
 
-// runJob is the jobs.Runner: it decodes the journaled payload and runs
-// the same compute closure the synchronous handler uses, through the
-// same content-addressed cache. That shared path is what makes a job
+// baseConfig resolves the fields partition and sweep documents share —
+// scheme, seed, workers and multilevel mode, each against its server
+// default — and validates the network, in that order.
+func (s *service) baseConfig(net *roadnet.Network, scheme string, seed uint64, workers int, multilevel string) (core.Config, error) {
+	sc, err := parseScheme(scheme)
+	if err != nil {
+		return core.Config{}, err
+	}
+	cfg := core.Config{Scheme: sc, Seed: seed, Workers: s.workers(workers)}
+	if cfg.Multilevel, err = s.multilevel(multilevel); err != nil {
+		return cfg, err
+	}
+	if net == nil {
+		return cfg, fmt.Errorf("missing network")
+	}
+	return cfg, net.Validate()
+}
+
+// multilevel resolves a request's multilevel field against the server
+// default: the request wins when set, otherwise Config.Multilevel, and
+// both spellings go through core.ParseMultilevelMode.
+func (s *service) multilevel(req string) (core.MultilevelMode, error) {
+	v := req
+	if v == "" {
+		v = s.cfg.Multilevel
+	}
+	return core.ParseMultilevelMode(v)
+}
+
+// runJob is the jobs.Runner: it runs the journaled document through the
+// same run as the synchronous handler, and so through the same
+// content-addressed cache. That shared path is what makes a job
 // idempotent per fingerprint — a re-run after a crash that lost only
 // the trailing "done" record finds the stored body and never computes
 // to completion twice.
 func (s *service) runJob(ctx context.Context, spec jobs.Spec) ([]byte, error) {
-	compute, err := s.jobCompute(spec)
+	k, err := s.resolveJob(spec)
 	if err != nil {
 		return nil, err
 	}
-	if s.cache == nil {
-		return compute(ctx)
-	}
-	body, _, err := s.cache.GetOrComputeTagged(ctx, spec.Key, spec.Tag, compute)
+	body, _, err := s.run(ctx, k)
 	return body, err
 }
 
-// jobCompute rebuilds the compute closure from a (possibly replayed)
-// payload. Decode failures are terminal: the payload was validated at
-// submit time, so damage here means journal corruption, not user error.
-func (s *service) jobCompute(spec jobs.Spec) (func(context.Context) ([]byte, error), error) {
-	switch spec.Op {
-	case resultcache.OpPartition:
-		var p PartitionRequest
-		if err := json.Unmarshal(spec.Payload, &p); err != nil {
-			return nil, fmt.Errorf("corrupt partition job payload: %w", err)
-		}
-		cfg, err := s.partitionConfig(&p)
-		if err != nil {
-			return nil, fmt.Errorf("replayed partition job no longer valid: %w", err)
-		}
-		return func(ctx context.Context) ([]byte, error) {
-			return s.computePartition(ctx, p.Network, cfg)
-		}, nil
-	case resultcache.OpSweep:
-		var sw SweepRequest
-		if err := json.Unmarshal(spec.Payload, &sw); err != nil {
-			return nil, fmt.Errorf("corrupt sweep job payload: %w", err)
-		}
-		cfg, kMin, kMax, err := s.sweepConfig(&sw)
-		if err != nil {
-			return nil, fmt.Errorf("replayed sweep job no longer valid: %w", err)
-		}
-		return func(ctx context.Context) ([]byte, error) {
-			return s.computeSweep(ctx, &sw, cfg, kMin, kMax)
-		}, nil
-	default:
-		return nil, fmt.Errorf("journaled job has unknown op %q", spec.Op)
+// resolveJob rebuilds a (possibly replayed) job's keyed request from its
+// payload. The result caches under the journaled key and tag, exactly
+// as submitted. Decode failures are terminal: the payload was validated
+// at submit time, so damage here means journal corruption, not user
+// error.
+func (s *service) resolveJob(spec jobs.Spec) (keyed, error) {
+	doc := newDoc(spec.Op)
+	if doc == nil {
+		return keyed{}, fmt.Errorf("journaled job has unknown op %q", spec.Op)
 	}
+	if err := json.Unmarshal(spec.Payload, doc); err != nil {
+		return keyed{}, fmt.Errorf("corrupt %s job payload: %w", spec.Op, err)
+	}
+	k, err := s.resolve(doc)
+	if err != nil {
+		return keyed{}, fmt.Errorf("replayed %s job no longer valid: %w", spec.Op, err)
+	}
+	k.key, k.tag = spec.Key, spec.Tag
+	return k, nil
 }
 
 // writeJobSubmitErr maps Submit failures: a full queue is 429, a
@@ -320,11 +285,11 @@ func jobStatus(v jobs.View) JobStatusResponse {
 }
 
 // serveJobResult writes a done job's body with the synchronous
-// endpoint's exact framing. The body comes from (in order) the
-// manager's in-memory copy, the content-addressed cache, or — for a
-// job completed before a restart whose cache entry was since evicted —
-// a recompute through the same content-addressed path, which is
-// byte-identical by construction.
+// endpoint's exact framing. The body comes from the manager's in-memory
+// copy or — for a job completed before a restart — from the job's
+// document served the way the synchronous endpoint serves it: a cache
+// hit when the entry survived, otherwise a recompute under admission
+// control and the request's deadline, byte-identical by construction.
 func (s *service) serveJobResult(w http.ResponseWriter, r *http.Request, id string) {
 	v, err := s.jobs.Get(id)
 	if err != nil {
@@ -344,17 +309,10 @@ func (s *service) serveJobResult(w http.ResponseWriter, r *http.Request, id stri
 		writeErr(w, http.StatusNotFound, jobs.ErrUnknownJob)
 		return
 	}
-	if s.cache != nil {
-		if body, ok := s.cache.Get(spec.Key); ok {
-			w.Header().Set(CacheHeader, "hit")
-			writeJSONBody(w, body)
-			return
-		}
-	}
-	body, err := s.runJob(r.Context(), spec)
+	k, err := s.resolveJob(spec)
 	if err != nil {
-		writeComputeErr(w, 0, err)
+		writeErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSONBody(w, body)
+	s.serve(w, r, k)
 }

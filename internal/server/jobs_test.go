@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 
 // newJobService builds a Service for the async-job tests and closes it
 // at cleanup so worker goroutines and journals are released.
-func newJobService(t *testing.T, cfg Config) *Service {
+func newJobService(t testing.TB, cfg Config) *Service {
 	t.Helper()
 	cfg.JobNoSync = true
 	if cfg.JobRetryBase == 0 {
@@ -117,17 +118,75 @@ func TestJobSubmitValidation(t *testing.T) {
 		{"missing document", JobSubmitRequest{Op: "partition"}},
 		{"missing network", JobSubmitRequest{Op: "partition", Partition: &PartitionRequest{K: 3}}},
 		{"bad scheme", JobSubmitRequest{Op: "sweep", Sweep: &SweepRequest{Network: net, Scheme: "XXL"}}},
+		{"partition with a sweep document", JobSubmitRequest{Op: "partition",
+			Partition: &PartitionRequest{Network: net, K: 3}, Sweep: &SweepRequest{Network: net}}},
+		{"sweep with a partition document", JobSubmitRequest{Op: "sweep",
+			Partition: &PartitionRequest{Network: net, K: 3}, Sweep: &SweepRequest{Network: net}}},
 	}
 	for _, tc := range cases {
-		if rec := post(t, sv, "/v1/jobs", tc.body); rec.Code != http.StatusBadRequest {
+		rec := post(t, sv, "/v1/jobs", tc.body)
+		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: = %d, want 400 (body=%s)", tc.name, rec.Code, rec.Body.String())
 		}
+		// A submission carrying both documents must say which op it was
+		// read as, so the client knows which document was the stray one.
+		var eb errorBody
+		if tc.body.Partition != nil && tc.body.Sweep != nil &&
+			(json.Unmarshal(rec.Body.Bytes(), &eb) != nil || !strings.Contains(eb.Error, strconv.Quote(tc.body.Op))) {
+			t.Errorf("%s: error %s does not name op %q", tc.name, rec.Body.String(), tc.body.Op)
+		}
+	}
+}
+
+// TestJobResultRecomputeSheds fetches the result of a done job whose
+// body survives neither in memory nor in a cache (a restart with caching
+// off). The fallback recompute is served like a synchronous request, so
+// on a saturated daemon the fetch is shed with 429 and a Retry-After —
+// not reported as a failed compute — and succeeds once a slot frees.
+func TestJobResultRecomputeSheds(t *testing.T) {
+	cfg := Config{JobDir: t.TempDir(), MaxInFlight: 1, MaxQueue: 0}
+	net := testNet(t)
+	first := newJobService(t, cfg)
+	rec := post(t, first, "/v1/jobs", JobSubmitRequest{Op: "partition", Partition: &PartitionRequest{Network: net, K: 3, Seed: 1}})
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d body=%s", rec.Code, rec.Body.String())
+	}
+	var sub JobSubmitResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil {
+		t.Fatal(err)
+	}
+	if st := pollJob(t, first, sub.Job.ID); st.Job.State != jobs.StateDone {
+		t.Fatalf("job: %+v", st.Job)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := first.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	second := newJobService(t, cfg)
+	release, err := second.svc.acquire(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := "/v1/jobs/" + sub.Job.ID + "/result"
+	res := httptest.NewRecorder()
+	second.ServeHTTP(res, httptest.NewRequest(http.MethodGet, url, nil))
+	if res.Code != http.StatusTooManyRequests || res.Header().Get("Retry-After") == "" {
+		t.Fatalf("saturated result fetch: status=%d Retry-After=%q body=%s, want 429 with Retry-After",
+			res.Code, res.Header().Get("Retry-After"), res.Body.String())
+	}
+	release()
+	res = httptest.NewRecorder()
+	second.ServeHTTP(res, httptest.NewRequest(http.MethodGet, url, nil))
+	if res.Code != http.StatusOK {
+		t.Fatalf("result fetch with a free slot = %d body=%s", res.Code, res.Body.String())
 	}
 }
 
 // holdJobs stalls every job attempt (respecting the attempt context)
 // so submissions pile up in deterministic states; restored at cleanup.
-func holdJobs(t *testing.T) {
+func holdJobs(t testing.TB) {
 	t.Helper()
 	testJobHooks = &jobs.Hooks{ComputeDelay: func(jobs.Spec, int) time.Duration { return time.Hour }}
 	t.Cleanup(func() { testJobHooks = nil })

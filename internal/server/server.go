@@ -239,19 +239,13 @@ type service struct {
 func New() http.Handler { return NewWith(Config{}) }
 
 // NewWith returns the service's HTTP handler under cfg, panicking if
-// CacheDir cannot be prepared (the only fallible setup); daemons that
-// want the error instead use NewChecked.
+// setup fails; daemons that want the error instead use NewService.
 func NewWith(cfg Config) http.Handler {
-	h, err := NewChecked(cfg)
+	h, err := NewService(cfg)
 	if err != nil {
 		panic(err)
 	}
 	return h
-}
-
-// NewChecked is NewWith with setup errors reported instead of panicking.
-func NewChecked(cfg Config) (http.Handler, error) {
-	return NewService(cfg)
 }
 
 // Service is the HTTP handler together with its lifecycle: daemons that
@@ -325,8 +319,8 @@ func newService(cfg Config) (*service, error) {
 func (s *service) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/healthz", handleHealth)
-	mux.HandleFunc("/v1/partition", s.handlePartition)
-	mux.HandleFunc("/v1/sweep", s.handleSweep)
+	mux.HandleFunc("/v1/partition", s.handleKeyed(resultcache.OpPartition))
+	mux.HandleFunc("/v1/sweep", s.handleKeyed(resultcache.OpSweep))
 	mux.HandleFunc("/v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("/v1/jobs/", s.handleJobItem)
 	mux.HandleFunc("/v1/render", handleRender)
@@ -397,47 +391,122 @@ func handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func (s *service) handlePartition(w http.ResponseWriter, r *http.Request) {
-	var req PartitionRequest
-	raw, ok := s.readKeyed(w, r, &req)
-	if !ok {
-		return
+// keyed is one resolved partition or sweep document: the cache identity
+// its body is stored under, the client's timeout and the compute that
+// produces the serialized response. Every entry point — the synchronous
+// endpoints, job submit, job replay and the job-result fallback — turns
+// its document into a keyed through resolve and runs it through run.
+type keyed struct {
+	key       resultcache.Key
+	tag       uint64
+	timeoutMs int64
+	compute   func(context.Context) ([]byte, error)
+}
+
+// newDoc returns an empty request document for a resultcache op, or nil
+// when the op is neither partition nor sweep.
+func newDoc(op string) interface{} {
+	switch op {
+	case resultcache.OpPartition:
+		return &PartitionRequest{}
+	case resultcache.OpSweep:
+		return &SweepRequest{}
 	}
-	cfg, err := s.partitionConfig(&req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	// Peer routing: the fingerprint's owner computes and caches this
-	// result; an unreachable owner falls through to the local path.
-	if s.forwardKeyed(w, r, resultcache.PartitionKey(req.Network, cfg).Sum, raw) {
-		return
-	}
-	s.markShard(w)
-	ctx, cancel, budget := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-	compute := func(ctx context.Context) ([]byte, error) {
-		return s.computePartition(ctx, req.Network, cfg)
-	}
-	if s.cache == nil {
-		body, err := compute(ctx)
+	return nil
+}
+
+// resolve validates a decoded *PartitionRequest or *SweepRequest and
+// fingerprints it. The key is hashed here once and reused for both peer
+// routing and the cache; the tag — the network's (structure, density)
+// fingerprint — lets a density-stream update invalidate exactly the
+// entries its step made stale.
+func (s *service) resolve(doc interface{}) (keyed, error) {
+	switch d := doc.(type) {
+	case *PartitionRequest:
+		cfg, err := s.partitionConfig(d)
 		if err != nil {
-			s.writeComputeFailure(w, budget, err)
-			return
+			return keyed{}, err
 		}
-		writeJSONBody(w, body)
-		return
+		return keyed{
+			key:       resultcache.PartitionKey(d.Network, cfg),
+			tag:       resultcache.NetworkTag(d.Network),
+			timeoutMs: d.TimeoutMs,
+			compute: func(ctx context.Context) ([]byte, error) {
+				return s.computePartition(ctx, d.Network, cfg)
+			},
+		}, nil
+	case *SweepRequest:
+		// The requested range (after defaulting) is the cacheable
+		// identity; the sweep's clamp to the pipeline's MaxK is a
+		// deterministic function of the same inputs, so hashing the
+		// pre-clamp range is sound.
+		cfg, kMin, kMax, err := s.sweepConfig(d)
+		if err != nil {
+			return keyed{}, err
+		}
+		return keyed{
+			key:       resultcache.SweepKey(d.Network, cfg, kMin, kMax),
+			tag:       resultcache.NetworkTag(d.Network),
+			timeoutMs: d.TimeoutMs,
+			compute: func(ctx context.Context) ([]byte, error) {
+				return s.computeSweep(ctx, d.Network, cfg, kMin, kMax)
+			},
+		}, nil
+	default:
+		return keyed{}, fmt.Errorf("unsupported request document %T", doc)
 	}
-	// Tagging by (structure, density) fingerprints lets a density-stream
-	// update invalidate exactly the entries its step made stale.
-	body, cached, err := s.cache.GetOrComputeTagged(ctx,
-		resultcache.PartitionKey(req.Network, cfg), resultcache.NetworkTag(req.Network), compute)
+}
+
+// run produces k's body. It is the only place that knows whether the
+// result cache is on: without it the compute runs directly and state is
+// ""; with it the cache replays, coalesces or computes, and state is the
+// CacheHeader value ("hit" or "miss").
+func (s *service) run(ctx context.Context, k keyed) (body []byte, state string, err error) {
+	if s.cache == nil {
+		body, err = k.compute(ctx)
+		return body, "", err
+	}
+	body, cached, err := s.cache.GetOrCompute(ctx, k.key, k.tag, k.compute)
+	return body, cacheState(cached), err
+}
+
+// serve runs k under the request's deadline and writes the outcome:
+// the body with its cache state, or the failure's 408/422/429/499/503.
+func (s *service) serve(w http.ResponseWriter, r *http.Request, k keyed) {
+	ctx, cancel, budget := s.requestContext(r, k.timeoutMs)
+	defer cancel()
+	body, state, err := s.run(ctx, k)
 	if err != nil {
 		s.writeComputeFailure(w, budget, err)
 		return
 	}
-	w.Header().Set(CacheHeader, cacheState(cached))
+	if state != "" {
+		w.Header().Set(CacheHeader, state)
+	}
 	writeJSONBody(w, body)
+}
+
+// handleKeyed serves POST /v1/partition and POST /v1/sweep: decode the
+// op's document, resolve it, route it to the fingerprint's owner (an
+// unreachable owner falls through to the local path) and serve it.
+func (s *service) handleKeyed(op string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		doc := newDoc(op)
+		raw, ok := s.readKeyed(w, r, doc)
+		if !ok {
+			return
+		}
+		k, err := s.resolve(doc)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		if s.forwardKeyed(w, r, k.key.Sum, raw) {
+			return
+		}
+		s.markShard(w)
+		s.serve(w, r, k)
+	}
 }
 
 // computePartition runs the full pipeline under an admission slot and
@@ -455,7 +524,38 @@ func (s *service) computePartition(ctx context.Context, net *roadnet.Network, cf
 		return nil, err
 	}
 	s.lat.observe(time.Since(t0))
-	return json.Marshal(PartitionResponse{
+	return json.Marshal(NewPartitionResponse(res, time.Since(t0)))
+}
+
+// computeSweep runs modules 1–2 once and the k-sweep under an admission
+// slot, returning the serialized SweepResponse. The sweep clamps kMax to
+// the pipeline's MaxK and fails, naming that cap, when kMin is above it.
+func (s *service) computeSweep(ctx context.Context, net *roadnet.Network, cfg core.Config, kMin, kMax int) ([]byte, error) {
+	release, err := s.acquire(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	t0 := time.Now()
+	p, err := core.NewPipelineCtx(ctx, net, cfg)
+	if err != nil {
+		return nil, err
+	}
+	best, sweep, err := p.BestKByANSCtx(ctx, kMin, kMax)
+	if err != nil {
+		return nil, err
+	}
+	s.lat.observe(time.Since(t0))
+	return json.Marshal(NewSweepResponse(best, sweep))
+}
+
+// NewPartitionResponse builds the partition body from a pipeline result
+// and the wall-clock time of the compute that produced it. It is the one
+// constructor of that body: the daemon serves it and cmd/roadpart writes
+// it to a shared -cache-dir, so either binary's snapshot is a byte-for-
+// byte hit for the other.
+func NewPartitionResponse(res *core.Result, elapsed time.Duration) PartitionResponse {
+	return PartitionResponse{
 		Assign: res.Assign,
 		K:      res.K,
 		KPrime: res.KPrime,
@@ -466,94 +566,27 @@ func (s *service) computePartition(ctx context.Context, net *roadnet.Network, cf
 			Module3Ms: ms(res.Timing.Module3),
 			TotalMs:   ms(res.Timing.Total),
 		},
-		Elapsed: time.Since(t0).String(),
-	})
+		Elapsed: elapsed.String(),
+	}
 }
 
-func (s *service) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	raw, ok := s.readKeyed(w, r, &req)
-	if !ok {
-		return
-	}
-	// The requested range (after defaulting) is the cacheable identity;
-	// the sweep's clamp to the pipeline's MaxK is a deterministic
-	// function of the same inputs, so hashing the pre-clamp range is
-	// sound.
-	cfg, kMin, kMax, err := s.sweepConfig(&req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if s.forwardKeyed(w, r, resultcache.SweepKey(req.Network, cfg, kMin, kMax).Sum, raw) {
-		return
-	}
-	s.markShard(w)
-	ctx, cancel, budget := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-	compute := func(ctx context.Context) ([]byte, error) {
-		return s.computeSweep(ctx, &req, cfg, kMin, kMax)
-	}
-	if s.cache == nil {
-		body, err := compute(ctx)
-		if err != nil {
-			s.writeComputeFailure(w, budget, err)
-			return
-		}
-		writeJSONBody(w, body)
-		return
-	}
-	body, cached, err := s.cache.GetOrComputeTagged(ctx,
-		resultcache.SweepKey(req.Network, cfg, kMin, kMax), resultcache.NetworkTag(req.Network), compute)
-	if err != nil {
-		s.writeComputeFailure(w, budget, err)
-		return
-	}
-	w.Header().Set(CacheHeader, cacheState(cached))
-	writeJSONBody(w, body)
-}
-
-// computeSweep runs modules 1–2 once and the k-sweep under an admission
-// slot, returning the serialized SweepResponse. The sweep clamps kMax to
-// the pipeline's MaxK and fails, naming that cap, when kMin is above it.
-func (s *service) computeSweep(ctx context.Context, req *SweepRequest, cfg core.Config, kMin, kMax int) ([]byte, error) {
-	release, err := s.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	t0 := time.Now()
-	p, err := core.NewPipelineCtx(ctx, req.Network, cfg)
-	if err != nil {
-		return nil, err
-	}
-	best, sweep, err := p.BestKByANSCtx(ctx, kMin, kMax)
-	if err != nil {
-		return nil, err
-	}
-	s.lat.observe(time.Since(t0))
+// NewSweepResponse builds the sweep body from a k-sweep's ANS pick and
+// per-k points; like NewPartitionResponse, it is shared with cmd/roadpart.
+func NewSweepResponse(best int, sweep []core.SweepPoint) SweepResponse {
 	resp := SweepResponse{BestK: best}
 	for _, pt := range sweep {
 		resp.Points = append(resp.Points, SweepPointJSON{K: pt.K, Report: pt.Result.Report})
 	}
-	return json.Marshal(resp)
+	return resp
 }
 
-func buildConfig(scheme string, seed uint64) (core.Config, error) {
-	cfg := core.Config{Seed: seed}
-	switch scheme {
-	case "", "ASG":
-		cfg.Scheme = core.ASG
-	case "AG":
-		cfg.Scheme = core.AG
-	case "NG":
-		cfg.Scheme = core.NG
-	case "NSG":
-		cfg.Scheme = core.NSG
-	default:
-		return cfg, fmt.Errorf("unknown scheme %q (want AG, NG, ASG or NSG)", scheme)
+// parseScheme is core.ParseScheme under the API's default: an empty
+// scheme selects ASG.
+func parseScheme(name string) (core.Scheme, error) {
+	if name == "" {
+		return core.ASG, nil
 	}
-	return cfg, nil
+	return core.ParseScheme(name)
 }
 
 // CacheHeader is the response header reporting how a compute endpoint

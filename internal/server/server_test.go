@@ -13,7 +13,7 @@ import (
 	"roadpart/internal/traffic"
 )
 
-func testNet(t *testing.T) *roadnet.Network {
+func testNet(t testing.TB) *roadnet.Network {
 	t.Helper()
 	net, err := gen.City(gen.CityConfig{TargetIntersections: 100, TargetSegments: 180, Seed: 3})
 	if err != nil {

@@ -191,7 +191,7 @@ func (s *service) handleDensities(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		cfg, err := buildConfig(req.Scheme, req.Seed)
+		scheme, err := parseScheme(req.Scheme)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
@@ -202,7 +202,7 @@ func (s *service) handleDensities(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		tr, err := temporal.NewTracker(req.Network, mode, temporal.Config{
-			Scheme:         cfg.Scheme,
+			Scheme:         scheme,
 			K:              req.K,
 			Seed:           req.Seed,
 			DriftThreshold: req.DriftThreshold,
