@@ -395,7 +395,7 @@ func BenchmarkTemporalDistributed(b *testing.B) {
 	at := []int{0, 2, 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := temporal.Run(net, snaps, at, temporal.ModeDistributed, temporal.Config{Scheme: core.ASG, Seed: 1}); err != nil {
+		if _, err := temporal.RunCtx(context.Background(), net, snaps, at, temporal.ModeDistributed, temporal.Config{Scheme: core.ASG, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -418,7 +418,7 @@ func deltaTargetSegment(assign []int, k int) int {
 	share := len(assign) / k
 	target, bestGap := -1, math.MaxInt
 	for l, n := range sizes {
-		if n < 4 { // splitRegion keeps smaller regions whole without clustering
+		if n < 4 { // the tracker keeps smaller regions whole without clustering
 			continue
 		}
 		gap := n - share
@@ -440,10 +440,10 @@ func deltaTargetSegment(assign []int, k int) int {
 // BenchmarkIncrementalDelta measures the streaming hot path: advancing a
 // warm temporal.Tracker by a small sparse delta, which recomputes only
 // the region the delta touches. Compare against
-// BenchmarkIncrementalFullRecompute — the same step with incremental
-// reuse disabled — to see the speedup the drift-thresholded delta engine
-// buys (the acceptance bar is ≥5×). Delta values vary per iteration so
-// no step degenerates to the replay path.
+// BenchmarkIncrementalFullRecompute — the same kind of step touching
+// every region — to see the speedup region reuse buys (the acceptance
+// bar is ≥5×). Delta values vary per iteration so no step degenerates to
+// the replay path.
 func BenchmarkIncrementalDelta(b *testing.B) {
 	net := benchNet(b)
 	d0 := net.Densities()
@@ -477,14 +477,14 @@ func BenchmarkIncrementalDelta(b *testing.B) {
 }
 
 // BenchmarkIncrementalFullRecompute is BenchmarkIncrementalDelta's
-// baseline: the identical density step with incremental reuse disabled
-// (DriftThreshold < 0), so every iteration re-splits every region from
-// scratch — the legacy per-snapshot cost.
+// baseline: each iteration applies a delta that changes one segment in
+// every seed region, so every region re-splits — the per-snapshot cost
+// without reuse.
 func BenchmarkIncrementalFullRecompute(b *testing.B) {
 	net := benchNet(b)
 	d0 := net.Densities()
 	tr, err := temporal.NewTracker(net, temporal.ModeDistributed,
-		temporal.Config{Scheme: core.ASG, K: 6, Seed: 1, DriftThreshold: -1})
+		temporal.Config{Scheme: core.ASG, K: 6, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -493,12 +493,23 @@ func BenchmarkIncrementalFullRecompute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	seg := deltaTargetSegment(seed.Assign, seed.K)
-	f := append([]float64(nil), d0...)
+	// The first segment of each seed region, in region order.
+	segs := make([]int, seed.K)
+	for i := range segs {
+		segs[i] = -1
+	}
+	for seg, l := range seed.Assign {
+		if segs[l] < 0 {
+			segs[l] = seg
+		}
+	}
+	delta := make(roadnet.DensityDelta, len(segs))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f[seg] = d0[seg] + 2 + float64(i%1024)/4096
-		fr, err := tr.Step(ctx, f)
+		for j, seg := range segs {
+			delta[j] = roadnet.DensityUpdate{Segment: seg, Density: d0[seg] + 2 + float64(i%1024)/4096}
+		}
+		fr, err := tr.ApplyDelta(ctx, delta)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -312,13 +312,9 @@ func NewPipelineCtx(ctx context.Context, net *roadnet.Network, cfg Config) (*Pip
 	return newPipelineFromGraph(ctx, g, f, cfg, m1)
 }
 
-// NewPipelineFromGraph builds a pipeline directly from a road graph and
-// its feature vector, for callers that construct graphs themselves.
-func NewPipelineFromGraph(g *graph.Graph, f []float64, cfg Config) (*Pipeline, error) {
-	return newPipelineFromGraph(context.Background(), g, f, cfg, 0)
-}
-
-// NewPipelineFromGraphCtx is NewPipelineFromGraph with cooperative
+// NewPipelineFromGraphCtx builds a pipeline directly from a road graph
+// and its feature vector, for callers that construct graphs themselves
+// (region subgraphs, pre-built dual graphs), with cooperative
 // cancellation of the mining stages.
 func NewPipelineFromGraphCtx(ctx context.Context, g *graph.Graph, f []float64, cfg Config) (*Pipeline, error) {
 	return newPipelineFromGraph(ctx, g, f, cfg, 0)
@@ -495,12 +491,6 @@ func (p *Pipeline) MultilevelLevels() int {
 	return p.hier.Levels()
 }
 
-// Spectral exposes the pipeline's cached spectral partitioner, the hook
-// the temporal tracker uses to carry an eigenbasis across successive
-// pipelines: read WarmBlock() from the finished pipeline, hand it to the
-// successor's SetWarmStartBlock before partitioning.
-func (p *Pipeline) Spectral() *cut.Spectral { return p.spec }
-
 // SweepK partitions for every k in [kMin, kMax], reusing modules 1–2.
 // kMax is clamped to MaxK(), so callers can pass an ambitious upper bound
 // without knowing how condensed the mined supergraph came out.
@@ -568,4 +558,32 @@ func (p *Pipeline) BestKByANSCtx(ctx context.Context, kMin, kMax int) (int, []Sw
 		}
 	}
 	return best.K, sweep, nil
+}
+
+// BestSplit partitions one region — a subgraph g with densities f — into
+// its ANS-best split over k in [2, min(kMax, MaxK())]: the per-region
+// step of the paper's distributed regime (Section 6.4) and of every level
+// of a region tree. It returns nil, meaning "keep the region whole", when
+// no k >= 2 exists or the best split's ANS exceeds keepANS. A one-node
+// region returns nil before any mining runs.
+func BestSplit(ctx context.Context, g *graph.Graph, f []float64, cfg Config, kMax int, keepANS float64) (*Result, error) {
+	if g.N() < 2 {
+		return nil, nil
+	}
+	p, err := NewPipelineFromGraphCtx(ctx, g, f, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if kMax = min(kMax, p.MaxK()); kMax < 2 {
+		return nil, nil
+	}
+	best, sweep, err := p.BestKByANSCtx(ctx, 2, kMax)
+	if err != nil {
+		return nil, err
+	}
+	res := sweep[best-2].Result
+	if res.Report.ANS > keepANS {
+		return nil, nil // no worthwhile split
+	}
+	return res, nil
 }

@@ -2,6 +2,7 @@ package cut
 
 import (
 	"fmt"
+	"slices"
 
 	"roadpart/internal/graph"
 )
@@ -44,14 +45,20 @@ func RefineAlphaCut(g *graph.Graph, f []float64, assign []int, opts RefineOption
 		return labels, k, 0, nil
 	}
 
-	// contribution of partition i to the α-Cut objective.
-	contrib := func(i int) float64 {
-		if sizes[i] == 0 {
+	// cost is a partition's contribution to the α-Cut objective given its
+	// volume, internal weight and size.
+	cost := func(vol, in float64, size int) float64 {
+		if size == 0 {
 			return 0
 		}
-		return (volume[i]*volume[i]/total - within[i]) / float64(sizes[i])
+		return (vol*vol/total - in) / float64(size)
 	}
 
+	// wTo[b] is the current node's weight into partition b; adj lists the
+	// partitions it touches, in ascending id once sorted, so ties between
+	// equally good targets go to the lowest id.
+	wTo := make([]float64, k)
+	var adj []int
 	moves := 0
 	for pass := 0; pass < passes; pass++ {
 		improved := 0
@@ -63,34 +70,30 @@ func RefineAlphaCut(g *graph.Graph, f []float64, assign []int, opts RefineOption
 			// Weighted degree of v and its weight into each adjacent
 			// partition (ordered-pair convention: both directions).
 			var dv float64
-			wTo := map[int]float64{}
+			for _, b := range adj {
+				wTo[b] = 0
+			}
+			adj = adj[:0]
 			for _, e := range g.Neighbors(v) {
 				dv += e.W
-				wTo[labels[e.To]] += e.W
+				b := labels[e.To]
+				if !slices.Contains(adj, b) {
+					adj = append(adj, b)
+				}
+				wTo[b] += e.W
 			}
-			base := contrib(a)
+			slices.Sort(adj)
+			base := cost(volume[a], within[a], sizes[a])
+			// Moving v out of a costs the same whichever partition it joins.
+			leaveA := cost(volume[a]-dv, within[a]-2*wTo[a], sizes[a]-1)
 			bestDelta := -1e-12 // strict improvement only
 			bestB := -1
-			for b := range wTo {
+			for _, b := range adj {
 				if b == a {
 					continue
 				}
-				baseB := contrib(b)
-				// Apply the tentative move to the aggregates.
-				volume[a] -= dv
-				volume[b] += dv
-				within[a] -= 2 * wTo[a]
-				within[b] += 2 * wTo[b]
-				sizes[a]--
-				sizes[b]++
-				delta := contrib(a) + contrib(b) - base - baseB
-				// Roll back.
-				volume[a] += dv
-				volume[b] -= dv
-				within[a] += 2 * wTo[a]
-				within[b] -= 2 * wTo[b]
-				sizes[a]++
-				sizes[b]--
+				delta := leaveA + cost(volume[b]+dv, within[b]+2*wTo[b], sizes[b]+1) -
+					base - cost(volume[b], within[b], sizes[b])
 				if delta < bestDelta {
 					bestDelta = delta
 					bestB = b

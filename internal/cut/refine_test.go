@@ -117,3 +117,37 @@ func TestRefineErrors(t *testing.T) {
 		t.Fatal("assignment mismatch should error")
 	}
 }
+
+// TestRefineTieBreakDeterministic: node 0 gains equally from joining
+// partition 1 or 2 (the arms 0-2-3 and 0-4-5 are mirror images), so only
+// the visit order of the adjacent partitions decides the move. It must
+// be ascending id, never map order.
+func TestRefineTieBreakDeterministic(t *testing.T) {
+	g := graph.New(8)
+	for _, e := range []struct {
+		u, v int
+		w    float64
+	}{{0, 1, .1}, {1, 6, 3}, {6, 7, 3}, {1, 7, 3}, {0, 2, 5}, {0, 4, 5}, {2, 3, 1}, {4, 5, 1}} {
+		if err := g.AddEdge(e.u, e.v, e.w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assign := []int{0, 0, 1, 1, 2, 2, 0, 0}
+	f := make([]float64, 8)
+	var first []int
+	for i := 0; i < 100; i++ {
+		out, _, _, err := RefineAlphaCut(g, f, assign, RefineOptions{MaxPasses: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = out
+			continue
+		}
+		for v := range out {
+			if out[v] != first[v] {
+				t.Fatalf("call %d: %v, first call %v", i, out, first)
+			}
+		}
+	}
+}

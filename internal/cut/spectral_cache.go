@@ -54,7 +54,6 @@ type Spectral struct {
 	mu     sync.Mutex
 	dec    *eigen.Decomposition // nil until first use; len(Values) grows as needed
 	flight *specFlight          // in-progress decomposition, nil when idle
-	warm   [][]float64          // external warm-start block (SetWarmStartBlock), consumed by the next successful solve
 }
 
 // specFlight is one in-progress decomposition. Waiters block on done;
@@ -145,51 +144,6 @@ func (s *Spectral) PartitionCtx(ctx context.Context, k int) (*Result, error) {
 	}
 	res.Assign, res.K = fine, fineK
 	return res, nil
-}
-
-// SetWarmStartBlock seeds the next eigendecomposition from a whole block
-// of vectors — the warm-start hook of the incremental repartitioning
-// path: a tracker that just solved a nearly identical operator hands the
-// previous solve's Ritz block to the successor Spectral, and the block
-// Lanczos iteration starts inside (near-)converged territory instead of
-// from a random vector (docs/NUMERICS.md § Warm starts).
-//
-// The block is copied. Rows whose length does not match the graph order
-// (the graph changed size — e.g. a re-mined supergraph) are dropped; an
-// empty surviving block clears the warm state and the next solve starts
-// cold. The block is consumed by the next *successful* decomposition: a
-// solve cancelled mid-flight leaves it pending, so a retry warm-starts
-// exactly as the cancelled attempt would have — cancellation never leaves
-// half-consumed warm state behind.
-//
-// Warm starts trade bit-reproducibility for convergence speed: a warm
-// solve converges to the same eigenspace but not the same basis bits as
-// a cold one. Callers that need byte-identical replays simply never call
-// this.
-func (s *Spectral) SetWarmStartBlock(block [][]float64) {
-	n := s.g.N()
-	var keep [][]float64
-	for _, v := range block {
-		if len(v) != n {
-			continue
-		}
-		cp := make([]float64, n)
-		copy(cp, v)
-		keep = append(keep, cp)
-	}
-	s.mu.Lock()
-	s.warm = keep
-	s.mu.Unlock()
-}
-
-// WarmBlock returns a copy of the cached decomposition's Ritz vectors —
-// the block a successor Spectral wants for SetWarmStartBlock. It returns
-// nil when nothing is cached.
-func (s *Spectral) WarmBlock() [][]float64 {
-	s.mu.Lock()
-	dec := s.dec
-	s.mu.Unlock()
-	return ritzBlock(dec)
 }
 
 // ritzBlock unpacks a decomposition's eigenvectors into freshly allocated
@@ -286,13 +240,10 @@ func (s *Spectral) decomposition(ctx context.Context, k int) (*eigen.Decompositi
 		}
 		f := &specFlight{want: want, done: make(chan struct{})}
 		s.flight = f
-		// Seed priority: an externally supplied warm block (the
-		// incremental-tracker hand-off) wins; otherwise a cached, too
-		// narrow decomposition seeds its own widening — unless ColdWiden
-		// asks for a cold restart (the ablation knob).
-		warm := s.warm
-		external := len(warm) > 0
-		if !external && !s.opts.ColdWiden {
+		// A cached, too narrow decomposition seeds its own widening —
+		// unless ColdWiden asks for a cold restart (the ablation knob).
+		var warm [][]float64
+		if !s.opts.ColdWiden {
 			warm = ritzBlock(s.dec)
 		}
 		s.mu.Unlock()
@@ -309,12 +260,6 @@ func (s *Spectral) decomposition(ctx context.Context, k int) (*eigen.Decompositi
 			close(f.done)
 			s.mu.Unlock()
 			return nil, err
-		}
-		if external {
-			// Consume the external warm block only on success: a
-			// cancelled flight leaves it pending so a retry starts from
-			// the same seeds the cancelled attempt had.
-			s.warm = nil
 		}
 		if s.dec == nil || len(dec.Values) > len(s.dec.Values) {
 			s.dec = dec

@@ -2,7 +2,6 @@ package cut
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -91,81 +90,5 @@ func TestSpectralWarmWideningMatchesCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		assignEqual(t, fmt.Sprintf("warm vs cold widening k=%d", k), cres, wres)
-	}
-}
-
-// countdownCtx is a deterministic mid-solve cancellation trigger: Err()
-// reports nil for the first `fuel` polls and context.Canceled after.
-// The Lanczos iteration polls ctx.Err() once per basis column, so a
-// small fuel cancels a solve a fixed number of columns in — no timers,
-// no races, same abort point on every run.
-type countdownCtx struct {
-	context.Context
-	fuel int
-}
-
-func (c *countdownCtx) Err() error {
-	if c.fuel > 0 {
-		c.fuel--
-		return nil
-	}
-	return context.Canceled
-}
-
-// TestSpectralCancelLeavesWarmPending pins the consume-on-success
-// contract of SetWarmStartBlock: a solve cancelled mid-flight — whether
-// before the eigensolve starts or a few Lanczos columns in — leaves the
-// external warm block pending and unmodified, so a retry warm-starts
-// exactly as the cancelled attempt would have. The proof of "no stale
-// warm state" is bit-identity: the retry's partition must equal that of
-// a control Spectral given the same block and never cancelled.
-func TestSpectralCancelLeavesWarmPending(t *testing.T) {
-	g := grid(12, 12)
-	const k = 4
-
-	// Donor: a converged solve on the same graph supplies the block the
-	// incremental-repartitioning path would hand over.
-	donor := NewSpectral(g, MethodAlphaCut, Options{Seed: 9})
-	if err := donor.WarmCtx(context.Background(), k); err != nil {
-		t.Fatal(err)
-	}
-	blk := donor.WarmBlock()
-	if len(blk) == 0 {
-		t.Fatal("donor WarmBlock is empty")
-	}
-
-	// Control: warm block applied, never cancelled.
-	control := NewSpectral(g, MethodAlphaCut, Options{Seed: 9})
-	control.SetWarmStartBlock(blk)
-	want, err := control.PartitionCtx(context.Background(), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cancelled := context.Background()
-	{
-		ctx, cancel := context.WithCancel(cancelled)
-		cancel()
-		cancelled = ctx
-	}
-	for _, tc := range []struct {
-		name string
-		ctx  context.Context
-	}{
-		{"pre-cancelled", cancelled},
-		{"mid-solve", &countdownCtx{Context: context.Background(), fuel: 6}},
-	} {
-		s := NewSpectral(g, MethodAlphaCut, Options{Seed: 9})
-		s.SetWarmStartBlock(blk)
-		if _, err := s.PartitionCtx(tc.ctx, k); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: err = %v, want context.Canceled", tc.name, err)
-		}
-		// The warm block must still be pending: the retry's solve seeds
-		// from it and lands on the control's exact bits.
-		got, err := s.PartitionCtx(context.Background(), k)
-		if err != nil {
-			t.Fatalf("%s retry: %v", tc.name, err)
-		}
-		assignEqual(t, tc.name+" retry vs uncancelled control", got, want)
 	}
 }

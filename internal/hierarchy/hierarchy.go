@@ -7,6 +7,7 @@
 package hierarchy
 
 import (
+	"context"
 	"fmt"
 
 	"roadpart/internal/core"
@@ -100,32 +101,9 @@ func split(g *graph.Graph, f []float64, node *Node, cfg Config) error {
 	for i, v := range orig {
 		subF[i] = f[v]
 	}
-	p, err := core.NewPipelineFromGraph(sub, subF, core.Config{Scheme: cfg.Scheme, Seed: cfg.Seed})
-	if err != nil {
-		return err
-	}
-	kMax := cfg.KMax
-	if p.SG != nil && len(p.SG.Nodes) < kMax {
-		kMax = len(p.SG.Nodes)
-	}
-	if sub.N() < kMax {
-		kMax = sub.N()
-	}
-	if kMax < 2 {
-		return nil
-	}
-	bestK, sweep, err := p.BestKByANS(2, kMax)
-	if err != nil {
-		return err
-	}
-	var best *core.Result
-	for _, pt := range sweep {
-		if pt.K == bestK {
-			best = pt.Result
-		}
-	}
-	if best == nil || best.Report.ANS > cfg.KeepANS {
-		return nil // no worthwhile split at this level
+	best, err := core.BestSplit(context.TODO(), sub, subF, core.Config{Scheme: cfg.Scheme, Seed: cfg.Seed}, cfg.KMax, cfg.KeepANS)
+	if err != nil || best == nil {
+		return err // best == nil: no worthwhile split at this level
 	}
 	node.ANS = best.Report.ANS
 	children := make([]*Node, best.K)

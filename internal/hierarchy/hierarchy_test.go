@@ -1,6 +1,9 @@
 package hierarchy
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"roadpart/internal/core"
@@ -95,5 +98,74 @@ func TestDescribe(t *testing.T) {
 	}
 	if s := root.Describe(); s == "" {
 		t.Fatal("empty description")
+	}
+}
+
+// hashTree fingerprints a tree with FNV-64a: the flattened assignment at
+// levels 1..3 (K, then every label) followed by every node's ANS in
+// depth-first order.
+func hashTree(root *Node) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		_, _ = h.Write(buf[:])
+	}
+	for level := 1; level <= 3; level++ {
+		assign, k := root.FlattenLevel(level)
+		put(uint64(k))
+		for _, a := range assign {
+			put(uint64(a))
+		}
+	}
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		put(math.Float64bits(n.ANS))
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(root)
+	return h.Sum64()
+}
+
+// hierarchyGoldens pins Build's output on hierNet under the default
+// config, so the region split it shares with the temporal tracker cannot
+// drift silently.
+var hierarchyGoldens = map[core.Scheme]uint64{
+	core.ASG: 0xf274d9303ea62c65,
+	core.AG:  0x164e40bae5a3d04e,
+}
+
+func TestBuildGoldens(t *testing.T) {
+	net := hierNet(t)
+	for scheme, want := range hierarchyGoldens {
+		root, err := Build(net, Config{Scheme: scheme, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hashTree(root); got != want {
+			t.Errorf("%v: tree hash %#016x, want %#016x", scheme, got, want)
+		}
+	}
+}
+
+// TestMinSizeOneBuilds: MinSize 1 is "no size floor", so one-segment
+// regions reach the split. They have no k >= 2 and must stay leaves
+// before any mining runs — the supergraph schemes cannot mine one point.
+func TestMinSizeOneBuilds(t *testing.T) {
+	net := hierNet(t)
+	g, err := roadnet.DualGraph(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []core.Scheme{core.ASG, core.NSG} {
+		root, err := Build(net, Config{Scheme: scheme, Seed: 1, MinSize: 1})
+		if err != nil {
+			t.Fatalf("%v: %v", scheme, err)
+		}
+		if err := root.Validate(g); err != nil {
+			t.Fatalf("%v: %v", scheme, err)
+		}
 	}
 }

@@ -51,11 +51,6 @@ type DensitiesRequest struct {
 	// minimum.
 	K    int    `json:"k,omitempty"`
 	Seed uint64 `json:"seed,omitempty"`
-	// DriftThreshold is temporal.Config.DriftThreshold: the changed
-	// fraction of segments above which a step recomputes every region.
-	// 0 selects 0.25, negative disables incremental reuse. Any value
-	// yields bit-identical frames — the threshold trades work only.
-	DriftThreshold float64 `json:"drift_threshold,omitempty"`
 
 	// Densities is a full per-segment density vector. Exactly one of
 	// Densities and Updates must be present.
@@ -201,12 +196,7 @@ func (s *service) handleDensities(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		tr, err := temporal.NewTracker(req.Network, mode, temporal.Config{
-			Scheme:         scheme,
-			K:              req.K,
-			Seed:           req.Seed,
-			DriftThreshold: req.DriftThreshold,
-		})
+		tr, err := temporal.NewTracker(req.Network, mode, temporal.Config{Scheme: scheme, K: req.K, Seed: req.Seed})
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return

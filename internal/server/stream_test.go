@@ -110,12 +110,17 @@ func TestDensitiesValidation(t *testing.T) {
 			t.Errorf("%s: body %q does not name the field (%q)", tc.name, rec.Body.String(), tc.want)
 		}
 	}
+	// drift_threshold is not a field, so strict decoding refuses it.
+	rec := post(t, srv, "/v1/densities", map[string]interface{}{"network": net, "densities": d0, "drift_threshold": 0.5})
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "drift_threshold") {
+		t.Errorf("drift_threshold: %d %q, want 400 naming the unknown field", rec.Code, rec.Body.String())
+	}
 
 	// Out-of-range and non-finite updates, against an established stream.
 	if rec := post(t, srv, "/v1/densities", DensitiesRequest{Network: net, Densities: d0}); rec.Code != http.StatusOK {
 		t.Fatalf("establishing stream failed: %s", rec.Body.String())
 	}
-	rec := post(t, srv, "/v1/densities", DensitiesRequest{
+	rec = post(t, srv, "/v1/densities", DensitiesRequest{
 		Updates: roadnet.DensityDelta{{Segment: len(net.Segments), Density: 1}}})
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "updates[0].segment") {
 		t.Fatalf("out-of-range update = %d %q, want 400 naming updates[0].segment", rec.Code, rec.Body.String())

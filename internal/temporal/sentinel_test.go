@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"context"
 	"testing"
 
 	"roadpart/internal/core"
@@ -27,7 +28,7 @@ func TestDefaultsPreserveNegativeKeepANS(t *testing.T) {
 
 func TestDistributedNegativeKeepANSFreezesSeedRegions(t *testing.T) {
 	net, snaps := simCity(t)
-	frames, err := Run(net, snaps, []int{2, 5, 9}, ModeDistributed,
+	frames, err := RunCtx(context.Background(), net, snaps, []int{2, 5, 9}, ModeDistributed,
 		Config{Scheme: core.ASG, Seed: 1, KeepANS: -1})
 	if err != nil {
 		t.Fatal(err)

@@ -4,16 +4,14 @@
 // resulting region independently as congestion evolves — cheap enough for
 // real time once regions are M1-sized or smaller.
 //
-// Two entry shapes exist. Run/RunCtx replay a recorded snapshot sequence
-// (the paper's offline protocol). Tracker is the streaming form: it owns
-// the long-lived state — dual graph, seed partition, per-region
-// subgraphs and their last split, density fingerprints, the previous
-// eigenbasis — and advances one snapshot or one sparse density delta at
-// a time, recomputing only what the observed drift requires. The two are
-// bit-identical: a Tracker fed the same densities produces exactly the
-// frames a from-scratch run does, because region reuse is permitted only
-// when a region's inputs are byte-identical to the run that produced the
-// cached split.
+// Tracker is the engine: it owns the long-lived state — dual graph, seed
+// partition, per-region subgraphs and their last split, density
+// fingerprints — and advances one snapshot or one sparse density delta at
+// a time. A region re-splits exactly when one of its segments changed; a
+// step with no change replays the previous frame. Reuse is exact, so a
+// Tracker's frames do not depend on how the densities arrived. RunCtx
+// replays a recorded snapshot sequence (the paper's offline protocol) as
+// a loop over one Tracker.
 package temporal
 
 import (
@@ -63,26 +61,6 @@ type Config struct {
 	// selects the default. (ANS is non-negative, so thresholds at or
 	// below 0 are all equivalent.)
 	KeepANS float64
-	// DriftThreshold is the fraction of segments whose densities may
-	// change between consecutive tracker steps before the incremental
-	// path stops trusting its caches and recomputes everything. 0
-	// selects 0.25; any negative value disables incremental reuse
-	// entirely — every step recomputes from scratch, the legacy
-	// per-snapshot behavior (a literal 0 cannot express this because 0
-	// selects the default); values >= 1 never fall back. The threshold
-	// trades work, not correctness: reuse is permitted only when a
-	// region's inputs are byte-identical to the run that cached them, so
-	// every setting produces bit-identical frames.
-	DriftThreshold float64
-	// WarmStart seeds each global re-partition's eigensolve from the
-	// previous frame's converged Ritz block
-	// (cut.Spectral.SetWarmStartBlock), so successive frames' block
-	// Lanczos solves start inside near-converged territory. This trades
-	// bit-reproducibility for convergence speed — warm-started frames
-	// are numerically equivalent, not byte-identical, to cold ones
-	// (docs/NUMERICS.md § Warm starts) — so it is opt-in and excluded
-	// from the bit-identity goldens.
-	WarmStart bool
 	// Seed drives all randomized stages.
 	Seed uint64
 }
@@ -96,9 +74,6 @@ func (c *Config) defaults() {
 	}
 	if c.KeepANS == 0 {
 		c.KeepANS = 0.8
-	}
-	if c.DriftThreshold == 0 {
-		c.DriftThreshold = 0.25
 	}
 }
 
@@ -189,18 +164,10 @@ func (f *Frame) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Run re-partitions net for each of the selected snapshot indices and
-// returns one frame per index, in order. It is RunCtx without
-// cancellation, kept for callers with no context to thread.
-func Run(net *roadnet.Network, snaps []traffic.Snapshot, at []int, mode Mode, cfg Config) ([]Frame, error) {
-	return RunCtx(context.Background(), net, snaps, at, mode, cfg)
-}
-
 // RunCtx re-partitions net for each of the selected snapshot indices
-// under ctx: every pipeline stage of every frame observes the context
-// between bounded work items (the PR 3 contract), so a multi-snapshot
-// run can be cancelled or deadline-bounded mid-stream. An uncancelled
-// call is bit-identical to Run.
+// and returns one frame per index, in order. Every pipeline stage of
+// every frame observes ctx between bounded work items, so a
+// multi-snapshot run can be cancelled or deadline-bounded mid-stream.
 func RunCtx(ctx context.Context, net *roadnet.Network, snaps []traffic.Snapshot, at []int, mode Mode, cfg Config) ([]Frame, error) {
 	if len(at) == 0 {
 		return nil, fmt.Errorf("temporal: no snapshot indices")
@@ -225,114 +192,28 @@ func RunCtx(ctx context.Context, net *roadnet.Network, snaps []traffic.Snapshot,
 	return frames, nil
 }
 
-// partitionGlobal partitions the whole graph, selecting k automatically
-// when cfg.K is zero. warm, when non-empty, seeds the eigensolve from a
-// previous frame's Ritz block; the returned warm block (nil unless
-// cfg.WarmStart) carries this frame's basis to the next call.
-func partitionGlobal(ctx context.Context, g *graph.Graph, f []float64, cfg Config, warm [][]float64) ([]int, [][]float64, error) {
+// partitionGlobal partitions the whole graph, selecting k by the ANS
+// minimum over [2, KMax] when cfg.K is zero. A fixed K is clamped only to
+// what the pipeline can produce.
+func partitionGlobal(ctx context.Context, g *graph.Graph, f []float64, cfg Config) ([]int, error) {
 	p, err := core.NewPipelineFromGraphCtx(ctx, g, f, core.Config{Scheme: cfg.Scheme, Seed: cfg.Seed})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if len(warm) > 0 {
-		p.Spectral().SetWarmStartBlock(warm)
-	}
-	k := cfg.K
-	max := min(cfg.KMax, p.MaxK())
+	k := min(cfg.K, p.MaxK())
 	if k == 0 {
-		if max < 2 {
-			k = 1
-		} else {
-			best, _, err := p.BestKByANSCtx(ctx, 2, max)
-			if err != nil {
-				return nil, nil, err
+		k = 1
+		if max := min(cfg.KMax, p.MaxK()); max >= 2 {
+			if k, _, err = p.BestKByANSCtx(ctx, 2, max); err != nil {
+				return nil, err
 			}
-			k = best
 		}
-	} else if k > max {
-		k = max
 	}
 	res, err := p.PartitionKCtx(ctx, k)
 	if err != nil {
-		return nil, nil, err
-	}
-	var nextWarm [][]float64
-	if cfg.WarmStart {
-		nextWarm = p.Spectral().WarmBlock()
-	}
-	return res.Assign, nextWarm, nil
-}
-
-// repartitionRegions re-partitions every region of the previous frame
-// independently under the new densities and stitches the results into a
-// global labeling — the distributed regime, one-shot form. The Tracker's
-// cache-aware resplit produces bit-identical output; this function is
-// the from-scratch path (DriftThreshold < 0) and the reference the
-// goldens compare against. ctx is observed between regions — one
-// region's split is the cancellation grain.
-func repartitionRegions(ctx context.Context, g *graph.Graph, f []float64, prev []int, cfg Config) ([]int, error) {
-	regions := map[int][]int{}
-	for v, l := range prev {
-		regions[l] = append(regions[l], v)
-	}
-	out := make([]int, len(prev))
-	next := 0
-	for l := 0; l < len(regions); l++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("temporal: re-split interrupted at region %d of %d: %w", l, len(regions), err)
-		}
-		members := regions[l]
-		sub, orig, err := g.Induced(members)
-		if err != nil {
-			return nil, err
-		}
-		subF := make([]float64, len(members))
-		for i, v := range orig {
-			subF[i] = f[v]
-		}
-		local, err := splitRegion(ctx, sub, subF, cfg)
-		if err != nil {
-			return nil, err
-		}
-		maxLocal := 0
-		for i, v := range orig {
-			out[v] = next + local[i]
-			if local[i] > maxLocal {
-				maxLocal = local[i]
-			}
-		}
-		next += maxLocal + 1
-	}
-	return out, nil
-}
-
-// splitRegion partitions one region's subgraph into up to SubKMax parts,
-// keeping it whole when the best split's ANS exceeds KeepANS.
-func splitRegion(ctx context.Context, sub *graph.Graph, f []float64, cfg Config) ([]int, error) {
-	if sub.N() < 4 {
-		return make([]int, sub.N()), nil
-	}
-	p, err := core.NewPipelineFromGraphCtx(ctx, sub, f, core.Config{Scheme: cfg.Scheme, Seed: cfg.Seed})
-	if err != nil {
 		return nil, err
 	}
-	max := min(cfg.SubKMax, p.MaxK())
-	if max < 2 {
-		return make([]int, sub.N()), nil
-	}
-	best, sweep, err := p.BestKByANSCtx(ctx, 2, max)
-	if err != nil {
-		return nil, err
-	}
-	for _, pt := range sweep {
-		if pt.K == best {
-			if pt.Result.Report.ANS > cfg.KeepANS {
-				return make([]int, sub.N()), nil // no worthwhile split
-			}
-			return pt.Result.Assign, nil
-		}
-	}
-	return make([]int, sub.N()), nil
+	return res.Assign, nil
 }
 
 // RegionSeries tracks one frame's regions across the whole snapshot

@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -29,7 +30,7 @@ func simCity(t *testing.T) (*roadnet.Network, []traffic.Snapshot) {
 
 func TestRunGlobalMode(t *testing.T) {
 	net, snaps := simCity(t)
-	frames, err := Run(net, snaps, []int{2, 5, 9}, ModeGlobal, Config{Scheme: core.ASG, Seed: 1})
+	frames, err := RunCtx(context.Background(), net, snaps, []int{2, 5, 9}, ModeGlobal, Config{Scheme: core.ASG, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestRunGlobalMode(t *testing.T) {
 
 func TestRunDistributedRefinesFirstFrame(t *testing.T) {
 	net, snaps := simCity(t)
-	frames, err := Run(net, snaps, []int{3, 6, 9}, ModeDistributed, Config{Scheme: core.ASG, Seed: 2})
+	frames, err := RunCtx(context.Background(), net, snaps, []int{3, 6, 9}, ModeDistributed, Config{Scheme: core.ASG, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestRunDistributedNesting(t *testing.T) {
 	// region (the distributed regime never moves segments across the
 	// initial boundaries).
 	net, snaps := simCity(t)
-	frames, err := Run(net, snaps, []int{3, 9}, ModeDistributed, Config{Scheme: core.ASG, Seed: 3})
+	frames, err := RunCtx(context.Background(), net, snaps, []int{3, 9}, ModeDistributed, Config{Scheme: core.ASG, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,17 +109,17 @@ func TestRunDistributedNesting(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	net, snaps := simCity(t)
-	if _, err := Run(net, snaps, nil, ModeGlobal, Config{}); err == nil {
+	if _, err := RunCtx(context.Background(), net, snaps, nil, ModeGlobal, Config{}); err == nil {
 		t.Fatal("empty index list should error")
 	}
-	if _, err := Run(net, snaps, []int{99}, ModeGlobal, Config{}); err == nil {
+	if _, err := RunCtx(context.Background(), net, snaps, []int{99}, ModeGlobal, Config{}); err == nil {
 		t.Fatal("out-of-range snapshot index should error")
 	}
 }
 
 func TestRegionSeries(t *testing.T) {
 	net, snaps := simCity(t)
-	frames, err := Run(net, snaps, []int{5}, ModeGlobal, Config{Scheme: core.ASG, K: 3, Seed: 1})
+	frames, err := RunCtx(context.Background(), net, snaps, []int{5}, ModeGlobal, Config{Scheme: core.ASG, K: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +147,31 @@ func TestRegionSeries(t *testing.T) {
 
 func TestRunFixedK(t *testing.T) {
 	net, snaps := simCity(t)
-	frames, err := Run(net, snaps, []int{5}, ModeGlobal, Config{Scheme: core.AG, K: 3, Seed: 1})
+	frames, err := RunCtx(context.Background(), net, snaps, []int{5}, ModeGlobal, Config{Scheme: core.AG, K: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if frames[0].K != 3 {
 		t.Fatalf("K = %d, want 3", frames[0].K)
+	}
+}
+
+// TestFixedKAboveKMax: KMax bounds only automatic k selection, so a fixed
+// K above it must be honored in both modes (clamped only to what the
+// pipeline can produce).
+func TestFixedKAboveKMax(t *testing.T) {
+	net, snaps := simCity(t)
+	for _, mode := range []Mode{ModeGlobal, ModeDistributed} {
+		tr, err := NewTracker(net, mode, Config{Scheme: core.AG, K: 12, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := tr.Step(context.Background(), snaps[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.K != 12 {
+			t.Fatalf("mode %d: K = %d, want the fixed 12 above the default KMax 10", mode, fr.K)
+		}
 	}
 }

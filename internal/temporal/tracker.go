@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"roadpart/internal/core"
 	"roadpart/internal/graph"
 	"roadpart/internal/metrics"
 	"roadpart/internal/obs"
@@ -15,10 +16,9 @@ import (
 
 // Incremental-path accounting: one steps counter per compute path, one
 // regions counter per outcome, and separate stage timers for delta and
-// full work so an operator can see how much compute the drift threshold
-// is actually saving.
+// full work so an operator can see how much compute region reuse saves.
 var (
-	incStepsHelp = "Temporal tracker steps by compute path (full = everything recomputed, delta = only drift-affected regions recomputed, reused = cached state replayed unchanged)."
+	incStepsHelp = "Temporal tracker steps by compute path (full = everything recomputed, delta = only changed regions recomputed, reused = cached state replayed unchanged)."
 	incFull      = obs.Default().Counter("roadpart_incremental_steps_total", incStepsHelp, "path", PathFull)
 	incDelta     = obs.Default().Counter("roadpart_incremental_steps_total", incStepsHelp, "path", PathDelta)
 	incReused    = obs.Default().Counter("roadpart_incremental_steps_total", incStepsHelp, "path", PathReused)
@@ -35,7 +35,7 @@ var (
 // subgraph (built once — the topology never changes) and the last local
 // split computed for it. The split is reused only while the region's
 // densities are byte-identical to the ones that produced it, which is
-// what keeps the incremental path bit-identical to a from-scratch run.
+// what keeps the incremental path bit-identical to a fresh Tracker.
 type trackRegion struct {
 	members  []int // dual-graph nodes, ascending (grouping order)
 	sub      *graph.Graph
@@ -43,24 +43,22 @@ type trackRegion struct {
 	subF     []float64 // scratch: current densities restricted to the region
 	local    []int     // cached local labels; nil until first computed
 	maxLocal int       // max(local), cached for stitching
-	dirty    bool      // densities changed since local was computed
+	dirty    bool      // no split cached, or densities changed since it was computed
 }
 
 // Tracker owns the long-lived state of an incremental re-partitioning
 // stream: the dual graph (built once), the current density vector and
-// its fingerprint, the seed partition and per-region caches of the
-// distributed regime, and — when Config.WarmStart is set — the previous
-// frame's eigenbasis. Where Run is slice-in/slice-out and forgets
-// everything between snapshots, a Tracker advances one snapshot
-// (Step/StepAt) or one sparse delta (ApplyDelta) at a time and recomputes
-// only what the observed density drift requires.
+// its fingerprint, and the seed partition and per-region caches of the
+// distributed regime. It advances one snapshot (Step/StepAt) or one
+// sparse delta (ApplyDelta) at a time and recomputes only the regions
+// whose densities changed.
 //
 // Reuse never changes results: a cached region split is replayed only
 // when that region's densities are byte-identical to the run that
 // computed it, and a whole frame is replayed only when nothing changed
-// at all, so a Tracker's frames are bit-identical to a from-scratch
-// RunCtx over the same densities (the goldens in tracker_test.go pin
-// this). A Tracker is safe for concurrent use; steps serialize on an
+// at all, so a Tracker's frames are bit-identical to those of a fresh
+// Tracker stepped on the same densities (the goldens in tracker_test.go
+// pin this). A Tracker is safe for concurrent use; steps serialize on an
 // internal mutex (the stream is inherently ordered).
 type Tracker struct {
 	mode Mode
@@ -76,8 +74,7 @@ type Tracker struct {
 	prev       *Frame    // last frame produced
 	seedAssign []int     // frame 0's partition (distributed regime anchor)
 	regions    []*trackRegion
-	nodeRegion []int       // dual-graph node -> region index
-	warm       [][]float64 // previous frame's Ritz block (WarmStart only)
+	nodeRegion []int // dual-graph node -> region index
 }
 
 // NewTracker prepares a tracker for net: it builds the dual graph once
@@ -138,10 +135,9 @@ func (t *Tracker) StepAt(ctx context.Context, f []float64, snapshot int) (Frame,
 
 // ApplyDelta advances the tracker by a sparse density delta, maintaining
 // the density fingerprint incrementally (O(updates), not O(segments))
-// and recomputing only the regions the delta touches when the drift
-// stays under Config.DriftThreshold. The frame's snapshot index is the
-// step sequence number. A delta before any full Step is an error — the
-// tracker has no base vector to patch.
+// and recomputing only the regions the delta touches. The frame's
+// snapshot index is the step sequence number. A delta before any full
+// Step is an error — the tracker has no base vector to patch.
 func (t *Tracker) ApplyDelta(ctx context.Context, delta roadnet.DensityDelta) (Frame, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -170,9 +166,9 @@ func (t *Tracker) stepLocked(ctx context.Context, f []float64, snapshot int) (Fr
 }
 
 // advanceLocked produces the next frame from the already-copied density
-// vector f. It owns the compute-path decision: first frame and
-// over-threshold drift run full, unchanged densities replay, anything
-// else recomputes only the dirty regions.
+// vector f. It owns the compute-path decision: the first frame runs
+// full, unchanged densities replay, anything else recomputes (in the
+// distributed regime, only the dirty regions).
 func (t *Tracker) advanceLocked(ctx context.Context, f []float64, hash uint64, snapshot int) (Frame, error) {
 	t0 := time.Now()
 	changed := t.changedSegments(f)
@@ -239,69 +235,37 @@ func (t *Tracker) changedSegments(f []float64) []int {
 // computeAssign runs the mode's compute for one step and reports the
 // path taken.
 func (t *Tracker) computeAssign(ctx context.Context, f []float64, changed []int) ([]int, string, error) {
-	incremental := t.cfg.DriftThreshold >= 0
-	drifted := float64(len(changed)) / float64(max(t.n, 1))
-	overThreshold := drifted > t.cfg.DriftThreshold
-
 	// First frame: always a full global partition; it anchors the
 	// distributed regime's seed regions.
-	if t.steps == 0 {
+	if t.steps == 0 || (t.mode == ModeGlobal && len(changed) > 0) {
 		sp := stageFullStep.Start()
-		assign, warm, err := partitionGlobal(ctx, t.g, f, t.cfg, t.warmStart())
+		assign, err := partitionGlobal(ctx, t.g, f, t.cfg)
 		sp.End()
 		if err != nil {
 			return nil, "", err
 		}
-		t.setWarm(warm)
-		t.seedAssign = assign
-		t.regions, t.nodeRegion = nil, nil
+		if t.steps == 0 {
+			t.seedAssign = assign
+		}
 		return assign, PathFull, nil
 	}
-
 	if t.mode == ModeGlobal {
-		if incremental && len(changed) == 0 {
-			// Nothing moved: a recompute would deterministically reproduce
-			// the previous frame.
-			return append([]int(nil), t.prev.Assign...), PathReused, nil
-		}
-		sp := stageFullStep.Start()
-		assign, warm, err := partitionGlobal(ctx, t.g, f, t.cfg, t.warmStart())
-		sp.End()
-		if err != nil {
-			return nil, "", err
-		}
-		t.setWarm(warm)
-		return assign, PathFull, nil
+		// Nothing moved: a recompute would deterministically reproduce
+		// the previous frame.
+		return append([]int(nil), t.prev.Assign...), PathReused, nil
 	}
 
 	// Distributed regime: re-split the SEED frame's regions (not the
 	// previous refinement — otherwise splits compound round over round).
-	if !incremental {
-		sp := stageFullStep.Start()
-		assign, err := repartitionRegions(ctx, t.g, f, t.seedAssign, t.cfg)
-		sp.End()
-		if err != nil {
-			return nil, "", err
-		}
-		return assign, PathFull, nil
-	}
 	if err := t.ensureRegions(); err != nil {
 		return nil, "", err
 	}
-	if overThreshold {
-		// Drift beyond the threshold: stop trusting per-region deltas and
-		// recompute every region (the caches refresh as a side effect).
-		for _, r := range t.regions {
-			r.dirty = true
-		}
-	} else {
-		for _, v := range changed {
-			t.regions[t.nodeRegion[v]].dirty = true
-		}
+	for _, v := range changed {
+		t.regions[t.nodeRegion[v]].dirty = true
 	}
 	dirty := 0
 	for _, r := range t.regions {
-		if r.dirty || r.local == nil {
+		if r.dirty {
 			dirty++
 		}
 	}
@@ -312,7 +276,8 @@ func (t *Tracker) computeAssign(ctx context.Context, f []float64, changed []int)
 		path = PathReused
 	case len(t.regions):
 		// Every region recomputes — the first re-split after the seed
-		// frame, or over-threshold drift. Either way this is full work.
+		// frame, or a change that touched every region. Either way this
+		// is full work.
 		path = PathFull
 		timer = stageFullStep
 	}
@@ -326,9 +291,8 @@ func (t *Tracker) computeAssign(ctx context.Context, f []float64, changed []int)
 }
 
 // ensureRegions builds the per-region caches from the seed assignment:
-// member lists in the exact grouping order repartitionRegions uses, plus
-// each region's induced subgraph (computed once — structure is
-// immutable).
+// member lists in ascending node order, plus each region's induced
+// subgraph (computed once — structure is immutable).
 func (t *Tracker) ensureRegions() error {
 	if t.regions != nil {
 		return nil
@@ -364,8 +328,11 @@ func (t *Tracker) ensureRegions() error {
 
 // resplit produces the distributed frame: dirty regions recompute their
 // local split from the current densities, clean regions replay the
-// cached one, and the locals stitch into a global labeling exactly as
-// repartitionRegions does. ctx is observed between regions.
+// cached one, and the locals stitch into a global labeling in region
+// order. A dirty region splits into up to SubKMax parts by
+// core.BestSplit, or stays whole when it has fewer than 4 segments or no
+// split scores within KeepANS. ctx is observed between regions — one
+// region's split is the cancellation grain.
 func (t *Tracker) resplit(ctx context.Context, f []float64) ([]int, error) {
 	out := make([]int, t.n)
 	next := 0
@@ -373,19 +340,18 @@ func (t *Tracker) resplit(ctx context.Context, f []float64) ([]int, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("temporal: re-split interrupted at region %d of %d: %w", l, len(t.regions), err)
 		}
-		if r.dirty || r.local == nil {
+		if r.dirty {
 			for i, v := range r.orig {
 				r.subF[i] = f[v]
 			}
-			local, err := splitRegion(ctx, r.sub, r.subF, t.cfg)
-			if err != nil {
-				return nil, err
-			}
-			r.local = local
-			r.maxLocal = 0
-			for _, lab := range local {
-				if lab > r.maxLocal {
-					r.maxLocal = lab
+			r.local, r.maxLocal = make([]int, r.sub.N()), 0
+			if r.sub.N() >= 4 {
+				best, err := core.BestSplit(ctx, r.sub, r.subF, core.Config{Scheme: t.cfg.Scheme, Seed: t.cfg.Seed}, t.cfg.SubKMax, t.cfg.KeepANS)
+				if err != nil {
+					return nil, err
+				}
+				if best != nil {
+					r.local, r.maxLocal = best.Assign, best.K-1
 				}
 			}
 			r.dirty = false
@@ -399,19 +365,4 @@ func (t *Tracker) resplit(ctx context.Context, f []float64) ([]int, error) {
 		next += r.maxLocal + 1
 	}
 	return out, nil
-}
-
-// warmStart returns the eigenbasis seed block for the next global
-// partition, nil unless WarmStart is enabled and a previous basis exists.
-func (t *Tracker) warmStart() [][]float64 {
-	if !t.cfg.WarmStart {
-		return nil
-	}
-	return t.warm
-}
-
-func (t *Tracker) setWarm(v [][]float64) {
-	if t.cfg.WarmStart && len(v) > 0 {
-		t.warm = v
-	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"roadpart/internal/core"
 	"roadpart/internal/experiments"
+	"roadpart/internal/metrics"
 	"roadpart/internal/roadnet"
 	"roadpart/internal/traffic"
 )
@@ -58,14 +59,14 @@ func withDelta(f []float64, d roadnet.DensityDelta) []float64 {
 	return out
 }
 
-// trackerGoldens pins the tentpole guarantee: a tracker advancing through
-// snapshots and sparse deltas produces bit-identical frames to a
-// from-scratch run (DriftThreshold < 0 disables every cache) over the
-// same density sequence, for D1 and M1 under AG and ASG and across drift
-// thresholds. The literal hashes also pin today's output against silent
-// drift in any upstream stage.
-// Re-pinned exactly once with the switch to the matrix-free block
-// Lanczos solver (docs/NUMERICS.md § Golden re-pinning policy).
+// trackerGoldens pins the tracker's exactness guarantee: a tracker
+// advancing through snapshots and sparse deltas produces bit-identical
+// frames to a cold reference that computes every frame's regions afresh,
+// for D1 and M1 under AG and ASG. The literal hashes were captured from
+// the retired from-scratch engine and also pin today's output against
+// silent drift in any upstream stage. Re-pinned exactly once with the
+// switch to the matrix-free block Lanczos solver (docs/NUMERICS.md
+// § Golden re-pinning policy).
 var trackerGoldens = map[string]uint64{
 	"D1/AG":  0x2c456561038494e5,
 	"D1/ASG": 0xce617f1b7b6d734e,
@@ -100,8 +101,7 @@ func TestTrackerBitIdenticalToFromScratch(t *testing.T) {
 			}
 			n := len(ds.Net.Segments)
 			// A small delta (3 segments — the incremental sweet spot), then a
-			// whole fresh snapshot (typically past the drift threshold), then
-			// another small delta.
+			// whole fresh snapshot, then another small delta.
 			d1 := roadnet.DensityDelta{
 				{Segment: 0, Density: 0.42},
 				{Segment: n / 2, Density: 0.07},
@@ -116,92 +116,72 @@ func TestTrackerBitIdenticalToFromScratch(t *testing.T) {
 			}
 			cfg := Config{Scheme: tc.scheme, K: 5, Seed: 7}
 			ctx := context.Background()
-
-			// From-scratch reference: caches disabled entirely.
-			refCfg := cfg
-			refCfg.DriftThreshold = -1
-			ref, err := NewTracker(ds.Net, ModeDistributed, refCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var refFrames []Frame
-			for _, f := range seq {
-				fr, err := ref.Step(ctx, f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fr.Path != PathFull {
-					t.Fatalf("from-scratch tracker took path %q", fr.Path)
-				}
-				refFrames = append(refFrames, fr)
-			}
-			refHash := hashFrames(refFrames)
-
-			// Incremental trackers at several thresholds, fed the same
-			// densities as snapshots + sparse deltas.
-			for _, threshold := range []float64{0.25, 0.02, 1.5} {
-				incCfg := cfg
-				incCfg.DriftThreshold = threshold
-				tr, err := NewTracker(ds.Net, ModeDistributed, incCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var frames []Frame
-				step := func(fr Frame, err error) {
-					t.Helper()
-					if err != nil {
-						t.Fatal(err)
-					}
-					frames = append(frames, fr)
-				}
-				step(tr.Step(ctx, seq[0]))
-				step(tr.ApplyDelta(ctx, d1))
-				step(tr.StepAt(ctx, seq[2], 2))
-				step(tr.ApplyDelta(ctx, d2))
-				// StepAt labeled frame 2 explicitly; ApplyDelta frames carry
-				// the sequence number, which matches here by construction.
-				if got := hashFrames(frames); got != refHash {
-					t.Fatalf("threshold %v: incremental frames %016x != from-scratch %016x",
-						threshold, got, refHash)
-				}
-				if threshold >= 1 {
-					// Frame 1 is the first re-split, so every region cache is
-					// cold and it honestly reports a full recompute; frame 3
-					// must have taken the incremental path for the comparison
-					// to mean anything.
-					if frames[3].Path != PathDelta {
-						t.Fatalf("threshold %v: delta step took path %q, want %q",
-							threshold, frames[3].Path, PathDelta)
-					}
-				}
-			}
-
 			want, ok := trackerGoldens[tc.name]
 			if !ok {
 				t.Fatalf("no golden for %s", tc.name)
 			}
-			if refHash != want {
-				t.Fatalf("golden %s = %#016x, want %#016x", tc.name, refHash, want)
+
+			// Incremental: one tracker fed snapshots and sparse deltas.
+			tr, err := NewTracker(ds.Net, ModeDistributed, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var frames []Frame
+			step := func(fr Frame, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames = append(frames, fr)
+			}
+			step(tr.Step(ctx, seq[0]))
+			step(tr.ApplyDelta(ctx, d1))
+			step(tr.StepAt(ctx, seq[2], 2))
+			step(tr.ApplyDelta(ctx, d2))
+			// StepAt labeled frame 2 explicitly; ApplyDelta frames carry
+			// the sequence number, which matches here by construction.
+			if got := hashFrames(frames); got != want {
+				t.Fatalf("incremental frames %#016x, want golden %#016x", got, want)
+			}
+			// Frame 1 is the first re-split, so every region cache is cold
+			// and it honestly reports a full recompute; frame 3 must have
+			// taken the incremental path for the comparison to mean
+			// anything.
+			if frames[3].Path != PathDelta {
+				t.Fatalf("delta step took path %q, want %q", frames[3].Path, PathDelta)
+			}
+
+			// Cold reference: frame t comes from a fresh tracker stepped on
+			// seq[0] and then seq[t], so every region of it is computed
+			// afresh; its ARI is recomputed against the previous reference
+			// frame.
+			var ref []Frame
+			for i, f := range seq {
+				cold, err := NewTracker(ds.Net, ModeDistributed, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fr, err := cold.Step(ctx, seq[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i > 0 {
+					if fr, err = cold.StepAt(ctx, f, i); err != nil {
+						t.Fatal(err)
+					}
+					if fr.Path != PathFull {
+						t.Fatalf("cold frame %d took path %q, want %q", i, fr.Path, PathFull)
+					}
+					if fr.ARIvsPrev, err = metrics.ARI(ref[i-1].Assign, fr.Assign); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ref = append(ref, fr)
+			}
+			if got := hashFrames(ref); got != want {
+				t.Fatalf("cold reference frames %#016x, want golden %#016x", got, want)
 			}
 		})
-	}
-}
-
-// TestRunMatchesRunCtx pins the legacy-delegation contract: Run must be
-// bit-identical to RunCtx with a background context.
-func TestRunMatchesRunCtx(t *testing.T) {
-	net, snaps := simCity(t)
-	cfg := Config{Scheme: core.ASG, Seed: 4}
-	legacy, err := Run(net, snaps, []int{2, 6}, ModeDistributed, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxed, err := RunCtx(context.Background(), net, snaps, []int{2, 6}, ModeDistributed, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hashFrames(legacy) != hashFrames(ctxed) {
-		t.Fatal("Run and RunCtx diverge")
 	}
 }
 

@@ -253,17 +253,12 @@ func AverageDensities(snaps []Snapshot, window int) (Snapshot, error) {
 	return traffic.TimeAverage(snaps, window)
 }
 
-// Repartition re-partitions the network at the selected snapshot indices,
-// globally or distributively (Section 6.4), returning one frame per index.
-// The first frame's ARIvsPrev is NaN (it has no predecessor); average
-// frame stability with MeanARI, which skips it.
-func Repartition(net *Network, snaps []Snapshot, at []int, mode TemporalMode, cfg TemporalConfig) ([]Frame, error) {
-	return temporal.Run(net, snaps, at, mode, cfg)
-}
-
-// RepartitionCtx is Repartition with cooperative cancellation: the run
-// stops between pipeline stages and between region re-splits when ctx
-// ends, returning the context's error.
+// RepartitionCtx re-partitions the network at the selected snapshot
+// indices, globally or distributively (Section 6.4), returning one frame
+// per index. The first frame's ARIvsPrev is NaN (it has no predecessor);
+// average frame stability with MeanARI, which skips it. The run stops
+// between pipeline stages and between region re-splits when ctx ends,
+// returning the context's error.
 func RepartitionCtx(ctx context.Context, net *Network, snaps []Snapshot, at []int, mode TemporalMode, cfg TemporalConfig) ([]Frame, error) {
 	return temporal.RunCtx(ctx, net, snaps, at, mode, cfg)
 }

@@ -2,6 +2,7 @@ package roadpart
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -78,7 +79,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	frames, err := Repartition(net, snaps, []int{1, 4}, ModeDistributed, TemporalConfig{Scheme: ASG, Seed: 1})
+	frames, err := RepartitionCtx(context.Background(), net, snaps, []int{1, 4}, ModeDistributed, TemporalConfig{Scheme: ASG, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
