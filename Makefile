@@ -119,16 +119,22 @@ bench-check:
 		"$$tmp/new.json"
 
 # fuzz-smoke runs each roadnet fuzz target, and the service-boundary
-# target FuzzJobSubmit (POST /v1/jobs, internal/server), for FUZZTIME
-# (default 10s). Go allows one -fuzz target per invocation, so the
-# targets run in sequence; seeds come from internal/roadnet/testdata plus
-# the inline f.Add corpus. A crasher fails the run and is written to the
-# package's testdata/fuzz/ for triage.
+# targets FuzzJobSubmit (POST /v1/jobs) and FuzzDecodeRequest (all five
+# request documents, internal/server), for FUZZTIME (default 10s).
+# FuzzReadJSON and FuzzDecodeRequest are differential: the strict
+# roadnet.Cursor decoders must accept, reject and decode exactly as
+# encoding/json with DisallowUnknownFields does, float bits included,
+# apart from repeated member names and trailing data, which only they
+# reject. Go allows one -fuzz target per invocation, so the targets run
+# in sequence; seeds come from internal/roadnet/testdata plus the inline
+# f.Add corpus. A crasher fails the run and is written to the package's
+# testdata/fuzz/ for triage.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime $(FUZZTIME) ./internal/roadnet
 	$(GO) test -run '^$$' -fuzz '^FuzzReadGeoJSON$$' -fuzztime $(FUZZTIME) ./internal/roadnet
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDensitiesCSV$$' -fuzztime $(FUZZTIME) ./internal/roadnet
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSubmit$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # loc prints the number of non-test Go lines outside perfbench/ — the
 # "net non-test lines" figure each change reports (ROADMAP aim 2).

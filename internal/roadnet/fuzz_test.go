@@ -2,10 +2,13 @@ package roadnet
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"roadpart/internal/jsontest"
 )
 
 // seedFromTestdata adds every file matching glob under testdata/ to the
@@ -28,20 +31,48 @@ func seedFromTestdata(f *testing.F, glob string) {
 	}
 }
 
-// FuzzReadJSON asserts the network JSON reader never panics and that
-// every accepted network validates and survives a serialize/parse round
-// trip. Malformed, truncated or referentially broken inputs must come
-// back as errors — a service decoding untrusted bodies sits directly on
-// this path.
+// FuzzReadJSON holds the network decoder to encoding/json with
+// DisallowUnknownFields, the reader it replaced: both must accept and
+// reject the same inputs and decode the same values, float bits
+// included. The one allowed difference is an input the Cursor rejects
+// for a repeated member name or trailing data. Every accepted network
+// must also validate and survive a serialize/parse round trip — a
+// service decoding untrusted bodies sits directly on this path.
 func FuzzReadJSON(f *testing.F) {
 	seedFromTestdata(f, "*.json")
 	f.Add(`{}`)
+	f.Add(`null`)
 	f.Add(`[1,2,3]`)
 	f.Add(`garbage`)
 	f.Add(`{"Intersections":null,"Segments":null}`)
+	f.Add(`{"Intersections":[],"Segments":[null]}`)
 	f.Add(`{"Segments":[{"ID":0,"From":-1,"To":0,"Length":1,"Density":0}]}`)
 	f.Add(`{"Intersections":[{"ID":0,"X":1e999,"Y":0}],"Segments":[]}`)
+	f.Add(`{"intersections":[{"id":0,"x":-0,"Y":1e-400}],"\u017fegments":[{"ID":1.0}]}`)
+	f.Add(`{"Segments":[{"ID":0,"ID":1}]}`)
+	f.Add(`{"Segments":[],"segments":[]} `)
+	f.Add(`{"Segments":[]}{"Segments":[]}`)
+	f.Add(`{"Intersections":[{"ID":9223372036854775808,"X":0.1e1,"Y":-2E-3}]}`)
 	f.Fuzz(func(t *testing.T, src string) {
+		var want, got Network
+		dec := json.NewDecoder(strings.NewReader(src))
+		dec.DisallowUnknownFields()
+		refErr := dec.Decode(&want)
+		c := NewCursor([]byte(src))
+		c.Network(&got)
+		err := c.End()
+		strict := jsontest.StrictOnly([]byte(src))
+		switch {
+		case err == nil && refErr != nil:
+			t.Fatalf("accepted input encoding/json rejects (%v)", refErr)
+		case err == nil && strict:
+			t.Fatal("accepted a repeated member name or trailing data")
+		case err == nil && !jsontest.Identical(got, want):
+			t.Fatalf("decoded %+v, encoding/json decoded %+v", got, want)
+		case err != nil && refErr == nil && !strict:
+			t.Fatalf("rejected input encoding/json accepts: %v", err)
+		}
+
 		net, err := ReadJSON(strings.NewReader(src))
 		if err != nil {
 			return // rejected input is fine; panics are not

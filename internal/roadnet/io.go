@@ -17,10 +17,22 @@ func (n *Network) WriteJSON(w io.Writer) error {
 	return enc.Encode(n)
 }
 
-// ReadJSON parses a network from JSON and validates it.
+// ReadJSON parses a network from JSON and validates it. Decoding is
+// strict: an unknown or repeated member name, or anything but whitespace
+// after the network, is an error (see Cursor).
 func ReadJSON(r io.Reader) (*Network, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("roadnet: reading network: %w", err)
+	}
+	return parseJSON(data)
+}
+
+func parseJSON(data []byte) (*Network, error) {
 	var n Network
-	if err := json.NewDecoder(r).Decode(&n); err != nil {
+	c := NewCursor(data)
+	c.Network(&n)
+	if err := c.End(); err != nil {
 		return nil, fmt.Errorf("roadnet: decoding network: %w", err)
 	}
 	if err := n.Validate(); err != nil {
@@ -49,12 +61,11 @@ func (n *Network) SaveJSON(path string) error {
 
 // LoadJSON reads a network from the named file.
 func LoadJSON(path string) (*Network, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadJSON(bufio.NewReader(f))
+	return parseJSON(data)
 }
 
 // WriteDensitiesCSV writes one "segment_id,density" row per segment,

@@ -182,11 +182,19 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONRejectsInvalid(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader(`{"Segments":[{"ID":0,"From":0,"To":9,"Length":1}]}`)); err == nil {
-		t.Fatal("invalid JSON network should be rejected")
-	}
-	if _, err := ReadJSON(strings.NewReader(`not json`)); err == nil {
-		t.Fatal("garbage should be rejected")
+	for _, src := range []string{
+		`{"Segments":[{"ID":0,"From":0,"To":9,"Length":1}]}`,
+		`not json`,
+		`{"Segments":[],"Roads":[]}`,                   // unknown field
+		`{"Segments":[],"segments":[]}`,                // repeated name
+		`{"Intersections":[{"ID":0,"ID":0}]}`,          // repeated name in an element
+		`{"Segments":[]} {"Segments":[]}`,              // trailing data
+		`{"Intersections":[{"ID":0,"X":1e999,"Y":0}]}`, // out of float64 range
+		`{"Intersections":[{"ID":1.0}]}`,               // not an integer
+	} {
+		if _, err := ReadJSON(strings.NewReader(src)); err == nil {
+			t.Errorf("%s: accepted, want an error", src)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"roadpart/internal/jobs"
+	"roadpart/internal/jsontest"
 	"roadpart/internal/roadnet"
 )
 
@@ -64,6 +65,76 @@ func FuzzJobSubmit(f *testing.F) {
 			<-started
 		default:
 			t.Fatalf("POST /v1/jobs = %d body=%s, want 202 or 400", rec.Code, rec.Body.String())
+		}
+	})
+}
+
+// FuzzDecodeRequest holds the service's request decoder to
+// encoding/json with DisallowUnknownFields, the reader it replaced, on
+// all five request documents: every input must be accepted or rejected
+// by both and decode to identical values, float bits included. The one
+// allowed difference is an input decodeRequest rejects for a repeated
+// member name or trailing data.
+func FuzzDecodeRequest(f *testing.F) {
+	net := &roadnet.Network{
+		Intersections: []roadnet.Intersection{{ID: 0}, {ID: 1, X: 100}, {ID: 2, X: 100, Y: -0.5}},
+		Segments: []roadnet.Segment{
+			{ID: 0, From: 0, To: 1, Length: 100, Density: 0.5},
+			{ID: 1, From: 1, To: 2, Length: 1e-9, Density: 2e21},
+		},
+	}
+	part := &PartitionRequest{Network: net, K: 2, Scheme: "AG", StabilityEps: 0.1, Refine: true, Seed: 1 << 63, Workers: 2, Multilevel: "off", TimeoutMs: -1}
+	sweep := &SweepRequest{Network: net, KMin: 2, KMax: 3, Scheme: "NSG", Seed: 1, Workers: 1, Multilevel: "on", TimeoutMs: 9}
+	for _, doc := range []interface{}{
+		part,
+		sweep,
+		JobSubmitRequest{Op: "partition", Partition: part, Sweep: sweep},
+		DensitiesRequest{Network: net, Scheme: "ASG", Mode: "global", K: 3, Seed: 2, Densities: []float64{0.25, 0}, Updates: roadnet.DensityDelta{{Segment: 1, Density: 3}}, TimeoutMs: 5},
+		RenderRequest{Network: net, Assign: []int{0, 1}, Title: "café \"<map>\""},
+	} {
+		seed, err := json.Marshal(doc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	f.Add([]byte(`{"k":99,"k":2}`))
+	f.Add([]byte(`{"K":3,"SCHEME":"AG","K":4} {"k":99}`))
+	f.Add([]byte(`{"network":null,"assign":[],"densities":[null,1],"updates":null,"op":"😀\ud800"}`))
+	f.Add([]byte(`{"seed":-0,"workers":1.0,"timeout_ms":1e2,"refine":null}`))
+	f.Add([]byte(`{"\u212a":3,"\u017fcheme":"AG","Network":{"segments":[]}}`))
+	f.Add([]byte(`{"network":{"\u0130ntersections":[]}}`))
+	f.Add([]byte(`{"scheme":"\u00e9\ud83d\ude00\ud800x\udc00\\\/\"\b\f\n\r\t"}`))
+	f.Add([]byte("{\"title\":\"\xff\xed\xa0\x80\xf0\x9f\x98\x80\"}"))
+	f.Add([]byte(`{"stability_eps":-0.0,"k":-0,"timeout_ms":-9223372036854775808,"seed":18446744073709551615}`))
+	f.Add([]byte(`{"seed":18446744073709551616,"k":9223372036854775808}`))
+	f.Add([]byte(`{"densities":[1e-400,4.9e-324,1.7976931348623157e308,-1E+2]}`))
+	f.Add([]byte(`{"assign":[0,-0,7],"title":""}`))
+	docs := []func() interface{}{
+		func() interface{} { return &PartitionRequest{} },
+		func() interface{} { return &SweepRequest{} },
+		func() interface{} { return &JobSubmitRequest{} },
+		func() interface{} { return &DensitiesRequest{} },
+		func() interface{} { return &RenderRequest{} },
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		strict := jsontest.StrictOnly(body)
+		for _, newDoc := range docs {
+			want, got := newDoc(), newDoc()
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			refErr := dec.Decode(want)
+			err := decodeRequest(body, got)
+			switch {
+			case err == nil && refErr != nil:
+				t.Fatalf("%T: accepted input encoding/json rejects (%v)", got, refErr)
+			case err == nil && strict:
+				t.Fatalf("%T: accepted a repeated member name or trailing data", got)
+			case err == nil && !jsontest.Identical(got, want):
+				t.Fatalf("%T: decoded %+v, encoding/json decoded %+v", got, got, want)
+			case err != nil && refErr == nil && !strict:
+				t.Fatalf("%T: rejected input encoding/json accepts: %v", got, err)
+			}
 		}
 	})
 }

@@ -60,7 +60,7 @@ type JobStatusResponse struct {
 // handleJobSubmit serves POST /v1/jobs.
 func (s *service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobSubmitRequest
-	raw, ok := s.readKeyed(w, r, &req)
+	raw, ok := readRequest(w, r, &req)
 	if !ok {
 		return
 	}
@@ -208,7 +208,7 @@ func (s *service) resolveJob(spec jobs.Spec) (keyed, error) {
 	if doc == nil {
 		return keyed{}, fmt.Errorf("journaled job has unknown op %q", spec.Op)
 	}
-	if err := json.Unmarshal(spec.Payload, doc); err != nil {
+	if err := decodeRequest(spec.Payload, doc); err != nil {
 		return keyed{}, fmt.Errorf("corrupt %s job payload: %w", spec.Op, err)
 	}
 	k, err := s.resolve(doc)

@@ -110,11 +110,15 @@ func TestJobSubmitPollResult(t *testing.T) {
 func TestJobSubmitValidation(t *testing.T) {
 	sv := newJobService(t, Config{})
 	net := testNet(t)
+	valid := JobSubmitRequest{Op: "partition", Partition: &PartitionRequest{Network: net, K: 3}}
 	cases := []struct {
 		name string
-		body JobSubmitRequest
+		body interface{}
 	}{
 		{"unknown op", JobSubmitRequest{Op: "render"}},
+		{"trailing garbage", withTail(t, valid, " garbage")},
+		{"trailing document", withTail(t, valid, `{"op":"sweep"}`)},
+		{"duplicate op", withMember(t, valid, `"op":"partition"`)},
 		{"missing document", JobSubmitRequest{Op: "partition"}},
 		{"missing network", JobSubmitRequest{Op: "partition", Partition: &PartitionRequest{K: 3}}},
 		{"bad scheme", JobSubmitRequest{Op: "sweep", Sweep: &SweepRequest{Network: net, Scheme: "XXL"}}},
@@ -131,9 +135,9 @@ func TestJobSubmitValidation(t *testing.T) {
 		// A submission carrying both documents must say which op it was
 		// read as, so the client knows which document was the stray one.
 		var eb errorBody
-		if tc.body.Partition != nil && tc.body.Sweep != nil &&
-			(json.Unmarshal(rec.Body.Bytes(), &eb) != nil || !strings.Contains(eb.Error, strconv.Quote(tc.body.Op))) {
-			t.Errorf("%s: error %s does not name op %q", tc.name, rec.Body.String(), tc.body.Op)
+		if js, ok := tc.body.(JobSubmitRequest); ok && js.Partition != nil && js.Sweep != nil &&
+			(json.Unmarshal(rec.Body.Bytes(), &eb) != nil || !strings.Contains(eb.Error, strconv.Quote(js.Op))) {
+			t.Errorf("%s: error %s does not name op %q", tc.name, rec.Body.String(), js.Op)
 		}
 	}
 }

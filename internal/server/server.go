@@ -36,7 +36,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -350,7 +349,7 @@ type RenderRequest struct {
 
 func handleRender(w http.ResponseWriter, r *http.Request) {
 	var req RenderRequest
-	if !readJSON(w, r, &req) {
+	if _, ok := readRequest(w, r, &req); !ok {
 		return
 	}
 	if req.Network == nil {
@@ -492,7 +491,7 @@ func (s *service) serve(w http.ResponseWriter, r *http.Request, k keyed) {
 func (s *service) handleKeyed(op string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		doc := newDoc(op)
-		raw, ok := s.readKeyed(w, r, doc)
+		raw, ok := readRequest(w, r, doc)
 		if !ok {
 			return
 		}
@@ -612,68 +611,6 @@ func allow(w http.ResponseWriter, r *http.Request, method string) bool {
 	w.Header().Set("Allow", method)
 	writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("use %s", method))
 	return false
-}
-
-// readJSON decodes the request body, writing the error response itself
-// and returning false on failure. It stream-decodes straight from the
-// body — no copy — so it is the right reader everywhere the raw bytes
-// are not needed afterwards; keyed routes that may forward to a peer
-// use readKeyed instead.
-func readJSON(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
-	if !allow(w, r, http.MethodPost) {
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return false
-	}
-	return true
-}
-
-// readKeyed reads a keyed route's request. In sharded mode the body is
-// buffered whole so the request can be proxied to the owning shard
-// byte-identical (raw is non-nil); single-node mode keeps the zero-copy
-// streaming decode and returns nil raw, which the forwarding helpers
-// treat as "serve locally". Buffering only when a ring exists keeps the
-// single-node hot path's allocation profile unchanged.
-func (s *service) readKeyed(w http.ResponseWriter, r *http.Request, dst interface{}) ([]byte, bool) {
-	if s.ring == nil {
-		return nil, readJSON(w, r, dst)
-	}
-	raw, ok := readRaw(w, r)
-	if !ok {
-		return nil, false
-	}
-	return raw, decodeJSON(w, raw, dst)
-}
-
-// readRaw enforces POST and reads the bounded body whole. The
-// forwarding layer needs the raw bytes: a proxied request must reach
-// the owning shard byte-identical, not re-marshaled, so both shards
-// serve literally the same document.
-func readRaw(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	if !allow(w, r, http.MethodPost) {
-		return nil, false
-	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-		return nil, false
-	}
-	return raw, true
-}
-
-// decodeJSON is readJSON's decode half, over an already-read body.
-func decodeJSON(w http.ResponseWriter, raw []byte, dst interface{}) bool {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return false
-	}
-	return true
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

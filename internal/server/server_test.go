@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -29,10 +30,39 @@ func testNet(t testing.TB) *roadnet.Network {
 	return net
 }
 
+// rawBody is a request body post sends verbatim: a document with
+// trailing data or a repeated member name, which encoding/json will not
+// produce.
+type rawBody string
+
+func mustJSON(t *testing.T, v interface{}) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// withTail returns doc's JSON with tail appended.
+func withTail(t *testing.T, doc interface{}, tail string) rawBody {
+	t.Helper()
+	return rawBody(mustJSON(t, doc) + tail)
+}
+
+// withMember returns doc's JSON object with member (`"name":value`)
+// added as its last member.
+func withMember(t *testing.T, doc interface{}, member string) rawBody {
+	t.Helper()
+	return rawBody(strings.TrimSuffix(mustJSON(t, doc), "}") + "," + member + "}")
+}
+
 func post(t *testing.T, srv http.Handler, path string, body interface{}) *httptest.ResponseRecorder {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(body); err != nil {
+	if raw, ok := body.(rawBody); ok {
+		buf.WriteString(string(raw))
+	} else if err := json.NewEncoder(&buf).Encode(body); err != nil {
 		t.Fatal(err)
 	}
 	req := httptest.NewRequest(http.MethodPost, path, &buf)
@@ -104,15 +134,27 @@ func TestPartitionEndpointDeterministic(t *testing.T) {
 func TestPartitionEndpointErrors(t *testing.T) {
 	srv := New()
 	net := testNet(t)
+	ok := PartitionRequest{Network: net, K: 2, Scheme: "AG"}
+	// Two halves that encoding/json would merge into one valid network.
+	halves := fmt.Sprintf(`{"network":{"Intersections":%s},"network":{"Segments":%s},"k":2}`,
+		mustJSON(t, net.Intersections), mustJSON(t, net.Segments))
 	cases := []struct {
 		name string
 		body interface{}
 		want int
+		msg  string // substring the error must contain
 	}{
-		{"missing network", PartitionRequest{K: 3}, http.StatusBadRequest},
-		{"bad scheme", PartitionRequest{Network: net, K: 3, Scheme: "XX"}, http.StatusBadRequest},
-		{"bad k", PartitionRequest{Network: net, K: -1}, http.StatusUnprocessableEntity},
-		{"unknown field", map[string]interface{}{"nope": 1}, http.StatusBadRequest},
+		{"missing network", PartitionRequest{K: 3}, http.StatusBadRequest, "missing network"},
+		{"bad scheme", PartitionRequest{Network: net, K: 3, Scheme: "XX"}, http.StatusBadRequest, "XX"},
+		{"bad k", PartitionRequest{Network: net, K: -1}, http.StatusUnprocessableEntity, ""},
+		{"unknown field", map[string]interface{}{"nope": 1}, http.StatusBadRequest, `unknown field "nope"`},
+		{"trailing garbage", withTail(t, ok, " garbage"), http.StatusBadRequest, "trailing data"},
+		{"trailing document", withTail(t, ok, `{"k":99}`), http.StatusBadRequest, "trailing data"},
+		{"duplicate k", withMember(t, PartitionRequest{Network: net, K: 99}, `"k":2`), http.StatusBadRequest, `duplicate member "k"`},
+		{"duplicate k across case", withMember(t, ok, `"K":3`), http.StatusBadRequest, `duplicate member "K"`},
+		{"duplicate network", rawBody(halves), http.StatusBadRequest, `duplicate member "network"`},
+		{"duplicate intersection member", rawBody(`{"k":2,"network":` + strings.Replace(mustJSON(t, net), `"ID":0,`, `"ID":0,"ID":0,`, 1) + `}`),
+			http.StatusBadRequest, `duplicate member "ID"`},
 	}
 	for _, c := range cases {
 		rec := post(t, srv, "/v1/partition", c.body)
@@ -121,6 +163,10 @@ func TestPartitionEndpointErrors(t *testing.T) {
 		}
 		if !strings.Contains(rec.Body.String(), "error") {
 			t.Errorf("%s: missing error envelope", c.name)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || !strings.Contains(eb.Error, c.msg) {
+			t.Errorf("%s: error %s does not name %q", c.name, rec.Body.String(), c.msg)
 		}
 	}
 	// Invalid network payload.

@@ -149,7 +149,7 @@ func buildMode(mode string) (temporal.Mode, error) {
 // every compute endpoint shares.
 func (s *service) handleDensities(w http.ResponseWriter, r *http.Request) {
 	var req DensitiesRequest
-	raw, ok := s.readKeyed(w, r, &req)
+	raw, ok := readRequest(w, r, &req)
 	if !ok {
 		return
 	}

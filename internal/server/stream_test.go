@@ -80,11 +80,15 @@ func TestDensitiesValidation(t *testing.T) {
 	net := testNet(t)
 	d0 := net.Densities()
 
+	valid := DensitiesRequest{Network: net, Densities: d0}
 	cases := []struct {
 		name string
-		req  DensitiesRequest
+		req  interface{}
 		want string // substring the 400 body must contain
 	}{
+		{"trailing garbage", withTail(t, valid, " garbage"), "trailing data"},
+		{"trailing document", withTail(t, valid, `{"k":3}`), "trailing data"},
+		{"duplicate densities", withMember(t, valid, `"densities":[]`), `duplicate member \"densities\"`},
 		{"no stream", DensitiesRequest{Densities: d0},
 			"network: required on the first call"},
 		{"both fields", DensitiesRequest{Network: net, Densities: d0,
