@@ -170,12 +170,17 @@ chaos-smoke:
 # the hashes actually asserted by the test suite: the table in the doc
 # and the map in internal/core/ctx_test.go must agree bit for bit, so
 # neither can drift without the other (and the doc's re-pinning policy)
-# being updated in the same change. It also gates the 1-D Lloyd kernel's
-# bit-identity with the point-by-point loop it replaced
-# (TestOneDMatchesOracle, docs/NUMERICS.md § Determinism).
+# being updated in the same change. It also gates the bit-identity of
+# the rewritten kernels with the loops they replaced (docs/NUMERICS.md
+# § Determinism): the 1-D Lloyd kernel (TestOneDMatchesOracle), the
+# bounded d-dimensional Lloyd pass (TestNDMatchesOracle), and the fused
+# reorthogonalization sweep (TestOrthogonalizeMatchesUnfused,
+# TestAxpyDotMatchesAxpyThenDot).
 numerics-check:
 	$(GO) test -run '^TestNumericsGoldenTable$$' .
-	$(GO) test -run '^TestOneDMatchesOracle$$' ./internal/kmeans
+	$(GO) test -run '^(TestOneDMatchesOracle|TestNDMatchesOracle)$$' ./internal/kmeans
+	$(GO) test -run '^TestOrthogonalizeMatchesUnfused$$' ./internal/eigen
+	$(GO) test -run '^TestAxpyDotMatchesAxpyThenDot$$' ./internal/linalg
 
 # docs-check fails on gofmt drift, vet findings, or broken relative
 # links in the repository's Markdown (see docs_link_test.go).

@@ -24,6 +24,8 @@ var (
 	specMisses    = obs.Default().Counter("roadpart_spectral_cache_total", specCacheHelp, "result", "miss")
 	specWaits     = obs.Default().Counter("roadpart_spectral_cache_total", specCacheHelp, "result", "wait")
 	stageEigen    = obs.StageTimer("eigendecompose")
+	stageKMeans   = obs.StageTimer("embed_kmeans")
+	stageReduce   = obs.StageTimer("k_reduce")
 )
 
 // Spectral partitions one fixed graph for many values of k, caching the
@@ -112,7 +114,9 @@ func (s *Spectral) PartitionCtx(ctx context.Context, k int) (*Result, error) {
 	}
 	eb := getEmbedBuf()
 	rows := embedRows(dec, k, eb)
+	sp := stageKMeans.Start()
 	km, err := kmeans.NDCtx(ctx, rows, k, s.opts.kmeansOptions())
+	sp.End()
 	putEmbedBuf(eb) // the embedding is dead once clustered
 	if err != nil {
 		return nil, err
@@ -122,17 +126,16 @@ func (s *Spectral) PartitionCtx(ctx context.Context, k int) (*Result, error) {
 	kPrime := s.g.GroupComponentsInto(km.Assign, lbuf)
 	labels := lbuf
 	res := &Result{KPrime: kPrime}
+	sp = stageReduce.Start()
 	switch {
 	case kPrime > k && !s.opts.AcceptKPrime:
 		labels, err = reduce(ctx, s.g, labels, kPrime, k, s.method, s.opts)
-		if err != nil {
-			return nil, err
-		}
 	case kPrime < k:
 		labels, err = grow(ctx, s.g, labels, kPrime, k, s.method, s.opts)
-		if err != nil {
-			return nil, err
-		}
+	}
+	sp.End()
+	if err != nil {
+		return nil, err
 	}
 	res.Assign, res.K = renumber(labels)
 	// Map the (possibly coarse) labeling down to the finest graph. For the

@@ -14,6 +14,12 @@ type Decomposition struct {
 	N       int
 	Values  []float64
 	Vectors []float64
+	// Residual is the worst relative residual bound of the returned
+	// pairs, max_j ‖A·y_j − θ_j·y_j‖ / max|θ|, where the maximum in the
+	// denominator runs over every Ritz value of the final basis. Lanczos
+	// computes it from the Rayleigh matrix exactly as its convergence
+	// check does; SymEigen leaves it zero.
+	Residual float64
 }
 
 // Vector returns the eigenvector for Values[j] as a freshly allocated slice.

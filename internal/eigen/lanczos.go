@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"roadpart/internal/linalg"
+	"roadpart/internal/obs"
 )
 
 // Op is a symmetric linear operator presented through matrix–vector
@@ -48,6 +49,12 @@ const deflationTol = 1e-12
 // so seeded bases are certified correctly; docs/NUMERICS.md § Early
 // termination).
 const convergenceTol = 1e-8
+
+// lanczosResidual records every solve's Decomposition.Residual, in
+// decades around convergenceTol.
+var lanczosResidual = obs.Default().Histogram("roadpart_eigen_residual",
+	"Worst relative residual bound max ‖A·y − θ·y‖ / max|θ| of the Ritz pairs each Lanczos solve returns (tolerance 1e-8).",
+	[]float64{1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1})
 
 // LanczosOptions tunes the iterative solver (the block Lanczos variant
 // with full reorthogonalization and an explicit Rayleigh–Ritz projection;
@@ -233,7 +240,10 @@ func LanczosWS(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Worksp
 	}
 	vals := make([]float64, k)
 	copy(vals, ws.d[:k])
-	return &Decomposition{N: n, Values: vals, Vectors: vec}, nil
+	r2, scale := ws.worstResidual(p, cnt, k)
+	res := math.Sqrt(r2) / scale
+	lanczosResidual.Observe(res)
+	return &Decomposition{N: n, Values: vals, Vectors: vec, Residual: res}, nil
 }
 
 // ritzSolve computes the eigendecomposition of the p×p leading principal
@@ -273,8 +283,18 @@ func (ws *Workspace) converged(p, cnt, k int, tol float64) bool {
 	if ws.ritzSolve(p) != nil {
 		return false
 	}
+	r2, scale := ws.worstResidual(p, cnt, k)
+	bound := tol * scale
+	return !(r2 > bound*bound)
+}
+
+// worstResidual returns the largest squared residual ‖A·y − θ·y‖² of the
+// k smallest Ritz pairs of the last ritzSolve(p), computed from the
+// stored couplings as converged documents, and the scale max|θ| the
+// tolerance is relative to (1 when every Ritz value is zero). A NaN
+// residual never displaces a finite one. It allocates nothing.
+func (ws *Workspace) worstResidual(p, cnt, k int) (r2max, scale float64) {
 	d := ws.d[:p]
-	scale := 0.0
 	for _, v := range d {
 		if a := math.Abs(v); a > scale {
 			scale = a
@@ -285,7 +305,6 @@ func (ws *Workspace) converged(p, cnt, k int, tol float64) bool {
 	}
 	z := ws.z[:p*p]
 	m := ws.m
-	bound := tol * scale
 	for j := 0; j < k; j++ {
 		r2 := 0.0
 		for r := p; r < cnt; r++ {
@@ -300,11 +319,11 @@ func (ws *Workspace) converged(p, cnt, k int, tol float64) bool {
 			t := ws.offres[c] * z[c*p+j]
 			r2 += t * t
 		}
-		if r2 > bound*bound {
-			return false
+		if r2 > r2max {
+			r2max = r2
 		}
 	}
-	return true
+	return r2max, scale
 }
 
 // splitmix64 is a tiny deterministic PRNG, sufficient for start vectors.

@@ -96,42 +96,59 @@ func (ws *Workspace) footprint() int {
 }
 
 // columnStep processes basis column j against the cnt current basis rows:
-// it applies the operator to q[j], records the first orthogonalization
-// pass's coefficients as Rayleigh-matrix column j (mirrored, so H stays
-// symmetric), fully reorthogonalizes the product against the whole basis
-// (a second pass), and returns the residual norm β_j.
+// it applies the operator to q[j], orthogonalizes the product against
+// the whole basis (recording the first pass's coefficients as
+// Rayleigh-matrix column j), and returns the residual norm β_j.
 //
 // The kernel allocates nothing — it is the Lanczos-iteration
 // allocation-free pin of docs/PERFORMANCE.md.
 func (ws *Workspace) columnStep(a Op, j, cnt int) float64 {
 	a.Apply(ws.w, ws.q[j])
-	m := ws.m
-	for i := 0; i < cnt; i++ {
-		qi := ws.q[i]
-		c := linalg.Dot(ws.w, qi)
-		ws.h[i*m+j] = c
-		ws.h[j*m+i] = c
-		linalg.Axpy(-c, qi, ws.w)
-	}
-	for i := 0; i < cnt; i++ {
-		qi := ws.q[i]
-		linalg.Axpy(-linalg.Dot(ws.w, qi), qi, ws.w)
-	}
+	ws.orthogonalize(ws.w, cnt, j)
 	return linalg.Norm2(ws.w)
 }
 
-// seed stages vector s as basis row cnt: it copies s, orthogonalizes it
-// against rows 0..cnt-1 (two passes) and normalizes. It reports whether
-// the direction survived — a zero vector or one (numerically) dependent
-// on earlier rows is rejected.
-func (ws *Workspace) seed(s []float64, cnt int) bool {
-	copy(ws.v, s)
+// orthogonalize runs two modified Gram–Schmidt passes of v against basis
+// rows 0..cnt-1 in place. When col >= 0 the first pass's coefficients
+// are recorded as Rayleigh-matrix column col, mirrored so H stays
+// symmetric.
+//
+// Each subtraction and the next coefficient share one sweep over v
+// (linalg.AxpyDot), so the two passes read v 2·cnt+1 times instead of
+// 4·cnt. Every coefficient and every element of v is the same float as
+// in the unfused Axpy-then-Dot loop (docs/NUMERICS.md § Determinism).
+func (ws *Workspace) orthogonalize(v []float64, cnt, col int) {
+	if cnt == 0 {
+		return
+	}
+	m := ws.m
+	c := linalg.Dot(v, ws.q[0])
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < cnt; i++ {
-			qi := ws.q[i]
-			linalg.Axpy(-linalg.Dot(ws.v, qi), qi, ws.v)
+			if pass == 0 && col >= 0 {
+				ws.h[i*m+col] = c
+				ws.h[col*m+i] = c
+			}
+			next := i + 1
+			if next == cnt {
+				if pass == 1 {
+					linalg.Axpy(-c, ws.q[i], v)
+					return
+				}
+				next = 0
+			}
+			c = linalg.AxpyDot(-c, ws.q[i], v, ws.q[next])
 		}
 	}
+}
+
+// seed stages vector s as basis row cnt: it copies s, orthogonalizes it
+// against rows 0..cnt-1 and normalizes. It reports whether the direction
+// survived — a zero vector or one (numerically) dependent on earlier
+// rows is rejected.
+func (ws *Workspace) seed(s []float64, cnt int) bool {
+	copy(ws.v, s)
+	ws.orthogonalize(ws.v, cnt, -1)
 	if linalg.Normalize(ws.v) <= 1e-8 {
 		return false
 	}
@@ -146,12 +163,7 @@ func (ws *Workspace) seed(s []float64, cnt int) bool {
 func (ws *Workspace) restartRows(rng *splitmix64, cnt int) bool {
 	for attempt := 0; attempt < 5; attempt++ {
 		randUnitInto(rng, ws.cand)
-		for pass := 0; pass < 2; pass++ {
-			for i := 0; i < cnt; i++ {
-				qi := ws.q[i]
-				linalg.Axpy(-linalg.Dot(ws.cand, qi), qi, ws.cand)
-			}
-		}
+		ws.orthogonalize(ws.cand, cnt, -1)
 		if linalg.Normalize(ws.cand) > 1e-8 {
 			copy(ws.q[cnt], ws.cand)
 			return true

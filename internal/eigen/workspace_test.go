@@ -90,8 +90,9 @@ func TestLanczosNilWorkspacePoolIdentical(t *testing.T) {
 	decompEqual(t, pooled, explicit)
 }
 
-// TestLanczosStepAllocFree pins the Lanczos iteration kernel at zero
-// allocations — one of the three allocation-free hot-path pins of
+// TestLanczosStepAllocFree pins the Lanczos iteration kernel — the
+// operator product plus the fused two-pass reorthogonalization — at zero
+// allocations, one of the three allocation-free hot-path pins of
 // docs/PERFORMANCE.md. ws.columnStep only writes H column 0 and w, so
 // repeating column 0 with the same basis row is a faithful steady-state
 // probe; the Rayleigh–Ritz convergence check is pinned alongside it
@@ -103,7 +104,13 @@ func TestLanczosStepAllocFree(t *testing.T) {
 	rng := splitmix64{state: 99}
 	randUnitInto(&rng, ws.v)
 	copy(ws.q[0], ws.v)
-	allocs := testing.AllocsPerRun(50, func() { ws.columnStep(op, 0, 1) })
+	for cnt := 1; cnt < 6; cnt++ { // a few rows, so the fused sweeps chain
+		randUnitInto(&rng, ws.v)
+		if !ws.seed(ws.v, cnt) {
+			t.Fatal("random row rejected")
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() { ws.columnStep(op, 0, 6) })
 	if allocs != 0 {
 		t.Fatalf("Workspace.columnStep allocates %v per call, want 0", allocs)
 	}
@@ -158,5 +165,65 @@ func TestLanczosConcurrentPooledIdentical(t *testing.T) {
 			t.Fatal(errs[g])
 		}
 		decompEqual(t, want, got[g])
+	}
+}
+
+// oracleOrthogonalize is the unfused two-pass modified Gram–Schmidt loop
+// the fused orthogonalize replaced, kept verbatim: a Dot then an Axpy
+// per basis row, twice, recording the first pass's coefficients as
+// Rayleigh-matrix column col when col >= 0.
+func oracleOrthogonalize(ws *Workspace, v []float64, cnt, col int) {
+	m := ws.m
+	for i := 0; i < cnt; i++ {
+		qi := ws.q[i]
+		c := linalg.Dot(v, qi)
+		if col >= 0 {
+			ws.h[i*m+col] = c
+			ws.h[col*m+i] = c
+		}
+		linalg.Axpy(-c, qi, v)
+	}
+	for i := 0; i < cnt; i++ {
+		qi := ws.q[i]
+		linalg.Axpy(-linalg.Dot(v, qi), qi, v)
+	}
+}
+
+// TestOrthogonalizeMatchesUnfused pins the fused reorthogonalization to
+// the unfused loops bit for bit — every element of the orthogonalized
+// vector and every recorded Rayleigh coefficient — for basis sizes from
+// empty to a dozen rows, with and without an H column.
+func TestOrthogonalizeMatchesUnfused(t *testing.T) {
+	const n, m = 97, 14
+	rng := splitmix64{state: 5}
+	fused, plain := &Workspace{}, &Workspace{}
+	fused.reset(n, m)
+	plain.reset(n, m)
+	for cnt := 0; cnt < 12; cnt++ {
+		for _, col := range []int{-1, cnt} {
+			randUnitInto(&rng, fused.v)
+			for i := range fused.v {
+				fused.v[i] *= 1 + float64(i%7) // not unit, not uniform
+			}
+			copy(plain.v, fused.v)
+			fused.orthogonalize(fused.v, cnt, col)
+			oracleOrthogonalize(plain, plain.v, cnt, col)
+			for i := range fused.v {
+				if math.Float64bits(fused.v[i]) != math.Float64bits(plain.v[i]) {
+					t.Fatalf("cnt=%d col=%d: v[%d] = %v, unfused %v", cnt, col, i, fused.v[i], plain.v[i])
+				}
+			}
+			for i := range fused.h {
+				if math.Float64bits(fused.h[i]) != math.Float64bits(plain.h[i]) {
+					t.Fatalf("cnt=%d col=%d: H[%d] = %v, unfused %v", cnt, col, i, fused.h[i], plain.h[i])
+				}
+			}
+		}
+		// Grow both bases by the same random row.
+		randUnitInto(&rng, fused.cand)
+		if !fused.seed(fused.cand, cnt) {
+			t.Fatal("random row rejected")
+		}
+		copy(plain.q[cnt], fused.q[cnt])
 	}
 }

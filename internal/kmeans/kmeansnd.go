@@ -45,9 +45,9 @@ type NDOptions struct {
 }
 
 // ND clusters d-dimensional points into k clusters with Lloyd's algorithm.
-// points[i] must all have the same dimension. The best result (lowest WCSS)
-// across opts.Restarts runs is returned, ties broken toward the lowest
-// restart index. The input is not modified.
+// points[i] must all have the same dimension and finite coordinates. The
+// best result (lowest WCSS) across opts.Restarts runs is returned, ties
+// broken toward the lowest restart index. The input is not modified.
 func ND(points [][]float64, k int, opts NDOptions) (*Result, error) {
 	return NDCtx(context.Background(), points, k, opts)
 }
@@ -65,11 +65,21 @@ func NDCtx(ctx context.Context, points [][]float64, k int, opts NDOptions) (*Res
 		return nil, fmt.Errorf("kmeans: ND k=%d exceeds %d points", k, n)
 	}
 	dim := len(points[0])
+	var r2 float64 // the largest squared norm, for the Lloyd pass's margin
 	for i, p := range points {
 		if len(p) != dim {
 			return nil, fmt.Errorf("kmeans: ND point %d has dim %d, want %d", i, len(p), dim)
 		}
+		var ss float64
+		for j, v := range p {
+			if v-v != 0 { // NaN or ±Inf
+				return nil, fmt.Errorf("kmeans: ND point %d coordinate %d is %v, want a finite value", i, j, v)
+			}
+			ss += v * v
+		}
+		r2 = max(r2, ss)
 	}
+	radius := math.Sqrt(r2)
 	maxIter := opts.MaxIter
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
@@ -103,7 +113,7 @@ func NDCtx(ctx context.Context, points [][]float64, k int, opts NDOptions) (*Res
 		s := getNDScratch()
 		s.reset(n, k, dim)
 		seedInto(points, k, opts.Seeding, &rng, s)
-		wcss, iters := lloydInto(points, s.means, maxIter, s.assign, s.sizes, s.sums)
+		wcss, iters := lloydInto(points, radius, maxIter, s)
 		runs[r] = ndRun{s: s, wcss: wcss, iters: iters}
 	})
 	if err != nil {
@@ -201,56 +211,157 @@ func seedInto(points [][]float64, k int, s Seeding, rng *prng, sc *ndScratch) {
 	}
 }
 
-// assignStep performs one Lloyd assignment sweep: it rebuilds sizes and
-// per-cluster coordinate sums, updates assign, and returns the sweep's
-// WCSS and whether any assignment moved. It allocates nothing — this is
-// the k-means assignment allocation-free pin of docs/PERFORMANCE.md.
-func assignStep(points, means [][]float64, assign, sizes []int, sums [][]float64) (wcss float64, changed bool) {
-	for c := range sums {
-		sizes[c] = 0
-		for d := range sums[c] {
-			sums[c][d] = 0
-		}
+// Safety margin of the bounded Lloyd pass (docs/NUMERICS.md §
+// Determinism). After t passes over dim-dimensional points whose norms
+// are at most R, a point skips its scan only when its upper bound plus
+//
+//	η = (t+2)·(dim+6)·(boundSlack·R + boundFloor)
+//
+// is still strictly below its lower bound. boundSlack covers the
+// rounding of every distance, centroid drift and bound update (at most
+// (dim+6)·2⁻⁵⁰·R per pass, doubled); boundFloor covers gradual underflow
+// in the squared distances. Above boundMaxRadius squared distances may
+// overflow, so pruning is off and every point is scanned.
+const (
+	boundSlack     = 0x1p-49
+	boundFloor     = 0x1p-500
+	boundMaxRadius = 0x1p500
+)
+
+// boundMargin returns η for pass t; it is +Inf when pruning is off.
+func boundMargin(t, dim int, radius float64) float64 {
+	if !(radius <= boundMaxRadius) {
+		return math.Inf(1)
 	}
-	for i, p := range points {
-		best, bestD := 0, math.Inf(1)
-		for c, m := range means {
-			if d := sqDist(p, m); d < bestD {
-				best, bestD = c, d
-			}
-		}
-		if assign[i] != best {
-			assign[i] = best
-			changed = true
-		}
-		sizes[best]++
-		for d, v := range p {
-			sums[best][d] += v
-		}
-		wcss += bestD
-	}
-	return wcss, changed
+	return float64(t+2) * float64(dim+6) * (boundSlack*radius + boundFloor)
 }
 
-// lloydInto runs the assignment/update loop to convergence in the
-// caller's buffers. assign may be dirty: the first sweep stores every
-// point's true nearest centroid regardless of prior contents, and the
-// convergence check ignores the first sweep's changed flag.
-func lloydInto(points, means [][]float64, maxIter int, assign, sizes []int, sums [][]float64) (wcss float64, iter int) {
+// nearest is the plain Lloyd scan over every centroid: it returns the
+// centroid with the smallest squared distance to p (the lowest index
+// wins ties and a NaN distance never wins), that distance, and the
+// smallest squared distance to any other centroid.
+func nearest(p []float64, means [][]float64) (best int, bestD, nextD float64) {
+	bestD, nextD = math.Inf(1), math.Inf(1)
+	for c, m := range means {
+		d := sqDist(p, m)
+		if d < bestD {
+			best, bestD, nextD = c, d, bestD
+		} else if d < nextD {
+			nextD = d
+		}
+	}
+	return best, bestD, nextD
+}
+
+// lloydInto runs Lloyd's algorithm from the centroids in s.means to
+// convergence or maxIter passes in s's buffers, and returns the WCSS and
+// the pass count. radius bounds the Euclidean norm of every point.
+//
+// It is Hamerly's bounded Lloyd (Hamerly, "Making k-means even faster",
+// SDM 2010) with output bit-identical to the plain loop. Every point
+// keeps an upper bound on the distance to its own centroid and a lower
+// bound on the distance to every other one. A point whose upper bound
+// plus boundMargin is strictly below max(lower bound, half the distance
+// from its centroid to the nearest other centroid) keeps its cluster
+// without a scan; every other point runs the plain scan, nearest. Sizes
+// and sums are rebuilt in data order on every pass, so the centroids are
+// the same floats, and the WCSS is summed in data order against the
+// centroids the last assignment pass used. It allocates nothing — this
+// is the k-means allocation-free pin of docs/PERFORMANCE.md.
+//
+// s.assign may be dirty: the first pass scans every point regardless of
+// its prior contents, and the convergence check ignores its changed flag.
+func lloydInto(points [][]float64, radius float64, maxIter int, s *ndScratch) (wcss float64, iter int) {
+	means, prev, assign, sizes, sums := s.means, s.prev, s.assign, s.sizes, s.sums
+	upper, lower, move, half := s.d2, s.lower, s.move, s.half
+	dim := len(means[0])
+	// drift is the largest centroid move of the last update, far its
+	// centroid and drift2 the largest move of any other centroid.
+	var drift, drift2 float64
+	far := -1
+	cut := true // the loop ran out of passes rather than converging
 	for ; iter < maxIter; iter++ {
+		for c := range sums {
+			sizes[c] = 0
+			clear(sums[c])
+		}
+		eta := boundMargin(iter, dim, radius)
 		var changed bool
-		wcss, changed = assignStep(points, means, assign, sizes, sums)
+		for i, p := range points {
+			a := assign[i]
+			scan := iter == 0
+			if !scan {
+				upper[i] += move[a]
+				if a == far {
+					lower[i] -= drift2
+				} else {
+					lower[i] -= drift
+				}
+				bound := lower[i] // a NaN bound never prunes
+				if h := half[a]; h > bound {
+					bound = h
+				}
+				if !(upper[i]+eta < bound) {
+					upper[i] = math.Sqrt(sqDist(p, means[a]))
+					scan = !(upper[i]+eta < bound)
+				}
+			}
+			if scan {
+				best, bestD, nextD := nearest(p, means)
+				upper[i], lower[i] = math.Sqrt(bestD), math.Sqrt(nextD)
+				if a != best {
+					assign[i] = best
+					changed = true
+				}
+				a = best
+			}
+			sizes[a]++
+			sum := sums[a][:len(p)]
+			for d, v := range p {
+				sum[d] += v
+			}
+		}
 		if iter > 0 && !changed {
+			cut = false
 			break
 		}
+		drift, drift2, far = 0, 0, -1
 		for c := range means {
-			if sizes[c] == 0 {
-				continue // empty cluster keeps its previous centroid
+			copy(prev[c], means[c])
+			if sizes[c] > 0 { // an empty cluster keeps its previous centroid
+				for d := range means[c] {
+					means[c][d] = sums[c][d] / float64(sizes[c])
+				}
 			}
-			for d := range means[c] {
-				means[c][d] = sums[c][d] / float64(sizes[c])
+			move[c] = math.Sqrt(sqDist(prev[c], means[c]))
+			if move[c] > drift {
+				drift, drift2, far = move[c], drift, c
+			} else if move[c] > drift2 {
+				drift2 = move[c]
 			}
 		}
+		for c := range means {
+			h := math.Inf(1)
+			for j := range means {
+				if d := sqDist(means[c], means[j]); j != c && d < h {
+					h = d
+				}
+			}
+			half[c] = 0.5 * math.Sqrt(h)
+		}
+	}
+	final := means
+	if cut {
+		final = prev
+	}
+	for i, p := range points {
+		// The scan's best distance starts at +Inf, which a NaN distance
+		// never displaces.
+		d := sqDist(p, final[assign[i]])
+		if !(d < math.Inf(1)) {
+			d = math.Inf(1)
+		}
+		wcss += d
 	}
 	return wcss, iter
 }

@@ -91,20 +91,25 @@ func TestScratchOneDSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestAssignStepAllocFree pins the ND assignment sweep — the inner loop
-// of every Lloyd iteration — at zero allocations. This is one of the
-// three allocation-free hot-path pins of docs/PERFORMANCE.md.
-func TestAssignStepAllocFree(t *testing.T) {
+// TestLloydAllocFree pins a whole bounded Lloyd run — seeding, the
+// bounded assignment passes and the final WCSS sum — at zero
+// allocations. This is one of the three allocation-free hot-path pins
+// of docs/PERFORMANCE.md.
+func TestLloydAllocFree(t *testing.T) {
 	pts := testPoints(300, 4)
 	var s ndScratch
 	s.reset(len(pts), 6, 4)
-	rng := prng{state: 1}
-	seedInto(pts, 6, SeedPlusPlus, &rng, &s)
+	var iters int
 	allocs := testing.AllocsPerRun(50, func() {
-		assignStep(pts, s.means, s.assign, s.sizes, s.sums)
+		rng := prng{state: 1}
+		seedInto(pts, 6, SeedPlusPlus, &rng, &s)
+		_, iters = lloydInto(pts, 10, DefaultMaxIterations, &s) // every norm is at most 5·√4
 	})
 	if allocs != 0 {
-		t.Fatalf("assignStep allocates %v per call, want 0", allocs)
+		t.Fatalf("lloydInto allocates %v per call, want 0", allocs)
+	}
+	if iters < 3 {
+		t.Fatalf("converged after %d passes; the pin never reached a bounded pass", iters)
 	}
 }
 

@@ -71,6 +71,24 @@ func Axpy(a float64, x, y []float64) {
 	}
 }
 
+// AxpyDot computes y += a*x in place and returns the inner product of
+// the updated y with z, in one sweep. The result is bit-identical to
+// Axpy(a, x, y) followed by Dot(y, z): each y[i] is updated exactly as
+// Axpy does, and the products accumulate in index order into a single
+// sum exactly as Dot does. It panics if the vectors have different
+// lengths.
+func AxpyDot(a float64, x, y, z []float64) float64 {
+	if len(x) != len(y) || len(z) != len(y) {
+		panic(fmt.Sprintf("linalg: AxpyDot length mismatch %d, %d, %d", len(x), len(y), len(z)))
+	}
+	var s float64
+	for i, v := range x {
+		y[i] += a * v
+		s += y[i] * z[i]
+	}
+	return s
+}
+
 // Copy returns a newly allocated copy of x.
 func Copy(x []float64) []float64 {
 	c := make([]float64, len(x))

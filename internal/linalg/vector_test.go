@@ -147,3 +147,61 @@ func TestFillZeroSum(t *testing.T) {
 		t.Fatal("Zero did not clear the slice")
 	}
 }
+
+// TestAxpyDotMatchesAxpyThenDot pins the fused sweep to Axpy followed by
+// Dot bit for bit — the updated y and the returned sum — on random
+// vectors and on signed zeros, subnormals and values near overflow.
+func TestAxpyDotMatchesAxpyThenDot(t *testing.T) {
+	rng := uint64(7)
+	next := func() float64 {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return float64(rng>>11)/(1<<53)*2 - 1
+	}
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1022, 1e-310,
+		math.MaxFloat64, -math.MaxFloat64, 1e308, 1.5, -2.25}
+	vec := func(n int, pick func(i int) float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = pick(i)
+		}
+		return v
+	}
+	fromSpecial := func(int) float64 { return special[int(uint64(next()*1e9)%uint64(len(special)))] }
+	scaled := func(int) float64 { return next() * math.Exp(40*next()) }
+	for trial := 0; trial < 200; trial++ {
+		n := trial % 37
+		pick := scaled
+		if trial%2 == 1 {
+			pick = fromSpecial
+		}
+		x, y, z := vec(n, pick), vec(n, pick), vec(n, pick)
+		for _, a := range []float64{next(), 0, math.Copysign(0, -1), 1e300, -3e-320} {
+			want := append([]float64(nil), y...)
+			Axpy(a, x, want)
+			wantDot := Dot(want, z)
+			got := append([]float64(nil), y...)
+			gotDot := AxpyDot(a, x, got, z)
+			if math.Float64bits(gotDot) != math.Float64bits(wantDot) && !(gotDot != gotDot && wantDot != wantDot) {
+				t.Fatalf("trial %d a=%v: AxpyDot returned %v, Axpy+Dot %v", trial, a, gotDot, wantDot)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(got[i] != got[i] && want[i] != want[i]) {
+					t.Fatalf("trial %d a=%v: y[%d] = %v, Axpy gives %v", trial, a, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestAxpyDotPanicsOnMismatch(t *testing.T) {
+	for _, tc := range [][3]int{{1, 2, 2}, {2, 1, 2}, {2, 2, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("AxpyDot with lengths %v did not panic", tc)
+				}
+			}()
+			AxpyDot(1, make([]float64, tc[0]), make([]float64, tc[1]), make([]float64, tc[2]))
+		}()
+	}
+}

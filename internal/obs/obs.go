@@ -1,6 +1,6 @@
 // Package obs is the process-wide observability layer: monotonic stage
-// timers, counters and gauges registered in a registry that the HTTP
-// service exposes as Prometheus text (GET /v1/metrics) and JSON
+// timers, counters, gauges and histograms registered in a registry that
+// the HTTP service exposes as Prometheus text (GET /v1/metrics) and JSON
 // (GET /v1/stats), and that the CLIs print as a stage-time breakdown
 // table mirroring the paper's Table 3 (-timings).
 //
@@ -52,6 +52,9 @@ const (
 	// KindTimer accumulates durations (count, sum, max); it renders as a
 	// Prometheus summary (_sum/_count).
 	KindTimer
+	// KindHistogram counts observations into fixed buckets; it renders
+	// as a Prometheus histogram (_bucket/_sum/_count).
+	KindHistogram
 )
 
 // String returns the Prometheus TYPE keyword for the kind.
@@ -61,6 +64,8 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
+	case KindHistogram:
+		return "histogram"
 	default:
 		return "summary"
 	}
@@ -203,17 +208,76 @@ func (s Span) End() {
 	}
 }
 
+// Histogram counts observations into buckets with fixed upper bounds
+// (each bucket holds the values at most its bound and above the previous
+// one; a last, implicit bucket holds the rest, NaN included) and keeps
+// their count and sum.
+type Histogram struct {
+	bounds []float64       // ascending bucket upper bounds
+	counts []atomic.Uint64 // per bucket, len(bounds)+1
+	count  atomic.Uint64
+	sum    atomic.Uint64 // float64 bits
+}
+
+// Observe records one value.
+func (h *Histogram) Observe(v float64) {
+	if h == nil || !enabled.Load() {
+		return
+	}
+	b := 0
+	for b < len(h.bounds) && !(v <= h.bounds[b]) {
+		b++
+	}
+	h.counts[b].Add(1)
+	h.count.Add(1)
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
+}
+
+// Count returns the number of observations.
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
+
+// Sum returns the sum of the observed values.
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return math.Float64frombits(h.sum.Load())
+}
+
+// Cumulative returns the bucket upper bounds, +Inf last, and the number
+// of observations at most each bound.
+func (h *Histogram) Cumulative() (bounds []float64, counts []uint64) {
+	bounds = append(append(bounds, h.bounds...), math.Inf(1))
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+		counts = append(counts, n)
+	}
+	return bounds, counts
+}
+
 // Label is one metric dimension (e.g. stage="spectral_cut").
 type Label struct{ Name, Value string }
 
 // series is one labeled instance inside a family; exactly one of the
-// three value fields is non-nil, matching the family kind.
+// four value fields is non-nil, matching the family kind.
 type series struct {
 	labels  []Label // sorted by name
 	key     string  // rendered label key, used for dedup and sorting
 	counter *Counter
 	gauge   *Gauge
 	timer   *Timer
+	hist    *Histogram
 }
 
 // family is one named metric with a help string and a fixed kind.
@@ -250,17 +314,24 @@ func Default() *Registry { return std }
 // an odd count or a kind conflict with an existing family — both
 // programmer errors.
 func (r *Registry) Counter(name, help string, labelPairs ...string) *Counter {
-	return r.metric(name, help, KindCounter, labelPairs).counter
+	return r.metric(name, help, KindCounter, nil, labelPairs).counter
 }
 
 // Gauge returns (registering on first use) the gauge for name and labels.
 func (r *Registry) Gauge(name, help string, labelPairs ...string) *Gauge {
-	return r.metric(name, help, KindGauge, labelPairs).gauge
+	return r.metric(name, help, KindGauge, nil, labelPairs).gauge
 }
 
 // Timer returns (registering on first use) the timer for name and labels.
 func (r *Registry) Timer(name, help string, labelPairs ...string) *Timer {
-	return r.metric(name, help, KindTimer, labelPairs).timer
+	return r.metric(name, help, KindTimer, nil, labelPairs).timer
+}
+
+// Histogram returns (registering on first use) the histogram for name
+// and labels, with the given ascending bucket upper bounds. A series
+// keeps the bounds it was first registered with.
+func (r *Registry) Histogram(name, help string, bounds []float64, labelPairs ...string) *Histogram {
+	return r.metric(name, help, KindHistogram, bounds, labelPairs).hist
 }
 
 // Reset zeroes every registered series in place. Series stay registered,
@@ -281,6 +352,12 @@ func (r *Registry) Reset() {
 				s.timer.count.Store(0)
 				s.timer.sum.Store(0)
 				s.timer.max.Store(0)
+			case s.hist != nil:
+				for i := range s.hist.counts {
+					s.hist.counts[i].Store(0)
+				}
+				s.hist.count.Store(0)
+				s.hist.sum.Store(0)
 			}
 		}
 		f.mu.Unlock()
@@ -288,7 +365,7 @@ func (r *Registry) Reset() {
 }
 
 // metric resolves (or creates) the series for (name, labels).
-func (r *Registry) metric(name, help string, kind Kind, labelPairs []string) *series {
+func (r *Registry) metric(name, help string, kind Kind, bounds []float64, labelPairs []string) *series {
 	if len(labelPairs)%2 != 0 {
 		panic("obs: odd label pair count for " + name)
 	}
@@ -325,6 +402,8 @@ func (r *Registry) metric(name, help string, kind Kind, labelPairs []string) *se
 			s.counter = &Counter{}
 		case KindGauge:
 			s.gauge = &Gauge{}
+		case KindHistogram:
+			s.hist = &Histogram{bounds: append([]float64(nil), bounds...), counts: make([]atomic.Uint64, len(bounds)+1)}
 		default:
 			s.timer = &Timer{}
 		}

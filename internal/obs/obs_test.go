@@ -151,6 +151,8 @@ func TestWriteStageTable(t *testing.T) {
 	StageTimer("road_graph_build").Observe(10 * time.Millisecond)
 	StageTimer("spectral_cut").Observe(30 * time.Millisecond)
 	StageTimer("eigendecompose").Observe(20 * time.Millisecond) // nested
+	StageTimer("embed_kmeans").Observe(5 * time.Millisecond)    // nested
+	StageTimer("k_reduce").Observe(4 * time.Millisecond)        // nested
 	defer Default().Reset()
 
 	var sb strings.Builder
@@ -158,15 +160,26 @@ func TestWriteStageTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"road_graph_build", "spectral_cut", "eigendecompose", "pipeline total", "25.0%", "75.0%"} {
+	for _, want := range []string{"road_graph_build", "spectral_cut", "eigendecompose", "embed_kmeans", "k_reduce", "pipeline total", "25.0%", "75.0%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stage table missing %q:\n%s", want, out)
 		}
 	}
-	// Nested stages carry no share.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "eigendecompose") && !strings.Contains(line, "-") {
-			t.Errorf("nested stage got a share: %q", line)
+	// Nested stages carry no share and list as module 3, in canonical
+	// order after the eigendecomposition.
+	nested := []string{"eigendecompose", "embed_kmeans", "k_reduce"}
+	last := -1
+	for i, line := range strings.Split(out, "\n") {
+		for _, name := range nested {
+			if strings.Contains(line, name) {
+				if !strings.HasSuffix(strings.TrimSpace(line), "-") || !strings.HasPrefix(line, "3 ") {
+					t.Errorf("nested stage %s: %q", name, line)
+				}
+				if i <= last {
+					t.Errorf("stage %s out of canonical order:\n%s", name, out)
+				}
+				last = i
+			}
 		}
 	}
 }

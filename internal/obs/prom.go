@@ -12,7 +12,8 @@ import (
 // exposition format (version 0.0.4). Families are sorted by name and
 // series by label key, so the output is deterministic for a given
 // registry state. Timers render as summaries: <name>_sum in seconds and
-// <name>_count.
+// <name>_count. Histograms render cumulative <name>_bucket series with
+// an le label, then <name>_sum and <name>_count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, f := range r.sortedFamilies() {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
@@ -30,6 +31,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, braces, s.counter.Value())
 			case KindGauge:
 				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, braces, formatFloat(s.gauge.Value()))
+			case KindHistogram:
+				err = writeHistogram(w, f.name, s)
 			default:
 				if _, err = fmt.Fprintf(w, "%s_sum%s %s\n", f.name, braces,
 					formatFloat(s.timer.Total().Seconds())); err != nil {
@@ -45,6 +48,29 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
+// writeHistogram renders one histogram series.
+func writeHistogram(w io.Writer, name string, s *series) error {
+	prefix := ""
+	if s.key != "" {
+		prefix = s.key + ","
+	}
+	bounds, counts := s.hist.Cumulative()
+	for i, b := range bounds {
+		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"%s\"} %d\n", name, prefix, formatFloat(b), counts[i]); err != nil {
+			return err
+		}
+	}
+	braces := ""
+	if s.key != "" {
+		braces = "{" + s.key + "}"
+	}
+	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, braces, formatFloat(s.hist.Sum())); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, braces, s.hist.Count())
+	return err
+}
+
 // Metric is one family in a Snapshot.
 type Metric struct {
 	Name   string   `json:"name"`
@@ -54,7 +80,8 @@ type Metric struct {
 }
 
 // Series is one labeled instance in a Snapshot. Counters and gauges set
-// Value; timers set Count/TotalMs/MeanMs/MaxMs.
+// Value; timers set Count/TotalMs/MeanMs/MaxMs; histograms set Value to
+// the sum of the observations, Count and Buckets.
 type Series struct {
 	Labels  map[string]string `json:"labels,omitempty"`
 	Value   *float64          `json:"value,omitempty"`
@@ -62,6 +89,14 @@ type Series struct {
 	TotalMs float64           `json:"total_ms,omitempty"`
 	MeanMs  float64           `json:"mean_ms,omitempty"`
 	MaxMs   float64           `json:"max_ms,omitempty"`
+	Buckets []Bucket          `json:"buckets,omitempty"`
+}
+
+// Bucket is one cumulative histogram bucket: Count observations were at
+// most LE ("+Inf" for the last bucket).
+type Bucket struct {
+	LE    string `json:"le"`
+	Count uint64 `json:"count"`
 }
 
 // Snapshot returns a point-in-time copy of every registered metric,
@@ -88,6 +123,14 @@ func (r *Registry) Snapshot() []Metric {
 			case KindGauge:
 				v := s.gauge.Value()
 				ser.Value = &v
+			case KindHistogram:
+				v := s.hist.Sum()
+				ser.Value = &v
+				ser.Count = s.hist.Count()
+				bounds, counts := s.hist.Cumulative()
+				for i, b := range bounds {
+					ser.Buckets = append(ser.Buckets, Bucket{LE: formatFloat(b), Count: counts[i]})
+				}
 			default:
 				ser.Count = s.timer.Count()
 				ser.TotalMs = durMs(s.timer.Total())

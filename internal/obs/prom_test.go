@@ -141,3 +141,42 @@ func TestSnapshotJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHistogramExposition pins a histogram's text exposition — cumulative
+// buckets with an le label after the series labels, +Inf last, then sum
+// and count — its snapshot, and Reset.
+func TestHistogramExposition(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("roadpart_residual", "Residuals.", []float64{1e-8, 1e-4}, "op", "alpha")
+	for _, v := range []float64{1e-10, 1e-8, 1e-6, 0.5} {
+		h.Observe(v)
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP roadpart_residual Residuals.
+# TYPE roadpart_residual histogram
+roadpart_residual_bucket{op="alpha",le="1e-08"} 2
+roadpart_residual_bucket{op="alpha",le="0.0001"} 3
+roadpart_residual_bucket{op="alpha",le="+Inf"} 4
+roadpart_residual_sum{op="alpha"} 0.5000010101
+roadpart_residual_count{op="alpha"} 4
+`
+	if got := sb.String(); got != want {
+		t.Fatalf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	snap := r.Snapshot()
+	ser := snap[0].Series[0]
+	if snap[0].Kind != "histogram" || ser.Count != 4 || len(ser.Buckets) != 3 ||
+		ser.Buckets[2] != (Bucket{LE: "+Inf", Count: 4}) || ser.Buckets[0] != (Bucket{LE: "1e-08", Count: 2}) {
+		t.Fatalf("snapshot = %+v", snap[0])
+	}
+	if _, err := json.Marshal(snap); err != nil {
+		t.Fatal(err)
+	}
+	r.Reset()
+	if _, counts := h.Cumulative(); h.Count() != 0 || h.Sum() != 0 || counts[2] != 0 {
+		t.Fatalf("Reset left count %d, sum %v, buckets %v", h.Count(), h.Sum(), counts)
+	}
+}

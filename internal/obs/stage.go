@@ -50,6 +50,10 @@ var Stages = []StageInfo{
 	// spectral_cut on a cold call, or under k_sweep warming. Its time is
 	// therefore already counted above.
 	{Module: "3", Name: "eigendecompose", Nested: true},
+	// The k-means over the spectral embedding and the k′→k reduction (or
+	// growth) of Algorithm 3 both run inside spectral_cut.
+	{Module: "3", Name: "embed_kmeans", Nested: true},
+	{Module: "3", Name: "k_reduce", Nested: true},
 	// k_sweep spans a whole SweepK call, which contains many
 	// spectral_cut/alpha_cut_refine stages.
 	{Module: "-", Name: "k_sweep", Nested: true},
