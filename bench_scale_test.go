@@ -7,6 +7,7 @@
 package roadpart
 
 import (
+	"context"
 	"os"
 	"runtime"
 	"sync"
@@ -107,7 +108,7 @@ func BenchmarkScale(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := p.PartitionK(8); err != nil {
+				if _, err := p.PartitionKCtx(context.Background(), 8); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -146,7 +147,7 @@ func TestScaleSmokeXL(t *testing.T) {
 		t.Fatalf("XL pipeline built %d multilevel levels; auto mode did not engage", lv)
 	}
 	start = time.Now()
-	res, err := p.PartitionK(8)
+	res, err := p.PartitionKCtx(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

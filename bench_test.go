@@ -135,7 +135,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.SweepK(2, 12); err != nil {
+				if _, err := p.SweepKCtx(context.Background(), 2, 12); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -151,8 +151,9 @@ func benchName(prefix string, n int) string { return fmt.Sprintf("%s=%d", prefix
 // needs, without the per-k k-means/reduction stages (those cost the same
 // in both modes and would dilute the contrast).
 //
-//   - cold: a fresh ColdWiden cut.Spectral per k — every k pays a full
-//     cold eigensolve, the naive per-k sweep protocol.
+//   - cold: a fresh cut.Spectral per k — with no cached block to widen
+//     from, every k pays a full cold eigensolve, the naive per-k sweep
+//     protocol.
 //   - warm: one cut.Spectral shared across the sweep — a handful of
 //     widening solves (one per sweepHeadroom stride), each seeded from
 //     the previous Ritz block.
@@ -171,7 +172,7 @@ func BenchmarkSweepDeep(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for k := 2; k <= 30; k++ {
-				s := cut.NewSpectral(wg, cut.MethodAlphaCut, cut.Options{Seed: 1, ColdWiden: true})
+				s := cut.NewSpectral(wg, cut.MethodAlphaCut, cut.Options{Seed: 1})
 				if err := s.WarmCtx(context.Background(), k); err != nil {
 					b.Fatal(err)
 				}
@@ -266,7 +267,7 @@ func BenchmarkSupergraphMine(b *testing.B) {
 	f := net.Densities()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := supergraph.Mine(g, f, supergraph.MineOptions{}); err != nil {
+		if _, err := supergraph.MineCtx(context.Background(), g, f, supergraph.MineOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -284,7 +285,7 @@ func BenchmarkPartitionAlphaCutSupergraph(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.PartitionK(k); err != nil {
+		if _, err := p.PartitionKCtx(context.Background(), k); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -589,7 +590,7 @@ func BenchmarkPartitionCached(b *testing.B) {
 	}
 
 	b.Run("uncached", func(b *testing.B) {
-		h := server.New()
+		h := benchService(b, server.Config{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if w := post(h); w.Code != http.StatusOK {
@@ -598,7 +599,7 @@ func BenchmarkPartitionCached(b *testing.B) {
 		}
 	})
 	b.Run("hit", func(b *testing.B) {
-		h := server.NewWith(server.Config{CacheMaxBytes: 64 << 20})
+		h := benchService(b, server.Config{CacheMaxBytes: 64 << 20})
 		if w := post(h); w.Code != http.StatusOK { // warm the cache
 			b.Fatalf("warm-up status %d: %s", w.Code, w.Body.String())
 		}
@@ -613,4 +614,16 @@ func BenchmarkPartitionCached(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchService builds a daemon handler under cfg and closes it when the
+// benchmark ends, so its job workers do not outlive the run.
+func benchService(b *testing.B, cfg server.Config) *server.Service {
+	b.Helper()
+	sv, err := server.NewService(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { sv.Close(context.Background()) })
+	return sv
 }

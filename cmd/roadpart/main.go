@@ -28,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"flag"
@@ -202,7 +203,7 @@ func partition(store *resultcache.Store, p *core.Pipeline, net *roadnet.Network,
 		}
 	}
 	t0 := time.Now()
-	res, err := p.PartitionK(cfg.K)
+	res, err := p.PartitionKCtx(context.Background(), cfg.K)
 	if err != nil {
 		return nil, "", err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -105,7 +106,12 @@ func clientTestNet(t *testing.T) *roadnet.Network {
 // in-process daemon: submit accepts, wait polls to done, and the result
 // fetch succeeds.
 func TestJobClientRoundTrip(t *testing.T) {
-	srv := httptest.NewServer(server.New())
+	sv, err := server.NewService(server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close(context.Background())
+	srv := httptest.NewServer(sv)
 	defer srv.Close()
 
 	net := clientTestNet(t)

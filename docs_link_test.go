@@ -107,6 +107,56 @@ func TestDocsMakeTargetsExist(t *testing.T) {
 	t.Logf("checked %d make-target mentions against %d Makefile targets", mentions, len(targets))
 }
 
+// goCommand matches a `go run|test|build|vet|install` command line in
+// Markdown, prose or code, capturing its arguments up to the end of the
+// code span, table cell or line.
+var goCommand = regexp.MustCompile("go (?:run|test|build|vet|install)((?:[ \t]+[^ \t\n`|]+)*)")
+
+// TestDocsGoPackagesExist checks that every package path a Markdown file
+// hands to the go command (`go run ./cmd/gennet`, `go test ./internal/x`)
+// names a directory with Go files, so a deleted or renamed package cannot
+// linger in plain-text commands, which TestDocsLinks does not see.
+// Patterns (`./...`, `./internal/...`) need only their directory.
+func TestDocsGoPackagesExist(t *testing.T) {
+	checked := 0
+	for _, file := range markdownFiles(t) {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range goCommand.FindAllStringSubmatch(string(data), -1) {
+			for _, arg := range strings.Fields(m[1]) {
+				if !strings.HasPrefix(arg, "./") || strings.Contains(arg, "$") {
+					continue
+				}
+				dir := arg
+				for _, suffix := range []string{"...", "…"} {
+					dir = strings.TrimSuffix(dir, suffix)
+				}
+				pattern := dir != arg
+				dir = filepath.FromSlash(strings.TrimSuffix(dir, "/"))
+				if dir == "" {
+					dir = "."
+				}
+				checked++
+				if pattern {
+					if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+						t.Errorf("%s: `go ...%s` names pattern %q but %s is not a directory", file, m[1], arg, dir)
+					}
+					continue
+				}
+				if goFiles, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(goFiles) == 0 {
+					t.Errorf("%s: `go ...%s` names package %q but %s holds no Go files", file, m[1], arg, dir)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no go-command package paths found in any markdown file — regex drift?")
+	}
+	t.Logf("checked %d go-command package paths", checked)
+}
+
 // goldenDocRow matches a row of the golden-hash table of record in
 // docs/NUMERICS.md: `| D1/AG | `0x…` |`.
 var goldenDocRow = regexp.MustCompile("(?m)^\\|\\s*([DM]\\d+/[A-Z]+)\\s*\\|\\s*`(0x[0-9a-f]{1,16})`\\s*\\|")

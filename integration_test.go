@@ -1,6 +1,7 @@
 package roadpart
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -49,7 +50,7 @@ func bestANSOverK(t *testing.T, net *roadnet.Network, scheme core.Scheme, seeds,
 			if p.SG != nil && len(p.SG.Nodes) < kk {
 				kk = len(p.SG.Nodes)
 			}
-			res, err := p.PartitionK(kk)
+			res, err := p.PartitionKCtx(context.Background(), kk)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +193,7 @@ func TestStressSchemesAcrossNetworks(t *testing.T) {
 				if p.SG != nil && len(p.SG.Nodes) < kk {
 					kk = len(p.SG.Nodes)
 				}
-				res, err := p.PartitionK(kk)
+				res, err := p.PartitionKCtx(context.Background(), kk)
 				if err != nil {
 					t.Fatalf("seed=%d %v k=%d: %v", seed, scheme, kk, err)
 				}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -161,7 +162,7 @@ func TestClusteringBalanceMinimumNearTrueK(t *testing.T) {
 
 func TestSweepKappaShortlistAndOptimal(t *testing.T) {
 	data := twoBlob()
-	sw, err := SweepKappa(data, SweepOptions{KappaMax: 6})
+	sw, err := SweepKappaCtx(context.Background(), data, SweepOptions{KappaMax: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestSweepKappaSampling(t *testing.T) {
 	for i := range data {
 		data[i] = float64(i % 7)
 	}
-	sw, err := SweepKappa(data, SweepOptions{KappaMax: 4, SampleSize: 500, Seed: 1})
+	sw, err := SweepKappaCtx(context.Background(), data, SweepOptions{KappaMax: 4, SampleSize: 500, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestSweepKappaSampling(t *testing.T) {
 		t.Fatalf("SampleN = %d, want 500", sw.SampleN)
 	}
 	// Deterministic in seed.
-	sw2, err := SweepKappa(data, SweepOptions{KappaMax: 4, SampleSize: 500, Seed: 1})
+	sw2, err := SweepKappaCtx(context.Background(), data, SweepOptions{KappaMax: 4, SampleSize: 500, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,14 +209,14 @@ func TestSweepKappaSampling(t *testing.T) {
 }
 
 func TestSweepKappaErrors(t *testing.T) {
-	if _, err := SweepKappa([]float64{1}, SweepOptions{}); err == nil {
+	if _, err := SweepKappaCtx(context.Background(), []float64{1}, SweepOptions{}); err == nil {
 		t.Fatal("one point should error")
 	}
 }
 
 func TestElbowKappa(t *testing.T) {
 	data := twoBlob()
-	sw, err := SweepKappa(data, SweepOptions{KappaMax: 8})
+	sw, err := SweepKappaCtx(context.Background(), data, SweepOptions{KappaMax: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,29 +20,3 @@ func TestSweepKappaCtxPreCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
 }
-
-// TestSweepKappaCtxUncancelledMatchesSweepKappa pins that threading a
-// live context changes nothing about the sweep.
-func TestSweepKappaCtxUncancelledMatchesSweepKappa(t *testing.T) {
-	data := make([]float64, 60)
-	for i := range data {
-		data[i] = float64(i%5) * 1.5
-	}
-	opts := SweepOptions{KappaMax: 6, Seed: 3}
-	want, err := SweepKappa(data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SweepKappaCtx(context.Background(), data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Points) != len(want.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(got.Points), len(want.Points))
-	}
-	for i := range want.Points {
-		if got.Points[i] != want.Points[i] {
-			t.Fatalf("sweep point %d differs: %+v vs %+v", i, got.Points[i], want.Points[i])
-		}
-	}
-}

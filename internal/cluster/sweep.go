@@ -35,18 +35,13 @@ type Sweep struct {
 	SampleN int
 }
 
-// SweepKappa runs kmeans.OneD for each κ in [KappaMin, KappaMax] on a random
-// sample of data and records the quality measures. It implements the
-// shortlisting stage of Algorithm 1 (lines 3–9): the caller filters the
-// resulting points with Shortlist and re-clusters the full dataset only for
-// the surviving κ values.
-func SweepKappa(data []float64, opts SweepOptions) (*Sweep, error) {
-	return SweepKappaCtx(context.Background(), data, opts)
-}
-
-// SweepKappaCtx is SweepKappa with cooperative cancellation: the sweep
-// checks ctx before clustering each κ (one κ's k-means run is the
-// cancellation grain) and returns ctx's error once it is done.
+// SweepKappaCtx runs kmeans.OneD for each κ in [KappaMin, KappaMax] on a
+// random sample of data and records the quality measures. It implements
+// the shortlisting stage of Algorithm 1 (lines 3–9): the caller filters
+// the resulting points with Shortlist and re-clusters the full dataset
+// only for the surviving κ values. The sweep checks ctx before clustering
+// each κ (one κ's k-means run is the cancellation grain) and returns
+// ctx's error once it is done.
 func SweepKappaCtx(ctx context.Context, data []float64, opts SweepOptions) (*Sweep, error) {
 	n := len(data)
 	if n < 2 {

@@ -7,8 +7,7 @@
 //
 // Contraction invariants (asserted by the package tests):
 //   - node counts strictly decrease level to level, by at least
-//     Options.MinShrink per round (the stall guard ends contraction
-//     otherwise);
+//     minShrink per round (the stall guard ends contraction otherwise);
 //   - vertex weights are conserved: every level's weights sum to the
 //     finest node count;
 //   - cross-partition edge weight is conserved: a coarse edge carries the
@@ -46,40 +45,29 @@ var (
 	ctrMoves      = obs.Default().Counter("roadpart_multilevel_total", mlHelp, "event", "refine_moves")
 )
 
+// Fixed contraction and refinement limits (docs/TUNING.md § Multilevel
+// & scale).
+const (
+	// maxLevels caps the number of contraction rounds.
+	maxLevels = 24
+	// minShrink is the stall guard: a round must shrink the node count by
+	// at least this fraction or contraction stops (heavy-edge matching
+	// finds almost no pairs on degenerate graphs).
+	minShrink = 0.05
+	// refinePasses bounds the boundary-refinement sweeps per
+	// uncoarsening step.
+	refinePasses = 4
+)
+
 // Options tunes hierarchy construction. The zero value selects the
-// defaults documented per field (docs/TUNING.md § Multilevel & scale).
+// defaults documented per field.
 type Options struct {
 	// TargetNodes is the spectral core's comfort zone: contraction stops
 	// once a level has at most this many nodes. 0 selects 2048.
 	TargetNodes int
-	// MaxLevels caps the number of contraction rounds. 0 selects 24.
-	MaxLevels int
-	// MinShrink is the stall guard: a round must shrink the node count by
-	// at least this fraction or contraction stops (heavy-edge matching
-	// finds almost no pairs on degenerate graphs). 0 selects 0.05.
-	MinShrink float64
 	// Seed drives the matching visit order; the hierarchy is a pure
 	// function of (graph, features, Seed).
 	Seed int64
-	// RefinePasses bounds the boundary-refinement sweeps per uncoarsening
-	// step. 0 selects 4; negative disables refinement.
-	RefinePasses int
-}
-
-func (o Options) normalized() Options {
-	if o.TargetNodes <= 0 {
-		o.TargetNodes = 2048
-	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 24
-	}
-	if o.MinShrink <= 0 {
-		o.MinShrink = 0.05
-	}
-	if o.RefinePasses == 0 {
-		o.RefinePasses = 4
-	}
-	return o
 }
 
 // Hierarchy is a contraction hierarchy, finest level first. It
@@ -89,7 +77,6 @@ func (o Options) normalized() Options {
 var _ cut.Level = (*Hierarchy)(nil)
 
 type Hierarchy struct {
-	opts    Options
 	graphs  []*graph.Graph // graphs[0] is the finest (input) graph
 	feats   [][]float64    // aggregated density feature per node; nil throughout when none supplied
 	weights [][]float64    // aggregated fine-vertex count per node
@@ -108,7 +95,9 @@ func Build(ctx context.Context, g *graph.Graph, f []float64, opts Options) (*Hie
 	if f != nil && len(f) != g.N() {
 		return nil, fmt.Errorf("coarsen: %d features for %d nodes", len(f), g.N())
 	}
-	opts = opts.normalized()
+	if opts.TargetNodes <= 0 {
+		opts.TargetNodes = 2048
+	}
 	sp := stageCoarsen.Start()
 	defer sp.End()
 
@@ -117,12 +106,11 @@ func Build(ctx context.Context, g *graph.Graph, f []float64, opts Options) (*Hie
 		w[i] = 1
 	}
 	h := &Hierarchy{
-		opts:    opts,
 		graphs:  []*graph.Graph{g},
 		feats:   [][]float64{f},
 		weights: [][]float64{w},
 	}
-	for len(h.maps) < opts.MaxLevels {
+	for len(h.maps) < maxLevels {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -131,7 +119,7 @@ func Build(ctx context.Context, g *graph.Graph, f []float64, opts Options) (*Hie
 			break
 		}
 		cid, nc := matchLevel(cur, opts.Seed, len(h.maps))
-		if float64(nc) > float64(cur.N())*(1-opts.MinShrink) {
+		if float64(nc) > float64(cur.N())*(1-minShrink) {
 			break // stall guard
 		}
 		cg, cf, cw, err := contract(cur, h.feats[len(h.feats)-1], h.weights[len(h.weights)-1], cid, nc)
@@ -160,9 +148,6 @@ func (h *Hierarchy) NodeCounts() []int {
 	}
 	return out
 }
-
-// Finest returns the input graph.
-func (h *Hierarchy) Finest() *graph.Graph { return h.graphs[0] }
 
 // Graph returns the coarsest graph — the one the spectral core factors
 // (cut.Level).
@@ -197,15 +182,13 @@ func (h *Hierarchy) ProjectToFinest(ctx context.Context, labels []int, k int) ([
 			fine[v] = cur[cid[v]]
 		}
 		sp.End()
-		if h.opts.RefinePasses > 0 {
-			spr := stageRefine.Start()
-			moves, err := cut.RefineAlphaCutBoundary(fineG, fine, k, cut.BoundaryRefineOptions{MaxPasses: h.opts.RefinePasses})
-			spr.End()
-			if err != nil {
-				return nil, 0, err
-			}
-			ctrMoves.Add(uint64(moves))
+		spr := stageRefine.Start()
+		moves, err := cut.RefineAlphaCutBoundary(fineG, fine, k, cut.BoundaryRefineOptions{MaxPasses: refinePasses})
+		spr.End()
+		if err != nil {
+			return nil, 0, err
 		}
+		ctrMoves.Add(uint64(moves))
 		cur = fine
 	}
 	return cur, k, nil

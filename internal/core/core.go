@@ -160,8 +160,8 @@ type Config struct {
 
 // Normalized returns the config with every zero-value "use a default"
 // field replaced by the default the pipeline actually applies downstream
-// (the κ-sweep bounds inside cluster.SweepKappa, the MCG threshold
-// inside supergraph.Mine, the spectral options inside cut). Two configs
+// (the κ-sweep bounds inside cluster.SweepKappaCtx, the MCG threshold
+// inside supergraph.MineCtx, the spectral options inside cut). Two configs
 // with equal Normalized forms drive identical pipelines on the same
 // inputs, which is exactly what content-addressed result caching keys
 // on (internal/resultcache); the pinned values are cross-checked against
@@ -372,15 +372,9 @@ func newPipelineFromGraph(ctx context.Context, g *graph.Graph, f []float64, cfg 
 	return p, nil
 }
 
-// PartitionK runs module 3 for the given k and evaluates the result.
-func (p *Pipeline) PartitionK(k int) (*Result, error) {
-	return p.PartitionKCtx(context.Background(), k)
-}
-
-// PartitionKCtx is PartitionK with cooperative cancellation: the spectral
-// embedding, k-means and reduction stages observe ctx between work items
-// and the call returns ctx's error once it is done. An uncancelled call
-// is bit-identical to PartitionK at the same configuration.
+// PartitionKCtx runs module 3 for the given k and evaluates the result.
+// The spectral embedding, k-means and reduction stages observe ctx
+// between work items and the call returns ctx's error once it is done.
 func (p *Pipeline) PartitionKCtx(ctx context.Context, k int) (*Result, error) {
 	spCut := stageSpectral.Start()
 	t0 := time.Now()
@@ -491,23 +485,17 @@ func (p *Pipeline) MultilevelLevels() int {
 	return p.hier.Levels()
 }
 
-// SweepK partitions for every k in [kMin, kMax], reusing modules 1–2.
-// kMax is clamped to MaxK(), so callers can pass an ambitious upper bound
-// without knowing how condensed the mined supergraph came out.
+// SweepKCtx partitions for every k in [kMin, kMax], reusing modules
+// 1–2. kMax is clamped to MaxK(), so callers can pass an ambitious upper
+// bound without knowing how condensed the mined supergraph came out.
 //
 // The per-k partitions run concurrently on Config.Workers goroutines
 // after the shared decomposition is warmed to kMax, and the sweep output
-// is identical for every worker count at the same Seed.
-func (p *Pipeline) SweepK(kMin, kMax int) ([]SweepPoint, error) {
-	return p.SweepKCtx(context.Background(), kMin, kMax)
-}
-
-// SweepKCtx is SweepK with cooperative cancellation: the fan-out workers
-// observe ctx between per-k partitions (one PartitionK is the
+// is identical for every worker count at the same Seed. The fan-out
+// workers observe ctx between per-k partitions (one PartitionKCtx is the
 // cancellation grain), started partitions drain before the call returns
 // — no goroutine outlives a cancelled sweep — and ctx's error is
-// returned. An uncancelled sweep is bit-identical to SweepK at the same
-// seed and worker count.
+// returned.
 func (p *Pipeline) SweepKCtx(ctx context.Context, kMin, kMax int) ([]SweepPoint, error) {
 	if kMin < 1 || kMax < kMin {
 		return nil, fmt.Errorf("core: bad sweep range [%d,%d]", kMin, kMax)

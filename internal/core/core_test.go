@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"roadpart/internal/cut"
@@ -87,7 +88,7 @@ func TestPipelineReusesMining(t *testing.T) {
 	if len(p.SG.Nodes) >= p.G.N() {
 		t.Fatalf("supergraph (%d) should be smaller than road graph (%d)", len(p.SG.Nodes), p.G.N())
 	}
-	sweep, err := p.SweepK(2, 5)
+	sweep, err := p.SweepKCtx(context.Background(), 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +144,10 @@ func TestPartitionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.PartitionK(len(p.SG.Nodes) + 1); err == nil {
+	if _, err := p.PartitionKCtx(context.Background(), len(p.SG.Nodes)+1); err == nil {
 		t.Fatal("k above supernode count should error")
 	}
-	if _, err := p.SweepK(3, 2); err == nil {
+	if _, err := p.SweepKCtx(context.Background(), 3, 2); err == nil {
 		t.Fatal("inverted sweep range should error")
 	}
 }
@@ -158,14 +159,14 @@ func TestSweepKClampsToMaxK(t *testing.T) {
 		t.Fatal(err)
 	}
 	max := p.MaxK()
-	sweep, err := p.SweepK(2, max+50)
+	sweep, err := p.SweepKCtx(context.Background(), 2, max+50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if last := sweep[len(sweep)-1].K; last != max {
 		t.Fatalf("sweep should clamp at MaxK=%d, ended at %d", max, last)
 	}
-	if _, err := p.SweepK(max+1, max+5); err == nil {
+	if _, err := p.SweepKCtx(context.Background(), max+1, max+5); err == nil {
 		t.Fatal("sweep entirely above MaxK should error")
 	}
 }

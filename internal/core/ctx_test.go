@@ -14,7 +14,7 @@ import (
 )
 
 // preContextGolden pins the exact output of the pipeline: FNV-64a over
-// (k, K, K′, ANS bits, assignments) of SweepK(2,6) at Seed 7 on the
+// (k, K, K′, ANS bits, assignments) of SweepKCtx(2,6) at Seed 7 on the
 // small-scale D1/M1 datasets. A live, never-cancelled context must
 // reproduce them bit for bit at every worker count.
 //
@@ -65,12 +65,12 @@ func TestSweepKCtxBitIdenticalToPreContext(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sweep, err := p.SweepK(2, 6)
+				sweep, err := p.SweepKCtx(context.Background(), 2, 6)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := sweepHash(sweep); got != want {
-					t.Errorf("%s/%s workers=%d: SweepK hash %#x, want pre-context %#x",
+					t.Errorf("%s/%s workers=%d: SweepKCtx hash %#x, want pre-context %#x",
 						name, schemeName, workers, got, want)
 				}
 

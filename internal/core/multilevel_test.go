@@ -36,7 +36,7 @@ func TestMultilevelOffAndAutoMatchGoldens(t *testing.T) {
 					if lv := p.MultilevelLevels(); lv != 0 {
 						t.Fatalf("%s/%s mode=%v: %d multilevel levels on the flat path", name, schemeName, mode, lv)
 					}
-					sweep, err := p.SweepK(2, 6)
+					sweep, err := p.SweepKCtx(context.Background(), 2, 6)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -68,7 +68,7 @@ func TestMultilevelOnSmallGraphIsIdentity(t *testing.T) {
 		if lv := p.MultilevelLevels(); lv != 1 {
 			t.Fatalf("D1 MultilevelOn: %d levels, want the 1-level identity hierarchy", lv)
 		}
-		sweep, err := p.SweepK(2, 6)
+		sweep, err := p.SweepKCtx(context.Background(), 2, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,11 +107,11 @@ func TestMultilevelQualityWithinBound(t *testing.T) {
 		t.Fatalf("M1 full MultilevelOn built only %d levels; coarsening is not engaging", lv)
 	}
 	for _, k := range []int{4, 8} {
-		fr, err := flat.PartitionK(k)
+		fr, err := flat.PartitionKCtx(context.Background(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mr, err := multi.PartitionK(k)
+		mr, err := multi.PartitionKCtx(context.Background(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestMultilevelDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := p.PartitionK(6)
+			res, err := p.PartitionKCtx(context.Background(), 6)
 			if err != nil {
 				t.Fatal(err)
 			}

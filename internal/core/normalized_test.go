@@ -12,7 +12,7 @@ import (
 // the cache-key canonicalization.
 func TestNormalizedMatchesDownstreamDefaults(t *testing.T) {
 	n := Config{Scheme: ASG}.Normalized()
-	// supergraph.Mine: EpsThetaFrac 0 → 0.8; cluster.SweepKappa:
+	// supergraph.MineCtx: EpsThetaFrac 0 → 0.8; cluster.SweepKappaCtx:
 	// KappaMax 0 → 25, SampleSize 0 → 2000. Pinned literals there.
 	if n.EpsThetaFrac != 0.8 || n.KappaMax != 25 || n.SampleSize != 2000 {
 		t.Fatalf("mining defaults = (%v, %d, %d), want (0.8, 25, 2000)",

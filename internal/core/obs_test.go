@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"roadpart/internal/gen"
@@ -32,7 +33,7 @@ func TestObservabilityDoesNotPerturbOutput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pts, err := p.SweepK(2, 6)
+		pts, err := p.SweepKCtx(context.Background(), 2, 6)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"roadpart/internal/core"
@@ -24,7 +25,7 @@ func TestSweepKDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
-		ref, err := serial.SweepK(2, 6)
+		ref, err := serial.SweepKCtx(context.Background(), 2, 6)
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
@@ -34,7 +35,7 @@ func TestSweepKDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
-		got, err := par.SweepK(2, 6)
+		got, err := par.SweepKCtx(context.Background(), 2, 6)
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
@@ -76,7 +77,7 @@ func TestSweepKWorkersZeroMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sweep, err := p.SweepK(2, 5)
+		sweep, err := p.SweepKCtx(context.Background(), 2, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

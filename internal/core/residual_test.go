@@ -25,7 +25,7 @@ func (o negOp) Apply(dst, x []float64) {
 // TestLanczosResidualMatchesExplicit checks eigen.Decomposition.Residual,
 // which Lanczos derives from its Rayleigh matrix, against explicit
 // residuals ‖A·y − θ·y‖ of the returned pairs on the AG operators of the
-// small D1 and M1 datasets, solved as the golden sweep SweepK(2,6) solves
+// small D1 and M1 datasets, solved as the golden sweep SweepKCtx(2,6) solves
 // them (14 pairs, seed 7). The explicit side scales by max(|λ_min|,
 // |λ_max|), with λ_max from a second solve; the extreme Ritz values of
 // the first solve converge to those long before its inner pairs do.

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"roadpart/internal/core"
@@ -29,7 +30,7 @@ func TestSweepKColdWidenMatchesWarmGoldens(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sweep, err := p.SweepK(2, 6)
+				sweep, err := p.SweepKCtx(context.Background(), 2, 6)
 				if err != nil {
 					t.Fatal(err)
 				}

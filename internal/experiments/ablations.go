@@ -64,7 +64,7 @@ func AblationStability(opts Options, k int) (*AblationData, error) {
 		if len(p.SG.Nodes) < kk {
 			kk = len(p.SG.Nodes)
 		}
-		res, err := p.PartitionK(kk)
+		res, err := p.PartitionKCtx(context.Background(), kk)
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +108,7 @@ func AblationWeighting(opts Options, k int) (*AblationData, error) {
 		if len(p.SG.Nodes) < kk {
 			kk = len(p.SG.Nodes)
 		}
-		res, err := p.PartitionK(kk)
+		res, err := p.PartitionKCtx(context.Background(), kk)
 		if err != nil {
 			return nil, err
 		}
@@ -151,7 +151,7 @@ func AblationRefine(opts Options, k int) (*AblationData, error) {
 		if p.SG != nil && len(p.SG.Nodes) < kk {
 			kk = len(p.SG.Nodes)
 		}
-		res, err := p.PartitionK(kk)
+		res, err := p.PartitionKCtx(context.Background(), kk)
 		if err != nil {
 			return nil, err
 		}

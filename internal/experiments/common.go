@@ -100,7 +100,7 @@ func schemeCurve(net *roadnet.Network, scheme core.Scheme, kMin, kMax, runs, wor
 		out.hi = hi
 		out.reports = make([]metrics.Report, hi-kMin+1)
 		for k := kMin; k <= hi; k++ {
-			res, err := p.PartitionK(k)
+			res, err := p.PartitionKCtx(context.Background(), k)
 			if err != nil {
 				return fmt.Errorf("%v k=%d seed=%d: %w", scheme, k, seed, err)
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -51,7 +52,7 @@ func Fig6(opts Options, datasets ...string) (*Fig6Data, error) {
 			return nil, err
 		}
 		f := ds.Net.Densities()
-		sg, err := supergraph.Mine(g, f, supergraph.MineOptions{})
+		sg, err := supergraph.MineCtx(context.Background(), g, f, supergraph.MineOptions{})
 		if err != nil {
 			return nil, err
 		}

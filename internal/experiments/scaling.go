@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -129,7 +130,7 @@ func AblationNoise(opts Options, k int) (*AblationData, error) {
 	if len(p.SG.Nodes) < kk {
 		kk = len(p.SG.Nodes)
 	}
-	base, err := p.PartitionK(kk)
+	base, err := p.PartitionKCtx(context.Background(), kk)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +157,7 @@ func AblationNoise(opts Options, k int) (*AblationData, error) {
 		if len(np.SG.Nodes) < nk {
 			nk = len(np.SG.Nodes)
 		}
-		res, err := np.PartitionK(nk)
+		res, err := np.PartitionKCtx(context.Background(), nk)
 		if err != nil {
 			return nil, err
 		}

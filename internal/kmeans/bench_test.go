@@ -1,6 +1,9 @@
 package kmeans
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func BenchmarkOneD50k(b *testing.B) {
 	data := make([]float64, 50000)
@@ -28,7 +31,7 @@ func BenchmarkND5kBy8(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ND(pts, 8, NDOptions{Seed: 1}); err != nil {
+		if _, err := NDCtx(context.Background(), pts, 8, NDOptions{Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

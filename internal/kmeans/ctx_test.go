@@ -24,30 +24,3 @@ func TestNDCtxPreCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
 }
-
-// TestNDCtxUncancelledMatchesND pins the compatibility guarantee: with a
-// live context NDCtx is bit-identical to ND for serial and parallel
-// restart execution.
-func TestNDCtxUncancelledMatchesND(t *testing.T) {
-	pts := ctxTestPoints()
-	for _, workers := range []int{1, 4} {
-		opts := NDOptions{Restarts: 6, Seed: 42, Workers: workers}
-		want, err := ND(pts, 3, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := NDCtx(context.Background(), pts, 3, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.WCSS != want.WCSS || got.Iterations != want.Iterations {
-			t.Fatalf("workers=%d: NDCtx (WCSS=%v, iters=%d) differs from ND (WCSS=%v, iters=%d)",
-				workers, got.WCSS, got.Iterations, want.WCSS, want.Iterations)
-		}
-		for i := range want.Assign {
-			if got.Assign[i] != want.Assign[i] {
-				t.Fatalf("workers=%d: assignment differs at point %d", workers, i)
-			}
-		}
-	}
-}

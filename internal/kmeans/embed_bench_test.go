@@ -59,7 +59,7 @@ func BenchmarkNDEmbedding(b *testing.B) {
 	b.ResetTimer()
 	var iters int
 	for i := 0; i < b.N; i++ {
-		res, err := kmeans.ND(rows, k, kmeans.NDOptions{Seed: 7, Restarts: 5, Workers: 1})
+		res, err := kmeans.NDCtx(context.Background(), rows, k, kmeans.NDOptions{Seed: 7, Restarts: 5, Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

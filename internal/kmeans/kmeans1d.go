@@ -4,7 +4,7 @@
 //     initialization — feature values are sorted and the j-th cluster mean
 //     starts at the value at position n/κ·j — which sidesteps the usual
 //     sensitivity to random initialization for 1-D data (Section 4.1).
-//   - ND: Lloyd's algorithm on d-dimensional points with k-means++ or Forgy
+//   - NDCtx: Lloyd's algorithm on d-dimensional points with k-means++ or Forgy
 //     seeding, used to cluster the row-normalized spectral embedding in
 //     Algorithm 3.
 //

@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -192,7 +193,7 @@ func TestNDSeparatesGaussians(t *testing.T) {
 			})
 		}
 	}
-	res, err := ND(pts, 3, NDOptions{Seed: 1, Restarts: 3})
+	res, err := NDCtx(context.Background(), pts, 3, NDOptions{Seed: 1, Restarts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +213,11 @@ func TestNDSeparatesGaussians(t *testing.T) {
 
 func TestNDDeterministicForSeed(t *testing.T) {
 	pts := [][]float64{{1, 1}, {2, 2}, {9, 9}, {10, 10}, {1, 2}, {9, 10}}
-	a, err := ND(pts, 2, NDOptions{Seed: 5})
+	a, err := NDCtx(context.Background(), pts, 2, NDOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ND(pts, 2, NDOptions{Seed: 5})
+	b, err := NDCtx(context.Background(), pts, 2, NDOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestNDDeterministicForSeed(t *testing.T) {
 
 func TestNDForgySeeding(t *testing.T) {
 	pts := [][]float64{{0}, {0.1}, {10}, {10.1}}
-	res, err := ND(pts, 2, NDOptions{Seeding: SeedForgy, Seed: 3, Restarts: 5})
+	res, err := NDCtx(context.Background(), pts, 2, NDOptions{Seeding: SeedForgy, Seed: 3, Restarts: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,13 +240,13 @@ func TestNDForgySeeding(t *testing.T) {
 }
 
 func TestNDErrors(t *testing.T) {
-	if _, err := ND(nil, 1, NDOptions{}); err == nil {
+	if _, err := NDCtx(context.Background(), nil, 1, NDOptions{}); err == nil {
 		t.Fatal("empty input should error")
 	}
-	if _, err := ND([][]float64{{1}, {1, 2}}, 1, NDOptions{}); err == nil {
+	if _, err := NDCtx(context.Background(), [][]float64{{1}, {1, 2}}, 1, NDOptions{}); err == nil {
 		t.Fatal("ragged input should error")
 	}
-	if _, err := ND([][]float64{{1}}, 0, NDOptions{}); err == nil {
+	if _, err := NDCtx(context.Background(), [][]float64{{1}}, 0, NDOptions{}); err == nil {
 		t.Fatal("k=0 should error")
 	}
 }
@@ -256,11 +257,11 @@ func TestNDRestartsImproveOrEqual(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		pts = append(pts, []float64{rng.float64() * 100, rng.float64() * 100})
 	}
-	one, err := ND(pts, 5, NDOptions{Seed: 2, Restarts: 1})
+	one, err := NDCtx(context.Background(), pts, 5, NDOptions{Seed: 2, Restarts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := ND(pts, 5, NDOptions{Seed: 2, Restarts: 8})
+	many, err := NDCtx(context.Background(), pts, 5, NDOptions{Seed: 2, Restarts: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"roadpart/internal/parallel"
 )
 
-// ND run accounting: restarts fanned out and Lloyd iterations consumed
+// NDCtx run accounting: restarts fanned out and Lloyd iterations consumed
 // across them. Both totals are deterministic for a given input and seed
 // (worker count never changes them).
 var (
@@ -19,7 +19,7 @@ var (
 		"Lloyd iterations consumed across the k-means restarts on spectral embeddings (1-D runs count in roadpart_kmeans_1d_iterations_total).")
 )
 
-// Seeding selects the initialization strategy for ND.
+// Seeding selects the initialization strategy for NDCtx.
 type Seeding int
 
 const (
@@ -44,18 +44,13 @@ type NDOptions struct {
 	Workers int
 }
 
-// ND clusters d-dimensional points into k clusters with Lloyd's algorithm.
-// points[i] must all have the same dimension and finite coordinates. The
-// best result (lowest WCSS) across opts.Restarts runs is returned, ties
-// broken toward the lowest restart index. The input is not modified.
-func ND(points [][]float64, k int, opts NDOptions) (*Result, error) {
-	return NDCtx(context.Background(), points, k, opts)
-}
-
-// NDCtx is ND with cooperative cancellation: restarts observe ctx between
-// runs (one restart — seeding plus its Lloyd iterations — is the
-// cancellation grain) and NDCtx returns ctx's error once it is done.
-// With an uncancelled ctx the result is bit-identical to ND.
+// NDCtx clusters d-dimensional points into k clusters with Lloyd's
+// algorithm. points[i] must all have the same dimension and finite
+// coordinates. The best result (lowest WCSS) across opts.Restarts runs is
+// returned, ties broken toward the lowest restart index. The input is not
+// modified. Restarts observe ctx between runs (one restart — seeding plus
+// its Lloyd iterations — is the cancellation grain) and NDCtx returns
+// ctx's error once it is done.
 func NDCtx(ctx context.Context, points [][]float64, k int, opts NDOptions) (*Result, error) {
 	n := len(points)
 	if k < 1 {
@@ -378,7 +373,7 @@ func sqDist(a, b []float64) float64 {
 // prng is a small deterministic generator (splitmix64 core).
 type prng struct{ state uint64 }
 
-// prngIncrement is the fixed state advance per draw; ND relies on it to
+// prngIncrement is the fixed state advance per draw; NDCtx relies on it to
 // fast-forward the stream to each restart's starting point.
 const prngIncrement = 0x9e3779b97f4a7c15
 

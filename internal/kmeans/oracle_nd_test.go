@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -58,7 +59,7 @@ func oracleLloyd(points, means [][]float64, maxIter int, assign, sizes []int, su
 	return wcss, iter
 }
 
-// oracleND is ND with the plain Lloyd loop, its restarts run serially:
+// oracleND is NDCtx with the plain Lloyd loop, its restarts run serially:
 // the same per-restart seeding and the same index-ordered best-of fold.
 func oracleND(points [][]float64, k int, opts NDOptions) *Result {
 	n, dim := len(points), len(points[0])
@@ -209,7 +210,7 @@ func TestNDMatchesOracle(t *testing.T) {
 					want := oracleND(pts, k, opts)
 					for _, workers := range []int{1, 4} {
 						opts.Workers = workers
-						got, err := ND(pts, k, opts)
+						got, err := NDCtx(context.Background(), pts, k, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -265,7 +266,7 @@ func TestNDRejectsNonFinite(t *testing.T) {
 	} {
 		pts := testPoints(6, 3)
 		pts[tc.point][tc.coord] = tc.v
-		_, err := ND(pts, 2, NDOptions{})
+		_, err := NDCtx(context.Background(), pts, 2, NDOptions{})
 		want := fmt.Sprintf("kmeans: ND point %d coordinate %d is %v, want a finite value", tc.point, tc.coord, tc.v)
 		if err == nil || err.Error() != want {
 			t.Errorf("%s: got error %v, want %q", tc.name, err, want)

@@ -1,6 +1,9 @@
 package kmeans
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // clusterPoints builds a deterministic point cloud with enough structure
 // that different restarts genuinely converge to different optima.
@@ -23,12 +26,12 @@ func clusterPoints(n int) [][]float64 {
 // and WCSS whether the restarts run serial or on 8 workers.
 func TestNDWorkersBitIdentical(t *testing.T) {
 	pts := clusterPoints(300)
-	ref, err := ND(pts, 5, NDOptions{Seed: 17, Restarts: 7, Workers: 1})
+	ref, err := NDCtx(context.Background(), pts, 5, NDOptions{Seed: 17, Restarts: 7, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{0, 2, 8} {
-		got, err := ND(pts, 5, NDOptions{Seed: 17, Restarts: 7, Workers: w})
+		got, err := NDCtx(context.Background(), pts, 5, NDOptions{Seed: 17, Restarts: 7, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,12 +64,12 @@ func TestNDWorkersBitIdentical(t *testing.T) {
 // restarts can only improve WCSS (the reduction keeps restart 0 on ties).
 func TestNDRestartSeedsIndependent(t *testing.T) {
 	pts := clusterPoints(120)
-	one, err := ND(pts, 4, NDOptions{Seed: 3, Restarts: 1})
+	one, err := NDCtx(context.Background(), pts, 4, NDOptions{Seed: 3, Restarts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, restarts := range []int{2, 5, 9} {
-		many, err := ND(pts, 4, NDOptions{Seed: 3, Restarts: restarts})
+		many, err := NDCtx(context.Background(), pts, 4, NDOptions{Seed: 3, Restarts: restarts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,11 +82,11 @@ func TestNDRestartSeedsIndependent(t *testing.T) {
 // TestNDForgyWorkersBitIdentical covers the Forgy seeding path too.
 func TestNDForgyWorkersBitIdentical(t *testing.T) {
 	pts := clusterPoints(90)
-	a, err := ND(pts, 3, NDOptions{Seeding: SeedForgy, Seed: 11, Restarts: 6, Workers: 1})
+	a, err := NDCtx(context.Background(), pts, 3, NDOptions{Seeding: SeedForgy, Seed: 11, Restarts: 6, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ND(pts, 3, NDOptions{Seeding: SeedForgy, Seed: 11, Restarts: 6, Workers: 8})
+	b, err := NDCtx(context.Background(), pts, 3, NDOptions{Seeding: SeedForgy, Seed: 11, Restarts: 6, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

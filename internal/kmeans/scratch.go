@@ -9,7 +9,7 @@ import (
 // ndScratch holds one restart's working set — centroids, per-cluster
 // sums, squared distances, the Forgy permutation, the assignment and the
 // bounded Lloyd pass's distance bounds — backed by flat arrays so
-// repeated ND calls reuse memory instead of reallocating O(n + k·dim)
+// repeated NDCtx calls reuse memory instead of reallocating O(n + k·dim)
 // per restart.
 type ndScratch struct {
 	meansBack []float64   // k×dim centroid backing store

@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -120,14 +121,14 @@ func TestLloydAllocFree(t *testing.T) {
 func TestNDPooledDeterministic(t *testing.T) {
 	pts := testPoints(120, 3)
 	opts := NDOptions{Restarts: 6, Seed: 11, Workers: 1}
-	want, err := ND(pts, 5, opts)
+	want, err := NDCtx(context.Background(), pts, 5, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 4; trial++ {
 		o := opts
 		o.Workers = 1 + trial%3*3 // 1, 4, 7, 1
-		got, err := ND(pts, 5, o)
+		got, err := NDCtx(context.Background(), pts, 5, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,14 +155,14 @@ func TestNDPooledDeterministic(t *testing.T) {
 // mutate the first call's result.
 func TestNDResultDetachedFromPool(t *testing.T) {
 	pts := testPoints(80, 2)
-	first, err := ND(pts, 4, NDOptions{Restarts: 2, Seed: 3})
+	first, err := NDCtx(context.Background(), pts, 4, NDOptions{Restarts: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapAssign := append([]int(nil), first.Assign...)
 	snapMean := first.Means[0][0]
 	// Different data through the same pool.
-	if _, err := ND(testPoints(80, 2)[:60], 3, NDOptions{Restarts: 4, Seed: 99}); err != nil {
+	if _, err := NDCtx(context.Background(), testPoints(80, 2)[:60], 3, NDOptions{Restarts: 4, Seed: 99}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range snapAssign {

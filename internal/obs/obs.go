@@ -38,9 +38,6 @@ func init() { enabled.Store(true) }
 // clock reads.
 func SetEnabled(on bool) { enabled.Store(on) }
 
-// Enabled reports whether recording is on.
-func Enabled() bool { return enabled.Load() }
-
 // Kind is the metric family type.
 type Kind int
 

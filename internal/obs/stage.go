@@ -54,7 +54,7 @@ var Stages = []StageInfo{
 	// growth) of Algorithm 3 both run inside spectral_cut.
 	{Module: "3", Name: "embed_kmeans", Nested: true},
 	{Module: "3", Name: "k_reduce", Nested: true},
-	// k_sweep spans a whole SweepK call, which contains many
+	// k_sweep spans a whole SweepKCtx call, which contains many
 	// spectral_cut/alpha_cut_refine stages.
 	{Module: "-", Name: "k_sweep", Nested: true},
 }
@@ -65,10 +65,6 @@ var Stages = []StageInfo{
 func StageTimer(stage string) *Timer {
 	return std.Timer(StageFamily, stageHelp, "stage", stage)
 }
-
-// StartStage opens a span on the named stage's timer in the default
-// registry.
-func StartStage(stage string) Span { return StageTimer(stage).Start() }
 
 // WriteStageTable prints the per-stage breakdown of the default registry
 // as a table mirroring the paper's Table 3 layout: one row per stage

@@ -19,7 +19,7 @@ import (
 // cachedServer builds a handler with a generous in-memory result cache.
 func cachedServer(t *testing.T) http.Handler {
 	t.Helper()
-	return NewWith(Config{Workers: 1, CacheMaxBytes: 32 << 20})
+	return newTestService(t, Config{Workers: 1, CacheMaxBytes: 32 << 20})
 }
 
 // cacheEvents reads the process-wide resultcache event counter.
@@ -60,7 +60,7 @@ func TestPartitionCacheHitByteIdentical(t *testing.T) {
 // TestCacheDisabledByDefault: the zero Config must serve exactly as
 // before the cache existed — no header, fresh compute every time.
 func TestCacheDisabledByDefault(t *testing.T) {
-	srv := NewWith(Config{Workers: 1})
+	srv := newTestService(t, Config{Workers: 1})
 	req := PartitionRequest{Network: testNet(t), K: 3, Scheme: "AG"}
 	for i := 0; i < 2; i++ {
 		rec := post(t, srv, "/v1/partition", req)
@@ -124,7 +124,7 @@ func TestSweepCachedMatchesFreshD1M1(t *testing.T) {
 		t.Skip("four small-scale sweeps, twice each")
 	}
 	cached := cachedServer(t)
-	fresh := NewWith(Config{Workers: 1})
+	fresh := newTestService(t, Config{Workers: 1})
 	for _, dsName := range []string{"D1", "M1"} {
 		ds, err := experiments.BuildDataset(dsName, experiments.ScaleSmall)
 		if err != nil {
@@ -249,19 +249,13 @@ func TestCacheWarmsAcrossRestart(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	req := PartitionRequest{Network: testNet(t), K: 3, Scheme: "ASG", Seed: 7}
 
-	first, err := NewService(Config{Workers: 1, CacheMaxBytes: 32 << 20, CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := newTestService(t, Config{Workers: 1, CacheMaxBytes: 32 << 20, CacheDir: dir})
 	cold := post(t, first, "/v1/partition", req)
 	if cold.Code != http.StatusOK {
 		t.Fatalf("cold status = %d", cold.Code)
 	}
 
-	second, err := NewService(Config{Workers: 1, CacheMaxBytes: 32 << 20, CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := newTestService(t, Config{Workers: 1, CacheMaxBytes: 32 << 20, CacheDir: dir})
 	warm := post(t, second, "/v1/partition", req)
 	if warm.Code != http.StatusOK {
 		t.Fatalf("warm status = %d", warm.Code)

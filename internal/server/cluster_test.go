@@ -459,10 +459,7 @@ func TestClusterRetryAfterVerbatim(t *testing.T) {
 	defer stub.Close()
 
 	self := "http://127.0.0.1:9" // never dialed: stub-owned keys forward, self-owned compute locally
-	sv, err := NewService(Config{Self: self, Peers: []string{stub.URL}, CacheMaxBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sv := newTestService(t, Config{Self: self, Peers: []string{stub.URL}, CacheMaxBytes: 1 << 20})
 	nw := testNet(t)
 	for seed := uint64(1); seed <= 64; seed++ {
 		rec := post(t, sv, "/v1/partition", PartitionRequest{Network: nw, Scheme: "AG", K: 3, Seed: seed})
@@ -494,10 +491,7 @@ func TestClusterSingleHopGuard(t *testing.T) {
 	}))
 	defer stub.Close()
 	self := "http://127.0.0.1:9"
-	sv, err := NewService(Config{Self: self, Peers: []string{stub.URL}, CacheMaxBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sv := newTestService(t, Config{Self: self, Peers: []string{stub.URL}, CacheMaxBytes: 1 << 20})
 	nw := testNet(t)
 
 	// Find a stub-owned request, then replay it marked as already

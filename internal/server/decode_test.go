@@ -21,7 +21,7 @@ import (
 // full 64 MiB limit but which sends ten bytes and stops is a 400, and
 // reading it never allocates the claimed size.
 func TestBodyClaimBeyondSent(t *testing.T) {
-	srv := httptest.NewServer(New())
+	srv := httptest.NewServer(newTestService(t, Config{}))
 	defer srv.Close()
 	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
 	if err != nil {

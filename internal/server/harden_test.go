@@ -56,7 +56,7 @@ func slowNet(t *testing.T) *roadnet.Network {
 // the error body, and that the timed-out counter records it.
 func TestRequestTimeoutReturns408(t *testing.T) {
 	before := reqTimedOut.Value()
-	h := NewWith(Config{Workers: 1})
+	h := newTestService(t, Config{Workers: 1})
 	rec := post(t, h, "/v1/partition", PartitionRequest{
 		Network: slowNet(t), K: 4, Scheme: "AG", TimeoutMs: 1,
 	})
@@ -74,7 +74,7 @@ func TestRequestTimeoutReturns408(t *testing.T) {
 // TestServerDefaultTimeoutReturns408 asserts the server-wide default
 // deadline applies when the client sends no timeout_ms.
 func TestServerDefaultTimeoutReturns408(t *testing.T) {
-	h := NewWith(Config{Workers: 1, DefaultTimeout: time.Millisecond})
+	h := newTestService(t, Config{Workers: 1, DefaultTimeout: time.Millisecond})
 	rec := post(t, h, "/v1/partition", PartitionRequest{
 		Network: slowNet(t), K: 4, Scheme: "AG",
 	})
@@ -86,7 +86,7 @@ func TestServerDefaultTimeoutReturns408(t *testing.T) {
 // TestTimeoutMsCappedByMaxTimeout asserts a huge client budget is capped
 // at MaxTimeout: under a 1ms cap the request still times out.
 func TestTimeoutMsCappedByMaxTimeout(t *testing.T) {
-	h := NewWith(Config{Workers: 1, MaxTimeout: time.Millisecond})
+	h := newTestService(t, Config{Workers: 1, MaxTimeout: time.Millisecond})
 	rec := post(t, h, "/v1/partition", PartitionRequest{
 		Network: slowNet(t), K: 4, Scheme: "AG", TimeoutMs: 600_000,
 	})
@@ -97,7 +97,7 @@ func TestTimeoutMsCappedByMaxTimeout(t *testing.T) {
 
 // TestSweepTimeoutReturns408 covers the sweep endpoint's deadline path.
 func TestSweepTimeoutReturns408(t *testing.T) {
-	h := NewWith(Config{Workers: 1})
+	h := newTestService(t, Config{Workers: 1})
 	rec := post(t, h, "/v1/sweep", SweepRequest{
 		Network: slowNet(t), KMin: 2, KMax: 8, Scheme: "AG", TimeoutMs: 1,
 	})
@@ -310,7 +310,7 @@ func TestRecoverPanicsRethrowsAbortHandler(t *testing.T) {
 // TestPartitionStillServesUnderDefaults asserts the zero-value Config
 // changes nothing: no admission, no deadline, a normal 200.
 func TestPartitionStillServesUnderDefaults(t *testing.T) {
-	h := NewWith(Config{Workers: 1})
+	h := newTestService(t, Config{Workers: 1})
 	rec := post(t, h, "/v1/partition", PartitionRequest{Network: testNet(t), K: 3, Scheme: "AG"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200 (body: %s)", rec.Code, rec.Body.String())

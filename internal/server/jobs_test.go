@@ -23,16 +23,7 @@ func newJobService(t testing.TB, cfg Config) *Service {
 		cfg.JobRetryBase = time.Millisecond
 		cfg.JobRetryMax = 2 * time.Millisecond
 	}
-	sv, err := NewService(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		sv.Close(ctx)
-	})
-	return sv
+	return newTestService(t, cfg)
 }
 
 // pollJob polls GET /v1/jobs/{id} until the job is terminal.
@@ -322,7 +313,7 @@ func TestJobRestartMidJob(t *testing.T) {
 	if err := json.Unmarshal(res.Body.Bytes(), &fromJob); err != nil {
 		t.Fatal(err)
 	}
-	plain := post(t, New(), "/v1/partition", doc)
+	plain := post(t, newTestService(t, Config{}), "/v1/partition", doc)
 	if plain.Code != http.StatusOK {
 		t.Fatalf("fresh sync = %d", plain.Code)
 	}

@@ -11,7 +11,7 @@ import (
 // method passes the gate, every other common method is answered 405
 // with an Allow header naming the methods the route serves.
 func TestMethodEnforcementAllRoutes(t *testing.T) {
-	srv := New()
+	srv := newTestService(t, Config{})
 	routes := []struct {
 		path    string
 		methods []string // the supported methods
@@ -63,7 +63,7 @@ func TestMethodEnforcementAllRoutes(t *testing.T) {
 // routes get past 405 to a body-validation 400 on an empty body, and
 // the per-job routes reach their 404 for an unknown id.
 func TestSupportedMethodPassesGate(t *testing.T) {
-	srv := New()
+	srv := newTestService(t, Config{})
 	for _, path := range []string{"/v1/healthz", "/v1/metrics", "/v1/stats"} {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))

@@ -21,7 +21,7 @@ func get(t *testing.T, srv http.Handler, path string) *httptest.ResponseRecorder
 // that /v1/metrics then exposes valid Prometheus text with per-stage
 // durations and per-endpoint request counters — the acceptance path.
 func TestMetricsEndpoint(t *testing.T) {
-	srv := New()
+	srv := newTestService(t, Config{})
 	net := testNet(t)
 	if rec := post(t, srv, "/v1/sweep", SweepRequest{Network: net, KMin: 2, KMax: 4, Scheme: "ASG", Seed: 1}); rec.Code != http.StatusOK {
 		t.Fatalf("sweep status = %d body=%s", rec.Code, rec.Body.String())
@@ -66,7 +66,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	srv := New()
+	srv := newTestService(t, Config{})
 	net := testNet(t)
 	if rec := post(t, srv, "/v1/partition", PartitionRequest{Network: net, K: 3, Scheme: "ASG", Seed: 1}); rec.Code != http.StatusOK {
 		t.Fatalf("partition status = %d body=%s", rec.Code, rec.Body.String())
@@ -105,7 +105,7 @@ func TestStatsEndpoint(t *testing.T) {
 // request and an unknown path are both counted, the latter folded into
 // path="other".
 func TestRequestCounterCodes(t *testing.T) {
-	srv := New()
+	srv := newTestService(t, Config{})
 	before400 := obs.Default().Counter("roadpart_http_requests_total", reqCountHelp,
 		"path", "/v1/partition", "code", "400").Value()
 	beforeOther := obs.Default().Counter("roadpart_http_requests_total", reqCountHelp,

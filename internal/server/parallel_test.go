@@ -11,7 +11,7 @@ import (
 // identical best_k and per-k reports.
 func TestSweepWorkersDeterministic(t *testing.T) {
 	net := testNet(t)
-	srv := New()
+	srv := newTestService(t, Config{})
 	run := func(workers int) SweepResponse {
 		t.Helper()
 		rec := post(t, srv, "/v1/sweep", SweepRequest{
@@ -40,16 +40,16 @@ func TestSweepWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestServerDefaultWorkers checks NewWith plumbs the server-level default
+// TestServerDefaultWorkers checks NewService plumbs the server-level default
 // and that a request-level override still works on the partition path.
 func TestServerDefaultWorkers(t *testing.T) {
 	net := testNet(t)
-	serial := post(t, NewWith(Config{Workers: 1}), "/v1/partition",
+	serial := post(t, newTestService(t, Config{Workers: 1}), "/v1/partition",
 		PartitionRequest{Network: net, K: 4, Scheme: "AG", Seed: 9})
 	if serial.Code != http.StatusOK {
 		t.Fatalf("serial: status %d: %s", serial.Code, serial.Body.String())
 	}
-	override := post(t, NewWith(Config{Workers: 1}), "/v1/partition",
+	override := post(t, newTestService(t, Config{Workers: 1}), "/v1/partition",
 		PartitionRequest{Network: net, K: 4, Scheme: "AG", Seed: 9, Workers: 8})
 	if override.Code != http.StatusOK {
 		t.Fatalf("override: status %d: %s", override.Code, override.Body.String())

@@ -234,19 +234,6 @@ type service struct {
 	peerClient *peers.Client      // bounded transport for the forwarding hop
 }
 
-// New returns the service's HTTP handler with default configuration.
-func New() http.Handler { return NewWith(Config{}) }
-
-// NewWith returns the service's HTTP handler under cfg, panicking if
-// setup fails; daemons that want the error instead use NewService.
-func NewWith(cfg Config) http.Handler {
-	h, err := NewService(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // Service is the HTTP handler together with its lifecycle: daemons that
 // shut down gracefully call Close so in-flight jobs checkpoint into the
 // journal instead of being abandoned mid-attempt.

@@ -2,17 +2,35 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"roadpart/internal/gen"
 	"roadpart/internal/roadnet"
 	"roadpart/internal/traffic"
 )
+
+// newTestService builds a Service under cfg and closes it at cleanup, so
+// its job workers and retry timers do not outlive the test.
+func newTestService(t testing.TB, cfg Config) *Service {
+	t.Helper()
+	sv, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		sv.Close(ctx)
+	})
+	return sv
+}
 
 func testNet(t testing.TB) *roadnet.Network {
 	t.Helper()
@@ -72,7 +90,7 @@ func post(t *testing.T, srv http.Handler, path string, body interface{}) *httpte
 }
 
 func TestHealthz(t *testing.T) {
-	srv := New()
+	srv := newTestService(t, Config{})
 	req := httptest.NewRequest(http.MethodGet, "/v1/healthz", nil)
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
@@ -91,7 +109,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestPartitionEndpoint(t *testing.T) {
-	srv := New()
+	srv := newTestService(t, Config{})
 	net := testNet(t)
 	rec := post(t, srv, "/v1/partition", PartitionRequest{Network: net, K: 3, Scheme: "AG", Seed: 1})
 	if rec.Code != http.StatusOK {
@@ -116,7 +134,7 @@ func TestPartitionEndpoint(t *testing.T) {
 }
 
 func TestPartitionEndpointDeterministic(t *testing.T) {
-	srv := New()
+	srv := newTestService(t, Config{})
 	net := testNet(t)
 	body := PartitionRequest{Network: net, K: 3, Scheme: "AG", Seed: 9}
 	a := post(t, srv, "/v1/partition", body)
@@ -132,7 +150,7 @@ func TestPartitionEndpointDeterministic(t *testing.T) {
 }
 
 func TestPartitionEndpointErrors(t *testing.T) {
-	srv := New()
+	srv := newTestService(t, Config{})
 	net := testNet(t)
 	ok := PartitionRequest{Network: net, K: 2, Scheme: "AG"}
 	// Two halves that encoding/json would merge into one valid network.
@@ -185,7 +203,7 @@ func TestPartitionEndpointErrors(t *testing.T) {
 }
 
 func TestSweepEndpoint(t *testing.T) {
-	srv := New()
+	srv := newTestService(t, Config{})
 	net := testNet(t)
 	rec := post(t, srv, "/v1/sweep", SweepRequest{Network: net, KMin: 2, KMax: 5, Scheme: "ASG", Seed: 1})
 	if rec.Code != http.StatusOK {
@@ -216,7 +234,7 @@ func TestSweepEndpoint(t *testing.T) {
 }
 
 func TestRenderEndpoint(t *testing.T) {
-	srv := New()
+	srv := newTestService(t, Config{})
 	net := testNet(t)
 	// Densities view.
 	rec := post(t, srv, "/v1/render", RenderRequest{Network: net, Title: "densities"})
@@ -251,7 +269,7 @@ func TestRenderEndpoint(t *testing.T) {
 }
 
 func TestSweepEndpointDefaultsAndErrors(t *testing.T) {
-	srv := New()
+	srv := newTestService(t, Config{})
 	net := testNet(t)
 	rec := post(t, srv, "/v1/sweep", SweepRequest{Network: net})
 	if rec.Code != http.StatusOK {

@@ -28,7 +28,7 @@ func postEvent(t *testing.T, srv http.Handler, req DensitiesRequest) Repartition
 }
 
 func TestDensitiesStream(t *testing.T) {
-	srv := New()
+	srv := newTestService(t, Config{})
 	net := testNet(t)
 	d0 := net.Densities()
 
@@ -76,7 +76,7 @@ func TestDensitiesStream(t *testing.T) {
 // boundary must produce — the regression tests for the wrong-length
 // density-vector bug class.
 func TestDensitiesValidation(t *testing.T) {
-	srv := New()
+	srv := newTestService(t, Config{})
 	net := testNet(t)
 	d0 := net.Densities()
 
@@ -141,7 +141,7 @@ func TestDensitiesValidation(t *testing.T) {
 // a cache hit on the invalidated entry is exactly the staleness failure
 // the fingerprint tags exist to prevent.
 func TestDensitiesInvalidatesCache(t *testing.T) {
-	srv := NewWith(Config{CacheMaxBytes: 8 << 20})
+	srv := newTestService(t, Config{CacheMaxBytes: 8 << 20})
 	net := testNet(t)
 	d0 := net.Densities()
 
@@ -188,7 +188,7 @@ func readSSE(t *testing.T, sc *bufio.Scanner) (event, data string) {
 // server: subscribe, receive the replayed last event, receive a live
 // event, then disconnect — all under -race in the suite.
 func TestWatchStreamsEvents(t *testing.T) {
-	srv := New()
+	srv := newTestService(t, Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	net := testNet(t)

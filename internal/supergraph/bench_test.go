@@ -1,6 +1,7 @@
 package supergraph
 
 import (
+	"context"
 	"testing"
 
 	"roadpart/internal/gen"
@@ -27,7 +28,7 @@ func BenchmarkMine10k(b *testing.B) {
 	g, f := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Mine(g, f, MineOptions{}); err != nil {
+		if _, err := MineCtx(context.Background(), g, f, MineOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,7 +58,7 @@ func BenchmarkMineFixture(b *testing.B) {
 	f := net.Densities()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Mine(g, f, MineOptions{}); err != nil {
+		if _, err := MineCtx(context.Background(), g, f, MineOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -65,7 +66,7 @@ func BenchmarkMineFixture(b *testing.B) {
 
 func BenchmarkStabilityProfile(b *testing.B) {
 	g, f := benchGraph()
-	sg, err := Mine(g, f, MineOptions{})
+	sg, err := MineCtx(context.Background(), g, f, MineOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

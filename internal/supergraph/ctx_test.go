@@ -17,35 +17,3 @@ func TestMineCtxPreCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
 }
-
-// TestMineCtxUncancelledMatchesMine pins that a live context leaves the
-// mined supergraph identical, including under the stability-split loop.
-func TestMineCtxUncancelledMatchesMine(t *testing.T) {
-	g, f := twoRegionGraph()
-	for _, opts := range []MineOptions{
-		{KappaMax: 5},
-		{KappaMax: 5, StabilityEps: 0.9999},
-	} {
-		want, err := Mine(g, f, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := MineCtx(context.Background(), g, f, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Nodes) != len(want.Nodes) {
-			t.Fatalf("opts %+v: node counts differ: %d vs %d", opts, len(got.Nodes), len(want.Nodes))
-		}
-		for i := range want.Nodes {
-			if len(got.Nodes[i].Members) != len(want.Nodes[i].Members) {
-				t.Fatalf("opts %+v: supernode %d member counts differ", opts, i)
-			}
-			for j := range want.Nodes[i].Members {
-				if got.Nodes[i].Members[j] != want.Nodes[i].Members[j] {
-					t.Fatalf("opts %+v: supernode %d member %d differs", opts, i, j)
-				}
-			}
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package supergraph
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -33,7 +34,7 @@ func TestMineInvariantsProperty(t *testing.T) {
 				features[i] = float64(rawFeatures[i]%8) / 10
 			}
 		}
-		sg, err := Mine(g, features, MineOptions{KappaMax: 6, StabilityEps: 0.95})
+		sg, err := MineCtx(context.Background(), g, features, MineOptions{KappaMax: 6, StabilityEps: 0.95})
 		if err != nil {
 			return false
 		}

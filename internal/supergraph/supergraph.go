@@ -112,19 +112,13 @@ type MineOptions struct {
 	Seed uint64
 }
 
-// Mine builds the road supergraph of road graph g whose node features
-// (densities) are given by features. It implements Algorithm 1 end to end,
-// with the optional Algorithm 2 stability pass.
-func Mine(g *graph.Graph, features []float64, opts MineOptions) (*Supergraph, error) {
-	return MineCtx(context.Background(), g, features, opts)
-}
-
-// MineCtx is Mine with cooperative cancellation. ctx is observed between
-// the work items of every mining stage — each κ of the sampled shortlist
-// sweep, each shortlisted κ's full-data clustering, and each supernode
-// pop of the stability-split loop — so cancellation latency is bounded by
-// one clustering run. With an uncancelled ctx the mined supergraph is
-// bit-identical to Mine's.
+// MineCtx builds the road supergraph of road graph g whose node features
+// (densities) are given by features. It implements Algorithm 1 end to
+// end, with the optional Algorithm 2 stability pass. ctx is observed
+// between the work items of every mining stage — each κ of the sampled
+// shortlist sweep, each shortlisted κ's full-data clustering, and each
+// supernode pop of the stability-split loop — so cancellation latency is
+// bounded by one clustering run.
 func MineCtx(ctx context.Context, g *graph.Graph, features []float64, opts MineOptions) (*Supergraph, error) {
 	n := g.N()
 	if len(features) != n {

@@ -1,6 +1,7 @@
 package supergraph
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -28,7 +29,7 @@ func twoRegionGraph() (*graph.Graph, []float64) {
 
 func TestMineTwoRegions(t *testing.T) {
 	g, f := twoRegionGraph()
-	sg, err := Mine(g, f, MineOptions{KappaMax: 5})
+	sg, err := MineCtx(context.Background(), g, f, MineOptions{KappaMax: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestMineSplitsDisconnectedClusters(t *testing.T) {
 		g.AddEdge(i, i+1, 1)
 	}
 	f := []float64{0.01, 0.01, 0.01, 0.2, 0.2, 0.2, 0.01, 0.01, 0.01}
-	sg, err := Mine(g, f, MineOptions{KappaMax: 4})
+	sg, err := MineCtx(context.Background(), g, f, MineOptions{KappaMax: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +110,11 @@ func TestMineStabilityCheckSplits(t *testing.T) {
 	// A graph whose optimal clustering lumps dissimilar nodes: force a
 	// split with a high stability threshold and verify more supernodes.
 	g, f := twoRegionGraph()
-	loose, err := Mine(g, f, MineOptions{KappaMax: 5})
+	loose, err := MineCtx(context.Background(), g, f, MineOptions{KappaMax: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := Mine(g, f, MineOptions{KappaMax: 5, StabilityEps: 0.9999})
+	strict, err := MineCtx(context.Background(), g, f, MineOptions{KappaMax: 5, StabilityEps: 0.9999})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestMineStabilityOneYieldsFinest(t *testing.T) {
 	// ε_η = 1 accepts only exact-feature supernodes: with all-distinct
 	// features every supernode is a single node (the paper's AG limit).
 	g, f := twoRegionGraph()
-	sg, err := Mine(g, f, MineOptions{KappaMax: 5, StabilityEps: 1})
+	sg, err := MineCtx(context.Background(), g, f, MineOptions{KappaMax: 5, StabilityEps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestMineStabilityOneYieldsFinest(t *testing.T) {
 
 func TestSuperlinkWeightEq3(t *testing.T) {
 	g, f := twoRegionGraph()
-	sg, err := Mine(g, f, MineOptions{KappaMax: 5})
+	sg, err := MineCtx(context.Background(), g, f, MineOptions{KappaMax: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +178,11 @@ func TestSuperlinkWeightEq3(t *testing.T) {
 
 func TestSuperlinkWeightPerLinkDiffers(t *testing.T) {
 	g, f := twoRegionGraph()
-	eq3, err := Mine(g, f, MineOptions{KappaMax: 5})
+	eq3, err := MineCtx(context.Background(), g, f, MineOptions{KappaMax: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	per, err := Mine(g, f, MineOptions{KappaMax: 5, Weighting: WeightPerLink})
+	per, err := MineCtx(context.Background(), g, f, MineOptions{KappaMax: 5, Weighting: WeightPerLink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestSuperlinkWeightPerLinkDiffers(t *testing.T) {
 
 func TestExpandAssign(t *testing.T) {
 	g, f := twoRegionGraph()
-	sg, err := Mine(g, f, MineOptions{KappaMax: 5})
+	sg, err := MineCtx(context.Background(), g, f, MineOptions{KappaMax: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,20 +222,20 @@ func TestExpandAssign(t *testing.T) {
 
 func TestMineErrors(t *testing.T) {
 	g, f := twoRegionGraph()
-	if _, err := Mine(g, f[:3], MineOptions{}); err == nil {
+	if _, err := MineCtx(context.Background(), g, f[:3], MineOptions{}); err == nil {
 		t.Fatal("feature length mismatch should error")
 	}
-	if _, err := Mine(graph.New(0), nil, MineOptions{}); err == nil {
+	if _, err := MineCtx(context.Background(), graph.New(0), nil, MineOptions{}); err == nil {
 		t.Fatal("empty graph should error")
 	}
-	if _, err := Mine(g, f, MineOptions{StabilityEps: 1.5}); err == nil {
+	if _, err := MineCtx(context.Background(), g, f, MineOptions{StabilityEps: 1.5}); err == nil {
 		t.Fatal("out-of-range threshold should error")
 	}
 }
 
 func TestMineRecordsStats(t *testing.T) {
 	g, f := twoRegionGraph()
-	sg, err := Mine(g, f, MineOptions{KappaMax: 6})
+	sg, err := MineCtx(context.Background(), g, f, MineOptions{KappaMax: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

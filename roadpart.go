@@ -123,32 +123,21 @@ const (
 	ModeDistributed = temporal.ModeDistributed
 )
 
-// Partition runs the full framework — road graph construction, optional
-// supergraph mining, spectral partitioning — and returns cfg.K spatially
-// connected regions with quality metrics and timing.
-func Partition(net *Network, cfg Config) (*Result, error) {
-	return core.Partition(net, cfg)
-}
-
-// PartitionCtx is Partition with cooperative cancellation: every stage of
-// the pipeline — supergraph mining, the eigensolve, k-means, partition
+// PartitionCtx runs the full framework — road graph construction,
+// optional supergraph mining, spectral partitioning — and returns cfg.K
+// spatially connected regions with quality metrics and timing. Every
+// stage — supergraph mining, the eigensolve, k-means, partition
 // refinement — observes ctx between bounded work items and returns an
-// error wrapping ctx.Err() once it is done. An uncancelled call is
-// bit-identical to Partition.
+// error wrapping ctx.Err() once it is done.
 func PartitionCtx(ctx context.Context, net *Network, cfg Config) (*Result, error) {
 	return core.PartitionCtx(ctx, net, cfg)
 }
 
-// NewPipeline runs the k-independent stages once so several k values (or
-// BestKByANS) can be evaluated cheaply.
-func NewPipeline(net *Network, cfg Config) (*Pipeline, error) {
-	return core.NewPipeline(net, cfg)
-}
-
-// NewPipelineCtx is NewPipeline with cooperative cancellation of the
-// k-independent stages (graph construction and supergraph mining). The
-// returned Pipeline's PartitionKCtx, SweepKCtx and BestKByANSCtx methods
-// accept per-call contexts.
+// NewPipelineCtx runs the k-independent stages (graph construction and
+// supergraph mining) once, observing ctx, so several k values (or
+// BestKByANSCtx) can be evaluated cheaply. The returned Pipeline's
+// PartitionKCtx, SweepKCtx and BestKByANSCtx methods accept per-call
+// contexts.
 func NewPipelineCtx(ctx context.Context, net *Network, cfg Config) (*Pipeline, error) {
 	return core.NewPipelineCtx(ctx, net, cfg)
 }

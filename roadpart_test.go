@@ -28,7 +28,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := Partition(net, Config{K: 4, Scheme: ASG, Seed: 3})
+	res, err := PartitionCtx(context.Background(), net, Config{K: 4, Scheme: ASG, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestFacadePipelineAndAutoK(t *testing.T) {
 	if err := ApplyDensities(net, snap); err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPipeline(net, Config{Scheme: AG, Seed: 4})
+	p, err := NewPipelineCtx(context.Background(), net, Config{Scheme: AG, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
