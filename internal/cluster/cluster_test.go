@@ -214,35 +214,6 @@ func TestSweepKappaErrors(t *testing.T) {
 	}
 }
 
-func TestElbowKappa(t *testing.T) {
-	data := twoBlob()
-	sw, err := SweepKappaCtx(context.Background(), data, SweepOptions{KappaMax: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	elbow := sw.ElbowKappa(0.9)
-	if elbow < 2 || elbow > 8 {
-		t.Fatalf("elbow κ = %d out of range", elbow)
-	}
-	// The elbow is never later than the maximum.
-	if elbow > sw.OptimalKappa() {
-		t.Fatalf("elbow %d after optimum %d", elbow, sw.OptimalKappa())
-	}
-}
-
-func TestLocalMaxima(t *testing.T) {
-	sw := &Sweep{Points: []SweepPoint{
-		{Kappa: 2, Stats: Stats{MCG: 1}},
-		{Kappa: 3, Stats: Stats{MCG: 5}}, // local max
-		{Kappa: 4, Stats: Stats{MCG: 2}},
-		{Kappa: 5, Stats: Stats{MCG: 7}}, // endpoint max
-	}}
-	got := sw.LocalMaxima()
-	if len(got) != 2 || got[0] != 3 || got[1] != 5 {
-		t.Fatalf("LocalMaxima = %v, want [3 5]", got)
-	}
-}
-
 func TestFullKMeans(t *testing.T) {
 	data := twoBlob()
 	assign, means, err := FullKMeans(data, 2)

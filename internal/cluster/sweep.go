@@ -5,14 +5,15 @@ import (
 	"fmt"
 
 	"roadpart/internal/kmeans"
+	"roadpart/internal/linalg"
 )
 
 // SweepOptions configures a κ-sweep.
 type SweepOptions struct {
-	// KappaMin and KappaMax bound the sweep (inclusive). Zero values
-	// select 2 and min(25, n−1), matching the paper's practice of sweeping
-	// small κ where MCG has already flattened.
-	KappaMin, KappaMax int
+	// KappaMax bounds the sweep, which runs κ = 2..KappaMax inclusive.
+	// Zero selects min(25, n−1), matching the paper's practice of
+	// sweeping small κ where MCG has already flattened.
+	KappaMax int
 	// SampleSize caps the number of data points the sweep clusters. The
 	// paper applies repetitive clustering to a random sample "much smaller
 	// than the actual dataset" to keep the sweep cheap. 0 selects
@@ -35,7 +36,7 @@ type Sweep struct {
 	SampleN int
 }
 
-// SweepKappaCtx runs kmeans.OneD for each κ in [KappaMin, KappaMax] on a
+// SweepKappaCtx runs kmeans.OneD for each κ in [2, KappaMax] on a
 // random sample of data and records the quality measures. It implements
 // the shortlisting stage of Algorithm 1 (lines 3–9): the caller filters
 // the resulting points with Shortlist and re-clusters the full dataset
@@ -47,10 +48,7 @@ func SweepKappaCtx(ctx context.Context, data []float64, opts SweepOptions) (*Swe
 	if n < 2 {
 		return nil, fmt.Errorf("cluster: SweepKappa needs at least 2 points, got %d", n)
 	}
-	lo := opts.KappaMin
-	if lo < 2 {
-		lo = 2
-	}
+	lo := 2
 	hi := opts.KappaMax
 	if hi == 0 {
 		hi = 25
@@ -130,43 +128,6 @@ func (s *Sweep) OptimalKappa() int {
 	return best
 }
 
-// LocalMaxima returns the κ values whose MCG exceeds both neighbors' —
-// the local optimality maxima of Section 4.1's incremental test. Endpoint
-// κ values qualify when they exceed their single neighbor.
-func (s *Sweep) LocalMaxima() []int {
-	var out []int
-	for i, p := range s.Points {
-		left := i == 0 || p.Stats.MCG > s.Points[i-1].Stats.MCG
-		right := i == len(s.Points)-1 || p.Stats.MCG > s.Points[i+1].Stats.MCG
-		if left && right {
-			out = append(out, p.Kappa)
-		}
-	}
-	return out
-}
-
-// ElbowKappa returns the smallest κ whose MCG is at least frac (e.g. 0.9)
-// of the sweep's maximum MCG. The paper picks "the value of κ after which
-// there is little increase in MCG" to keep the supernode count small; this
-// captures that rule. It returns 0 for an empty sweep.
-func (s *Sweep) ElbowKappa(frac float64) int {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	maxV := s.Points[0].Stats.MCG
-	for _, p := range s.Points {
-		if p.Stats.MCG > maxV {
-			maxV = p.Stats.MCG
-		}
-	}
-	for _, p := range s.Points {
-		if p.Stats.MCG >= frac*maxV {
-			return p.Kappa
-		}
-	}
-	return s.Points[len(s.Points)-1].Kappa
-}
-
 // FullKMeans clusters the complete dataset at a fixed κ with the
 // deterministic 1-D solver and returns the assignment and cluster means —
 // the full-data re-clustering step that follows shortlisting in
@@ -191,29 +152,12 @@ func sampleWithoutReplacement(data []float64, m int, seed uint64) []float64 {
 	for i := range idx {
 		idx[i] = i
 	}
-	rng := sm64{state: seed ^ 0xd1b54a32d192ed03}
+	rng := linalg.RNGFromState(seed ^ 0xd1b54a32d192ed03)
 	out := make([]float64, m)
 	for i := 0; i < m; i++ {
-		j := i + rng.intn(n-i)
+		j := i + rng.Intn(n-i)
 		idx[i], idx[j] = idx[j], idx[i]
 		out[i] = data[idx[i]]
 	}
 	return out
-}
-
-type sm64 struct{ state uint64 }
-
-func (s *sm64) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (s *sm64) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(s.next() % uint64(n))
 }

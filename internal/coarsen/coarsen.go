@@ -140,22 +140,9 @@ func Build(ctx context.Context, g *graph.Graph, f []float64, opts Options) (*Hie
 // contraction happened).
 func (h *Hierarchy) Levels() int { return len(h.graphs) }
 
-// NodeCounts returns the per-level node counts, finest first.
-func (h *Hierarchy) NodeCounts() []int {
-	out := make([]int, len(h.graphs))
-	for i, g := range h.graphs {
-		out[i] = g.N()
-	}
-	return out
-}
-
 // Graph returns the coarsest graph — the one the spectral core factors
 // (cut.Level).
 func (h *Hierarchy) Graph() *graph.Graph { return h.graphs[len(h.graphs)-1] }
-
-// Features returns the coarsest level's aggregated density features
-// (nil when Build received none).
-func (h *Hierarchy) Features() []float64 { return h.feats[len(h.feats)-1] }
 
 // ProjectToFinest maps a labeling of the coarsest graph down to the
 // finest one (cut.Level). At each uncoarsening step every fine node
@@ -194,16 +181,6 @@ func (h *Hierarchy) ProjectToFinest(ctx context.Context, labels []int, k int) ([
 	return cur, k, nil
 }
 
-// splitMix64 is the SplitMix64 step — the same generator family
-// internal/gen uses, inlined so coarsen depends only on graph/cut.
-func splitMix64(s *uint64) uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := *s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // matchLevel computes one round of heavy-edge matching on g and returns
 // the fine→coarse cluster map plus the coarse node count. Unmatched
 // vertices carry over as singleton clusters. The visit order is a
@@ -227,14 +204,8 @@ func matchLevel(g *graph.Graph, seed int64, level int) ([]int, int) {
 	}
 	// Seed-keyed Fisher–Yates visit order, mixed per level so successive
 	// rounds do not replay the same order.
-	s := uint64(seed)*0x9e3779b97f4a7c15 + uint64(level)
-	for i := range perm {
-		perm[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := int(splitMix64(&s) % uint64(i+1))
-		perm[i], perm[j] = perm[j], perm[i]
-	}
+	rng := linalg.RNGFromState(uint64(seed)*linalg.RNGIncrement + uint64(level))
+	rng.PermInto(perm)
 
 	var nbrs []int
 	for _, u := range perm {

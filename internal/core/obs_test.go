@@ -10,10 +10,11 @@ import (
 )
 
 // TestObservabilityDoesNotPerturbOutput pins that instrumentation is
-// purely observational: a full sweep with recording enabled and one with
-// recording disabled produce bit-identical assignments at every k, for
-// both serial and parallel execution. This is the determinism guarantee
-// from the parallel-execution layer extended over the obs layer.
+// purely observational: a full sweep over a registry that already holds
+// a previous sweep's readings and one over a freshly reset registry
+// produce bit-identical assignments at every k, for both serial and
+// parallel execution. This is the determinism guarantee from the
+// parallel-execution layer extended over the obs layer.
 func TestObservabilityDoesNotPerturbOutput(t *testing.T) {
 	net, err := gen.City(gen.CityConfig{TargetIntersections: 120, TargetSegments: 220, Seed: 11})
 	if err != nil {
@@ -44,20 +45,18 @@ func TestObservabilityDoesNotPerturbOutput(t *testing.T) {
 		return out
 	}
 
-	obs.SetEnabled(true)
 	onSerial := sweep(1)
 	onParallel := sweep(4)
 
-	obs.SetEnabled(false)
-	offSerial := sweep(1)
-	obs.SetEnabled(true)
+	obs.Default().Reset()
+	resetSerial := sweep(1)
 
 	for i := range onSerial {
-		if !equalInts(onSerial[i], offSerial[i]) {
-			t.Fatalf("k=%d: assignments differ with obs on vs off", i+2)
+		if !equalInts(onSerial[i], resetSerial[i]) {
+			t.Fatalf("k=%d: assignments differ after a registry reset", i+2)
 		}
 		if !equalInts(onSerial[i], onParallel[i]) {
-			t.Fatalf("k=%d: assignments differ serial vs parallel with obs on", i+2)
+			t.Fatalf("k=%d: assignments differ serial vs parallel", i+2)
 		}
 	}
 }

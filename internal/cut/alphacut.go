@@ -115,6 +115,19 @@ func partitionWeights(g *graph.Graph, assign []int, k int) (within, volume []flo
 	return within, volume, sizes
 }
 
+// partCost is one partition's term of the α-Cut objective (Equation 5
+// with the dynamic α), (W(P,V)²/W(V,V) − W(P,P))/|P|, from its volume,
+// internal weight and size; total is W(V,V) and an empty partition
+// costs 0. Both refiners price a trial move from the candidate
+// aggregates it would produce, so the shared ones change only when a
+// move is taken.
+func partCost(vol, in float64, size int, total float64) float64 {
+	if size == 0 {
+		return 0
+	}
+	return (vol*vol/total - in) / float64(size)
+}
+
 // AlphaCutValue evaluates the α-Cut objective of Equation 5 for the given
 // partition assignment over g, with the paper's dynamic
 // α_i = W(P_i, V)/W(V, V). Lower is better. It returns an error if the
@@ -131,12 +144,8 @@ func AlphaCutValue(g *graph.Graph, assign []int) (float64, error) {
 	}
 	var val float64
 	for i := 0; i < k; i++ {
-		if sizes[i] == 0 {
-			continue
-		}
-		// α_i·cut/|P_i| − (1−α_i)·assoc/|P_i| simplified per Section 5.3:
-		// (W(P_i,V)²/W(V,V) − W(P_i,P_i)) / |P_i|.
-		val += (volume[i]*volume[i]/total - within[i]) / float64(sizes[i])
+		// α_i·cut/|P_i| − (1−α_i)·assoc/|P_i| simplified per Section 5.3.
+		val += partCost(volume[i], within[i], sizes[i], total)
 	}
 	return val, nil
 }

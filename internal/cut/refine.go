@@ -45,15 +45,6 @@ func RefineAlphaCut(g *graph.Graph, f []float64, assign []int, opts RefineOption
 		return labels, k, 0, nil
 	}
 
-	// cost is a partition's contribution to the α-Cut objective given its
-	// volume, internal weight and size.
-	cost := func(vol, in float64, size int) float64 {
-		if size == 0 {
-			return 0
-		}
-		return (vol*vol/total - in) / float64(size)
-	}
-
 	// wTo[b] is the current node's weight into partition b; adj lists the
 	// partitions it touches, in ascending id once sorted, so ties between
 	// equally good targets go to the lowest id.
@@ -83,17 +74,17 @@ func RefineAlphaCut(g *graph.Graph, f []float64, assign []int, opts RefineOption
 				wTo[b] += e.W
 			}
 			slices.Sort(adj)
-			base := cost(volume[a], within[a], sizes[a])
+			base := partCost(volume[a], within[a], sizes[a], total)
 			// Moving v out of a costs the same whichever partition it joins.
-			leaveA := cost(volume[a]-dv, within[a]-2*wTo[a], sizes[a]-1)
+			leaveA := partCost(volume[a]-dv, within[a]-2*wTo[a], sizes[a]-1, total)
 			bestDelta := -1e-12 // strict improvement only
 			bestB := -1
 			for _, b := range adj {
 				if b == a {
 					continue
 				}
-				delta := leaveA + cost(volume[b]+dv, within[b]+2*wTo[b], sizes[b]+1) -
-					base - cost(volume[b], within[b], sizes[b])
+				delta := leaveA + partCost(volume[b]+dv, within[b]+2*wTo[b], sizes[b]+1, total) -
+					base - partCost(volume[b], within[b], sizes[b], total)
 				if delta < bestDelta {
 					bestDelta = delta
 					bestB = b

@@ -64,13 +64,6 @@ func RefineAlphaCutBoundary(g *graph.Graph, labels []int, k int, opts BoundaryRe
 	if total == 0 {
 		return 0, nil
 	}
-	contrib := func(i int) float64 {
-		if sizes[i] == 0 {
-			return 0
-		}
-		return (volume[i]*volume[i]/total - within[i]) / float64(sizes[i])
-	}
-
 	// Frontier worklists and scratch, all pooled (PR 4 discipline). seen
 	// is epoch-stamped so the per-vertex adjacent-partition scan needs no
 	// clearing between vertices.
@@ -128,29 +121,17 @@ func RefineAlphaCutBoundary(g *graph.Graph, labels []int, k int, opts BoundaryRe
 			if seen[a] == epoch {
 				wA = wTo[a]
 			}
-			base := contrib(a)
+			base := partCost(volume[a], within[a], sizes[a], total)
+			// Moving v out of a costs the same whichever partition it joins.
+			leaveA := partCost(volume[a]-dv, within[a]-2*wA, sizes[a]-1, total)
 			bestDelta := -1e-12 // strict improvement only
 			bestB := -1
 			for _, b := range parts {
 				if b == a {
 					continue
 				}
-				baseB := contrib(b)
-				// Apply the tentative move to the aggregates.
-				volume[a] -= dv
-				volume[b] += dv
-				within[a] -= 2 * wA
-				within[b] += 2 * wTo[b]
-				sizes[a]--
-				sizes[b]++
-				delta := contrib(a) + contrib(b) - base - baseB
-				// Roll back.
-				volume[a] += dv
-				volume[b] -= dv
-				within[a] += 2 * wA
-				within[b] -= 2 * wTo[b]
-				sizes[a]++
-				sizes[b]--
+				delta := leaveA + partCost(volume[b]+dv, within[b]+2*wTo[b], sizes[b]+1, total) -
+					base - partCost(volume[b], within[b], sizes[b], total)
 				if delta < bestDelta {
 					bestDelta = delta
 					bestB = b

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"roadpart/internal/graph"
+	"roadpart/internal/linalg"
 )
 
 // assignEqual fails the test unless the two results carry bit-identical
@@ -32,21 +33,14 @@ func assignEqual(t *testing.T, label string, got, want *Result) {
 // actually promises bit-identity in (docs/NUMERICS.md § Warm starts).
 func irregular(n, chords int, seed uint64) *graph.Graph {
 	g := graph.New(n)
-	rng := seed
-	next := func() uint64 { // splitmix64, matching the repo's PRNG idiom
-		rng += 0x9e3779b97f4a7c15
-		z := rng
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
-	w := func() float64 { return 0.5 + float64(next()%1000)/1000.0 }
+	rng := linalg.RNGFromState(seed)
+	w := func() float64 { return 0.5 + float64(rng.Uint64()%1000)/1000.0 }
 	for i := 0; i < n; i++ {
 		_ = g.AddEdge(i, (i+1)%n, w())
 	}
 	for c := 0; c < chords; c++ {
-		u := int(next() % uint64(n))
-		v := int(next() % uint64(n))
+		u := rng.Intn(n)
+		v := rng.Intn(n)
 		if u == v || u == (v+1)%n || v == (u+1)%n {
 			continue
 		}

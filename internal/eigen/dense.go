@@ -40,8 +40,7 @@ func (d *Decomposition) Vector(j int) []float64 {
 // with orthonormal eigenvectors in the corresponding columns.
 //
 // SymEigen does not verify symmetry; only the full matrix is read and the
-// result is meaningful only for (numerically) symmetric input. Use
-// (*linalg.Dense).IsSymmetric to check beforehand when in doubt.
+// result is meaningful only for (numerically) symmetric input.
 func SymEigen(a *linalg.Dense) (*Decomposition, error) {
 	if a.Rows() != a.Cols() {
 		return nil, fmt.Errorf("eigen: SymEigen requires a square matrix, got %dx%d", a.Rows(), a.Cols())

@@ -144,7 +144,7 @@ func LanczosWS(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Worksp
 	if m < k {
 		m = k
 	}
-	rng := splitmix64{state: opts.Seed ^ 0x9e3779b97f4a7c15}
+	rng := linalg.RNGFromState(opts.Seed ^ 0x9e3779b97f4a7c15)
 
 	if ws == nil {
 		ws = getWorkspace()
@@ -326,26 +326,11 @@ func (ws *Workspace) worstResidual(p, cnt, k int) (r2max, scale float64) {
 	return r2max, scale
 }
 
-// splitmix64 is a tiny deterministic PRNG, sufficient for start vectors.
-type splitmix64 struct{ state uint64 }
-
-func (s *splitmix64) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (s *splitmix64) float64() float64 {
-	return float64(s.next()>>11) / (1 << 53)
-}
-
 // randUnitInto fills v with a deterministic pseudo-random unit vector,
 // overwriting any previous contents. It allocates nothing.
-func randUnitInto(rng *splitmix64, v []float64) {
+func randUnitInto(rng *linalg.RNG, v []float64) {
 	for i := range v {
-		v[i] = 2*rng.float64() - 1
+		v[i] = 2*rng.Float64() - 1
 		if v[i] == 0 {
 			v[i] = 0.5
 		}
@@ -361,11 +346,4 @@ func Residual(a Op, lambda float64, v []float64) float64 {
 	a.Apply(w, v)
 	linalg.Axpy(-lambda, v, w)
 	return linalg.Norm2(w)
-}
-
-// RayleighQuotient returns vᵀAv / vᵀv.
-func RayleighQuotient(a Op, v []float64) float64 {
-	w := make([]float64, a.Dim())
-	a.Apply(w, v)
-	return linalg.Dot(v, w) / linalg.Dot(v, v)
 }

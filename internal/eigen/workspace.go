@@ -160,7 +160,7 @@ func (ws *Workspace) seed(s []float64, cnt int) bool {
 // to basis rows 0..cnt-1 as row cnt, for the invariant-subspace restart
 // and for cold-start blocks. It reports whether a usable direction was
 // found within five attempts.
-func (ws *Workspace) restartRows(rng *splitmix64, cnt int) bool {
+func (ws *Workspace) restartRows(rng *linalg.RNG, cnt int) bool {
 	for attempt := 0; attempt < 5; attempt++ {
 		randUnitInto(rng, ws.cand)
 		ws.orthogonalize(ws.cand, cnt, -1)

@@ -101,7 +101,7 @@ func TestLanczosStepAllocFree(t *testing.T) {
 	op := CSROp{M: pathOp(t, 256)}
 	ws := &Workspace{}
 	ws.reset(op.Dim(), 12)
-	rng := splitmix64{state: 99}
+	rng := linalg.RNGFromState(99)
 	randUnitInto(&rng, ws.v)
 	copy(ws.q[0], ws.v)
 	for cnt := 1; cnt < 6; cnt++ { // a few rows, so the fused sweeps chain
@@ -195,7 +195,7 @@ func oracleOrthogonalize(ws *Workspace, v []float64, cnt, col int) {
 // empty to a dozen rows, with and without an H column.
 func TestOrthogonalizeMatchesUnfused(t *testing.T) {
 	const n, m = 97, 14
-	rng := splitmix64{state: 5}
+	rng := linalg.RNGFromState(5)
 	fused, plain := &Workspace{}, &Workspace{}
 	fused.reset(n, m)
 	plain.reset(n, m)

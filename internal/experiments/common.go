@@ -160,7 +160,7 @@ func median(xs []float64) float64 {
 }
 
 // renderCurves prints aligned per-k series for one metric across schemes.
-func renderCurves(w io.Writer, title, metric string, curves []*Curve, pick func(*Curve) []float64) {
+func renderCurves(w io.Writer, title string, curves []*Curve, pick func(*Curve) []float64) {
 	fmt.Fprintf(w, "%s\n", title)
 	fmt.Fprintf(w, "%4s", "k")
 	for _, c := range curves {
@@ -192,5 +192,4 @@ func renderCurves(w io.Writer, title, metric string, curves []*Curve, pick func(
 		}
 		fmt.Fprintln(w)
 	}
-	_ = metric
 }

@@ -127,26 +127,29 @@ func DatasetNames() []string {
 	return out
 }
 
+// city is the street-network configuration of the dataset with its
+// Table 1 counts divided by div.
+func (sp datasetSpec) city(div int) gen.CityConfig {
+	return gen.CityConfig{
+		TargetIntersections: sp.intersections / div,
+		TargetSegments:      sp.segments / div,
+		Spacing:             100,
+		Jitter:              0.15,
+		Seed:                sp.seed,
+	}
+}
+
 func buildFromSpec(sp datasetSpec, scale Scale) (*Dataset, error) {
 	div := 1
 	if scale == ScaleSmall {
 		div = sp.smallDivisor
 	}
-	ni := sp.intersections / div
-	ns := sp.segments / div
-	veh := sp.vehicles / div
-	net, err := gen.City(gen.CityConfig{
-		TargetIntersections: ni,
-		TargetSegments:      ns,
-		Spacing:             100,
-		Jitter:              0.15,
-		Seed:                sp.seed,
-	})
+	net, err := gen.City(sp.city(div))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building %s: %w", sp.name, err)
 	}
 	snaps, err := traffic.Simulate(net, traffic.SimConfig{
-		Vehicles:    veh,
+		Vehicles:    sp.vehicles / div,
 		Steps:       600,
 		RecordEvery: 6, // 100 recorded timestamps, like MNTG
 		Hotspots:    sp.hotspots,

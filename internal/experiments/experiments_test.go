@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"roadpart/internal/gen"
+	"roadpart/internal/roadnet"
 )
 
 // All experiment tests run at ScaleSmall with few runs so the suite stays
@@ -31,6 +34,28 @@ func TestBuildDatasetFullD1MatchesTable1(t *testing.T) {
 	}
 	if st.MeanDensity <= 0 {
 		t.Fatal("D1 should carry traffic")
+	}
+}
+
+// TestTable1CityCounts pins the street networks BuildDataset generates at
+// full scale to the exact Table 1 intersection and segment counts, with
+// a connected dual road graph.
+func TestTable1CityCounts(t *testing.T) {
+	for _, sp := range specs {
+		net, err := gen.City(sp.city(1))
+		if err != nil {
+			t.Fatalf("%s: %v", sp.name, err)
+		}
+		if len(net.Intersections) != sp.intersections || len(net.Segments) != sp.segments {
+			t.Fatalf("%s = %d/%d, want %d/%d", sp.name, len(net.Intersections), len(net.Segments), sp.intersections, sp.segments)
+		}
+		g, err := roadnet.DualGraph(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, count := g.Components(); count != 1 {
+			t.Fatalf("%s dual has %d components, want 1", sp.name, count)
+		}
 	}
 }
 

@@ -40,13 +40,13 @@ func Fig4(opts Options) (*Fig4Data, error) {
 
 // Render prints the four panels in the paper's order.
 func (d *Fig4Data) Render(w io.Writer) {
-	renderCurves(w, "Figure 4(a): inter-partition distance vs k (higher is better)", "inter", d.Curves, func(c *Curve) []float64 { return c.Inter })
+	renderCurves(w, "Figure 4(a): inter-partition distance vs k (higher is better)", d.Curves, func(c *Curve) []float64 { return c.Inter })
 	fmt.Fprintln(w)
-	renderCurves(w, "Figure 4(b): intra-partition distance vs k (lower is better)", "intra", d.Curves, func(c *Curve) []float64 { return c.Intra })
+	renderCurves(w, "Figure 4(b): intra-partition distance vs k (lower is better)", d.Curves, func(c *Curve) []float64 { return c.Intra })
 	fmt.Fprintln(w)
-	renderCurves(w, "Figure 4(c): GDBI vs k (lower is better)", "gdbi", d.Curves, func(c *Curve) []float64 { return c.GDBI })
+	renderCurves(w, "Figure 4(c): GDBI vs k (lower is better)", d.Curves, func(c *Curve) []float64 { return c.GDBI })
 	fmt.Fprintln(w)
-	renderCurves(w, "Figure 4(d): ANS vs k (lower is better; minimum selects optimal k)", "ans", d.Curves, func(c *Curve) []float64 { return c.ANS })
+	renderCurves(w, "Figure 4(d): ANS vs k (lower is better; minimum selects optimal k)", d.Curves, func(c *Curve) []float64 { return c.ANS })
 	for _, c := range d.Curves {
 		k, ans := c.BestANS()
 		fmt.Fprintf(w, "%s: ANS minimum %.4f at k=%d\n", c.Scheme, ans, k)

@@ -17,60 +17,15 @@
 // multilevel scale benchmarks (docs/SCALING.md, docs/EXPERIMENTS.md).
 package gen
 
-import "math"
+import "roadpart/internal/linalg"
 
-// RNG is a small deterministic pseudo-random generator (SplitMix64 core)
-// used everywhere randomness is needed, so every network, trip table and
-// density field is reproducible from its seed.
-type RNG struct{ state uint64 }
+// RNG is the shared SplitMix64 stream (linalg.RNG), used everywhere
+// randomness is needed, so every network, trip table and density field
+// is reproducible from its seed.
+type RNG = linalg.RNG
 
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG {
-	return &RNG{state: seed ^ 0x6a09e667f3bcc909}
-}
-
-// Uint64 returns the next raw 64-bit value.
-func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 { return float64(r.Uint64()>>11) / (1 << 53) }
-
-// Intn returns a uniform value in [0, n). It panics if n <= 0.
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("gen: Intn with non-positive bound")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
-// Bool returns true with probability p.
-func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
-
-// NormFloat64 returns a standard normal variate (Box–Muller).
-func (r *RNG) NormFloat64() float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
+	r := linalg.RNGFromState(seed ^ 0x6a09e667f3bcc909)
+	return &r
 }

@@ -157,8 +157,12 @@ func TestAdjacencyCSR(t *testing.T) {
 	if m.At(0, 1) != 5 || m.At(1, 0) != 5 {
 		t.Fatalf("adjacency = %v / %v, want 5", m.At(0, 1), m.At(1, 0))
 	}
-	if !m.IsSymmetric(0) {
-		t.Fatal("adjacency must be symmetric")
+	for i := 0; i < m.Rows(); i++ {
+		m.Range(i, func(j int, v float64) {
+			if m.At(j, i) != v {
+				t.Fatalf("adjacency not symmetric at (%d,%d)", i, j)
+			}
+		})
 	}
 }
 

@@ -13,16 +13,19 @@ import (
 	"roadpart/internal/graph"
 )
 
-// Options tunes the baseline. Zero values select defaults.
+// Options tunes the baseline.
 type Options struct {
-	// OverPartitionFactor multiplies k for the initial excessive
-	// normalized-cut partitioning. 0 selects 3.
-	OverPartitionFactor int
-	// MaxAdjustPasses bounds the boundary-adjustment sweeps. 0 selects 10.
-	MaxAdjustPasses int
 	// Seed drives the spectral stage.
 	Seed uint64
 }
+
+const (
+	// overPartitionFactor multiplies k for the initial excessive
+	// normalized-cut partitioning.
+	overPartitionFactor = 3
+	// maxAdjustPasses bounds the boundary-adjustment sweeps.
+	maxAdjustPasses = 10
+)
 
 // Result of the baseline.
 type Result struct {
@@ -43,17 +46,9 @@ func Partition(g *graph.Graph, f []float64, k int, opts Options) (*Result, error
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("jiger: k=%d out of range [1,%d]", k, n)
 	}
-	factor := opts.OverPartitionFactor
-	if factor <= 0 {
-		factor = 3
-	}
-	passes := opts.MaxAdjustPasses
-	if passes <= 0 {
-		passes = 10
-	}
 
 	// Step 1: excessive partitioning with normalized cut.
-	k0 := k * factor
+	k0 := k * overPartitionFactor
 	if k0 > n {
 		k0 = n
 	}
@@ -73,7 +68,7 @@ func Partition(g *graph.Graph, f []float64, k int, opts Options) (*Result, error
 	// Step 3: boundary adjustment — move boundary segments to the
 	// neighboring partition whose mean density matches them better.
 	moves := 0
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < maxAdjustPasses; pass++ {
 		sum := make([]float64, count)
 		size := make([]int, count)
 		for v, l := range assign {

@@ -3,6 +3,8 @@ package jobs
 import (
 	"math"
 	"time"
+
+	"roadpart/internal/linalg"
 )
 
 // Backoff is a capped exponential retry policy with deterministic
@@ -67,8 +69,10 @@ func (b Backoff) Delay(stream uint64, attempt int) time.Duration {
 		d = float64(b.Max)
 	}
 	if b.Jitter > 0 {
-		// splitmix64 over (seed, stream, attempt) → uniform in [0,1).
-		u := float64(splitmix64(b.Seed^stream^(uint64(attempt)*0x9e3779b97f4a7c15))>>11) / (1 << 53)
+		// One SplitMix64 draw over (seed, stream, attempt) → uniform in
+		// [0,1); one mix is enough to decorrelate the structured inputs.
+		rng := linalg.RNGFromState(b.Seed ^ stream ^ (uint64(attempt) * linalg.RNGIncrement))
+		u := rng.Float64()
 		d *= 1 - b.Jitter + 2*b.Jitter*u
 	}
 	if d > float64(b.Max) {
@@ -78,14 +82,4 @@ func (b Backoff) Delay(stream uint64, attempt int) time.Duration {
 		d = 1
 	}
 	return time.Duration(d)
-}
-
-// splitmix64 is the standard 64-bit finalizer (Steele et al.), the same
-// generator family the k-means seeder uses; one application is enough
-// to decorrelate the structured (seed, stream, attempt) inputs.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

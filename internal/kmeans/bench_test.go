@@ -3,13 +3,15 @@ package kmeans
 import (
 	"context"
 	"testing"
+
+	"roadpart/internal/linalg"
 )
 
 func BenchmarkOneD50k(b *testing.B) {
 	data := make([]float64, 50000)
-	rng := prng{state: 1}
+	rng := linalg.RNGFromState(1)
 	for i := range data {
-		data[i] = rng.float64() * 100
+		data[i] = rng.Float64() * 100
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -20,12 +22,12 @@ func BenchmarkOneD50k(b *testing.B) {
 }
 
 func BenchmarkND5kBy8(b *testing.B) {
-	rng := prng{state: 2}
+	rng := linalg.RNGFromState(2)
 	pts := make([][]float64, 5000)
 	for i := range pts {
 		p := make([]float64, 8)
 		for j := range p {
-			p[j] = rng.float64()
+			p[j] = rng.Float64()
 		}
 		pts[i] = p
 	}

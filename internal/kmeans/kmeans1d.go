@@ -18,6 +18,7 @@ import (
 	"math"
 	"slices"
 
+	"roadpart/internal/linalg"
 	"roadpart/internal/obs"
 )
 
@@ -73,7 +74,7 @@ func OneD(data []float64, k, maxIter int) (*Result, error) {
 func OneDRandomInit(data []float64, k, maxIter int, seed uint64) (*Result, error) {
 	var s Scratch
 	s.Prepare(data)
-	rng := prng{state: seed ^ 0xabcdef12345}
+	rng := linalg.RNGFromState(seed ^ 0xabcdef12345)
 	return s.cluster(k, maxIter, &rng)
 }
 
@@ -155,7 +156,7 @@ func grow[T any](s []T, n int) []T {
 // point exactly as a point-by-point pass would, and the sums, sizes and
 // WCSS add in data-index order, so results are bit-identical to the
 // point-by-point loop (docs/NUMERICS.md § Determinism).
-func (s *Scratch) cluster(k, maxIter int, rng *prng) (*Result, error) {
+func (s *Scratch) cluster(k, maxIter int, rng *linalg.RNG) (*Result, error) {
 	data, order := s.data, s.order
 	n := len(data)
 	if k < 1 {
@@ -181,7 +182,7 @@ func (s *Scratch) cluster(k, maxIter int, rng *prng) (*Result, error) {
 
 	if rng != nil {
 		// Forgy: k distinct positions drawn at random.
-		perm := rng.perm(n)
+		perm := rng.Perm(n)
 		for j := 0; j < k; j++ {
 			means[j] = data[perm[j]]
 		}

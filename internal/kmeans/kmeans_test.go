@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"roadpart/internal/linalg"
 )
 
 func TestOneDTwoObviousClusters(t *testing.T) {
@@ -182,14 +184,14 @@ func TestOneDRandomInitConvergesToo(t *testing.T) {
 }
 
 func TestNDSeparatesGaussians(t *testing.T) {
-	rng := prng{state: 42}
+	rng := linalg.RNGFromState(42)
 	var pts [][]float64
 	centers := [][]float64{{0, 0}, {10, 0}, {0, 10}}
 	for c := 0; c < 3; c++ {
 		for i := 0; i < 40; i++ {
 			pts = append(pts, []float64{
-				centers[c][0] + rng.float64() - 0.5,
-				centers[c][1] + rng.float64() - 0.5,
+				centers[c][0] + rng.Float64() - 0.5,
+				centers[c][1] + rng.Float64() - 0.5,
 			})
 		}
 	}
@@ -252,10 +254,10 @@ func TestNDErrors(t *testing.T) {
 }
 
 func TestNDRestartsImproveOrEqual(t *testing.T) {
-	rng := prng{state: 99}
+	rng := linalg.RNGFromState(99)
 	var pts [][]float64
 	for i := 0; i < 50; i++ {
-		pts = append(pts, []float64{rng.float64() * 100, rng.float64() * 100})
+		pts = append(pts, []float64{rng.Float64() * 100, rng.Float64() * 100})
 	}
 	one, err := NDCtx(context.Background(), pts, 5, NDOptions{Seed: 2, Restarts: 1})
 	if err != nil {
@@ -267,17 +269,5 @@ func TestNDRestartsImproveOrEqual(t *testing.T) {
 	}
 	if many.WCSS > one.WCSS+1e-9 {
 		t.Fatalf("more restarts worsened WCSS: %v > %v", many.WCSS, one.WCSS)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	p := prng{state: 11}
-	perm := p.perm(20)
-	seen := make([]bool, 20)
-	for _, v := range perm {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("invalid permutation %v", perm)
-		}
-		seen[v] = true
 	}
 }

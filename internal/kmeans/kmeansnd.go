@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"roadpart/internal/linalg"
 	"roadpart/internal/obs"
 	"roadpart/internal/parallel"
 )
@@ -104,7 +105,7 @@ func NDCtx(ctx context.Context, points [][]float64, k int, opts NDOptions) (*Res
 	base := opts.Seed ^ 0x5851f42d4c957f2d
 	runs := make([]ndRun, restarts)
 	err := parallel.ForCtx(ctx, restarts, opts.Workers, func(r int) {
-		rng := prng{state: base + uint64(r)*draws*prngIncrement}
+		rng := linalg.RNGFromState(base + uint64(r)*draws*linalg.RNGIncrement)
 		s := getNDScratch()
 		s.reset(n, k, dim)
 		seedInto(points, k, opts.Seeding, &rng, s)
@@ -162,17 +163,17 @@ type ndRun struct {
 // seedInto writes the initial centroids into sc.means, drawing exactly
 // the same RNG stream as the historical allocating seeder (one draw per
 // centroid pick) so pooling cannot change which points are chosen.
-func seedInto(points [][]float64, k int, s Seeding, rng *prng, sc *ndScratch) {
+func seedInto(points [][]float64, k int, s Seeding, rng *linalg.RNG, sc *ndScratch) {
 	n := len(points)
 	means := sc.means
 	switch s {
 	case SeedForgy:
-		rng.permInto(sc.perm)
+		rng.PermInto(sc.perm)
 		for i := 0; i < k; i++ {
 			copy(means[i], points[sc.perm[i]])
 		}
 	default: // SeedPlusPlus
-		copy(means[0], points[rng.intn(n)])
+		copy(means[0], points[rng.Intn(n)])
 		d2 := sc.d2
 		for used := 1; used < k; used++ {
 			var total float64
@@ -188,9 +189,9 @@ func seedInto(points [][]float64, k int, s Seeding, rng *prng, sc *ndScratch) {
 			}
 			var next int
 			if total == 0 {
-				next = rng.intn(n) // all points coincide with seeds
+				next = rng.Intn(n) // all points coincide with seeds
 			} else {
-				target := rng.float64() * total
+				target := rng.Float64() * total
 				var cum float64
 				next = n - 1
 				for i, d := range d2 {
@@ -368,41 +369,4 @@ func sqDist(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// prng is a small deterministic generator (splitmix64 core).
-type prng struct{ state uint64 }
-
-// prngIncrement is the fixed state advance per draw; NDCtx relies on it to
-// fast-forward the stream to each restart's starting point.
-const prngIncrement = 0x9e3779b97f4a7c15
-
-func (p *prng) next() uint64 {
-	p.state += prngIncrement
-	z := p.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (p *prng) float64() float64 { return float64(p.next()>>11) / (1 << 53) }
-
-func (p *prng) intn(n int) int { return int(p.next() % uint64(n)) }
-
-func (p *prng) perm(n int) []int {
-	out := make([]int, n)
-	p.permInto(out)
-	return out
-}
-
-// permInto fills out with a Fisher–Yates shuffle of 0..len(out)-1,
-// consuming exactly the draws perm would. It allocates nothing.
-func (p *prng) permInto(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := p.intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
 }

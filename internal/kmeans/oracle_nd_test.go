@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"roadpart/internal/linalg"
 )
 
 // oracleAssignStep is the plain Lloyd assignment sweep the bounded pass
@@ -75,7 +77,7 @@ func oracleND(points [][]float64, k int, opts NDOptions) *Result {
 	base := opts.Seed ^ 0x5851f42d4c957f2d
 	var best *Result
 	for r := 0; r < restarts; r++ {
-		rng := prng{state: base + uint64(r)*draws*prngIncrement}
+		rng := linalg.RNGFromState(base + uint64(r)*draws*linalg.RNGIncrement)
 		var s ndScratch
 		s.reset(n, k, dim)
 		seedInto(points, k, opts.Seeding, &rng, &s)
@@ -121,7 +123,7 @@ func sameND(got, want *Result) string {
 // oraclePointSets returns the seeded point sets of the ND oracle
 // property test, keyed by a name for failure messages.
 func oraclePointSets() map[string][][]float64 {
-	rng := prng{state: 41}
+	rng := linalg.RNGFromState(41)
 	set := func(n, dim int, f func(i, d int) float64) [][]float64 {
 		pts := make([][]float64, n)
 		for i := range pts {
@@ -135,11 +137,11 @@ func oraclePointSets() map[string][][]float64 {
 	out := map[string][][]float64{}
 	for _, n := range []int{1, 2, 9, 60, 400} {
 		for _, dim := range []int{1, 3, 8} {
-			out[fmt.Sprintf("uniform/%d/%d", n, dim)] = set(n, dim, func(int, int) float64 { return 2*rng.float64() - 1 })
+			out[fmt.Sprintf("uniform/%d/%d", n, dim)] = set(n, dim, func(int, int) float64 { return 2*rng.Float64() - 1 })
 			// Row-normalized, like the spectral embedding; clustered
 			// around up to eight directions so bounds prune.
 			unit := set(n, dim, func(i, d int) float64 {
-				v := 0.4 * rng.float64()
+				v := 0.4 * rng.Float64()
 				if d == i%8%dim {
 					v++
 				}
@@ -159,22 +161,22 @@ func oraclePointSets() map[string][][]float64 {
 			}
 			out[fmt.Sprintf("unit/%d/%d", n, dim)] = unit
 			// Integer grid: exact distance ties and duplicate points.
-			out[fmt.Sprintf("grid/%d/%d", n, dim)] = set(n, dim, func(int, int) float64 { return float64(rng.intn(4)) })
+			out[fmt.Sprintf("grid/%d/%d", n, dim)] = set(n, dim, func(int, int) float64 { return float64(rng.Intn(4)) })
 		}
 	}
 	// Small integer sets: exact ties between a point's own centroid and
 	// a lower-indexed one, which only a strict bound test resolves as
 	// the scan does.
 	for i := 0; i < 150; i++ {
-		out[fmt.Sprintf("small/%03d", i)] = set(4+rng.intn(10), 1+rng.intn(2), func(int, int) float64 { return float64(rng.intn(7)) })
+		out[fmt.Sprintf("small/%03d", i)] = set(4+rng.Intn(10), 1+rng.Intn(2), func(int, int) float64 { return float64(rng.Intn(7)) })
 	}
 	// Three distinct points repeated: seeds coincide, clusters empty out.
 	out["duplicates"] = set(90, 2, func(i, _ int) float64 { return float64(i % 3) })
 	out["one-point"] = set(40, 3, func(int, int) float64 { return 0.25 })
 	// Far outside the margin's range on either side: squared distances
 	// that overflow switch pruning off, tiny ones lean on the floor.
-	out["huge"] = set(80, 2, func(int, int) float64 { return (rng.float64() - 0.5) * 1e300 })
-	out["tiny"] = set(80, 2, func(i, _ int) float64 { return float64(i%4) * 1e-200 * (1 + rng.float64()) })
+	out["huge"] = set(80, 2, func(int, int) float64 { return (rng.Float64() - 0.5) * 1e300 })
+	out["tiny"] = set(80, 2, func(i, _ int) float64 { return float64(i%4) * 1e-200 * (1 + rng.Float64()) })
 	return out
 }
 
@@ -234,7 +236,7 @@ func TestBoundedLloydPrunes(t *testing.T) {
 	pts := oraclePointSets()["unit/400/8"]
 	var s ndScratch
 	s.reset(len(pts), 8, 8)
-	rng := prng{state: 5}
+	rng := linalg.RNGFromState(5)
 	seedInto(pts, 8, SeedPlusPlus, &rng, &s)
 	if _, iters := lloydInto(pts, 1, DefaultMaxIterations, &s); iters < 2 {
 		t.Fatalf("converged after %d passes; nothing was bounded", iters)

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"roadpart/internal/linalg"
 )
 
 // oracleOneD is the point-by-point Lloyd loop the sorted-view kernel
@@ -14,7 +16,7 @@ import (
 // search while the means are sorted, a linear scan otherwise), and the
 // sums, sizes and WCSS accumulate in data-index order. rng != nil selects
 // Forgy initialization, as OneDRandomInit does.
-func oracleOneD(data []float64, k, maxIter int, rng *prng) *Result {
+func oracleOneD(data []float64, k, maxIter int, rng *linalg.RNG) *Result {
 	n := len(data)
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
@@ -24,7 +26,7 @@ func oracleOneD(data []float64, k, maxIter int, rng *prng) *Result {
 	assign := make([]int, n)
 	sizes := make([]int, k)
 	if rng != nil {
-		perm := rng.perm(n)
+		perm := rng.Perm(n)
 		for j := 0; j < k; j++ {
 			means[j] = data[perm[j]]
 		}
@@ -163,7 +165,7 @@ func sameResult(got, want *Result) string {
 // oracleVectors returns the seeded test vectors of the oracle property
 // test, keyed by a name for failure messages.
 func oracleVectors() map[string][]float64 {
-	rng := prng{state: 17}
+	rng := linalg.RNGFromState(17)
 	vec := func(n int, f func() float64) []float64 {
 		out := make([]float64, n)
 		for i := range out {
@@ -173,38 +175,38 @@ func oracleVectors() map[string][]float64 {
 	}
 	out := map[string][]float64{}
 	for _, n := range []int{1, 2, 7, 60, 500, 2100} {
-		out[fmt.Sprint("uniform/", n)] = vec(n, func() float64 { return rng.float64() * 100 })
+		out[fmt.Sprint("uniform/", n)] = vec(n, func() float64 { return rng.Float64() * 100 })
 		// Heavy-tailed densities, like congested road segments.
-		out[fmt.Sprint("exp/", n)] = vec(n, func() float64 { return -math.Log(1-rng.float64()) * 3 })
+		out[fmt.Sprint("exp/", n)] = vec(n, func() float64 { return -math.Log(1-rng.Float64()) * 3 })
 		// Few distinct values: duplicate initial means and clusters that
 		// empty out, whose stale means are overtaken by a neighbour.
-		out[fmt.Sprint("grid/", n)] = vec(n, func() float64 { return float64(rng.intn(20)) })
+		out[fmt.Sprint("grid/", n)] = vec(n, func() float64 { return float64(rng.Intn(20)) })
 	}
 	// Signed zeros: the sorted initialization must pick the same zero.
 	out["zeros"] = vec(300, func() float64 {
-		switch rng.intn(4) {
+		switch rng.Intn(4) {
 		case 0:
 			return math.Copysign(0, -1)
 		case 1:
 			return 0
 		}
-		return float64(rng.intn(5)) - 2
+		return float64(rng.Intn(5)) - 2
 	})
 	// Values whose squared distances overflow, and values whose cluster
 	// sums overflow to an infinite mean.
-	out["huge"] = vec(200, func() float64 { return (rng.float64() - 0.5) * 1e300 })
-	out["overflow"] = vec(200, func() float64 { return rng.float64() * math.MaxFloat64 })
+	out["huge"] = vec(200, func() float64 { return (rng.Float64() - 0.5) * 1e300 })
+	out["overflow"] = vec(200, func() float64 { return rng.Float64() * math.MaxFloat64 })
 	return out
 }
 
 // nonFiniteVectors returns seeded vectors holding NaN or ±Inf values,
 // which OneD rejects.
 func nonFiniteVectors() map[string][]float64 {
-	rng := prng{state: 29}
+	rng := linalg.RNGFromState(29)
 	vec := func(special float64, every int) []float64 {
 		out := make([]float64, 150)
 		for i := range out {
-			out[i] = rng.float64() * 10
+			out[i] = rng.Float64() * 10
 		}
 		for i := every / 2; i < len(out); i += every {
 			out[i] = special
@@ -265,7 +267,7 @@ func TestOneDMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := prng{state: seed ^ 0xabcdef12345}
+			rng := linalg.RNGFromState(seed ^ 0xabcdef12345)
 			if diff := sameResult(random, oracleOneD(data, k, 0, &rng)); diff != "" {
 				t.Fatalf("%s k=%d: OneDRandomInit differs from the oracle in %s", name, k, diff)
 			}

@@ -3,19 +3,21 @@ package kmeans
 import (
 	"context"
 	"testing"
+
+	"roadpart/internal/linalg"
 )
 
 // clusterPoints builds a deterministic point cloud with enough structure
 // that different restarts genuinely converge to different optima.
 func clusterPoints(n int) [][]float64 {
-	rng := prng{state: 0xfeed}
+	rng := linalg.RNGFromState(0xfeed)
 	pts := make([][]float64, 0, n)
 	for i := 0; i < n; i++ {
 		c := float64(i % 5)
 		pts = append(pts, []float64{
-			c*4 + rng.float64(),
-			c*3 - rng.float64(),
-			rng.float64() * 2,
+			c*4 + rng.Float64(),
+			c*3 - rng.Float64(),
+			rng.Float64() * 2,
 		})
 	}
 	return pts

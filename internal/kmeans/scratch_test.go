@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"roadpart/internal/linalg"
 )
 
 func testPoints(n, dim int) [][]float64 {
@@ -102,7 +104,7 @@ func TestLloydAllocFree(t *testing.T) {
 	s.reset(len(pts), 6, 4)
 	var iters int
 	allocs := testing.AllocsPerRun(50, func() {
-		rng := prng{state: 1}
+		rng := linalg.RNGFromState(1)
 		seedInto(pts, 6, SeedPlusPlus, &rng, &s)
 		_, iters = lloydInto(pts, 10, DefaultMaxIterations, &s) // every norm is at most 5·√4
 	})

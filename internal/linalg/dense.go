@@ -72,13 +72,6 @@ func (m *Dense) Row(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
-// Clone returns a deep copy of m.
-func (m *Dense) Clone() *Dense {
-	c := NewDense(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
-
 // MulVec computes dst = m·x. dst and x must not alias.
 // It panics on dimension mismatch.
 //
@@ -108,80 +101,4 @@ func (m *Dense) mulVecRange(dst, x []float64, lo, hi int) {
 		}
 		dst[i] = s
 	}
-}
-
-// IsSymmetric reports whether m is square and symmetric to within tol.
-func (m *Dense) IsSymmetric(tol float64) bool {
-	if m.rows != m.cols {
-		return false
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			d := m.data[i*m.cols+j] - m.data[j*m.cols+i]
-			if d < -tol || d > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// SymmetrizeInPlace replaces m with (m + mᵀ)/2. It panics if m is not square.
-func (m *Dense) SymmetrizeInPlace() {
-	if m.rows != m.cols {
-		panic("linalg: SymmetrizeInPlace on non-square matrix")
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			v := (m.data[i*m.cols+j] + m.data[j*m.cols+i]) / 2
-			m.data[i*m.cols+j] = v
-			m.data[j*m.cols+i] = v
-		}
-	}
-}
-
-// Mul returns the matrix product m·b.
-// It panics if the inner dimensions disagree.
-func (m *Dense) Mul(b *Dense) *Dense {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("linalg: Mul dims %dx%d by %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	out := NewDense(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		mrow := m.data[i*m.cols : (i+1)*m.cols]
-		orow := out.data[i*b.cols : (i+1)*b.cols]
-		for k, v := range mrow {
-			if v == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += v * bv
-			}
-		}
-	}
-	return out
-}
-
-// Transpose returns mᵀ as a new matrix.
-func (m *Dense) Transpose() *Dense {
-	out := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.data[j*m.rows+i] = m.data[i*m.cols+j]
-		}
-	}
-	return out
-}
-
-// Trace returns the sum of diagonal entries. It panics if m is not square.
-func (m *Dense) Trace() float64 {
-	if m.rows != m.cols {
-		panic("linalg: Trace on non-square matrix")
-	}
-	var t float64
-	for i := 0; i < m.rows; i++ {
-		t += m.data[i*m.cols+i]
-	}
-	return t
 }

@@ -113,8 +113,7 @@ func TestMulVecParallelMatchesSerial(t *testing.T) {
 	serial := make([]float64, n)
 	parallelDst := make([]float64, n)
 
-	old := Workers()
-	defer SetWorkers(old)
+	defer SetWorkers(int(mulVecWorkers.Load()))
 	SetWorkers(1)
 	m.MulVec(serial, x)
 	SetWorkers(4)

@@ -71,9 +71,6 @@ func (m *CSR) Rows() int { return m.rows }
 // Cols returns the number of columns.
 func (m *CSR) Cols() int { return m.cols }
 
-// NNZ returns the number of stored non-zero entries.
-func (m *CSR) NNZ() int { return len(m.vals) }
-
 // At returns the element at row i, column j using binary search within the
 // row; absent entries are zero.
 func (m *CSR) At(i, j int) float64 {
@@ -150,23 +147,6 @@ func (m *CSR) Dense() *Dense {
 		}
 	}
 	return d
-}
-
-// IsSymmetric reports whether m is square and symmetric to within tol.
-func (m *CSR) IsSymmetric(tol float64) bool {
-	if m.rows != m.cols {
-		return false
-	}
-	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			j := m.colIdx[k]
-			d := m.vals[k] - m.At(j, i)
-			if d < -tol || d > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Builder accumulates triplets and assembles a CSR matrix. It exists so

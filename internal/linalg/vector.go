@@ -89,27 +89,6 @@ func AxpyDot(a float64, x, y, z []float64) float64 {
 	return s
 }
 
-// Copy returns a newly allocated copy of x.
-func Copy(x []float64) []float64 {
-	c := make([]float64, len(x))
-	copy(c, x)
-	return c
-}
-
-// Zero sets every element of x to zero.
-func Zero(x []float64) {
-	for i := range x {
-		x[i] = 0
-	}
-}
-
-// Fill sets every element of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
 // Sum returns the sum of the elements of x.
 func Sum(x []float64) float64 {
 	var s float64
@@ -117,29 +96,6 @@ func Sum(x []float64) float64 {
 		s += v
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean of x, or 0 for an empty slice.
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return Sum(x) / float64(len(x))
-}
-
-// Variance returns the population variance of x about its mean,
-// or 0 for slices with fewer than one element.
-func Variance(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(x))
 }
 
 // Normalize scales x in place to unit Euclidean norm and returns the
@@ -151,18 +107,4 @@ func Normalize(x []float64) float64 {
 	}
 	Scale(1/n, x)
 	return n
-}
-
-// Dist2 returns the Euclidean distance between x and y.
-// It panics if the vectors have different lengths.
-func Dist2(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: Dist2 length mismatch %d vs %d", len(x), len(y)))
-	}
-	var s float64
-	for i, v := range x {
-		d := v - y[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
 }

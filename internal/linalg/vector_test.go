@@ -108,46 +108,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestMeanVariance(t *testing.T) {
-	x := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(x); m != 5 {
-		t.Fatalf("Mean = %v, want 5", m)
-	}
-	if v := Variance(x); v != 4 {
-		t.Fatalf("Variance = %v, want 4", v)
-	}
-	if Mean(nil) != 0 || Variance(nil) != 0 {
-		t.Fatal("Mean/Variance of empty slice should be 0")
-	}
-}
-
-func TestDist2(t *testing.T) {
-	if d := Dist2([]float64{0, 0}, []float64{3, 4}); d != 5 {
-		t.Fatalf("Dist2 = %v, want 5", d)
-	}
-}
-
-func TestCopyIsIndependent(t *testing.T) {
-	x := []float64{1, 2}
-	c := Copy(x)
-	c[0] = 99
-	if x[0] != 1 {
-		t.Fatal("Copy shares storage with the original")
-	}
-}
-
-func TestFillZeroSum(t *testing.T) {
-	x := make([]float64, 4)
-	Fill(x, 2.5)
-	if Sum(x) != 10 {
-		t.Fatalf("Sum after Fill = %v, want 10", Sum(x))
-	}
-	Zero(x)
-	if Sum(x) != 0 {
-		t.Fatal("Zero did not clear the slice")
-	}
-}
-
 // TestAxpyDotMatchesAxpyThenDot pins the fused sweep to Axpy followed by
 // Dot bit for bit — the updated y and the returned sum — on random
 // vectors and on signed zeros, subnormals and values near overflow.

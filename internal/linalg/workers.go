@@ -48,9 +48,6 @@ func SetWorkers(w int) {
 	mulVecWorkers.Store(int32(w))
 }
 
-// Workers reports the current MulVec worker cap (0 = GOMAXPROCS).
-func Workers() int { return int(mulVecWorkers.Load()) }
-
 // mulVecSpan picks the worker count for a kernel over n rows with the
 // given cutoff, returning 1 whenever the parallel path isn't worthwhile.
 func mulVecSpan(n, cutoff int) int {

@@ -97,11 +97,11 @@ func TestDenseMulVecParallelBitIdentical(t *testing.T) {
 func TestSetWorkersClampsNegative(t *testing.T) {
 	defer SetWorkers(0)
 	SetWorkers(-5)
-	if Workers() != 1 {
-		t.Fatalf("Workers() = %d after SetWorkers(-5), want 1", Workers())
+	if w := mulVecWorkers.Load(); w != 1 {
+		t.Fatalf("worker cap = %d after SetWorkers(-5), want 1", w)
 	}
 	SetWorkers(0)
-	if Workers() != 0 {
-		t.Fatalf("Workers() = %d after SetWorkers(0), want 0", Workers())
+	if w := mulVecWorkers.Load(); w != 0 {
+		t.Fatalf("worker cap = %d after SetWorkers(0), want 0", w)
 	}
 }

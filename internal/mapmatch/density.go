@@ -7,12 +7,8 @@ import (
 	"roadpart/internal/traffic"
 )
 
-// Point is one trajectory sample: a planar position at a timestamp — the
-// same type the traffic simulator emits, so simulator output feeds in
-// directly.
-type Point = traffic.TrajPoint
-
-// Trajectory is one vehicle's ordered position samples.
+// Trajectory is one vehicle's ordered position samples — the same type
+// the traffic simulator emits, so simulator output feeds in directly.
 type Trajectory = traffic.Trajectory
 
 // MatchTrajectory maps every sample of a trajectory to a segment,

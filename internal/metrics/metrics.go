@@ -64,40 +64,6 @@ func Evaluate(f []float64, assign []int, g *graph.Graph) (Report, error) {
 	return rep, nil
 }
 
-// Inter computes only the inter-partition heterogeneity measure.
-func Inter(f []float64, assign []int, g *graph.Graph) (float64, error) {
-	rep, err := Evaluate(f, assign, g)
-	return rep.Inter, err
-}
-
-// Intra computes only the intra-partition homogeneity measure.
-func Intra(f []float64, assign []int) (float64, error) {
-	k := 0
-	for _, a := range assign {
-		if a < 0 {
-			return 0, fmt.Errorf("metrics: negative partition id")
-		}
-		if a+1 > k {
-			k = a + 1
-		}
-	}
-	if len(f) != len(assign) {
-		return 0, fmt.Errorf("metrics: %d features for %d assignments", len(f), len(assign))
-	}
-	parts := membership(assign, k)
-	sp := make([]sortedPart, k)
-	for i, members := range parts {
-		sp[i] = newSortedPart(f, members)
-	}
-	return intra(sp), nil
-}
-
-// GDBI computes only the graph Davies–Bouldin index.
-func GDBI(f []float64, assign []int, g *graph.Graph) (float64, error) {
-	rep, err := Evaluate(f, assign, g)
-	return rep.GDBI, err
-}
-
 // ANS computes only the average NcutSilhouette.
 func ANS(f []float64, assign []int, g *graph.Graph) (float64, error) {
 	rep, err := Evaluate(f, assign, g)

@@ -58,12 +58,12 @@ func TestInterExactSmallCase(t *testing.T) {
 	// InterDist = mean(|0-5|, |2-5|) = 4.
 	g := lineGraph(3)
 	f := []float64{0, 2, 5}
-	v, err := Inter(f, []int{0, 0, 1}, g)
+	rep, err := Evaluate(f, []int{0, 0, 1}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(v-4) > 1e-12 {
-		t.Fatalf("inter = %v, want 4", v)
+	if math.Abs(rep.Inter-4) > 1e-12 {
+		t.Fatalf("inter = %v, want 4", rep.Inter)
 	}
 }
 
@@ -71,12 +71,12 @@ func TestIntraExactSmallCase(t *testing.T) {
 	// Partition {0,1,2} with f={0,2,5}: pairs |0-2|,|0-5|,|2-5| → mean 10/3.
 	// Partition {3} contributes 0. Average = 5/3.
 	f := []float64{0, 2, 5, 9}
-	v, err := Intra(f, []int{0, 0, 0, 1})
+	rep, err := Evaluate(f, []int{0, 0, 0, 1}, lineGraph(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(v-5.0/3) > 1e-12 {
-		t.Fatalf("intra = %v, want 5/3", v)
+	if math.Abs(rep.Intra-5.0/3) > 1e-12 {
+		t.Fatalf("intra = %v, want 5/3", rep.Intra)
 	}
 }
 
@@ -133,16 +133,16 @@ func TestGDBIPenalizesCloseMeans(t *testing.T) {
 	farMeans := []float64{1, 1, 1, 50, 50, 50}
 	closeMeans := []float64{1, 1.2, 1.1, 1.3, 1.25, 1.45}
 	assign := []int{0, 0, 0, 1, 1, 1}
-	far, err := GDBI(farMeans, assign, g)
+	far, err := Evaluate(farMeans, assign, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	near, err := GDBI(closeMeans, assign, g)
+	near, err := Evaluate(closeMeans, assign, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if far >= near {
-		t.Fatalf("well-separated partitions should have lower GDBI: %v vs %v", far, near)
+	if far.GDBI >= near.GDBI {
+		t.Fatalf("well-separated partitions should have lower GDBI: %v vs %v", far.GDBI, near.GDBI)
 	}
 }
 

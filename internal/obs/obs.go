@@ -13,11 +13,9 @@
 //
 // Everything is stdlib-only and race-clean: hot-path updates are single
 // atomic operations, and the registry maps are guarded by mutexes only
-// on series creation and exposition. Recording is gated by a global
-// enabled flag (SetEnabled); when disabled, every update is a nil-or-flag
-// check and no timestamps are taken. Instrumentation never feeds back
-// into the computation, so partitioning output is bit-identical with
-// observability on or off.
+// on series creation and exposition. Instrumentation never feeds back
+// into the computation, so partitioning output does not depend on what
+// the registry holds.
 package obs
 
 import (
@@ -26,17 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// enabled gates all recording. It defaults to on: updates are cheap
-// (one atomic op) and the acceptance path expects a live /v1/metrics.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns recording on or off process-wide. Disabling makes
-// every Counter/Gauge/Timer update a single atomic load and skips all
-// clock reads.
-func SetEnabled(on bool) { enabled.Store(on) }
 
 // Kind is the metric family type.
 type Kind int
@@ -78,7 +65,7 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds d.
 func (c *Counter) Add(d uint64) {
-	if c == nil || !enabled.Load() {
+	if c == nil {
 		return
 	}
 	c.n.Add(d)
@@ -97,7 +84,7 @@ type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
-	if g == nil || !enabled.Load() {
+	if g == nil {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
@@ -105,7 +92,7 @@ func (g *Gauge) Set(v float64) {
 
 // Add adds d to the gauge.
 func (g *Gauge) Add(d float64) {
-	if g == nil || !enabled.Load() {
+	if g == nil {
 		return
 	}
 	for {
@@ -135,7 +122,7 @@ type Timer struct {
 
 // Observe records one duration.
 func (t *Timer) Observe(d time.Duration) {
-	if t == nil || !enabled.Load() {
+	if t == nil {
 		return
 	}
 	t.count.Add(1)
@@ -181,10 +168,10 @@ func (t *Timer) Mean() time.Duration {
 	return t.Total() / time.Duration(n)
 }
 
-// Start opens a span against the timer. When recording is disabled (or
-// the timer is nil) the returned span is inert and no clock is read.
+// Start opens a span against the timer. For a nil timer the returned
+// span is inert and no clock is read.
 func (t *Timer) Start() Span {
-	if t == nil || !enabled.Load() {
+	if t == nil {
 		return Span{}
 	}
 	return Span{t: t, start: time.Now()}
@@ -218,7 +205,7 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if h == nil || !enabled.Load() {
+	if h == nil {
 		return
 	}
 	b := 0

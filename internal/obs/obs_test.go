@@ -53,28 +53,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 }
 
-func TestDisabledRecordsNothing(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c_total", "c")
-	g := r.Gauge("g", "g")
-	tm := r.Timer("t_seconds", "t")
-
-	SetEnabled(false)
-	defer SetEnabled(true)
-	c.Inc()
-	c.Add(7)
-	g.Set(3.5)
-	g.Add(1)
-	tm.Observe(time.Second)
-	sp := tm.Start()
-	sp.End()
-
-	if c.Value() != 0 || g.Value() != 0 || tm.Count() != 0 || tm.Total() != 0 {
-		t.Fatalf("disabled recording leaked: c=%d g=%v t=%d/%v",
-			c.Value(), g.Value(), tm.Count(), tm.Total())
-	}
-}
-
 func TestNilMetricsAreNoOps(t *testing.T) {
 	var c *Counter
 	var g *Gauge

@@ -87,12 +87,6 @@ func normalize(addr string) (string, error) {
 // Self returns this daemon's normalized address.
 func (r *Ring) Self() string { return r.self }
 
-// Peers returns the full normalized membership (self included), sorted.
-func (r *Ring) Peers() []string { return append([]string(nil), r.peers...) }
-
-// Size returns the membership count (self included).
-func (r *Ring) Size() int { return len(r.peers) }
-
 // Owner returns the peer that owns the fingerprint: the member with the
 // highest rendezvous score. Deterministic across every shard holding
 // the same membership; the sorted iteration order breaks the
@@ -232,11 +226,4 @@ func (c *Client) observe(peer string, d time.Duration) {
 	c.lat[peer] = v
 	c.mu.Unlock()
 	obs.Default().Gauge(LatencyFamily, latencyHelp, "peer", peer).Set(v)
-}
-
-// Latency returns the peer's current EWMA (0 before any success).
-func (c *Client) Latency(peer string) time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return time.Duration(c.lat[peer] * float64(time.Second))
 }

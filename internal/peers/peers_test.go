@@ -46,13 +46,13 @@ func TestRingNormalization(t *testing.T) {
 	if r.Self() != "http://a:8080" {
 		t.Fatalf("Self = %q", r.Self())
 	}
-	if got := r.Peers(); len(got) != 2 || got[0] != "http://a:8080" || got[1] != "http://b:8080" {
+	if got := r.peers; len(got) != 2 || got[0] != "http://a:8080" || got[1] != "http://b:8080" {
 		t.Fatalf("Peers = %v", got)
 	}
 	// Omitting self from the peer list is equivalent to including it.
 	r2 := mustRing(t, "http://a:8080", []string{"http://b:8080"})
-	if r2.Size() != 2 {
-		t.Fatalf("Size = %d, want 2", r2.Size())
+	if len(r2.peers) != 2 {
+		t.Fatalf("membership = %v, want 2 peers", r2.peers)
 	}
 }
 
@@ -84,7 +84,7 @@ func TestRingBalance(t *testing.T) {
 	for key := uint64(0); key < 1000; key++ {
 		counts[r.Owner(key)]++
 	}
-	for _, p := range r.Peers() {
+	for _, p := range r.peers {
 		if counts[p] < 150 {
 			t.Errorf("peer %s owns only %d of 1000 keys — pathological imbalance", p, counts[p])
 		}
@@ -167,7 +167,7 @@ func TestClientCountsAndEWMA(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if c.Latency(srv.URL) <= 0 {
+	if latency(c, srv.URL) <= 0 {
 		t.Fatal("success did not feed the latency EWMA")
 	}
 
@@ -176,13 +176,21 @@ func TestClientCountsAndEWMA(t *testing.T) {
 	if _, err := c.Do(dead, req2); err == nil {
 		t.Fatal("round-trip to a dead peer succeeded")
 	}
-	if c.Latency(dead) != 0 {
+	if latency(c, dead) != 0 {
 		t.Fatal("transport failure fed the latency EWMA")
 	}
 }
 
+// latency reads the peer's current EWMA in seconds (0 before any
+// success) under the client's lock.
+func latency(c *Client, peer string) float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lat[peer]
+}
+
 // TestClientConcurrent pins the EWMA bookkeeping under -race: Do and
-// Latency from many goroutines at once.
+// latency reads from many goroutines at once.
 func TestClientConcurrent(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -199,7 +207,7 @@ func TestClientConcurrent(t *testing.T) {
 				if resp, err := c.Do(srv.URL, req); err == nil {
 					resp.Body.Close()
 				}
-				_ = c.Latency(srv.URL)
+				_ = latency(c, srv.URL)
 			}
 		}()
 	}

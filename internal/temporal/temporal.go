@@ -216,41 +216,6 @@ func partitionGlobal(ctx context.Context, g *graph.Graph, f []float64, cfg Confi
 	return res.Assign, nil
 }
 
-// RegionSeries tracks one frame's regions across the whole snapshot
-// sequence: the mean density of each region of frame `ref` at every
-// timestamp. It answers the introduction's analysis question — how does
-// congestion inside each identified region evolve over time?
-func RegionSeries(frames []Frame, snaps []traffic.Snapshot, ref int) ([][]float64, error) {
-	if ref < 0 || ref >= len(frames) {
-		return nil, fmt.Errorf("temporal: reference frame %d outside %d frames", ref, len(frames))
-	}
-	assign := frames[ref].Assign
-	k := frames[ref].K
-	sizes := make([]int, k)
-	for _, p := range assign {
-		if p < 0 || p >= k {
-			return nil, fmt.Errorf("temporal: frame labels inconsistent with K=%d", k)
-		}
-		sizes[p]++
-	}
-	series := make([][]float64, k)
-	for r := range series {
-		series[r] = make([]float64, len(snaps))
-	}
-	for t, snap := range snaps {
-		if len(snap) != len(assign) {
-			return nil, fmt.Errorf("temporal: snapshot %d has %d segments, frame has %d", t, len(snap), len(assign))
-		}
-		for seg, p := range assign {
-			series[p][t] += snap[seg]
-		}
-		for r := 0; r < k; r++ {
-			series[r][t] /= float64(sizes[r])
-		}
-	}
-	return series, nil
-}
-
 // MeanARI averages the frame-to-frame agreement of a run, skipping the
 // first frame's NaN (it has no predecessor — counting it as perfect
 // agreement would bias every average toward stability). It returns NaN

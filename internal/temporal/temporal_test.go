@@ -117,34 +117,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRegionSeries(t *testing.T) {
-	net, snaps := simCity(t)
-	frames, err := RunCtx(context.Background(), net, snaps, []int{5}, ModeGlobal, Config{Scheme: core.ASG, K: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	series, err := RegionSeries(frames, snaps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != frames[0].K {
-		t.Fatalf("series count %d != K %d", len(series), frames[0].K)
-	}
-	for r, s := range series {
-		if len(s) != len(snaps) {
-			t.Fatalf("region %d has %d points, want %d", r, len(s), len(snaps))
-		}
-		for _, v := range s {
-			if v < 0 {
-				t.Fatalf("negative mean density %v", v)
-			}
-		}
-	}
-	if _, err := RegionSeries(frames, snaps, 9); err == nil {
-		t.Fatal("bad reference frame should error")
-	}
-}
-
 func TestRunFixedK(t *testing.T) {
 	net, snaps := simCity(t)
 	frames, err := RunCtx(context.Background(), net, snaps, []int{5}, ModeGlobal, Config{Scheme: core.AG, K: 3, Seed: 1})
