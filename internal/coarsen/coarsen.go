@@ -267,8 +267,7 @@ func matchLevel(g *graph.Graph, seed int64, level int) ([]int, int) {
 // Features aggregate as the vertex-weight-weighted mean — the coarse
 // density is the mean density of the fine vertices it represents, which
 // keeps the α-Cut similarity scale intact across levels. The coarse
-// adjacency is emitted in sorted neighbor order from a Reserve'd
-// one-allocation build.
+// adjacency is emitted in sorted neighbor order.
 func contract(g *graph.Graph, feat, w []float64, cid []int, nc int) (*graph.Graph, []float64, []float64, error) {
 	n := g.N()
 	start := linalg.GetInts(nc + 1)
@@ -276,14 +275,12 @@ func contract(g *graph.Graph, feat, w []float64, cid []int, nc int) (*graph.Grap
 	cursor := linalg.GetInts(nc)
 	acc := linalg.GetVec(nc)
 	stamp := linalg.GetInts(nc)
-	deg := linalg.GetInts(nc)
 	defer func() {
 		linalg.PutInts(start)
 		linalg.PutInts(members)
 		linalg.PutInts(cursor)
 		linalg.PutVec(acc)
 		linalg.PutInts(stamp)
-		linalg.PutInts(deg)
 	}()
 
 	// Member buckets by counting sort.
@@ -300,32 +297,10 @@ func contract(g *graph.Graph, feat, w []float64, cid []int, nc int) (*graph.Grap
 		cursor[c]++
 	}
 
-	// Pass A: distinct coarse-neighbor counts, so the coarse graph is
-	// built with one Reserve'd allocation (the XL tier would otherwise
-	// churn through append regrowth on millions of adjacency slots).
+	// Accumulate cross-cluster weight and emit each coarse edge once,
+	// from its lower endpoint, in ascending neighbor order.
+	b := graph.NewBuilder(nc)
 	epoch := 0
-	for c := 0; c < nc; c++ {
-		epoch++
-		cnt := 0
-		for i := start[c]; i < start[c+1]; i++ {
-			for _, e := range g.Neighbors(members[i]) {
-				cc := cid[e.To]
-				if cc == c {
-					continue
-				}
-				if stamp[cc] != epoch {
-					stamp[cc] = epoch
-					cnt++
-				}
-			}
-		}
-		deg[c] = cnt
-	}
-	cg := graph.New(nc)
-	cg.Reserve(deg[:nc])
-
-	// Pass B: accumulate cross-cluster weight and emit each coarse edge
-	// once, from its lower endpoint, in ascending neighbor order.
 	var nbrs []int
 	for c := 0; c < nc; c++ {
 		epoch++
@@ -347,7 +322,7 @@ func contract(g *graph.Graph, feat, w []float64, cid []int, nc int) (*graph.Grap
 		sort.Ints(nbrs)
 		for _, cc := range nbrs {
 			if cc > c {
-				if err := cg.AddEdge(c, cc, acc[cc]); err != nil {
+				if err := b.AddEdge(c, cc, acc[cc]); err != nil {
 					return nil, nil, nil, err
 				}
 			}
@@ -371,5 +346,5 @@ func contract(g *graph.Graph, feat, w []float64, cid []int, nc int) (*graph.Grap
 			cf[c] /= cw[c] // every cluster is non-empty, cw[c] >= 1
 		}
 	}
-	return cg, cf, cw, nil
+	return b.Build(), cf, cw, nil
 }

@@ -252,7 +252,7 @@ func TestBuildCancelled(t *testing.T) {
 
 func TestBuildErrors(t *testing.T) {
 	g, f := testGraph(t)
-	if _, err := Build(context.Background(), graph.New(0), nil, Options{}); err == nil {
+	if _, err := Build(context.Background(), graph.NewBuilder(0).Build(), nil, Options{}); err == nil {
 		t.Error("empty graph accepted")
 	}
 	if _, err := Build(context.Background(), g, f[:3], Options{}); err == nil {

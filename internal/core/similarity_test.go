@@ -10,10 +10,11 @@ import (
 func TestSimilarityWeightedDiscriminates(t *testing.T) {
 	// Path with one density jump: the boundary edge must be much weaker
 	// than the within-region edges.
-	g := graph.New(6)
+	gb := graph.NewBuilder(6)
 	for i := 0; i+1 < 6; i++ {
-		g.AddEdge(i, i+1, 1)
+		gb.AddEdge(i, i+1, 1)
 	}
+	g := gb.Build()
 	f := []float64{1, 1.01, 1.02, 9, 9.01, 9.02}
 	wg := SimilarityWeighted(g, f)
 	var boundary, within float64
@@ -34,9 +35,10 @@ func TestSimilarityWeightedDiscriminates(t *testing.T) {
 }
 
 func TestSimilarityWeightedUniformFeatures(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
+	gb := graph.NewBuilder(3)
+	gb.AddEdge(0, 1, 1)
+	gb.AddEdge(1, 2, 1)
+	g := gb.Build()
 	wg := SimilarityWeighted(g, []float64{5, 5, 5})
 	for _, e := range wg.Neighbors(1) {
 		if e.W != 1 {
@@ -49,11 +51,12 @@ func TestSimilarityWeightedLocalBandwidth(t *testing.T) {
 	// The bandwidth is the mean squared *edge* difference, so a smooth
 	// gradient still yields weights spread below 1 rather than all ≈1.
 	const n = 50
-	g := graph.New(n)
+	gb := graph.NewBuilder(n)
 	f := make([]float64, n)
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1, 1)
+		gb.AddEdge(i, i+1, 1)
 	}
+	g := gb.Build()
 	for i := range f {
 		f[i] = float64(i) * 0.001 // tiny local steps, large global range
 	}

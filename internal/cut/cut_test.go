@@ -18,15 +18,16 @@ func partition(g *graph.Graph, k int, method Method, opts Options) (*Result, err
 
 // barbell builds two cliques of size m joined by a single weak bridge.
 func barbell(m int, inW, bridgeW float64) *graph.Graph {
-	g := graph.New(2 * m)
+	gb := graph.NewBuilder(2 * m)
 	for off := 0; off < 2; off++ {
 		for i := 0; i < m; i++ {
 			for j := i + 1; j < m; j++ {
-				g.AddEdge(off*m+i, off*m+j, inW)
+				gb.AddEdge(off*m+i, off*m+j, inW)
 			}
 		}
 	}
-	g.AddEdge(m-1, m, bridgeW)
+	gb.AddEdge(m-1, m, bridgeW)
+	g := gb.Build()
 	return g
 }
 
@@ -158,17 +159,18 @@ func TestPartitionProducesConnectedPartitions(t *testing.T) {
 	// A ring of 4 weakly joined cliques, k=3: whatever the reduction does,
 	// every returned partition must be connected (condition C.2).
 	const m = 4
-	g := graph.New(4 * m)
+	gb := graph.NewBuilder(4 * m)
 	for c := 0; c < 4; c++ {
 		for i := 0; i < m; i++ {
 			for j := i + 1; j < m; j++ {
-				g.AddEdge(c*m+i, c*m+j, 1)
+				gb.AddEdge(c*m+i, c*m+j, 1)
 			}
 		}
 	}
 	for c := 0; c < 4; c++ {
-		g.AddEdge(c*m, ((c+1)%4)*m, 0.1)
+		gb.AddEdge(c*m, ((c+1)%4)*m, 0.1)
 	}
+	g := gb.Build()
 	for _, method := range []Method{MethodAlphaCut, MethodNCut} {
 		res, err := partition(g, 3, method, Options{Seed: 2})
 		if err != nil {
@@ -314,17 +316,18 @@ func TestGreedyPruningReduction(t *testing.T) {
 	// Force k′ > k and reduce via greedy pruning; result must still have
 	// exactly k non-empty partitions.
 	const m = 4
-	g := graph.New(4 * m)
+	gb := graph.NewBuilder(4 * m)
 	for c := 0; c < 4; c++ {
 		for i := 0; i < m; i++ {
 			for j := i + 1; j < m; j++ {
-				g.AddEdge(c*m+i, c*m+j, 1)
+				gb.AddEdge(c*m+i, c*m+j, 1)
 			}
 		}
 	}
 	for c := 0; c < 3; c++ {
-		g.AddEdge(c*m, (c+1)*m, 0.1)
+		gb.AddEdge(c*m, (c+1)*m, 0.1)
 	}
+	g := gb.Build()
 	res, err := partition(g, 2, MethodAlphaCut, Options{Seed: 5, Reduction: ReduceGreedyPruning})
 	if err != nil {
 		t.Fatal(err)
@@ -340,12 +343,13 @@ func TestGrowPathOnUniformGraph(t *testing.T) {
 	// grow path (bipartition of the largest partition with the index
 	// fallback) must still deliver exactly k connected partitions.
 	const n = 8
-	g := graph.New(n)
+	gb := graph.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			g.AddEdge(i, j, 1)
+			gb.AddEdge(i, j, 1)
 		}
 	}
+	g := gb.Build()
 	res, err := partition(g, 3, MethodAlphaCut, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -359,33 +363,6 @@ func TestGrowPathOnUniformGraph(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("partition ids %v", seen)
-	}
-}
-
-func TestAcceptKPrime(t *testing.T) {
-	// Ring of 4 weakly joined cliques asked for k=2 with AcceptKPrime:
-	// the result may keep more than 2 disjoint partitions.
-	const m = 4
-	g := graph.New(4 * m)
-	for c := 0; c < 4; c++ {
-		for i := 0; i < m; i++ {
-			for j := i + 1; j < m; j++ {
-				g.AddEdge(c*m+i, c*m+j, 1)
-			}
-		}
-	}
-	for c := 0; c < 4; c++ {
-		g.AddEdge(c*m, ((c+1)%4)*m, 0.05)
-	}
-	res, err := partition(g, 2, MethodAlphaCut, Options{Seed: 6, AcceptKPrime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.K != res.KPrime {
-		t.Fatalf("AcceptKPrime should return k'=%d partitions, got K=%d", res.KPrime, res.K)
-	}
-	if res.K < 2 {
-		t.Fatalf("K = %d, want >= 2", res.K)
 	}
 }
 

@@ -11,19 +11,20 @@ import (
 // grid builds a deterministic w×h lattice with mildly varying weights,
 // large enough to make concurrent decomposition interesting.
 func grid(w, h int) *graph.Graph {
-	g := graph.New(w * h)
+	gb := graph.NewBuilder(w * h)
 	id := func(x, y int) int { return y*w + x }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			wgt := 1 + 0.1*float64((x*7+y*13)%5)
 			if x+1 < w {
-				_ = g.AddEdge(id(x, y), id(x+1, y), wgt)
+				_ = gb.AddEdge(id(x, y), id(x+1, y), wgt)
 			}
 			if y+1 < h {
-				_ = g.AddEdge(id(x, y), id(x, y+1), wgt)
+				_ = gb.AddEdge(id(x, y), id(x, y+1), wgt)
 			}
 		}
 	}
+	g := gb.Build()
 	return g
 }
 

@@ -10,9 +10,9 @@ import (
 // randomConnected builds a connected graph from fuzz input: a spanning
 // path plus arbitrary extra edges with positive weights.
 func randomConnected(n int, extra []uint16) *graph.Graph {
-	g := graph.New(n)
+	gb := graph.NewBuilder(n)
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1, 1)
+		gb.AddEdge(i, i+1, 1)
 	}
 	for i := 0; i+2 < len(extra); i += 3 {
 		u, v := int(extra[i])%n, int(extra[i+1])%n
@@ -20,8 +20,9 @@ func randomConnected(n int, extra []uint16) *graph.Graph {
 			continue
 		}
 		w := float64(extra[i+2]%100)/100 + 0.01
-		g.AddEdge(u, v, w)
+		gb.AddEdge(u, v, w)
 	}
+	g := gb.Build()
 	return g
 }
 

@@ -86,10 +86,11 @@ func TestRefineKeepsConnectivity(t *testing.T) {
 	// A ring with noisy initial labels: after refinement + repair, every
 	// partition must be connected.
 	const n = 24
-	g := graph.New(n)
+	gb := graph.NewBuilder(n)
 	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n, 1)
+		gb.AddEdge(i, (i+1)%n, 1)
 	}
+	g := gb.Build()
 	f := make([]float64, n)
 	assign := make([]int, n)
 	for i := range assign {
@@ -123,15 +124,16 @@ func TestRefineErrors(t *testing.T) {
 // the visit order of the adjacent partitions decides the move. It must
 // be ascending id, never map order.
 func TestRefineTieBreakDeterministic(t *testing.T) {
-	g := graph.New(8)
+	gb := graph.NewBuilder(8)
 	for _, e := range []struct {
 		u, v int
 		w    float64
 	}{{0, 1, .1}, {1, 6, 3}, {6, 7, 3}, {1, 7, 3}, {0, 2, 5}, {0, 4, 5}, {2, 3, 1}, {4, 5, 1}} {
-		if err := g.AddEdge(e.u, e.v, e.w); err != nil {
+		if err := gb.AddEdge(e.u, e.v, e.w); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := gb.Build()
 	assign := []int{0, 0, 1, 1, 2, 2, 0, 0}
 	f := make([]float64, 8)
 	var first []int

@@ -25,8 +25,11 @@ func RepairConnectivity(g *graph.Graph, f []float64, assign []int, k int) ([]int
 	if k < 1 {
 		return nil, 0, fmt.Errorf("cut: repair target k=%d", k)
 	}
-	// Split every label into its connected components.
-	labels, count := g.GroupComponents(assign)
+	// Split every label into its connected components. Each merge round
+	// relabels into the other of two buffers, and a merge never raises
+	// the component count, so the rounds reuse the first round's scratch.
+	labels, spare := make([]int, g.N()), make([]int, g.N())
+	count := g.GroupComponentsInto(assign, labels)
 
 	_, graphComponents := g.Components()
 	floor := k
@@ -34,10 +37,12 @@ func RepairConnectivity(g *graph.Graph, f []float64, assign []int, k int) ([]int
 		floor = graphComponents
 	}
 
+	size, sum := make([]int, count), make([]float64, count)
 	for count > floor {
 		// Component stats.
-		size := make([]int, count)
-		sum := make([]float64, count)
+		size, sum = size[:count], sum[:count]
+		clear(size)
+		clear(sum)
 		for v, l := range labels {
 			size[l]++
 			sum[l] += f[v]
@@ -75,7 +80,8 @@ func RepairConnectivity(g *graph.Graph, f []float64, assign []int, k int) ([]int
 				labels[v] = best
 			}
 		}
-		labels, count = g.GroupComponents(labels) // renumber densely
+		count = g.GroupComponentsInto(labels, spare) // renumber densely
+		labels, spare = spare, labels
 	}
 	dense, kk := renumber(labels)
 	return dense, kk, nil

@@ -9,10 +9,11 @@ import (
 func TestRepairConnectivitySplitsAndMerges(t *testing.T) {
 	// Path 0-1-2-3-4-5 with label pattern 0,1,0,0,1,1: label 0 and 1 are
 	// both disconnected. Repair to k=2 must yield 2 connected partitions.
-	g := graph.New(6)
+	gb := graph.NewBuilder(6)
 	for i := 0; i+1 < 6; i++ {
-		g.AddEdge(i, i+1, 1)
+		gb.AddEdge(i, i+1, 1)
 	}
+	g := gb.Build()
 	f := []float64{1, 1, 1, 5, 5, 5}
 	assign := []int{0, 1, 0, 0, 1, 1}
 	out, k, err := RepairConnectivity(g, f, assign, 2)
@@ -40,10 +41,11 @@ func TestRepairConnectivitySplitsAndMerges(t *testing.T) {
 }
 
 func TestRepairConnectivityAlreadyGood(t *testing.T) {
-	g := graph.New(4)
+	gb := graph.NewBuilder(4)
 	for i := 0; i+1 < 4; i++ {
-		g.AddEdge(i, i+1, 1)
+		gb.AddEdge(i, i+1, 1)
 	}
+	g := gb.Build()
 	f := []float64{1, 1, 9, 9}
 	assign := []int{0, 0, 1, 1}
 	out, k, err := RepairConnectivity(g, f, assign, 2)
@@ -61,9 +63,10 @@ func TestRepairConnectivityAlreadyGood(t *testing.T) {
 func TestRepairConnectivityDisconnectedGraphFloor(t *testing.T) {
 	// Two disjoint edges: the graph itself has 2 components, so k=1 is
 	// unachievable; repair must stop at 2.
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(2, 3, 1)
+	gb := graph.NewBuilder(4)
+	gb.AddEdge(0, 1, 1)
+	gb.AddEdge(2, 3, 1)
+	g := gb.Build()
 	out, k, err := RepairConnectivity(g, []float64{1, 1, 2, 2}, []int{0, 0, 0, 0}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +80,9 @@ func TestRepairConnectivityDisconnectedGraphFloor(t *testing.T) {
 }
 
 func TestRepairConnectivityErrors(t *testing.T) {
-	g := graph.New(2)
-	g.AddEdge(0, 1, 1)
+	gb := graph.NewBuilder(2)
+	gb.AddEdge(0, 1, 1)
+	g := gb.Build()
 	if _, _, err := RepairConnectivity(g, []float64{1}, []int{0, 0}, 1); err == nil {
 		t.Fatal("feature length mismatch should error")
 	}

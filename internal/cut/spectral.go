@@ -3,7 +3,6 @@ package cut
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"roadpart/internal/eigen"
@@ -63,11 +62,6 @@ type Options struct {
 	// The degenerate α=0 (no balance term at all) is intentionally not
 	// expressible — it reduces the objective to a plain min-cut.
 	Alpha float64
-	// AcceptKPrime skips the k′→k reduction and returns the k′ disjoint
-	// partitions as the final result — Section 5.4 notes they "may be
-	// accepted" when an exact k is not required. Growth toward k when
-	// k′ < k still happens.
-	AcceptKPrime bool
 	// Workers bounds the goroutines used by the randomized stages
 	// (k-means restarts): 0 selects GOMAXPROCS, 1 forces serial. The
 	// partition produced is identical for every worker count at the same
@@ -190,48 +184,9 @@ func reduce(ctx context.Context, g *graph.Graph, labels []int, kPrime, k int, me
 }
 
 // connectivityGraph builds the k′-node meta-graph of partition
-// connectivity strengths.
+// connectivity strengths A′(i,j) = sqrt(Σ w² / numadj).
 func connectivityGraph(g *graph.Graph, labels []int, kPrime int) (*graph.Graph, error) {
-	type pair struct{ a, b int }
-	sum := map[pair]float64{}
-	cnt := map[pair]int{}
-	for u := 0; u < g.N(); u++ {
-		for _, e := range g.Neighbors(u) {
-			if e.To <= u {
-				continue
-			}
-			a, b := labels[u], labels[e.To]
-			if a == b {
-				continue
-			}
-			if a > b {
-				a, b = b, a
-			}
-			p := pair{a, b}
-			sum[p] += e.W * e.W
-			cnt[p]++
-		}
-	}
-	// Sorted insertion keeps adjacency order — and thus every tie-break
-	// downstream — deterministic across runs.
-	keys := make([]pair, 0, len(sum))
-	for p := range sum {
-		keys = append(keys, p)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
-	})
-	meta := graph.New(kPrime)
-	for _, p := range keys {
-		w := math.Sqrt(sum[p] / float64(cnt[p]))
-		if err := meta.AddEdge(p.a, p.b, w); err != nil {
-			return nil, err
-		}
-	}
-	return meta, nil
+	return g.Quotient(labels, kPrime, func(_, _ int, w float64) float64 { return w })
 }
 
 // recursiveBipartition splits the meta-graph's node set into k groups by

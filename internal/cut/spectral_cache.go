@@ -128,7 +128,7 @@ func (s *Spectral) PartitionCtx(ctx context.Context, k int) (*Result, error) {
 	res := &Result{KPrime: kPrime}
 	sp = stageReduce.Start()
 	switch {
-	case kPrime > k && !s.opts.AcceptKPrime:
+	case kPrime > k:
 		labels, err = reduce(ctx, s.g, labels, kPrime, k, s.method, s.opts)
 	case kPrime < k:
 		labels, err = grow(ctx, s.g, labels, kPrime, k, s.method, s.opts)

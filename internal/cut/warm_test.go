@@ -32,11 +32,11 @@ func assignEqual(t *testing.T, label string, got, want *Result) {
 // cold-seeded solves — the regime the warm-start invariance contract
 // actually promises bit-identity in (docs/NUMERICS.md § Warm starts).
 func irregular(n, chords int, seed uint64) *graph.Graph {
-	g := graph.New(n)
+	gb := graph.NewBuilder(n)
 	rng := linalg.RNGFromState(seed)
 	w := func() float64 { return 0.5 + float64(rng.Uint64()%1000)/1000.0 }
 	for i := 0; i < n; i++ {
-		_ = g.AddEdge(i, (i+1)%n, w())
+		_ = gb.AddEdge(i, (i+1)%n, w())
 	}
 	for c := 0; c < chords; c++ {
 		u := rng.Intn(n)
@@ -44,8 +44,9 @@ func irregular(n, chords int, seed uint64) *graph.Graph {
 		if u == v || u == (v+1)%n || v == (u+1)%n {
 			continue
 		}
-		_ = g.AddEdge(u, v, w())
+		_ = gb.AddEdge(u, v, w())
 	}
+	g := gb.Build()
 	return g
 }
 

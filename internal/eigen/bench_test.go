@@ -3,8 +3,6 @@ package eigen
 import (
 	"context"
 	"testing"
-
-	"roadpart/internal/linalg"
 )
 
 func BenchmarkSymEigen200(b *testing.B) {
@@ -20,15 +18,11 @@ func BenchmarkSymEigen200(b *testing.B) {
 func BenchmarkLanczosRing5k(b *testing.B) {
 	// Ring-graph Laplacian: the canonical sparse symmetric operator.
 	const n = 5000
-	bld := linalg.NewBuilder(n, n)
+	var entries []symEntry
 	for i := 0; i < n; i++ {
-		bld.AddSym(i, i, 2)
-		bld.AddSym(i, (i+1)%n, -1)
+		entries = append(entries, symEntry{i, i, 2}, symEntry{i, (i + 1) % n, -1})
 	}
-	m, err := bld.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
+	m := symCSR(b, n, entries)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Lanczos(context.Background(), CSROp{m}, 6, LanczosOptions{Seed: 1}); err != nil {

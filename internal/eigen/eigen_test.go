@@ -286,21 +286,18 @@ func TestLanczosDeterministic(t *testing.T) {
 func TestLanczosDisconnectedLaplacian(t *testing.T) {
 	// Block-diagonal Laplacian of two disjoint triangles: eigenvalue 0 has
 	// multiplicity 2. Full reorthogonalization + restart must find both.
-	b := linalg.NewBuilder(6, 6)
+	var entries []symEntry
 	tri := func(off int) {
 		for i := 0; i < 3; i++ {
-			b.AddSym(off+i, off+i, 2)
+			entries = append(entries, symEntry{off + i, off + i, 2})
 			for j := i + 1; j < 3; j++ {
-				b.AddSym(off+i, off+j, -1)
+				entries = append(entries, symEntry{off + i, off + j, -1})
 			}
 		}
 	}
 	tri(0)
 	tri(3)
-	m, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := symCSR(t, 6, entries)
 	dec, err := Lanczos(context.Background(), CSROp{m}, 3, LanczosOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)

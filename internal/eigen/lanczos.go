@@ -19,24 +19,6 @@ type Op interface {
 	Apply(dst, x []float64)
 }
 
-// DenseOp adapts a dense symmetric matrix to the Op interface.
-type DenseOp struct{ M *linalg.Dense }
-
-// Dim returns the order of the wrapped matrix.
-func (o DenseOp) Dim() int { return o.M.Rows() }
-
-// Apply computes dst = M·x.
-func (o DenseOp) Apply(dst, x []float64) { o.M.MulVec(dst, x) }
-
-// CSROp adapts a sparse symmetric matrix to the Op interface.
-type CSROp struct{ M *linalg.CSR }
-
-// Dim returns the order of the wrapped matrix.
-func (o CSROp) Dim() int { return o.M.Rows() }
-
-// Apply computes dst = M·x.
-func (o CSROp) Apply(dst, x []float64) { o.M.MulVec(dst, x) }
-
 // deflationTol is the residual norm below which a Krylov direction is
 // treated as contained in the current basis (an invariant subspace was
 // found) and the chain restarts from a fresh orthogonal direction.

@@ -1,7 +1,9 @@
 package eigen
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"roadpart/internal/linalg"
 	"roadpart/internal/obs"
@@ -174,14 +176,44 @@ func (ws *Workspace) restartRows(rng *linalg.RNG, cnt int) bool {
 
 // Workspace pool: Lanczos (and LanczosWS with a nil workspace) draws
 // from here, so the steady-state population is bounded by the number of
-// concurrent eigensolves — at most one per worker.
+// concurrent eigensolves — at most one per worker. wsLast holds the most
+// recently released workspace ahead of the sync.Pool: the pool parks a
+// released workspace in the releasing P's private slot, which a solve on
+// another P cannot take, so back-to-back solves that hop between Ps would
+// otherwise keep one Krylov basis each alive in the pool.
 var (
+	wsLast  atomic.Pointer[Workspace]
+	wsIdle  atomic.Int32 // collections since wsLast was last filled
 	wsPool  sync.Pool
 	wsTally = obs.NewPoolTally("eigen_workspace")
 )
 
+func init() { watchCollections() }
+
+// gcTick is a throwaway object whose finalizer runs after a collection.
+// The pointer field keeps it out of the tiny allocator, whose shared
+// blocks can delay a finalizer indefinitely.
+type gcTick struct{ _ *byte }
+
+// watchCollections empties wsLast once its workspace has sat unused
+// through two collections, the grace a sync.Pool gives its own items, so
+// an idle process still releases the basis. It re-arms itself from the
+// finalizer, once per collection.
+func watchCollections() {
+	runtime.SetFinalizer(&gcTick{}, func(*gcTick) {
+		if wsIdle.Add(1) >= 2 {
+			wsLast.Store(nil)
+		}
+		watchCollections()
+	})
+}
+
 func getWorkspace() *Workspace {
-	if ws, ok := wsPool.Get().(*Workspace); ok {
+	ws := wsLast.Swap(nil)
+	if ws == nil {
+		ws, _ = wsPool.Get().(*Workspace)
+	}
+	if ws != nil {
 		wsTally.Hit(ws.footprint())
 		return ws
 	}
@@ -190,5 +222,9 @@ func getWorkspace() *Workspace {
 }
 
 func putWorkspace(ws *Workspace) {
-	wsPool.Put(ws)
+	if wsLast.CompareAndSwap(nil, ws) {
+		wsIdle.Store(0)
+	} else {
+		wsPool.Put(ws)
+	}
 }

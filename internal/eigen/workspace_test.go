@@ -3,8 +3,10 @@ package eigen
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"roadpart/internal/linalg"
 )
@@ -13,15 +15,11 @@ import (
 // size stays below the matvec parallel cutoff so Apply is serial.
 func pathOp(t *testing.T, n int) *linalg.CSR {
 	t.Helper()
-	b := linalg.NewBuilder(n, n)
+	var entries []symEntry
 	for i := 0; i+1 < n; i++ {
-		b.AddSym(i, i+1, 1+float64(i%3))
+		entries = append(entries, symEntry{i, i + 1, 1 + float64(i%3)})
 	}
-	m, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return symCSR(t, n, entries)
 }
 
 func decompEqual(t *testing.T, a, b *Decomposition) {
@@ -225,5 +223,35 @@ func TestOrthogonalizeMatchesUnfused(t *testing.T) {
 			t.Fatal("random row rejected")
 		}
 		copy(plain.q[cnt], fused.q[cnt])
+	}
+}
+
+// TestReleasedWorkspaceIsReused pins the shared slot ahead of the pool:
+// the next solve gets the last released workspace back even when it runs
+// on another goroutine, and so possibly another P, whose sync.Pool
+// private slot would miss it.
+func TestReleasedWorkspaceIsReused(t *testing.T) {
+	ws := getWorkspace()
+	putWorkspace(ws)
+	got := make(chan *Workspace)
+	go func() { got <- getWorkspace() }()
+	other := <-got
+	defer putWorkspace(other)
+	if other != ws {
+		t.Fatal("the last released workspace was not reused")
+	}
+}
+
+// TestIdleWorkspaceIsReleased checks that the shared slot lets go of a
+// workspace no solve has taken through two collections, as the pool
+// would.
+func TestIdleWorkspaceIsReleased(t *testing.T) {
+	putWorkspace(getWorkspace())
+	for i := 0; i < 100 && wsLast.Load() != nil; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // let the finalizer goroutine run
+	}
+	if wsLast.Load() != nil {
+		t.Fatal("an idle workspace stayed in the slot through 100 collections")
 	}
 }

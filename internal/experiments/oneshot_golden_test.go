@@ -26,24 +26,18 @@ var oneShotGolden = map[string]uint64{
 	"D1/jiger/k=6":      0xbd28e9e7309a7ce9,
 	"D1/alpha/default":  0xc281e53b3bba7d07,
 	"D1/alpha/greedy":   0xbb669f7330136e03,
-	"D1/alpha/kprime":   0x18bb59658a2bf1cd,
 	"D1/ncut/default":   0xb565fba332d8ac86,
 	"D1/ncut/greedy":    0xb565fba332d8ac86,
-	"D1/ncut/kprime":    0xb565fba332d8ac86,
 	"D1/scalar/default": 0xfc61eaa4ad50aec0,
 	"D1/scalar/greedy":  0xfc61eaa4ad50aec0,
-	"D1/scalar/kprime":  0xfc61eaa4ad50aec0,
 	"M1/jiger/k=3":      0x37c9281385fa5af6,
 	"M1/jiger/k=6":      0xf6c2e2cc9690c215,
 	"M1/alpha/default":  0x18c1c40f5b98b280,
 	"M1/alpha/greedy":   0x9bb244dd00a4ca81,
-	"M1/alpha/kprime":   0x2e6139a9d3a2202c,
 	"M1/ncut/default":   0x8c8dd34a3fc2e678,
 	"M1/ncut/greedy":    0x3bb58b40024096a3,
-	"M1/ncut/kprime":    0xd6df6c69502e66c7,
 	"M1/scalar/default": 0x48dc46ba2f6ff05d,
 	"M1/scalar/greedy":  0xbc303ba622ee91a2,
-	"M1/scalar/kprime":  0x962dc7bc5c168845,
 }
 
 func assignHash(header string, assign []int) uint64 {
@@ -68,7 +62,6 @@ func TestOneShotGoldens(t *testing.T) {
 	}{
 		{"default", cut.Options{Seed: 1}},
 		{"greedy", cut.Options{Seed: 1, Reduction: cut.ReduceGreedyPruning}},
-		{"kprime", cut.Options{Seed: 1, AcceptKPrime: true}},
 	}
 	check := func(key string, got uint64) {
 		t.Helper()

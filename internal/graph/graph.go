@@ -1,12 +1,15 @@
 // Package graph provides the undirected weighted graph substrate shared by
-// the road graph, the supergraph and the partitioning machinery: adjacency
-// lists, FIFO (BFS) connected components — the component algorithm the
-// paper names in Section 4.3.1 — induced subgraphs and conversion to sparse
-// adjacency matrices.
+// the road graph, the supergraph and the partitioning machinery: immutable
+// flat adjacency rows filled by one Builder, FIFO (BFS) connected
+// components — the component algorithm the paper names in Section 4.3.1 —
+// induced subgraphs and conversion to sparse adjacency matrices.
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"roadpart/internal/linalg"
 )
@@ -18,82 +21,102 @@ type Edge struct {
 	W  float64
 }
 
-// Graph is an undirected weighted graph on nodes 0..N()-1. Parallel edges
-// are permitted (each AddEdge call appends); self-loops are rejected.
+// Graph is an immutable undirected weighted graph on nodes 0..N()-1,
+// stored as flat rows: node u's edges are edges[off[u]:off[u+1]]. Build one
+// with a Builder. Parallel edges are permitted; self-loops are not.
 type Graph struct {
-	adj   [][]Edge
-	edges int
+	off   []int // len N()+1
+	edges []Edge
 }
 
-// New returns an empty graph on n nodes. It panics if n is negative.
-func New(n int) *Graph {
-	if n < 0 {
-		panic(fmt.Sprintf("graph: New with negative size %d", n))
-	}
-	return &Graph{adj: make([][]Edge, n)}
+// Builder collects the edges of a Graph. Build lays them out row by row
+// in AddEdge order, so Neighbors(u) lists u's edges in the order they
+// were added.
+type Builder struct {
+	n    int
+	list []builderEdge
 }
 
-// N returns the number of nodes.
-func (g *Graph) N() int { return len(g.adj) }
-
-// M returns the number of undirected edges added.
-func (g *Graph) M() int { return g.edges }
-
-// Reserve preallocates adjacency capacity from exact per-node endpoint
-// counts: deg[u] is the number of edge endpoints node u will receive
-// (each AddEdge contributes one endpoint at each of its two nodes). All
-// lists are carved from one flat backing array, so a counted build does
-// one allocation instead of one growth chain per node. Adding more
-// endpoints than reserved is permitted — that node's list falls back to
-// append growth. It panics if edges were already added or the count
-// vector has the wrong length.
-func (g *Graph) Reserve(deg []int) {
-	if g.edges != 0 {
-		panic("graph: Reserve after AddEdge")
-	}
-	if len(deg) != len(g.adj) {
-		panic(fmt.Sprintf("graph: Reserve with %d counts for %d nodes", len(deg), len(g.adj)))
-	}
-	total := 0
-	for _, d := range deg {
-		total += d
-	}
-	back := make([]Edge, total)
-	off := 0
-	for u, d := range deg {
-		g.adj[u] = back[off : off : off+d]
-		off += d
-	}
+// builderEdge is one recorded edge. 32-bit ids keep the list, the
+// largest transient of a build, at 16 bytes per edge.
+type builderEdge struct {
+	u, v int32
+	w    float64
 }
 
-// AddEdge connects u and v with weight w. It returns an error for
-// out-of-range endpoints or self-loops.
-func (g *Graph) AddEdge(u, v int, w float64) error {
-	n := len(g.adj)
-	if u < 0 || u >= n || v < 0 || v >= n {
-		return fmt.Errorf("graph: edge (%d,%d) outside %d nodes", u, v, n)
+// NewBuilder returns a Builder for a graph on n nodes. It panics if n is
+// negative or too large for the builder's 32-bit node ids.
+func NewBuilder(n int) *Builder {
+	if n < 0 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: NewBuilder with size %d", n))
+	}
+	return &Builder{n: n}
+}
+
+// AddEdge records an edge between u and v with weight w. It returns an
+// error for out-of-range endpoints or self-loops.
+func (b *Builder) AddEdge(u, v int, w float64) error {
+	if u < 0 || u >= b.n || v < 0 || v >= b.n {
+		return fmt.Errorf("graph: edge (%d,%d) outside %d nodes", u, v, b.n)
 	}
 	if u == v {
 		return fmt.Errorf("graph: self-loop on node %d", u)
 	}
-	g.adj[u] = append(g.adj[u], Edge{To: v, W: w})
-	g.adj[v] = append(g.adj[v], Edge{To: u, W: w})
-	g.edges++
+	if len(b.list) == cap(b.list) {
+		// Double by hand: append grows large slices by only 1.25×, which
+		// re-copies an XL edge list about five times over.
+		b.list = append(make([]builderEdge, 0, 2*cap(b.list)+16), b.list...)
+	}
+	b.list = append(b.list, builderEdge{int32(u), int32(v), w})
 	return nil
 }
 
-// Neighbors returns the adjacency list of node u. The returned slice is
-// owned by the graph and must not be modified.
-func (g *Graph) Neighbors(u int) []Edge { return g.adj[u] }
+// Build returns the graph of the edges added so far: one degree count,
+// then one placement pass in AddEdge order.
+func (b *Builder) Build() *Graph {
+	off := make([]int, b.n+1)
+	for _, e := range b.list {
+		off[e.u+1]++
+		off[e.v+1]++
+	}
+	for u := 0; u < b.n; u++ {
+		off[u+1] += off[u]
+	}
+	// off[u] serves as row u's fill cursor; once every edge is placed it
+	// has advanced to the start of row u+1, and one shift restores it.
+	edges := make([]Edge, off[b.n])
+	for _, e := range b.list {
+		edges[off[e.u]] = Edge{To: int(e.v), W: e.w}
+		off[e.u]++
+		edges[off[e.v]] = Edge{To: int(e.u), W: e.w}
+		off[e.v]++
+	}
+	copy(off[1:], off[:b.n])
+	off[0] = 0
+	return &Graph{off: off, edges: edges}
+}
+
+// N returns the number of nodes.
+func (g *Graph) N() int { return len(g.off) - 1 }
+
+// M returns the number of undirected edges.
+func (g *Graph) M() int { return len(g.edges) / 2 }
+
+// Neighbors returns the edges of node u in the order they were added. The
+// returned slice is owned by the graph and must not be modified.
+func (g *Graph) Neighbors(u int) []Edge {
+	lo, hi := g.off[u], g.off[u+1]
+	return g.edges[lo:hi:hi]
+}
 
 // Degree returns the number of incident edge endpoints at u
 // (parallel edges count separately).
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
+func (g *Graph) Degree(u int) int { return g.off[u+1] - g.off[u] }
 
 // WeightedDegree returns the sum of weights of edges incident to u.
 func (g *Graph) WeightedDegree(u int) float64 {
 	var s float64
-	for _, e := range g.adj[u] {
+	for _, e := range g.Neighbors(u) {
 		s += e.W
 	}
 	return s
@@ -103,24 +126,22 @@ func (g *Graph) WeightedDegree(u int) float64 {
 // counted once).
 func (g *Graph) TotalWeight() float64 {
 	var s float64
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
-			s += e.W
-		}
+	for _, e := range g.edges {
+		s += e.W
 	}
 	return s / 2
 }
 
 // HasEdge reports whether at least one edge connects u and v.
 func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= len(g.adj) || v < 0 || v >= len(g.adj) {
+	if u < 0 || u >= g.N() || v < 0 || v >= g.N() {
 		return false
 	}
 	// Scan the shorter list.
-	if len(g.adj[u]) > len(g.adj[v]) {
+	if g.Degree(u) > g.Degree(v) {
 		u, v = v, u
 	}
-	for _, e := range g.adj[u] {
+	for _, e := range g.Neighbors(u) {
 		if e.To == v {
 			return true
 		}
@@ -128,16 +149,31 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return false
 }
 
-// AdjacencyCSR builds the (symmetric) weighted adjacency matrix, summing
-// parallel edges.
+// AdjacencyCSR builds the (symmetric) weighted adjacency matrix one row
+// at a time: each row is stably sorted by column, parallel edges are
+// summed in the order they were added, and zero sums are dropped.
 func (g *Graph) AdjacencyCSR() (*linalg.CSR, error) {
-	b := linalg.NewBuilder(g.N(), g.N())
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
-			b.Add(u, e.To, e.W) // both directions present in adj
-		}
+	n, maxDeg := g.N(), 0
+	for u := 0; u < n; u++ {
+		maxDeg = max(maxDeg, g.Degree(u))
 	}
-	return b.Build()
+	row := make([]Edge, 0, maxDeg)
+	rowPtr := make([]int, n+1)
+	colIdx := make([]int, 0, len(g.edges))
+	vals := make([]float64, 0, len(g.edges))
+	for u := 0; u < n; u++ {
+		row = append(row[:0], g.Neighbors(u)...)
+		slices.SortStableFunc(row, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
+		for i := 0; i < len(row); {
+			j, v := row[i].To, 0.0
+			for ; i < len(row) && row[i].To == j; i++ {
+				v += row[i].W
+			}
+			colIdx, vals = append(colIdx, j), append(vals, v)
+		}
+		rowPtr[u+1] = len(colIdx)
+	}
+	return linalg.NewCSR(n, n, rowPtr, colIdx, vals)
 }
 
 // Components labels every node with a component id in [0, count) using a
@@ -184,7 +220,7 @@ func (g *Graph) ComponentsFilteredInto(keep func(u, v int) bool, comp []int) int
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, e := range g.adj[u] {
+			for _, e := range g.Neighbors(u) {
 				if comp[e.To] >= 0 {
 					continue
 				}
@@ -216,7 +252,7 @@ func (g *Graph) IsConnectedSubset(nodes []int) bool {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, e := range g.adj[u] {
+		for _, e := range g.Neighbors(u) {
 			if in[e.To] && !seen[e.To] {
 				seen[e.To] = true
 				queue = append(queue, e.To)
@@ -239,37 +275,72 @@ func (g *Graph) Induced(nodes []int) (*Graph, []int, error) {
 		}
 		idx[v] = i
 	}
-	sub := New(len(nodes))
+	b := NewBuilder(len(nodes))
 	for i, v := range nodes {
-		for _, e := range g.adj[v] {
+		for _, e := range g.Neighbors(v) {
 			j, ok := idx[e.To]
 			if !ok || j <= i { // add each undirected edge once
 				continue
 			}
-			if err := sub.AddEdge(i, j, e.W); err != nil {
+			if err := b.AddEdge(i, j, e.W); err != nil {
 				return nil, nil, err
 			}
 		}
 	}
 	orig := make([]int, len(nodes))
 	copy(orig, nodes)
-	return sub, orig, nil
+	return b.Build(), orig, nil
 }
 
 // Reweighted returns a copy of g with every edge's weight replaced by
 // fn(u, v, w). Useful for turning a topology-only adjacency into a
 // congestion-affinity graph.
 func (g *Graph) Reweighted(fn func(u, v int, w float64) float64) *Graph {
-	out := New(g.N())
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
+	b := &Builder{n: g.N(), list: make([]builderEdge, 0, g.M())}
+	for u := 0; u < g.N(); u++ {
+		for _, e := range g.Neighbors(u) {
 			if e.To > u {
 				// Errors are impossible: endpoints were validated on entry.
-				_ = out.AddEdge(u, e.To, fn(u, e.To, e.W))
+				_ = b.AddEdge(u, e.To, fn(u, e.To, e.W))
 			}
 		}
 	}
-	return out
+	return b.Build()
+}
+
+// Quotient returns the graph on the groups 0..k-1 of labels: groups a and
+// b are joined when at least one edge of g runs between them, weighted by
+// the root mean square of term(u, v, w) over those edges (u < v, summed in
+// edge order). Pairs are added in ascending (a, b) order, so the result
+// does not depend on map iteration.
+func (g *Graph) Quotient(labels []int, k int, term func(u, v int, w float64) float64) (*Graph, error) {
+	type pair struct{ a, b int }
+	sum := map[pair]float64{}
+	cnt := map[pair]int{}
+	for u := 0; u < g.N(); u++ {
+		for _, e := range g.Neighbors(u) {
+			a, b := labels[u], labels[e.To]
+			if e.To <= u || a == b {
+				continue
+			}
+			t := term(u, e.To, e.W)
+			p := pair{min(a, b), max(a, b)}
+			sum[p] += t * t
+			cnt[p]++
+		}
+	}
+	keys := make([]pair, 0, len(sum))
+	for p := range sum {
+		keys = append(keys, p)
+	}
+	slices.SortFunc(keys, func(x, y pair) int { return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b)) })
+	b := NewBuilder(k)
+	for _, p := range keys {
+		if err := b.AddEdge(p.a, p.b, math.Sqrt(sum[p]/float64(cnt[p]))); err != nil {
+			return nil, err
+		}
+	}
+	return b.Build(), nil
 }
 
 // GroupComponents splits every group of the given labeling into its

@@ -1,41 +1,57 @@
 package graph
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
 
-// path returns a path graph 0-1-2-...-n-1 with unit weights.
-func path(n int) *Graph {
-	g := New(n)
-	for i := 0; i+1 < n; i++ {
-		if err := g.AddEdge(i, i+1, 1); err != nil {
+// edge is one (u, v, w) input to build.
+type edge struct {
+	u, v int
+	w    float64
+}
+
+// build returns the graph on n nodes with the given edges, added in order.
+func build(n int, edges ...edge) *Graph {
+	b := NewBuilder(n)
+	for _, e := range edges {
+		if err := b.AddEdge(e.u, e.v, e.w); err != nil {
 			panic(err)
 		}
 	}
-	return g
+	return b.Build()
+}
+
+// path returns a path graph 0-1-2-...-n-1 with unit weights.
+func path(n int) *Graph {
+	b := NewBuilder(n)
+	for i := 0; i+1 < n; i++ {
+		if err := b.AddEdge(i, i+1, 1); err != nil {
+			panic(err)
+		}
+	}
+	return b.Build()
 }
 
 func TestAddEdgeValidation(t *testing.T) {
-	g := New(3)
-	if err := g.AddEdge(0, 3, 1); err == nil {
+	b := NewBuilder(3)
+	if err := b.AddEdge(0, 3, 1); err == nil {
 		t.Fatal("out-of-range edge should error")
 	}
-	if err := g.AddEdge(1, 1, 1); err == nil {
+	if err := b.AddEdge(1, 1, 1); err == nil {
 		t.Fatal("self-loop should error")
 	}
-	if err := g.AddEdge(0, 1, 2.5); err != nil {
+	if err := b.AddEdge(0, 1, 2.5); err != nil {
 		t.Fatal(err)
 	}
-	if g.M() != 1 {
+	if g := b.Build(); g.M() != 1 {
 		t.Fatalf("M = %d, want 1", g.M())
 	}
 }
 
 func TestDegreesAndWeights(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 2)
-	g.AddEdge(0, 2, 3)
+	g := build(3, edge{0, 1, 2}, edge{0, 2, 3})
 	if g.Degree(0) != 2 || g.Degree(1) != 1 {
 		t.Fatalf("degrees wrong: %d %d", g.Degree(0), g.Degree(1))
 	}
@@ -61,10 +77,7 @@ func TestHasEdge(t *testing.T) {
 }
 
 func TestComponents(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(3, 4, 1)
+	g := build(6, edge{0, 1, 1}, edge{1, 2, 1}, edge{3, 4, 1})
 	comp, count := g.Components()
 	if count != 3 {
 		t.Fatalf("count = %d, want 3 (two chains + isolated 5)", count)
@@ -120,11 +133,7 @@ func TestIsConnectedSubset(t *testing.T) {
 }
 
 func TestInduced(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 2)
-	g.AddEdge(2, 3, 3)
-	g.AddEdge(3, 4, 4)
+	g := build(5, edge{0, 1, 1}, edge{1, 2, 2}, edge{2, 3, 3}, edge{3, 4, 4})
 	sub, orig, err := g.Induced([]int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -147,9 +156,7 @@ func TestInduced(t *testing.T) {
 }
 
 func TestAdjacencyCSR(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 2)
-	g.AddEdge(0, 1, 3) // parallel edges sum in the matrix
+	g := build(3, edge{0, 1, 2}, edge{0, 1, 3}) // parallel edges sum in the matrix
 	m, err := g.AdjacencyCSR()
 	if err != nil {
 		t.Fatal(err)
@@ -171,13 +178,14 @@ func TestAdjacencyCSR(t *testing.T) {
 func TestComponentsPartitionProperty(t *testing.T) {
 	f := func(edges []uint16, nn uint8) bool {
 		n := int(nn%50) + 1
-		g := New(n)
+		b := NewBuilder(n)
 		for i := 0; i+1 < len(edges); i += 2 {
 			u, v := int(edges[i])%n, int(edges[i+1])%n
 			if u != v {
-				g.AddEdge(u, v, 1)
+				b.AddEdge(u, v, 1)
 			}
 		}
+		g := b.Build()
 		comp, count := g.Components()
 		if count < 1 || count > n {
 			return false
@@ -209,41 +217,18 @@ func TestComponentsPartitionProperty(t *testing.T) {
 	}
 }
 
-func TestReserveExactAndOverflow(t *testing.T) {
-	// A counted build: 3 edges on 4 nodes, endpoint counts known exactly.
-	g := New(4)
-	g.Reserve([]int{2, 2, 1, 1})
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}} {
-		if err := g.AddEdge(e[0], e[1], 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if g.M() != 3 || g.Degree(0) != 2 || g.Degree(3) != 1 {
-		t.Fatalf("reserved graph wrong: M=%d deg0=%d deg3=%d", g.M(), g.Degree(0), g.Degree(3))
-	}
-	// Adding beyond the reserved capacity must fall back to append growth
-	// without corrupting other nodes' lists (they share one backing).
-	if err := g.AddEdge(0, 3, 2); err != nil {
+func TestQuotient(t *testing.T) {
+	// Groups {0,1} and {2,3} share two edges (weights 3 and 4); group 2
+	// has no members. Intra-group edges vanish.
+	g := build(4, edge{0, 2, 3}, edge{0, 1, 5}, edge{3, 1, 4}, edge{2, 3, 1})
+	q, err := g.Quotient([]int{0, 0, 1, 1}, 3, func(_, _ int, w float64) float64 { return w })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Degree(0) != 3 || g.Degree(1) != 2 || g.Degree(3) != 2 {
-		t.Fatalf("overflow corrupted adjacency: deg=%d,%d,%d,%d",
-			g.Degree(0), g.Degree(1), g.Degree(2), g.Degree(3))
+	if q.N() != 3 || q.M() != 1 {
+		t.Fatalf("quotient has %d nodes %d edges, want 3/1", q.N(), q.M())
 	}
-	if !g.HasEdge(0, 2) || !g.HasEdge(0, 3) {
-		t.Fatal("edges lost after overflow growth")
+	if e := q.Neighbors(0); len(e) != 1 || e[0].To != 1 || e[0].W != math.Sqrt((9+16)/2.0) {
+		t.Fatalf("group 0 links %v, want one to group 1 at the RMS weight", e)
 	}
-
-	// Guard rails.
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("Reserve after AddEdge", func() { g.Reserve([]int{0, 0, 0, 0}) })
-	mustPanic("Reserve wrong length", func() { New(2).Reserve([]int{1}) })
 }

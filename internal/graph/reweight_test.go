@@ -3,9 +3,7 @@ package graph
 import "testing"
 
 func TestReweighted(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 2)
-	g.AddEdge(1, 2, 3)
+	g := build(3, edge{0, 1, 2}, edge{1, 2, 3})
 	doubled := g.Reweighted(func(u, v int, w float64) float64 { return 2 * w })
 	if doubled.TotalWeight() != 10 {
 		t.Fatalf("total = %v, want 10", doubled.TotalWeight())
@@ -21,8 +19,7 @@ func TestReweighted(t *testing.T) {
 }
 
 func TestReweightedReceivesEndpoints(t *testing.T) {
-	g := New(4)
-	g.AddEdge(1, 3, 1)
+	g := build(4, edge{1, 3, 1})
 	rw := g.Reweighted(func(u, v int, w float64) float64 { return float64(u + v) })
 	for _, e := range rw.Neighbors(1) {
 		if e.W != 4 {
@@ -32,9 +29,7 @@ func TestReweightedReceivesEndpoints(t *testing.T) {
 }
 
 func TestReweightedParallelEdges(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(0, 1, 2)
+	g := build(2, edge{0, 1, 1}, edge{0, 1, 2})
 	rw := g.Reweighted(func(u, v int, w float64) float64 { return w * 10 })
 	if rw.M() != 2 {
 		t.Fatalf("parallel edges lost: M = %d", rw.M())

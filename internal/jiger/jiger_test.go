@@ -10,10 +10,11 @@ import (
 // stripes builds a path graph with s density stripes of width w.
 func stripes(s, w int) (*graph.Graph, []float64) {
 	n := s * w
-	g := graph.New(n)
+	gb := graph.NewBuilder(n)
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1, 1)
+		gb.AddEdge(i, i+1, 1)
 	}
+	g := gb.Build()
 	f := make([]float64, n)
 	for i := range f {
 		f[i] = float64(i/w)*10 + 0.01*float64(i%w)
@@ -47,17 +48,18 @@ func TestPartitionConnectivityAlwaysHolds(t *testing.T) {
 	// A 2D-ish lattice with noisy densities: boundary adjustment is
 	// exercised heavily; C.2 must survive.
 	const side = 6
-	g := graph.New(side * side)
+	gb := graph.NewBuilder(side * side)
 	for r := 0; r < side; r++ {
 		for c := 0; c < side; c++ {
 			if c+1 < side {
-				g.AddEdge(r*side+c, r*side+c+1, 1)
+				gb.AddEdge(r*side+c, r*side+c+1, 1)
 			}
 			if r+1 < side {
-				g.AddEdge(r*side+c, (r+1)*side+c, 1)
+				gb.AddEdge(r*side+c, (r+1)*side+c, 1)
 			}
 		}
 	}
+	g := gb.Build()
 	f := make([]float64, side*side)
 	for i := range f {
 		// Left half low, right half high, with noise from index mixing.

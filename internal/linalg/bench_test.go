@@ -4,17 +4,13 @@ import "testing"
 
 func benchCSR(b *testing.B, n, deg int) *CSR {
 	b.Helper()
-	bld := NewBuilder(n, n)
+	var entries []entry
 	for i := 0; i < n; i++ {
 		for d := 1; d <= deg; d++ {
-			bld.AddSym(i, (i+d)%n, 1)
+			entries = sym(entries, i, (i+d)%n, 1)
 		}
 	}
-	m, err := bld.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m
+	return csrOf(b, n, n, entries)
 }
 
 func BenchmarkCSRMulVec10k(b *testing.B) {

@@ -55,15 +55,12 @@ func TestPutVecEmptyIsSafe(t *testing.T) {
 // allocation-free hot-path pins of docs/PERFORMANCE.md.
 func TestCSRMulVecSerialAllocFree(t *testing.T) {
 	n := 512 // below csrMulVecCutoff: serial path
-	b := NewBuilder(n, n)
+	var entries []entry
 	for i := 0; i < n; i++ {
-		b.AddSym(i, (i+1)%n, 1.5)
-		b.AddSym(i, (i+7)%n, 0.5)
+		entries = sym(entries, i, (i+1)%n, 1.5)
+		entries = sym(entries, i, (i+7)%n, 0.5)
 	}
-	m, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := csrOf(t, n, n, entries)
 	x := make([]float64, n)
 	dst := make([]float64, n)
 	for i := range x {
@@ -97,15 +94,12 @@ func TestDenseMulVecSerialAllocFree(t *testing.T) {
 // parallel branch must stay bit-identical to the serial kernel.
 func TestMulVecParallelMatchesSerial(t *testing.T) {
 	n := 4096 // above csrMulVecCutoff
-	b := NewBuilder(n, n)
+	var entries []entry
 	for i := 0; i < n; i++ {
-		b.AddSym(i, (i+1)%n, float64(i%5)+0.25)
-		b.AddSym(i, (i+13)%n, 1)
+		entries = sym(entries, i, (i+1)%n, float64(i%5)+0.25)
+		entries = sym(entries, i, (i+13)%n, 1)
 	}
-	m, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := csrOf(t, n, n, entries)
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = float64(i%31) - 15.5

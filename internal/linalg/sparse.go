@@ -7,62 +7,51 @@ import (
 	"roadpart/internal/parallel"
 )
 
-// Coord is a single (row, column, value) triplet used to assemble sparse
-// matrices.
-type Coord struct {
-	Row, Col int
-	Val      float64
-}
-
-// CSR is a compressed-sparse-row matrix. It is immutable after construction;
-// build one with NewCSR or through a Builder.
+// CSR is a compressed-sparse-row matrix. It is immutable after
+// construction; build one with NewCSR.
 type CSR struct {
 	rows, cols int
 	rowPtr     []int     // len rows+1
-	colIdx     []int     // len nnz, sorted within each row
-	vals       []float64 // len nnz
+	colIdx     []int     // len nnz, strictly increasing within each row
+	vals       []float64 // len nnz, no zeros
 }
 
-// NewCSR assembles a CSR matrix from triplets. Duplicate (row, col) entries
-// are summed, which makes assembling graph adjacency matrices from edge
-// lists convenient. It returns an error if any coordinate is out of range.
-func NewCSR(rows, cols int, entries []Coord) (*CSR, error) {
+// NewCSR returns the rows×cols matrix held in compressed rows: row i
+// stores the values vals[k] at columns colIdx[k] for k in
+// [rowPtr[i], rowPtr[i+1]), columns strictly increasing within a row.
+// Explicit zeros are dropped. NewCSR takes ownership of the three slices
+// and compacts them in place. It returns an error for a negative
+// dimension, malformed row pointers, or a column out of range or order.
+func NewCSR(rows, cols int, rowPtr, colIdx []int, vals []float64) (*CSR, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("linalg: NewCSR negative dimension %dx%d", rows, cols)
 	}
-	for _, e := range entries {
-		if e.Row < 0 || e.Row >= rows || e.Col < 0 || e.Col >= cols {
-			return nil, fmt.Errorf("linalg: entry (%d,%d) outside %dx%d", e.Row, e.Col, rows, cols)
+	if len(rowPtr) != rows+1 || rowPtr[0] != 0 || rowPtr[rows] != len(colIdx) || len(colIdx) != len(vals) {
+		return nil, fmt.Errorf("linalg: NewCSR with %d row pointers, %d columns and %d values for %d rows",
+			len(rowPtr), len(colIdx), len(vals), rows)
+	}
+	for i := 0; i < rows; i++ {
+		if rowPtr[i] > rowPtr[i+1] {
+			return nil, fmt.Errorf("linalg: NewCSR row %d ends before it starts", i)
 		}
 	}
-	sorted := make([]Coord, len(entries))
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
+	w, lo := 0, 0
+	for i := 0; i < rows; i++ {
+		hi, prev := rowPtr[i+1], -1
+		for k := lo; k < hi; k++ {
+			j := colIdx[k]
+			if j <= prev || j >= cols {
+				return nil, fmt.Errorf("linalg: NewCSR row %d has column %d out of range or order", i, j)
+			}
+			if vals[k] != 0 {
+				colIdx[w], vals[w] = j, vals[k]
+				w++
+			}
+			prev = j
 		}
-		return sorted[i].Col < sorted[j].Col
-	})
-
-	m := &CSR{rows: rows, cols: cols, rowPtr: make([]int, rows+1)}
-	for i := 0; i < len(sorted); {
-		j := i
-		v := 0.0
-		for j < len(sorted) && sorted[j].Row == sorted[i].Row && sorted[j].Col == sorted[i].Col {
-			v += sorted[j].Val
-			j++
-		}
-		if v != 0 {
-			m.colIdx = append(m.colIdx, sorted[i].Col)
-			m.vals = append(m.vals, v)
-			m.rowPtr[sorted[i].Row+1]++
-		}
-		i = j
+		rowPtr[i+1], lo = w, hi
 	}
-	for r := 0; r < rows; r++ {
-		m.rowPtr[r+1] += m.rowPtr[r]
-	}
-	return m, nil
+	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx[:w], vals: vals[:w]}, nil
 }
 
 // Rows returns the number of rows.
@@ -147,34 +136,4 @@ func (m *CSR) Dense() *Dense {
 		}
 	}
 	return d
-}
-
-// Builder accumulates triplets and assembles a CSR matrix. It exists so
-// call sites can stream entries without managing a slice of Coord by hand.
-type Builder struct {
-	rows, cols int
-	entries    []Coord
-}
-
-// NewBuilder returns a Builder for an r×c matrix.
-func NewBuilder(r, c int) *Builder {
-	return &Builder{rows: r, cols: c}
-}
-
-// Add records value v at (i, j). Duplicates are summed at Build time.
-func (b *Builder) Add(i, j int, v float64) {
-	b.entries = append(b.entries, Coord{Row: i, Col: j, Val: v})
-}
-
-// AddSym records v at both (i, j) and (j, i); the diagonal is recorded once.
-func (b *Builder) AddSym(i, j int, v float64) {
-	b.Add(i, j, v)
-	if i != j {
-		b.Add(j, i, v)
-	}
-}
-
-// Build assembles the matrix.
-func (b *Builder) Build() (*CSR, error) {
-	return NewCSR(b.rows, b.cols, b.entries)
 }

@@ -20,21 +20,17 @@ func mulVecRefCSR(m *CSR, x []float64) []float64 {
 // cheap deterministic value pattern.
 func bigCSR(t *testing.T, n int) *CSR {
 	t.Helper()
-	var entries []Coord
+	var entries []entry
 	for i := 0; i < n; i++ {
 		for off := -2; off <= 2; off++ {
 			j := i + off
 			if j < 0 || j >= n {
 				continue
 			}
-			entries = append(entries, Coord{Row: i, Col: j, Val: float64((i*7+j*13)%101) / 17.0})
+			entries = append(entries, entry{i, j, float64((i*7+j*13)%101) / 17.0})
 		}
 	}
-	m, err := NewCSR(n, n, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return csrOf(t, n, n, entries)
 }
 
 func TestCSRMulVecParallelBitIdentical(t *testing.T) {

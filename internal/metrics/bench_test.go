@@ -9,10 +9,11 @@ import (
 // benchFixture builds a 20k-node ring with striped features and labels.
 func benchFixture() (*graph.Graph, []float64, []int) {
 	const n = 20000
-	g := graph.New(n)
+	gb := graph.NewBuilder(n)
 	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n, 1)
+		gb.AddEdge(i, (i+1)%n, 1)
 	}
+	g := gb.Build()
 	f := make([]float64, n)
 	assign := make([]int, n)
 	for i := range f {

@@ -10,10 +10,11 @@ import (
 
 // lineGraph returns a path graph on n nodes.
 func lineGraph(n int) *graph.Graph {
-	g := graph.New(n)
+	gb := graph.NewBuilder(n)
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1, 1)
+		gb.AddEdge(i, i+1, 1)
 	}
+	g := gb.Build()
 	return g
 }
 
@@ -207,7 +208,7 @@ func TestEvaluateErrors(t *testing.T) {
 	if _, err := Evaluate([]float64{1, 2}, []int{0, 0, 0}, g); err == nil {
 		t.Fatal("feature length mismatch should error")
 	}
-	if _, err := Evaluate(nil, nil, graph.New(0)); err == nil {
+	if _, err := Evaluate(nil, nil, graph.NewBuilder(0).Build()); err == nil {
 		t.Fatal("empty input should error")
 	}
 	if _, err := Evaluate([]float64{1, 2, 3}, []int{0, -1, 0}, g); err == nil {

@@ -18,8 +18,6 @@ func DualGraph(n *Network) (*graph.Graph, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	g := graph.New(len(n.Segments))
-
 	// Incident segments (either direction) at every intersection.
 	incident := make([][]int, len(n.Intersections))
 	for i, s := range n.Segments {
@@ -28,48 +26,25 @@ func DualGraph(n *Network) (*graph.Graph, error) {
 	}
 
 	// Clique per intersection, deduplicating pairs that share two
-	// intersections. seen[v] holds the most recent u for which (u,v) was
-	// added; since pairs are visited with u ascending within and across
-	// cliques this gives exact deduplication per u.
-	// Two passes over the same traversal: the first counts endpoints per
-	// node so Reserve can lay every adjacency list in one flat backing,
-	// the second adds the edges into the reserved capacity. The marker
-	// scheme keeps the passes independent: pass one stamps seen[v] = u,
-	// pass two stamps seen[v] = u + nSeg, so a leftover pass-one stamp
-	// (always < nSeg) can never satisfy pass two's check.
+	// intersections. seen[v] holds u+1 for the most recent u for which
+	// (u,v) was added; since pairs are visited with u ascending within and
+	// across cliques this gives exact deduplication per u.
 	nSeg := len(n.Segments)
 	seen := make([]int, nSeg)
-	for i := range seen {
-		seen[i] = -1
-	}
-	deg := make([]int, nSeg)
+	b := graph.NewBuilder(nSeg)
 	for u := 0; u < nSeg; u++ {
 		s := n.Segments[u]
 		for _, ι := range [2]int{s.From, s.To} {
 			for _, v := range incident[ι] {
-				if v <= u || seen[v] == u {
+				if v <= u || seen[v] == u+1 {
 					continue
 				}
-				seen[v] = u
-				deg[u]++
-				deg[v]++
-			}
-		}
-	}
-	g.Reserve(deg)
-	for u := 0; u < nSeg; u++ {
-		s := n.Segments[u]
-		for _, ι := range [2]int{s.From, s.To} {
-			for _, v := range incident[ι] {
-				if v <= u || seen[v] == u+nSeg {
-					continue
-				}
-				seen[v] = u + nSeg
-				if err := g.AddEdge(u, v, 1); err != nil {
+				seen[v] = u + 1
+				if err := b.AddEdge(u, v, 1); err != nil {
 					return nil, fmt.Errorf("roadnet: dual edge (%d,%d): %w", u, v, err)
 				}
 			}
 		}
 	}
-	return g, nil
+	return b.Build(), nil
 }

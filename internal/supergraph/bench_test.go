@@ -13,10 +13,11 @@ import (
 // benchGraph builds a 10k-node ring with 8 density stripes.
 func benchGraph() (*graph.Graph, []float64) {
 	const n = 10000
-	g := graph.New(n)
+	gb := graph.NewBuilder(n)
 	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n, 1)
+		gb.AddEdge(i, (i+1)%n, 1)
 	}
+	g := gb.Build()
 	f := make([]float64, n)
 	for i := range f {
 		f[i] = float64(i/(n/8)) + float64(i%13)/1000

@@ -16,18 +16,19 @@ import (
 func TestMineInvariantsProperty(t *testing.T) {
 	f := func(rawFeatures []uint8, extraEdges []uint16, nn uint8) bool {
 		n := int(nn%40) + 5
-		g := graph.New(n)
+		gb := graph.NewBuilder(n)
 		// Spanning path keeps it connected; extra random edges vary the
 		// topology.
 		for i := 0; i+1 < n; i++ {
-			g.AddEdge(i, i+1, 1)
+			gb.AddEdge(i, i+1, 1)
 		}
 		for i := 0; i+1 < len(extraEdges); i += 2 {
 			u, v := int(extraEdges[i])%n, int(extraEdges[i+1])%n
 			if u != v {
-				g.AddEdge(u, v, 1)
+				gb.AddEdge(u, v, 1)
 			}
 		}
+		g := gb.Build()
 		features := make([]float64, n)
 		for i := range features {
 			if i < len(rawFeatures) {

@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"roadpart/internal/cluster"
 	"roadpart/internal/graph"
@@ -129,6 +128,16 @@ func MineCtx(ctx context.Context, g *graph.Graph, features []float64, opts MineO
 	}
 	if opts.StabilityEps < 0 || opts.StabilityEps > 1 {
 		return nil, fmt.Errorf("supergraph: stability threshold %v outside [0,1]", opts.StabilityEps)
+	}
+	if n == 1 {
+		// The κ-sweep needs two points; a one-node road graph is one
+		// supernode with no superlinks.
+		return &Supergraph{
+			Nodes:  []Supernode{{Members: []int{0}, Feature: features[0]}},
+			Links:  graph.NewBuilder(1).Build(),
+			NodeOf: []int{0},
+			Stats:  MineStats{ChosenKappa: 1, SupernodesBeforeStability: 1},
+		}, nil
 	}
 
 	// Stage 1: sampled κ-sweep, shortlist by MCG (Alg. 1 lines 3–9).
@@ -371,7 +380,6 @@ func splitComponents(g *graph.Graph, members []int, in, seen []int, gen int) [][
 // Equation 3).
 func (sg *Supergraph) buildLinks(g *graph.Graph, features []float64, mode WeightMode) error {
 	ns := len(sg.Nodes)
-	sg.Links = graph.New(ns)
 
 	// Global variance of supernode features about their mean (σ²(ς)).
 	fs := make([]float64, ns)
@@ -388,57 +396,23 @@ func (sg *Supergraph) buildLinks(g *graph.Graph, features []float64, mode Weight
 	}
 	sigma2 /= float64(ns)
 
-	type pairKey struct{ p, q int }
-	linkCount := map[pairKey]int{}
-	perLinkSum := map[pairKey]float64{} // Σ exp(...)² with node features
-	for u := 0; u < g.N(); u++ {
-		for _, e := range g.Neighbors(u) {
-			if e.To <= u {
-				continue
-			}
-			p, q := sg.NodeOf[u], sg.NodeOf[e.To]
-			if p == q {
-				continue
-			}
-			if p > q {
-				p, q = q, p
-			}
-			k := pairKey{p, q}
-			linkCount[k]++
-			if mode == WeightPerLink {
-				sim := gaussianSim(features[u], features[e.To], sigma2)
-				perLinkSum[k] += sim * sim
-			}
-		}
+	// Equation 3 (the default) is the RMS of |L_pq| identical Gaussian
+	// terms, which is the similarity of the two supernode features;
+	// WeightPerLink takes each link's term from its endpoint nodes.
+	if mode == WeightPerLink {
+		links, err := g.Quotient(sg.NodeOf, ns, func(u, v int, _ float64) float64 {
+			return gaussianSim(features[u], features[v], sigma2)
+		})
+		sg.Links = links
+		return err
 	}
-
-	// Insert superlinks in sorted pair order so adjacency lists — and
-	// everything downstream that walks them — are deterministic run to
-	// run (map iteration order is randomized in Go).
-	keys := make([]pairKey, 0, len(linkCount))
-	for k := range linkCount {
-		keys = append(keys, k)
+	links, err := g.Quotient(sg.NodeOf, ns, func(int, int, float64) float64 { return 1 })
+	if err != nil {
+		return err
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].p != keys[j].p {
-			return keys[i].p < keys[j].p
-		}
-		return keys[i].q < keys[j].q
+	sg.Links = links.Reweighted(func(p, q int, _ float64) float64 {
+		return gaussianSim(sg.Nodes[p].Feature, sg.Nodes[q].Feature, sigma2)
 	})
-	for _, k := range keys {
-		var w float64
-		switch mode {
-		case WeightPerLink:
-			w = math.Sqrt(perLinkSum[k] / float64(linkCount[k]))
-		default:
-			// Equation 3: RMS of |L_pq| identical Gaussian terms — equal
-			// to the Gaussian similarity of the supernode features.
-			w = gaussianSim(sg.Nodes[k.p].Feature, sg.Nodes[k.q].Feature, sigma2)
-		}
-		if err := sg.Links.AddEdge(k.p, k.q, w); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -12,10 +12,11 @@ import (
 // and second half high densities — the canonical two-supernode case.
 func twoRegionGraph() (*graph.Graph, []float64) {
 	const n = 20
-	g := graph.New(n)
+	gb := graph.NewBuilder(n)
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1, 1)
+		gb.AddEdge(i, i+1, 1)
 	}
+	g := gb.Build()
 	f := make([]float64, n)
 	for i := range f {
 		if i < n/2 {
@@ -68,10 +69,11 @@ func TestMineSplitsDisconnectedClusters(t *testing.T) {
 	// Same density at both ends of a path with a different middle: the
 	// density cluster {ends} is disconnected and must become two
 	// supernodes.
-	g := graph.New(9)
+	gb := graph.NewBuilder(9)
 	for i := 0; i+1 < 9; i++ {
-		g.AddEdge(i, i+1, 1)
+		gb.AddEdge(i, i+1, 1)
 	}
+	g := gb.Build()
 	f := []float64{0.01, 0.01, 0.01, 0.2, 0.2, 0.2, 0.01, 0.01, 0.01}
 	sg, err := MineCtx(context.Background(), g, f, MineOptions{KappaMax: 4})
 	if err != nil {
@@ -225,11 +227,21 @@ func TestMineErrors(t *testing.T) {
 	if _, err := MineCtx(context.Background(), g, f[:3], MineOptions{}); err == nil {
 		t.Fatal("feature length mismatch should error")
 	}
-	if _, err := MineCtx(context.Background(), graph.New(0), nil, MineOptions{}); err == nil {
+	if _, err := MineCtx(context.Background(), graph.NewBuilder(0).Build(), nil, MineOptions{}); err == nil {
 		t.Fatal("empty graph should error")
 	}
 	if _, err := MineCtx(context.Background(), g, f, MineOptions{StabilityEps: 1.5}); err == nil {
 		t.Fatal("out-of-range threshold should error")
+	}
+}
+
+func TestMineOneNode(t *testing.T) {
+	sg, err := MineCtx(context.Background(), graph.NewBuilder(1).Build(), []float64{0.3}, MineOptions{StabilityEps: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sg.Nodes) != 1 || sg.Nodes[0].Feature != 0.3 || sg.NodeOf[0] != 0 || sg.Links.N() != 1 || sg.Links.M() != 0 {
+		t.Fatalf("one-node supergraph = %+v, links %d/%d", sg.Nodes, sg.Links.N(), sg.Links.M())
 	}
 }
 

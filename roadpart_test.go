@@ -188,3 +188,36 @@ func TestFacadeHierarchyAndGeoJSON(t *testing.T) {
 		t.Fatalf("GeoJSON round trip: %d vs %d segments", len(back.Segments), len(net.Segments))
 	}
 }
+
+// TestOneSegmentNetworkAllSchemes pins the one-segment row of the
+// degenerate-input contract: at k=1 every scheme returns the trivial
+// partition, and at k=2 the supergraph schemes name the supernode bound
+// while the flat schemes name k's range.
+func TestOneSegmentNetworkAllSchemes(t *testing.T) {
+	net := &Network{
+		Intersections: []Intersection{{ID: 0}, {ID: 1, X: 100}},
+		Segments:      []Segment{{ID: 0, From: 0, To: 1, Length: 100, Density: 0.05}},
+	}
+	for _, scheme := range []Scheme{AG, NG, ASG, NSG} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			res, err := PartitionCtx(context.Background(), net, Config{K: 1, Scheme: scheme, Seed: 1})
+			if err != nil {
+				t.Fatalf("k=1: %v", err)
+			}
+			if res.K != 1 || len(res.Assign) != 1 || res.Assign[0] != 0 {
+				t.Fatalf("k=1: K=%d assign=%v, want the trivial partition", res.K, res.Assign)
+			}
+			_, err = PartitionCtx(context.Background(), net, Config{K: 2, Scheme: scheme, Seed: 1})
+			if err == nil {
+				t.Fatal("k=2 on one segment should fail")
+			}
+			want := "out of range [1,1]"
+			if scheme == ASG || scheme == NSG {
+				want = "exceeds 1 supernodes"
+			}
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("k=2: %v, want %q", err, want)
+			}
+		})
+	}
+}
