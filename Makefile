@@ -175,12 +175,14 @@ chaos-smoke:
 # being updated in the same change. It also gates the bit-identity of
 # the rewritten kernels with the loops they replaced (docs/NUMERICS.md
 # § Determinism): the 1-D Lloyd kernel (TestOneDMatchesOracle), the
-# bounded d-dimensional Lloyd pass (TestNDMatchesOracle), and the fused
-# reorthogonalization sweep (TestOrthogonalizeMatchesUnfused,
-# TestAxpyDotMatchesAxpyThenDot).
+# bounded d-dimensional Lloyd pass (TestNDMatchesOracle), the α-Cut
+# refiner and the connectivity repair (TestRefineMatchesOracle,
+# TestRepairMatchesOracle), and the fused reorthogonalization sweep
+# (TestOrthogonalizeMatchesUnfused, TestAxpyDotMatchesAxpyThenDot).
 numerics-check:
 	$(GO) test -run '^TestNumericsGoldenTable$$' .
 	$(GO) test -run '^(TestOneDMatchesOracle|TestNDMatchesOracle)$$' ./internal/kmeans
+	$(GO) test -run '^(TestRefineMatchesOracle|TestRepairMatchesOracle)$$' ./internal/cut
 	$(GO) test -run '^TestOrthogonalizeMatchesUnfused$$' ./internal/eigen
 	$(GO) test -run '^TestAxpyDotMatchesAxpyThenDot$$' ./internal/linalg
 

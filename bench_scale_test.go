@@ -2,8 +2,9 @@
 // networks into the million-segment regime the multilevel path exists
 // for (docs/SCALING.md). Each op is a full cold pipeline — dual graph,
 // coarsening when it engages, spectral cut, projection, refinement —
-// and each sub-benchmark reports the peak heap it observed as a peakMB
-// metric, so BENCH_<n>.json snapshots pin memory alongside time.
+// and each sub-benchmark reports the peak heap it observed above the
+// loaded network as a peakMB metric, so BENCH_<n>.json snapshots pin
+// memory alongside time.
 package roadpart
 
 import (
@@ -20,21 +21,26 @@ import (
 	"roadpart/internal/traffic"
 )
 
-// scaleNets memoizes the tier fixtures process-wide: generating the L
-// network once costs seconds and must not be attributed to the first
-// benchmark iteration that needs it.
-var scaleNets = struct {
+// scaleNets memoizes the most recently used tier fixture: generating the
+// L network once costs seconds and must not be attributed to the first
+// benchmark iteration that needs it. It keeps one tier only, so a tier's
+// peakMB does not grow with the networks of tiers that ran before it
+// (the garbage collector lets the heap grow in proportion to what is
+// live).
+var scaleNets struct {
 	sync.Mutex
-	m map[gen.Tier]*roadnet.Network
-}{m: map[gen.Tier]*roadnet.Network{}}
+	tier gen.Tier
+	net  *roadnet.Network
+}
 
 func scaleNet(tb testing.TB, tier gen.Tier) *roadnet.Network {
 	tb.Helper()
 	scaleNets.Lock()
 	defer scaleNets.Unlock()
-	if net, ok := scaleNets.m[tier]; ok {
-		return net
+	if scaleNets.net != nil && scaleNets.tier == tier {
+		return scaleNets.net
 	}
+	scaleNets.net = nil // release the previous tier before building this one
 	net, err := gen.ScaleTier(tier, 1)
 	if err != nil {
 		tb.Fatal(err)
@@ -46,16 +52,29 @@ func scaleNet(tb testing.TB, tier gen.Tier) *roadnet.Network {
 	if err := traffic.ApplySnapshot(net, snap); err != nil {
 		tb.Fatal(err)
 	}
-	scaleNets.m[tier] = net
+	scaleNets.tier, scaleNets.net = tier, net
 	return net
 }
 
 // watchHeapPeak samples the heap high-water mark until the returned stop
-// function is called, which reports it in MB. Sampling at 5ms catches
-// the transient peaks (Lanczos blocks, contraction scratch) that a
-// single end-of-run reading would miss.
+// function is called, which reports it in MB above a baseline taken when
+// watchHeapPeak is called. Sampling at 5ms catches the transient peaks
+// (Lanczos blocks, contraction scratch) that a single end-of-run reading
+// would miss. The baseline is read after collections that release what
+// earlier work left pooled, and it counts the loaded tier network, so a
+// tier reads the same whether it runs alone or after other tiers.
 func watchHeapPeak(b *testing.B) (stop func()) {
-	var peak uint64
+	var ms runtime.MemStats
+	// sync.Pools drop their items within two collections; the spare
+	// Lanczos workspace is released by a finalizer after two and freed
+	// by the third. The pauses let those finalizers run.
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
+	peak := base
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {
@@ -78,7 +97,7 @@ func watchHeapPeak(b *testing.B) (stop func()) {
 	return func() {
 		close(done)
 		<-finished
-		b.ReportMetric(float64(peak)/1e6, "peakMB")
+		b.ReportMetric(float64(peak-base)/1e6, "peakMB")
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"roadpart/internal/experiments"
 	"roadpart/internal/gen"
 	"roadpart/internal/jiger"
-	"roadpart/internal/linalg"
 	"roadpart/internal/metrics"
 	"roadpart/internal/render"
 	"roadpart/internal/roadnet"
@@ -340,15 +339,34 @@ func BenchmarkMetricsEvaluate(b *testing.B) {
 	}
 }
 
+// symDense is a row-major dense symmetric matrix for the eigen benches;
+// it is an eigen.Op.
+type symDense struct {
+	n int
+	a []float64
+}
+
+func (m *symDense) Dim() int { return m.n }
+
+func (m *symDense) Apply(dst, x []float64) {
+	for i := range dst {
+		var s float64
+		for j, v := range m.a[i*m.n : (i+1)*m.n] {
+			s += v * x[j]
+		}
+		dst[i] = s
+	}
+}
+
 // randomSymDense builds a deterministic symmetric matrix for eigen benches.
-func randomSymDense(n int) *linalg.Dense {
+func randomSymDense(n int) *symDense {
 	rng := gen.NewRNG(uint64(n))
-	m := linalg.NewDense(n, n)
+	m := &symDense{n: n, a: make([]float64, n*n)}
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			v := 2*rng.Float64() - 1
-			m.Set(i, j, v)
-			m.Set(j, i, v)
+			m.a[i*n+j] = v
+			m.a[j*n+i] = v
 		}
 	}
 	return m

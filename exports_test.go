@@ -27,16 +27,9 @@ var exportAllowlist = map[string]string{
 	"internal/cut.NCutValue":                  "test oracle: the normalized-cut objective",
 	"internal/cut.Modularity":                 "test oracle: modularity of a labeling",
 	"internal/cut.Options.Normalized":         "TestNormalizedMatchesDownstreamDefaults cross-checks it against every caller",
-	"internal/cut.NCutOp.Dense":               "test oracle: the dense operator SymEigen checks Lanczos against",
-	"internal/cut.ScalarAlphaOp.Dense":        "test oracle: the dense operator SymEigen checks Lanczos against",
 	"internal/cut.ReduceRecursiveBipartition": "names the zero-value Reduction, the paper's choice",
-	"internal/kmeans.SeedPlusPlus":            "names the zero-value Seeding",
 	"internal/eigen.Residual":                 "test oracle: the explicit residual ‖Av − λv‖",
-	"internal/linalg.NewDenseFrom":            "cross-package test fixture",
-	"internal/linalg.Dense.At":                "cross-package test fixture",
-	"internal/linalg.Dense.MulVec":            "test oracle: the dense matvec eigen's tests run Lanczos on",
 	"internal/linalg.CSR.At":                  "cross-package test fixture",
-	"internal/linalg.CSR.Dense":               "test oracle: the dense form SymEigen and MulVec checks read",
 	"internal/jobs.Manager.Kill":              "fault-injection hook of the chaos suite",
 	"internal/jobs.Manager.Crashed":           "fault-injection hook of the chaos suite",
 	"internal/jobs.Manager.Wait":              "test hook: blocks until a job is terminal",

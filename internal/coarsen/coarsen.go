@@ -3,7 +3,7 @@
 // builds a hierarchy of successively smaller graphs with density-weighted
 // vertex and edge aggregation, the spectral α-Cut core solves on the
 // coarsest level, and ProjectToFinest maps the labels back down through
-// every level with a boundary-local refinement pass at each step.
+// every level, refining the partition boundaries at each step.
 //
 // Contraction invariants (asserted by the package tests):
 //   - node counts strictly decrease level to level, by at least
@@ -54,8 +54,7 @@ const (
 	// at least this fraction or contraction stops (heavy-edge matching
 	// finds almost no pairs on degenerate graphs).
 	minShrink = 0.05
-	// refinePasses bounds the boundary-refinement sweeps per
-	// uncoarsening step.
+	// refinePasses bounds the refinement passes per uncoarsening step.
 	refinePasses = 4
 )
 
@@ -146,11 +145,10 @@ func (h *Hierarchy) Graph() *graph.Graph { return h.graphs[len(h.graphs)-1] }
 
 // ProjectToFinest maps a labeling of the coarsest graph down to the
 // finest one (cut.Level). At each uncoarsening step every fine node
-// inherits its coarse cluster's label, then a boundary-local
-// Fiduccia–Mattheyses pass (cut.RefineAlphaCutBoundary) re-evaluates
-// frontier vertices against that level's graph. Every coarse cluster is
-// non-empty, projection is surjective and refinement never empties a
-// partition, so k is preserved exactly. The projection is deterministic;
+// inherits its coarse cluster's label, then up to refinePasses passes of
+// cut.RefineMoves re-evaluate every boundary vertex against that level's
+// graph. Every coarse cluster is non-empty, projection is surjective and
+// refinement never empties a partition, so k is preserved exactly. The projection is deterministic;
 // ctx is observed once per level.
 func (h *Hierarchy) ProjectToFinest(ctx context.Context, labels []int, k int) ([]int, int, error) {
 	if len(labels) != h.Graph().N() {
@@ -170,7 +168,7 @@ func (h *Hierarchy) ProjectToFinest(ctx context.Context, labels []int, k int) ([
 		}
 		sp.End()
 		spr := stageRefine.Start()
-		moves, err := cut.RefineAlphaCutBoundary(fineG, fine, k, cut.BoundaryRefineOptions{MaxPasses: refinePasses})
+		moves, err := cut.RefineMoves(fineG, fine, k, refinePasses)
 		spr.End()
 		if err != nil {
 			return nil, 0, err

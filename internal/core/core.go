@@ -416,7 +416,7 @@ func (p *Pipeline) PartitionKCtx(ctx context.Context, k int) (*Result, error) {
 		if simG == nil {
 			simG = SimilarityWeighted(p.G, p.F)
 		}
-		assign, kk, _, err = cut.RefineAlphaCut(simG, p.F, assign, cut.RefineOptions{})
+		assign, kk, _, err = cut.RefineAlphaCut(simG, p.F, assign)
 		if err != nil {
 			return nil, err
 		}

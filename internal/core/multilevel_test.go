@@ -83,10 +83,11 @@ func TestMultilevelOnSmallGraphIsIdentity(t *testing.T) {
 // TestMultilevelQualityWithinBound bounds the quality cost of
 // coarsening: on M1 at full scale (17k dual nodes, 5 levels down to the
 // spectral comfort zone) the multilevel ANS must stay within 10% of the
-// flat spectral ANS. Measured at pinning time the multilevel path was
-// actually *better* (0.88–0.90 vs 0.96–0.98 — coarse spectral cuts plus
-// boundary refinement avoid the fragmentation the flat path repairs away
-// into K'≈700 islands), so the bound has real slack without being loose.
+// flat spectral ANS. Measured with the one α-Cut refiner the multilevel
+// path is actually *better* (ANS 0.899 / 0.875 at k = 4 / 8 against the
+// flat 0.965 / 0.977 — coarse spectral cuts plus boundary refinement
+// reach K' = 6 / 21, where the flat path repairs K' = 697 / 885 islands
+// away), so the bound has real slack without being loose.
 func TestMultilevelQualityWithinBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("M1 full-scale partition in -short mode")
@@ -129,8 +130,8 @@ func TestMultilevelQualityWithinBound(t *testing.T) {
 }
 
 // TestMultilevelDeterministic requires the full multilevel path —
-// matching, contraction, coarse spectral cut, projection, boundary
-// refinement — to be a pure function of (network, config): identical
+// matching, contraction, coarse spectral cut, projection, refinement —
+// to be a pure function of (network, config): identical
 // across repeated runs and across worker counts.
 func TestMultilevelDeterministic(t *testing.T) {
 	if testing.Short() {

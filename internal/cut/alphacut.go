@@ -36,24 +36,6 @@ func NewAlphaCutOp(adj *linalg.CSR) (*AlphaCutOp, error) {
 	return &AlphaCutOp{RankOneOp: *ro}, nil
 }
 
-// Dense materializes M — a diagnostic for tests and the dense-vs-Lanczos
-// ablation; the partitioning pipeline itself stays matrix-free.
-func (op *AlphaCutOp) Dense() *linalg.Dense {
-	n := op.Dim()
-	m := linalg.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		row := m.Row(i)
-		if op.S != 0 {
-			di := op.U[i]
-			for j := 0; j < n; j++ {
-				row[j] = di * op.U[j] / op.S
-			}
-		}
-		op.A.Range(i, func(j int, v float64) { row[j] -= v })
-	}
-	return m
-}
-
 // ScalarAlphaOp is the α-Cut matrix for a *constant* balance factor α
 // instead of the paper's dynamic vector α_i = W(P_i,V)/W(V,V): substituting
 // a scalar α into Equation 5 gives Σ_i c_iᵀ(αD − A)c_i / |P_i|, so the
@@ -79,18 +61,6 @@ func NewScalarAlphaOp(adj *linalg.CSR, alpha float64) (*ScalarAlphaOp, error) {
 		return nil, fmt.Errorf("cut: %w", err)
 	}
 	return &ScalarAlphaOp{RankOneOp: *ro, Alpha: alpha}, nil
-}
-
-// Dense materializes αD − A — a diagnostic for tests; the pipeline stays
-// matrix-free.
-func (op *ScalarAlphaOp) Dense() *linalg.Dense {
-	n := op.Dim()
-	m := linalg.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, op.Diag[i])
-		op.A.Range(i, func(j int, v float64) { m.Add(i, j, -v) })
-	}
-	return m
 }
 
 // partitionWeights accumulates W(P_i, P_i) and W(P_i, V) for every

@@ -43,15 +43,47 @@ func TestAlphaCutMatrixIsNegativeModularityMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := op.Dense()
+	m := opColumns(op)
 	d := adj.RowSums()
 	s := linalg.Sum(d)
 	for i := 0; i < adj.Rows(); i++ {
 		for j := 0; j < adj.Cols(); j++ {
 			b := adj.At(i, j) - d[i]*d[j]/s
-			if math.Abs(m.At(i, j)+b) > 1e-12 {
-				t.Fatalf("M(%d,%d)=%v, -B=%v", i, j, m.At(i, j), -b)
+			if math.Abs(m[j][i]+b) > 1e-12 {
+				t.Fatalf("M(%d,%d)=%v, -B=%v", i, j, m[j][i], -b)
 			}
+		}
+	}
+}
+
+// opColumns returns the columns op·e_j of op, one per unit vector.
+func opColumns(op eigen.Op) [][]float64 {
+	n := op.Dim()
+	cols := make([][]float64, n)
+	unit := make([]float64, n)
+	for j := range cols {
+		unit[j] = 1
+		cols[j] = make([]float64, n)
+		op.Apply(cols[j], unit)
+		unit[j] = 0
+	}
+	return cols
+}
+
+// checkApplyMatchesDense compares op·x with the product of x and the
+// matrix whose entries entry computes from closed form.
+func checkApplyMatchesDense(t *testing.T, op eigen.Op, x []float64, entry func(i, j int) float64) {
+	t.Helper()
+	n := op.Dim()
+	got := make([]float64, n)
+	op.Apply(got, x)
+	for i := 0; i < n; i++ {
+		var want float64
+		for j := 0; j < n; j++ {
+			want += entry(i, j) * x[j]
+		}
+		if math.Abs(got[i]-want) > 1e-12 {
+			t.Fatalf("Apply[%d] = %v, dense %v", i, got[i], want)
 		}
 	}
 }
@@ -60,42 +92,33 @@ func TestAlphaCutOpApplyMatchesDense(t *testing.T) {
 	g := barbell(4, 1, 0.3)
 	adj, _ := g.AdjacencyCSR()
 	op, _ := NewAlphaCutOp(adj)
-	dense := op.Dense()
-	n := op.Dim()
-	x := make([]float64, n)
+	d := adj.RowSums()
+	s := linalg.Sum(d)
+	x := make([]float64, op.Dim())
 	for i := range x {
 		x[i] = float64(i%3) - 1
 	}
-	got := make([]float64, n)
-	want := make([]float64, n)
-	op.Apply(got, x)
-	dense.MulVec(want, x)
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("Apply[%d] = %v, dense %v", i, got[i], want[i])
-		}
-	}
+	// M = ddᵀ/s − A.
+	checkApplyMatchesDense(t, op, x, func(i, j int) float64 { return d[i]*d[j]/s - adj.At(i, j) })
 }
 
 func TestNCutOpApplyMatchesDense(t *testing.T) {
 	g := barbell(4, 1, 0.3)
 	adj, _ := g.AdjacencyCSR()
 	op, _ := NewNCutOp(adj)
-	dense := op.Dense()
-	n := op.Dim()
-	x := make([]float64, n)
+	d := adj.RowSums()
+	x := make([]float64, op.Dim())
 	for i := range x {
 		x[i] = math.Sin(float64(i))
 	}
-	got := make([]float64, n)
-	want := make([]float64, n)
-	op.Apply(got, x)
-	dense.MulVec(want, x)
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("Apply[%d] = %v, dense %v", i, got[i], want[i])
+	// L_sym = I − D^{−1/2} A D^{−1/2}; the barbell has no isolated node.
+	checkApplyMatchesDense(t, op, x, func(i, j int) float64 {
+		l := -adj.At(i, j) / math.Sqrt(d[i]*d[j])
+		if i == j {
+			l++
 		}
-	}
+		return l
+	})
 }
 
 func TestNCutSmallestEigenvalueZero(t *testing.T) {
@@ -104,7 +127,7 @@ func TestNCutSmallestEigenvalueZero(t *testing.T) {
 	g := barbell(5, 1, 1)
 	adj, _ := g.AdjacencyCSR()
 	op, _ := NewNCutOp(adj)
-	dec, err := eigen.SymEigen(op.Dense())
+	dec, err := eigen.SymEigen(op)
 	if err != nil {
 		t.Fatal(err)
 	}

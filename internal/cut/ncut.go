@@ -53,17 +53,4 @@ func (op *NCutOp) Apply(dst, x []float64) {
 	}
 }
 
-// Dense materializes L_sym for the dense eigensolver path.
-func (op *NCutOp) Dense() *linalg.Dense {
-	n := op.Dim()
-	m := linalg.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-		op.A.Range(i, func(j int, v float64) {
-			m.Add(i, j, -op.invSqrt[i]*op.invSqrt[j]*v)
-		})
-	}
-	return m
-}
-
 var _ eigen.Op = (*NCutOp)(nil)

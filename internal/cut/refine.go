@@ -7,24 +7,16 @@ import (
 	"roadpart/internal/graph"
 )
 
-// RefineOptions tunes the local boundary refinement.
-type RefineOptions struct {
-	// MaxPasses bounds the sweeps over the node set. 0 selects 8.
-	MaxPasses int
-}
-
-// RefineAlphaCut improves an existing partitioning by greedy local moves:
-// each pass scans boundary nodes and relocates one to a spatially adjacent
-// partition whenever the move strictly lowers the α-Cut objective
-// (Equation 5 with the dynamic α). It is the α-Cut analogue of the
-// boundary-adjustment step Ji & Geroliminis bolt onto normalized cut,
-// offered as an optional post-processing extension.
-//
-// Moves never empty a partition; a final connectivity repair (which needs
-// the feature vector f) restores condition C.2 and the partition count.
-// It returns the refined labeling, its partition count, and the number of
-// moves performed.
-func RefineAlphaCut(g *graph.Graph, f []float64, assign []int, opts RefineOptions) ([]int, int, int, error) {
+// RefineAlphaCut improves an existing partitioning by greedy local moves
+// (RefineMoves, up to 8 passes) and then restores condition C.2 and the
+// partition count with RepairConnectivity, which needs the feature
+// vector f. It is the α-Cut analogue of the boundary-adjustment step Ji
+// & Geroliminis bolt onto normalized cut, offered as an optional
+// post-processing extension. assign may leave ids unused; the refined
+// labeling is dense, except on a graph without edge weight, which is
+// returned as given. It returns the refined labeling, its partition
+// count, and the number of moves performed.
+func RefineAlphaCut(g *graph.Graph, f []float64, assign []int) ([]int, int, int, error) {
 	k, err := validateAssign(g, assign)
 	if err != nil {
 		return nil, 0, 0, err
@@ -32,17 +24,72 @@ func RefineAlphaCut(g *graph.Graph, f []float64, assign []int, opts RefineOption
 	if len(f) != g.N() {
 		return nil, 0, 0, fmt.Errorf("cut: refine: %d features for %d nodes", len(f), g.N())
 	}
-	passes := opts.MaxPasses
-	if passes <= 0 {
-		passes = 8
+	if g.TotalWeight() == 0 {
+		return slices.Clone(assign), k, 0, nil // no edge weight to move
 	}
-
+	// Rank the used ids densely in ascending order. Moves compare
+	// adjacent partitions by id and repair numbers pieces by node, so
+	// ranking changes neither.
+	rank := make([]int, k)
+	for _, a := range assign {
+		rank[a] = 1
+	}
+	used := 0
+	for l, u := range rank {
+		rank[l] = used
+		used += u
+	}
 	labels := make([]int, len(assign))
-	copy(labels, assign)
+	for v, a := range assign {
+		labels[v] = rank[a]
+	}
+	moves, err := RefineMoves(g, labels, used, 8)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	out, kk, err := RepairConnectivity(g, f, labels, k)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return out, kk, moves, nil
+}
+
+// RefineMoves improves labels in place by greedy local moves: each pass
+// visits the nodes in ascending id and relocates a node with a
+// neighbor in another partition to the adjacent partition that
+// strictly lowers the α-Cut objective (Equation 5 with the dynamic α)
+// the most, ties going to the lowest partition id. It stops after
+// passes passes or the first pass without a move, and returns the
+// number of moves.
+//
+// labels must be dense in [0,k). Moves never empty a partition, so k is
+// kept, and never raise the objective. RefineMoves does no connectivity
+// repair: RefineAlphaCut runs RepairConnectivity after it, and the
+// multilevel path runs it once on the finest graph after projection.
+func RefineMoves(g *graph.Graph, labels []int, k, passes int) (int, error) {
+	n := g.N()
+	if len(labels) != n {
+		return 0, fmt.Errorf("cut: refine: %d labels for %d nodes", len(labels), n)
+	}
+	if k < 1 {
+		return 0, fmt.Errorf("cut: refine: k=%d out of range", k)
+	}
+	used := make([]bool, k)
+	for v, l := range labels {
+		if l < 0 || l >= k {
+			return 0, fmt.Errorf("cut: refine: label %d at node %d out of range [0,%d)", l, v, k)
+		}
+		used[l] = true
+	}
+	for l, ok := range used {
+		if !ok && n > 0 {
+			return 0, fmt.Errorf("cut: refine: partition %d is empty (labels must be dense in [0,%d))", l, k)
+		}
+	}
 	within, volume, sizes := partitionWeights(g, labels, k)
 	total := 2 * g.TotalWeight()
 	if total == 0 {
-		return labels, k, 0, nil
+		return 0, nil
 	}
 
 	// wTo[b] is the current node's weight into partition b; adj lists the
@@ -53,9 +100,9 @@ func RefineAlphaCut(g *graph.Graph, f []float64, assign []int, opts RefineOption
 	moves := 0
 	for pass := 0; pass < passes; pass++ {
 		improved := 0
-		for v := 0; v < g.N(); v++ {
+		for v := 0; v < n; v++ {
 			a := labels[v]
-			if sizes[a] <= 1 {
+			if sizes[a] <= 1 || !onBoundary(g, labels, v) {
 				continue
 			}
 			// Weighted degree of v and its weight into each adjacent
@@ -106,10 +153,16 @@ func RefineAlphaCut(g *graph.Graph, f []float64, assign []int, opts RefineOption
 			break
 		}
 	}
+	return moves, nil
+}
 
-	out, kk, err := RepairConnectivity(g, f, labels, k)
-	if err != nil {
-		return nil, 0, 0, err
+// onBoundary reports whether v has a neighbor in another partition; no
+// move can lower the objective for any other node.
+func onBoundary(g *graph.Graph, labels []int, v int) bool {
+	for _, e := range g.Neighbors(v) {
+		if labels[e.To] != labels[v] {
+			return true
+		}
 	}
-	return out, kk, moves, nil
+	return false
 }

@@ -25,10 +25,9 @@ func RepairConnectivity(g *graph.Graph, f []float64, assign []int, k int) ([]int
 	if k < 1 {
 		return nil, 0, fmt.Errorf("cut: repair target k=%d", k)
 	}
-	// Split every label into its connected components. Each merge round
-	// relabels into the other of two buffers, and a merge never raises
-	// the component count, so the rounds reuse the first round's scratch.
-	labels, spare := make([]int, g.N()), make([]int, g.N())
+	// Split every label into its connected components, numbered by their
+	// lowest node.
+	labels := make([]int, g.N())
 	count := g.GroupComponentsInto(assign, labels)
 
 	_, graphComponents := g.Components()
@@ -75,13 +74,19 @@ func RepairConnectivity(g *graph.Graph, f []float64, assign []int, k int) ([]int
 		if best < 0 {
 			break // isolated component of the graph itself; cannot merge
 		}
+		// Two adjacent connected pieces merge into one connected piece,
+		// whose lowest node is the lower number's. Renumbering it so and
+		// closing the gap is the numbering a fresh GroupComponentsInto
+		// would give, without the search.
+		keep, drop := min(smallest, best), max(smallest, best)
 		for v, l := range labels {
-			if l == smallest {
-				labels[v] = best
+			if l == drop {
+				labels[v] = keep
+			} else if l > drop {
+				labels[v] = l - 1
 			}
 		}
-		count = g.GroupComponentsInto(labels, spare) // renumber densely
-		labels, spare = spare, labels
+		count--
 	}
 	dense, kk := renumber(labels)
 	return dense, kk, nil

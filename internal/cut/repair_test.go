@@ -1,9 +1,12 @@
 package cut
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"roadpart/internal/graph"
+	"roadpart/internal/linalg"
 )
 
 func TestRepairConnectivitySplitsAndMerges(t *testing.T) {
@@ -98,21 +101,19 @@ func TestScalarAlphaOpMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense := op.Dense()
-	n := op.Dim()
-	x := make([]float64, n)
+	d := adj.RowSums()
+	x := make([]float64, op.Dim())
 	for i := range x {
 		x[i] = float64((i*3)%5) - 2
 	}
-	got := make([]float64, n)
-	want := make([]float64, n)
-	op.Apply(got, x)
-	dense.MulVec(want, x)
-	for i := range got {
-		if d := got[i] - want[i]; d > 1e-12 || d < -1e-12 {
-			t.Fatalf("Apply[%d] = %v, dense %v", i, got[i], want[i])
+	// αD − A.
+	checkApplyMatchesDense(t, op, x, func(i, j int) float64 {
+		v := -adj.At(i, j)
+		if i == j {
+			v += 0.4 * d[i]
 		}
-	}
+		return v
+	})
 }
 
 func TestScalarAlphaOpValidation(t *testing.T) {
@@ -137,5 +138,95 @@ func TestPartitionScalarAlphaBarbell(t *testing.T) {
 	}
 	if res.Assign[0] == res.Assign[11] {
 		t.Fatal("scalar α-Cut failed to separate the cliques")
+	}
+}
+
+// repairOracle is RepairConnectivity as it stood before merges renumbered
+// in place: every round relabels the smallest piece and recomputes the
+// components with a fresh search.
+func repairOracle(g *graph.Graph, f []float64, assign []int, k int) ([]int, int) {
+	labels := make([]int, g.N())
+	count := g.GroupComponentsInto(assign, labels)
+	_, graphComponents := g.Components()
+	floor := max(k, graphComponents)
+	for count > floor {
+		size, sum := make([]int, count), make([]float64, count)
+		for v, l := range labels {
+			size[l]++
+			sum[l] += f[v]
+		}
+		smallest := 0
+		for l := 1; l < count; l++ {
+			if size[l] < size[smallest] {
+				smallest = l
+			}
+		}
+		muS := sum[smallest] / float64(size[smallest])
+		best, bestD := -1, math.Inf(1)
+		for v, l := range labels {
+			if l != smallest {
+				continue
+			}
+			for _, e := range g.Neighbors(v) {
+				t := labels[e.To]
+				if t == smallest {
+					continue
+				}
+				if d := math.Abs(sum[t]/float64(size[t]) - muS); d < bestD {
+					best, bestD = t, d
+				}
+			}
+		}
+		if best < 0 {
+			break
+		}
+		for v, l := range labels {
+			if l == smallest {
+				labels[v] = best
+			}
+		}
+		next := make([]int, g.N())
+		count = g.GroupComponentsInto(labels, next)
+		labels = next
+	}
+	return renumber(labels)
+}
+
+// TestRepairMatchesOracle requires RepairConnectivity to return exactly
+// the oracle's labels and count on random graphs, connected or not,
+// with fragmented labelings and repeated feature values (ties).
+func TestRepairMatchesOracle(t *testing.T) {
+	rng := linalg.RNGFromState(0xc0ffee)
+	merges := 0
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(80)
+		gb := graph.NewBuilder(n)
+		for e := rng.Intn(2*n + 1); e > 0; e-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				gb.AddEdge(u, v, 1)
+			}
+		}
+		g := gb.Build()
+		labelsK := 1 + rng.Intn(10)
+		assign := make([]int, n)
+		f := make([]float64, n)
+		for v := range assign {
+			assign[v] = rng.Intn(labelsK)
+			f[v] = float64(rng.Intn(5)) // repeated values tie mean distances
+		}
+		k := 1 + rng.Intn(labelsK)
+		want, wantK := repairOracle(g, f, assign, k)
+		got, gotK, err := RepairConnectivity(g, f, assign, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotK != wantK || !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d, k=%d): got k=%d %v, oracle k=%d %v", trial, n, k, gotK, got, wantK, want)
+		}
+		pieces := g.GroupComponentsInto(assign, make([]int, n))
+		merges += pieces - gotK
+	}
+	if merges == 0 {
+		t.Fatal("no trial merged a piece; the comparison is vacuous")
 	}
 }

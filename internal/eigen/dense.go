@@ -3,8 +3,6 @@ package eigen
 import (
 	"fmt"
 	"math"
-
-	"roadpart/internal/linalg"
 )
 
 // Decomposition holds the result of a symmetric eigendecomposition:
@@ -35,20 +33,27 @@ func (d *Decomposition) Vector(j int) []float64 {
 	return v
 }
 
-// SymEigen computes the full eigendecomposition of the symmetric matrix a.
-// The matrix is not modified. Eigenvalues are returned in ascending order
-// with orthonormal eigenvectors in the corresponding columns.
+// SymEigen computes the full eigendecomposition of the symmetric
+// operator a: it applies a to each unit vector, filling an n×n scratch
+// column by column, and solves that by Householder tridiagonalization
+// and implicit QL. Eigenvalues are returned in ascending order with
+// orthonormal eigenvectors in the corresponding columns. It costs n
+// applications and O(n³) time, so it serves as the test oracle for
+// Lanczos and the reference of the eigensolver ablation.
 //
-// SymEigen does not verify symmetry; only the full matrix is read and the
-// result is meaningful only for (numerically) symmetric input.
-func SymEigen(a *linalg.Dense) (*Decomposition, error) {
-	if a.Rows() != a.Cols() {
-		return nil, fmt.Errorf("eigen: SymEigen requires a square matrix, got %dx%d", a.Rows(), a.Cols())
-	}
-	n := a.Rows()
+// SymEigen does not verify symmetry; the result is meaningful only for
+// (numerically) symmetric operators.
+func SymEigen(a Op) (*Decomposition, error) {
+	n := a.Dim()
 	v := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		copy(v[i*n:(i+1)*n], a.Row(i))
+	unit, col := make([]float64, n), make([]float64, n)
+	for j := 0; j < n; j++ {
+		unit[j] = 1
+		a.Apply(col, unit)
+		unit[j] = 0
+		for i, x := range col {
+			v[i*n+j] = x
+		}
 	}
 	d := make([]float64, n)
 	e := make([]float64, n)

@@ -94,18 +94,17 @@ type LanczosOptions struct {
 // with context.Background() the iteration terminates.
 //
 // Lanczos draws its scratch from the package workspace pool, so
-// steady-state runs allocate only the returned Decomposition; pass an
-// explicit workspace to LanczosWS to manage reuse yourself.
+// steady-state runs allocate only the returned Decomposition.
 func Lanczos(ctx context.Context, a Op, k int, opts LanczosOptions) (*Decomposition, error) {
-	return LanczosWS(ctx, a, k, opts, nil)
+	return lanczos(ctx, a, k, opts, nil)
 }
 
-// LanczosWS is Lanczos computing in the given workspace. ws may be dirty
+// lanczos is Lanczos computing in the given workspace. ws may be dirty
 // (every buffer read is first overwritten or zeroed, so reuse is
 // bit-identical to a fresh workspace) but must not be shared by
 // concurrent calls. A nil ws borrows one from the package pool for the
 // duration of the call.
-func LanczosWS(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Workspace) (*Decomposition, error) {
+func lanczos(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Workspace) (*Decomposition, error) {
 	n := a.Dim()
 	if k <= 0 {
 		return nil, fmt.Errorf("eigen: Lanczos needs k >= 1, got %d", k)

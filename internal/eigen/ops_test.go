@@ -8,14 +8,41 @@ import (
 	"roadpart/internal/linalg"
 )
 
-// DenseOp adapts a dense symmetric matrix to the Op interface.
-type DenseOp struct{ M *linalg.Dense }
+// denseOp is a row-major dense symmetric test matrix; it is an Op.
+type denseOp struct {
+	n    int
+	data []float64
+}
 
-// Dim returns the order of the wrapped matrix.
-func (o DenseOp) Dim() int { return o.M.Rows() }
+// newDenseOp returns the zero n×n matrix.
+func newDenseOp(n int) *denseOp { return &denseOp{n: n, data: make([]float64, n*n)} }
 
-// Apply computes dst = M·x.
-func (o DenseOp) Apply(dst, x []float64) { o.M.MulVec(dst, x) }
+// denseOpFrom returns the n×n matrix over a row-major copy of data.
+func denseOpFrom(n int, data []float64) *denseOp {
+	m := newDenseOp(n)
+	copy(m.data, data)
+	return m
+}
+
+// Dim returns the order of the matrix.
+func (m *denseOp) Dim() int { return m.n }
+
+// At returns the element at row i, column j.
+func (m *denseOp) At(i, j int) float64 { return m.data[i*m.n+j] }
+
+// Set stores v at row i, column j.
+func (m *denseOp) Set(i, j int, v float64) { m.data[i*m.n+j] = v }
+
+// Apply computes dst = M·x row by row.
+func (m *denseOp) Apply(dst, x []float64) {
+	for i := range dst {
+		var s float64
+		for j, v := range m.data[i*m.n : (i+1)*m.n] {
+			s += v * x[j]
+		}
+		dst[i] = s
+	}
+}
 
 // CSROp adapts a sparse symmetric matrix to the Op interface.
 type CSROp struct{ M *linalg.CSR }

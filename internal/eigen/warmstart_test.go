@@ -14,7 +14,7 @@ import (
 // correct.
 func TestLanczosWarmStartMatchesCold(t *testing.T) {
 	a := randomSym(60, 11)
-	op := DenseOp{a}
+	op := a
 	k := 4
 	cold, err := Lanczos(context.Background(), op, k, LanczosOptions{Seed: 3})
 	if err != nil {
@@ -43,7 +43,7 @@ func TestLanczosWarmStartMatchesCold(t *testing.T) {
 // deterministic cold path.
 func TestLanczosMismatchedStartIsCold(t *testing.T) {
 	a := randomSym(40, 5)
-	op := DenseOp{a}
+	op := a
 	cold, err := Lanczos(context.Background(), op, 3, LanczosOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)

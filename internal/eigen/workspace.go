@@ -20,12 +20,12 @@ import (
 // docs/PERFORMANCE.md):
 //
 //   - A Workspace may be reused across calls and may contain arbitrary
-//     garbage between them — LanczosWS fully overwrites or zeroes every
+//     garbage between them — lanczos fully overwrites or zeroes every
 //     buffer it reads, so a dirty workspace never changes results:
 //     pooled and fresh-workspace runs are bit-identical.
-//   - A Workspace must not be shared by concurrent LanczosWS calls.
-//     Callers that want automatic per-worker reuse pass nil and let the
-//     package's sync.Pool hand each concurrent solve its own workspace.
+//   - A Workspace must not be shared by concurrent lanczos calls.
+//     Lanczos passes nil and lets the package's pool hand each
+//     concurrent solve its own workspace.
 //   - Decomposition outputs are always freshly allocated; they never
 //     alias workspace memory, so results stay valid after the workspace
 //     is reused or repooled.
@@ -51,7 +51,7 @@ type Workspace struct {
 // reset sizes the workspace for an order-n operator and an m-column
 // basis, growing buffers as needed. The Rayleigh matrix h is zeroed —
 // unwritten couplings must read as exactly zero for the residual bound —
-// while every other buffer's contents are unspecified; LanczosWS
+// while every other buffer's contents are unspecified; lanczos
 // overwrites everything else it reads.
 func (ws *Workspace) reset(n, m int) {
 	ws.n, ws.m = n, m
@@ -174,13 +174,13 @@ func (ws *Workspace) restartRows(rng *linalg.RNG, cnt int) bool {
 	return false
 }
 
-// Workspace pool: Lanczos (and LanczosWS with a nil workspace) draws
-// from here, so the steady-state population is bounded by the number of
-// concurrent eigensolves — at most one per worker. wsLast holds the most
-// recently released workspace ahead of the sync.Pool: the pool parks a
-// released workspace in the releasing P's private slot, which a solve on
-// another P cannot take, so back-to-back solves that hop between Ps would
-// otherwise keep one Krylov basis each alive in the pool.
+// Workspace pool: Lanczos draws from here, so the steady-state
+// population is bounded by the number of concurrent eigensolves — at
+// most one per worker. wsLast holds the most recently released
+// workspace ahead of the sync.Pool: the pool parks a released workspace
+// in the releasing P's private slot, which a solve on another P cannot
+// take, so back-to-back solves that hop between Ps would otherwise keep
+// one Krylov basis each alive in the pool.
 var (
 	wsLast  atomic.Pointer[Workspace]
 	wsIdle  atomic.Int32 // collections since wsLast was last filled

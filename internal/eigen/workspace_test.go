@@ -53,7 +53,7 @@ func TestLanczosWSDirtyWorkspaceBitIdentical(t *testing.T) {
 	}
 
 	ws := &Workspace{}
-	if _, err := LanczosWS(context.Background(), big, 6, opts, ws); err != nil {
+	if _, err := lanczos(context.Background(), big, 6, opts, ws); err != nil {
 		t.Fatal(err)
 	}
 	// Poison everything the previous run left behind.
@@ -65,7 +65,7 @@ func TestLanczosWSDirtyWorkspaceBitIdentical(t *testing.T) {
 			s[i] = math.Inf(1)
 		}
 	}
-	reused, err := LanczosWS(context.Background(), small, 4, opts, ws)
+	reused, err := lanczos(context.Background(), small, 4, opts, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestLanczosNilWorkspacePoolIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := LanczosWS(context.Background(), op, 5, opts, &Workspace{})
+	explicit, err := lanczos(context.Background(), op, 5, opts, &Workspace{})
 	if err != nil {
 		t.Fatal(err)
 	}

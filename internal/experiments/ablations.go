@@ -205,7 +205,7 @@ func AblationEigen(k int, sizes ...int) (*AblationData, error) {
 		}
 
 		t0 := time.Now()
-		denseDec, err := eigen.SymEigen(op.Dense())
+		denseDec, err := eigen.SymEigen(op)
 		if err != nil {
 			return nil, err
 		}

@@ -143,13 +143,16 @@ func tripletCSR(g *Graph) (*linalg.CSR, error) {
 	return linalg.NewCSR(g.N(), g.N(), rowPtr, colIdx, vals)
 }
 
-// rowsOf lists every stored entry of m as "row:col=bits".
+// rowsOf lists every stored entry of m as "row:col=bits"; NewCSR
+// stores exactly the nonzero entries.
 func rowsOf(m *linalg.CSR) []string {
 	var out []string
 	for i := 0; i < m.Rows(); i++ {
-		m.Range(i, func(j int, v float64) {
-			out = append(out, fmt.Sprintf("%d:%d=%016x", i, j, math.Float64bits(v)))
-		})
+		for j := 0; j < m.Cols(); j++ {
+			if v := m.At(i, j); v != 0 {
+				out = append(out, fmt.Sprintf("%d:%d=%016x", i, j, math.Float64bits(v)))
+			}
+		}
 	}
 	return out
 }

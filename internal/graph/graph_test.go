@@ -165,11 +165,11 @@ func TestAdjacencyCSR(t *testing.T) {
 		t.Fatalf("adjacency = %v / %v, want 5", m.At(0, 1), m.At(1, 0))
 	}
 	for i := 0; i < m.Rows(); i++ {
-		m.Range(i, func(j int, v float64) {
-			if m.At(j, i) != v {
+		for j := 0; j < m.Cols(); j++ {
+			if m.At(j, i) != m.At(i, j) {
 				t.Fatalf("adjacency not symmetric at (%d,%d)", i, j)
 			}
-		})
+		}
 	}
 }
 

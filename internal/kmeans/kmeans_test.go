@@ -230,17 +230,6 @@ func TestNDDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestNDForgySeeding(t *testing.T) {
-	pts := [][]float64{{0}, {0.1}, {10}, {10.1}}
-	res, err := NDCtx(context.Background(), pts, 2, NDOptions{Seeding: SeedForgy, Seed: 3, Restarts: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Assign[0] != res.Assign[1] || res.Assign[2] != res.Assign[3] || res.Assign[0] == res.Assign[2] {
-		t.Fatalf("Forgy run failed to separate: %v", res.Assign)
-	}
-}
-
 func TestNDErrors(t *testing.T) {
 	if _, err := NDCtx(context.Background(), nil, 1, NDOptions{}); err == nil {
 		t.Fatal("empty input should error")

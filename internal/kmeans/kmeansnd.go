@@ -20,22 +20,10 @@ var (
 		"Lloyd iterations consumed across the k-means restarts on spectral embeddings (1-D runs count in roadpart_kmeans_1d_iterations_total).")
 )
 
-// Seeding selects the initialization strategy for NDCtx.
-type Seeding int
-
-const (
-	// SeedPlusPlus is k-means++: each new seed is drawn with probability
-	// proportional to its squared distance from the nearest existing seed.
-	SeedPlusPlus Seeding = iota
-	// SeedForgy picks k distinct points uniformly at random.
-	SeedForgy
-)
-
 // NDOptions configures the d-dimensional solver. The zero value selects
-// k-means++ seeding, DefaultMaxIterations, a single restart and seed 0.
+// a single restart and seed 0. Every restart seeds by k-means++ and runs
+// at most DefaultMaxIterations Lloyd passes.
 type NDOptions struct {
-	Seeding  Seeding
-	MaxIter  int
 	Restarts int    // best-of-n restarts by WCSS; 0 means 1
 	Seed     uint64 // deterministic RNG seed
 	// Workers bounds the goroutines running restarts concurrently:
@@ -76,10 +64,6 @@ func NDCtx(ctx context.Context, points [][]float64, k int, opts NDOptions) (*Res
 		r2 = max(r2, ss)
 	}
 	radius := math.Sqrt(r2)
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
 	restarts := opts.Restarts
 	if restarts <= 0 {
 		restarts = 1
@@ -92,24 +76,19 @@ func NDCtx(ctx context.Context, points [][]float64, k int, opts NDOptions) (*Res
 	// reduction below picks the same winner.
 	//
 	// The per-restart states reproduce the historical sequential stream
-	// exactly: seeding consumes one splitmix64 draw per centroid pick —
-	// k for k-means++, n−1 for a Forgy permutation — Lloyd iteration
-	// consumes none, and each draw advances the state by the fixed
-	// increment, so restart r of the old one-stream loop started at
-	// base + r·draws·increment. Any future seeding strategy with
-	// data-dependent draw counts must switch to split seeds instead.
-	draws := uint64(k)
-	if opts.Seeding == SeedForgy {
-		draws = uint64(n - 1)
-	}
+	// exactly: k-means++ consumes one splitmix64 draw per centroid pick,
+	// k in all, Lloyd iteration consumes none, and each draw advances the
+	// state by the fixed increment, so restart r of the old one-stream
+	// loop started at base + r·k·increment. A seeding with data-dependent
+	// draw counts would have to switch to split seeds instead.
 	base := opts.Seed ^ 0x5851f42d4c957f2d
 	runs := make([]ndRun, restarts)
 	err := parallel.ForCtx(ctx, restarts, opts.Workers, func(r int) {
-		rng := linalg.RNGFromState(base + uint64(r)*draws*linalg.RNGIncrement)
+		rng := linalg.RNGFromState(base + uint64(r)*uint64(k)*linalg.RNGIncrement)
 		s := getNDScratch()
 		s.reset(n, k, dim)
-		seedInto(points, k, opts.Seeding, &rng, s)
-		wcss, iters := lloydInto(points, radius, maxIter, s)
+		seedInto(points, k, &rng, s)
+		wcss, iters := lloydInto(points, radius, DefaultMaxIterations, s)
 		runs[r] = ndRun{s: s, wcss: wcss, iters: iters}
 	})
 	if err != nil {
@@ -160,50 +139,44 @@ type ndRun struct {
 	iters int
 }
 
-// seedInto writes the initial centroids into sc.means, drawing exactly
-// the same RNG stream as the historical allocating seeder (one draw per
-// centroid pick) so pooling cannot change which points are chosen.
-func seedInto(points [][]float64, k int, s Seeding, rng *linalg.RNG, sc *ndScratch) {
+// seedInto writes the k-means++ initial centroids into sc.means: each
+// new seed is drawn with probability proportional to its squared
+// distance from the nearest existing seed. It draws exactly the same RNG
+// stream as the historical allocating seeder (one draw per centroid
+// pick) so pooling cannot change which points are chosen.
+func seedInto(points [][]float64, k int, rng *linalg.RNG, sc *ndScratch) {
 	n := len(points)
 	means := sc.means
-	switch s {
-	case SeedForgy:
-		rng.PermInto(sc.perm)
-		for i := 0; i < k; i++ {
-			copy(means[i], points[sc.perm[i]])
-		}
-	default: // SeedPlusPlus
-		copy(means[0], points[rng.Intn(n)])
-		d2 := sc.d2
-		for used := 1; used < k; used++ {
-			var total float64
-			for i, p := range points {
-				d := math.Inf(1)
-				for _, m := range means[:used] {
-					if v := sqDist(p, m); v < d {
-						d = v
-					}
-				}
-				d2[i] = d
-				total += d
-			}
-			var next int
-			if total == 0 {
-				next = rng.Intn(n) // all points coincide with seeds
-			} else {
-				target := rng.Float64() * total
-				var cum float64
-				next = n - 1
-				for i, d := range d2 {
-					cum += d
-					if cum >= target {
-						next = i
-						break
-					}
+	copy(means[0], points[rng.Intn(n)])
+	d2 := sc.d2
+	for used := 1; used < k; used++ {
+		var total float64
+		for i, p := range points {
+			d := math.Inf(1)
+			for _, m := range means[:used] {
+				if v := sqDist(p, m); v < d {
+					d = v
 				}
 			}
-			copy(means[used], points[next])
+			d2[i] = d
+			total += d
 		}
+		var next int
+		if total == 0 {
+			next = rng.Intn(n) // all points coincide with seeds
+		} else {
+			target := rng.Float64() * total
+			var cum float64
+			next = n - 1
+			for i, d := range d2 {
+				cum += d
+				if cum >= target {
+					next = i
+					break
+				}
+			}
+		}
+		copy(means[used], points[next])
 	}
 }
 

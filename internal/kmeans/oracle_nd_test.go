@@ -61,32 +61,44 @@ func oracleLloyd(points, means [][]float64, maxIter int, assign, sizes []int, su
 	return wcss, iter
 }
 
-// oracleND is NDCtx with the plain Lloyd loop, its restarts run serially:
-// the same per-restart seeding and the same index-ordered best-of fold.
-func oracleND(points [][]float64, k int, opts NDOptions) *Result {
+// restartND runs restart r of an NDCtx call with the given seed for at
+// most maxIter passes, seeded as NDCtx seeds it: the plain Lloyd loop
+// when plain is set, the bounded pass otherwise.
+func restartND(points [][]float64, k int, seed uint64, r, maxIter int, plain bool) *Result {
 	n, dim := len(points), len(points[0])
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
-	restarts := max(opts.Restarts, 1)
-	draws := uint64(k)
-	if opts.Seeding == SeedForgy {
-		draws = uint64(n - 1)
-	}
-	base := opts.Seed ^ 0x5851f42d4c957f2d
-	var best *Result
-	for r := 0; r < restarts; r++ {
-		rng := linalg.RNGFromState(base + uint64(r)*draws*linalg.RNGIncrement)
-		var s ndScratch
-		s.reset(n, k, dim)
-		seedInto(points, k, opts.Seeding, &rng, &s)
-		res := &Result{Assign: make([]int, n), Means: s.means, Sizes: make([]int, k), K: k}
+	rng := linalg.RNGFromState((seed ^ 0x5851f42d4c957f2d) + uint64(r)*uint64(k)*linalg.RNGIncrement)
+	var s ndScratch
+	s.reset(n, k, dim)
+	seedInto(points, k, &rng, &s)
+	res := &Result{Assign: make([]int, n), Means: s.means, Sizes: make([]int, k), K: k}
+	if plain {
 		sums := make([][]float64, k)
 		for c := range sums {
 			sums[c] = make([]float64, dim)
 		}
 		res.WCSS, res.Iterations = oracleLloyd(points, res.Means, maxIter, res.Assign, res.Sizes, sums)
+		return res
+	}
+	var r2 float64
+	for _, p := range points {
+		var ss float64
+		for _, v := range p {
+			ss += v * v
+		}
+		r2 = max(r2, ss)
+	}
+	res.WCSS, res.Iterations = lloydInto(points, math.Sqrt(r2), maxIter, &s)
+	copy(res.Assign, s.assign)
+	copy(res.Sizes, s.sizes)
+	return res
+}
+
+// oracleND is NDCtx with the plain Lloyd loop, its restarts run serially:
+// the same per-restart seeding and the same index-ordered best-of fold.
+func oracleND(points [][]float64, k int, opts NDOptions) *Result {
+	var best *Result
+	for r := 0; r < max(opts.Restarts, 1); r++ {
+		res := restartND(points, k, opts.Seed, r, DefaultMaxIterations, true)
 		if best == nil || res.WCSS < best.WCSS {
 			best = res
 		}
@@ -183,8 +195,8 @@ func oraclePointSets() map[string][][]float64 {
 // TestNDMatchesOracle pins the bounded Lloyd pass to the plain loop:
 // identical assignments, sizes and iteration counts, and identical float
 // bits for every mean and the WCSS, over generated point sets, k from 1
-// to n, iteration caps that stop the run early, both seedings and serial
-// and parallel restarts.
+// to n, iteration caps that stop a restart early, and serial and
+// parallel restarts.
 func TestNDMatchesOracle(t *testing.T) {
 	sets := oraclePointSets()
 	names := make([]string, 0, len(sets))
@@ -206,22 +218,30 @@ func TestNDMatchesOracle(t *testing.T) {
 			}
 		}
 		for _, k := range ks {
-			for _, maxIter := range []int{1, 2, 3, 0} {
-				for _, seeding := range []Seeding{SeedPlusPlus, SeedForgy} {
-					opts := NDOptions{Seeding: seeding, MaxIter: maxIter, Restarts: 3, Seed: uint64(k*7 + maxIter)}
-					want := oracleND(pts, k, opts)
-					for _, workers := range []int{1, 4} {
-						opts.Workers = workers
-						got, err := NDCtx(context.Background(), pts, k, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if diff := sameND(got, want); diff != "" {
-							t.Fatalf("%s k=%d maxIter=%d seeding=%d workers=%d: ND differs from the oracle in %s",
-								name, k, maxIter, seeding, workers, diff)
-						}
-						cases++
+			opts := NDOptions{Restarts: 3, Seed: uint64(k * 7)}
+			want := oracleND(pts, k, opts)
+			for _, workers := range []int{1, 4} {
+				opts.Workers = workers
+				got, err := NDCtx(context.Background(), pts, k, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := sameND(got, want); diff != "" {
+					t.Fatalf("%s k=%d workers=%d: ND differs from the oracle in %s", name, k, workers, diff)
+				}
+				cases++
+			}
+			// Iteration caps that stop a restart early.
+			for _, maxIter := range []int{1, 2, 3} {
+				for r := 0; r < 3; r++ {
+					seed := uint64(k*7 + maxIter)
+					got := restartND(pts, k, seed, r, maxIter, false)
+					want := restartND(pts, k, seed, r, maxIter, true)
+					if diff := sameND(got, want); diff != "" {
+						t.Fatalf("%s k=%d maxIter=%d restart=%d: bounded pass differs from the plain loop in %s",
+							name, k, maxIter, r, diff)
 					}
+					cases++
 				}
 			}
 		}
@@ -237,7 +257,7 @@ func TestBoundedLloydPrunes(t *testing.T) {
 	var s ndScratch
 	s.reset(len(pts), 8, 8)
 	rng := linalg.RNGFromState(5)
-	seedInto(pts, 8, SeedPlusPlus, &rng, &s)
+	seedInto(pts, 8, &rng, &s)
 	if _, iters := lloydInto(pts, 1, DefaultMaxIterations, &s); iters < 2 {
 		t.Fatalf("converged after %d passes; nothing was bounded", iters)
 	}

@@ -81,14 +81,15 @@ func TestNDRestartSeedsIndependent(t *testing.T) {
 	}
 }
 
-// TestNDForgyWorkersBitIdentical covers the Forgy seeding path too.
-func TestNDForgyWorkersBitIdentical(t *testing.T) {
+// TestNDFewPointsWorkersBitIdentical runs the serial-versus-8-workers
+// check on a second, smaller input with more restarts than clusters.
+func TestNDFewPointsWorkersBitIdentical(t *testing.T) {
 	pts := clusterPoints(90)
-	a, err := NDCtx(context.Background(), pts, 3, NDOptions{Seeding: SeedForgy, Seed: 11, Restarts: 6, Workers: 1})
+	a, err := NDCtx(context.Background(), pts, 3, NDOptions{Seed: 11, Restarts: 6, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NDCtx(context.Background(), pts, 3, NDOptions{Seeding: SeedForgy, Seed: 11, Restarts: 6, Workers: 8})
+	b, err := NDCtx(context.Background(), pts, 3, NDOptions{Seed: 11, Restarts: 6, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

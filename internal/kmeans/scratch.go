@@ -7,10 +7,9 @@ import (
 )
 
 // ndScratch holds one restart's working set — centroids, per-cluster
-// sums, squared distances, the Forgy permutation, the assignment and the
-// bounded Lloyd pass's distance bounds — backed by flat arrays so
-// repeated NDCtx calls reuse memory instead of reallocating O(n + k·dim)
-// per restart.
+// sums, squared distances, the assignment and the bounded Lloyd pass's
+// distance bounds — backed by flat arrays so repeated NDCtx calls reuse
+// memory instead of reallocating O(n + k·dim) per restart.
 type ndScratch struct {
 	meansBack []float64   // k×dim centroid backing store
 	means     [][]float64 // row views into meansBack
@@ -22,7 +21,6 @@ type ndScratch struct {
 	lower     []float64   // Lloyd's lower bounds, length n
 	move      []float64   // per-centroid drift of the last update, length k
 	half      []float64   // half the distance to the nearest other centroid, length k
-	perm      []int       // Forgy permutation, length n
 	assign    []int       // point → cluster, length n
 	sizes     []int       // cluster populations, length k
 }
@@ -51,7 +49,6 @@ func (s *ndScratch) reset(n, k, dim int) {
 	s.lower = grow(s.lower, n)
 	s.move = grow(s.move, k)
 	s.half = grow(s.half, k)
-	s.perm = grow(s.perm, n)
 	s.assign = grow(s.assign, n)
 	s.sizes = grow(s.sizes, k)
 }
@@ -61,7 +58,7 @@ func (s *ndScratch) reset(n, k, dim int) {
 func (s *ndScratch) footprint() int {
 	words := cap(s.meansBack) + cap(s.prevBack) + cap(s.sumsBack) +
 		cap(s.d2) + cap(s.lower) + cap(s.move) + cap(s.half) +
-		cap(s.perm) + cap(s.assign) + cap(s.sizes)
+		cap(s.assign) + cap(s.sizes)
 	return 8 * words
 }
 

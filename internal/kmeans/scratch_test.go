@@ -105,7 +105,7 @@ func TestLloydAllocFree(t *testing.T) {
 	var iters int
 	allocs := testing.AllocsPerRun(50, func() {
 		rng := linalg.RNGFromState(1)
-		seedInto(pts, 6, SeedPlusPlus, &rng, &s)
+		seedInto(pts, 6, &rng, &s)
 		_, iters = lloydInto(pts, 10, DefaultMaxIterations, &s) // every norm is at most 5·√4
 	})
 	if allocs != 0 {

@@ -32,21 +32,6 @@ func BenchmarkCSRBuild10k(b *testing.B) {
 	}
 }
 
-func BenchmarkDenseMulVec500(b *testing.B) {
-	m := NewDense(500, 500)
-	for i := 0; i < 500; i++ {
-		for j := 0; j < 500; j++ {
-			m.Set(i, j, float64((i*j)%13))
-		}
-	}
-	x := make([]float64, 500)
-	dst := make([]float64, 500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVec(dst, x)
-	}
-}
-
 func BenchmarkNorm2(b *testing.B) {
 	x := make([]float64, 100000)
 	for i := range x {

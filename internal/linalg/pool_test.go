@@ -72,24 +72,6 @@ func TestCSRMulVecSerialAllocFree(t *testing.T) {
 	}
 }
 
-// TestDenseMulVecSerialAllocFree pins the dense matvec serial path the
-// same way.
-func TestDenseMulVecSerialAllocFree(t *testing.T) {
-	n := 128 // below denseMulVecCutoff: serial path
-	m := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			m.Set(i, j, float64((i*j)%7))
-		}
-	}
-	x := make([]float64, n)
-	dst := make([]float64, n)
-	allocs := testing.AllocsPerRun(100, func() { m.MulVec(dst, x) })
-	if allocs != 0 {
-		t.Fatalf("serial Dense.MulVec allocates %v per call, want 0", allocs)
-	}
-}
-
 // TestMulVecParallelMatchesSerial guards the fast-path split: the
 // parallel branch must stay bit-identical to the serial kernel.
 func TestMulVecParallelMatchesSerial(t *testing.T) {

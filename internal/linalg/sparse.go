@@ -74,13 +74,6 @@ func (m *CSR) At(i, j int) float64 {
 	return 0
 }
 
-// Range calls fn for every stored entry of row i, in column order.
-func (m *CSR) Range(i int, fn func(j int, v float64)) {
-	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-		fn(m.colIdx[k], m.vals[k])
-	}
-}
-
 // MulVec computes dst = m·x. dst and x must not alias.
 // It panics on dimension mismatch.
 //
@@ -94,7 +87,7 @@ func (m *CSR) MulVec(dst, x []float64) {
 		panic(fmt.Sprintf("linalg: MulVec dims %dx%d with x[%d] dst[%d]", m.rows, m.cols, len(x), len(dst)))
 	}
 	matvecCSR.Inc()
-	if span := mulVecSpan(m.rows, csrMulVecCutoff); span > 1 {
+	if span := mulVecSpan(m.rows); span > 1 {
 		parallel.Blocks(m.rows, span, func(lo, hi int) { m.mulVecRange(dst, x, lo, hi) })
 		return
 	}
@@ -123,17 +116,6 @@ func (m *CSR) RowSums() []float64 {
 			s += m.vals[k]
 		}
 		d[i] = s
-	}
-	return d
-}
-
-// Dense expands m into a dense matrix. Intended for small matrices and tests.
-func (m *CSR) Dense() *Dense {
-	d := NewDense(m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			d.Set(i, m.colIdx[k], m.vals[k])
-		}
 	}
 	return d
 }

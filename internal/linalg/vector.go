@@ -1,12 +1,12 @@
-// Package linalg provides the small dense and sparse linear-algebra
-// substrate used by the spectral partitioning framework.
+// Package linalg provides the small sparse linear-algebra substrate
+// used by the spectral partitioning framework.
 //
 // The Go standard library carries no matrix code, so everything the
 // paper's spectral partitioning stage (Section 5, Algorithm 3) relies
-// on — dense symmetric matrices, CSR sparse matrices and the vector
-// kernels underneath the eigensolvers — is implemented here from scratch.
-// The package is deliberately minimal: it implements exactly the operations
-// the framework needs, with predictable O(nnz) or O(n²) costs and no hidden
+// on — CSR sparse matrices and the vector kernels underneath the
+// eigensolvers — is implemented here from scratch. The package is
+// deliberately minimal: it implements exactly the operations the
+// framework needs, with predictable O(nnz) or O(n) costs and no hidden
 // allocation in the hot kernels.
 package linalg
 

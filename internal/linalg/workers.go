@@ -7,31 +7,21 @@ import (
 	"roadpart/internal/parallel"
 )
 
-// Matvec tallies: one increment per MulVec call (not per row), so the
-// cost is a single atomic add against O(nnz) kernel work. The counts are
+// matvecCSR tallies one increment per MulVec call (not per row), so the
+// cost is a single atomic add against O(nnz) kernel work. The count is
 // deterministic for a given workload — the Lanczos iteration count per
 // eigensolve is seed-fixed.
-var (
-	matvecHelp  = "Matrix-vector products computed, by matrix kind."
-	matvecCSR   = obs.Default().Counter("roadpart_linalg_matvec_total", matvecHelp, "kind", "csr")
-	matvecDense = obs.Default().Counter("roadpart_linalg_matvec_total", matvecHelp, "kind", "dense")
-)
+var matvecCSR = obs.Default().Counter("roadpart_linalg_matvec_total",
+	"Matrix-vector products computed, by matrix kind.", "kind", "csr")
 
-// Matrix–vector products are row-parallel above a size cutoff: each dst
-// row is written by exactly one goroutine and the per-row accumulation
-// order is unchanged, so the result is bit-identical to the serial loop
-// for any worker count. The cutoffs keep small operators — the meta-graph
-// bipartitions, the supergraph tail — on the serial path where goroutine
-// fan-out would only add overhead.
-const (
-	// csrMulVecCutoff is the minimum row count for parallel CSR.MulVec.
-	// Below it one Lanczos matvec is a few microseconds and spawn cost
-	// dominates.
-	csrMulVecCutoff = 2048
-	// denseMulVecCutoff is the minimum row count for parallel
-	// Dense.MulVec (each row is already O(cols) work).
-	denseMulVecCutoff = 256
-)
+// csrMulVecCutoff is the minimum row count for the row-parallel
+// CSR.MulVec: each dst row is written by exactly one goroutine and the
+// per-row accumulation order is unchanged, so the result is
+// bit-identical to the serial loop for any worker count. Below it one
+// Lanczos matvec is a few microseconds and spawn cost dominates, so small
+// operators — the meta-graph bipartitions, the supergraph tail — stay
+// serial.
+const csrMulVecCutoff = 2048
 
 // mulVecWorkers is the package-wide worker cap for MulVec kernels:
 // 0 selects GOMAXPROCS, 1 forces serial. Set once at startup via
@@ -48,10 +38,10 @@ func SetWorkers(w int) {
 	mulVecWorkers.Store(int32(w))
 }
 
-// mulVecSpan picks the worker count for a kernel over n rows with the
-// given cutoff, returning 1 whenever the parallel path isn't worthwhile.
-func mulVecSpan(n, cutoff int) int {
-	if n < cutoff {
+// mulVecSpan picks the worker count for a matvec over n rows, returning
+// 1 whenever the parallel path isn't worthwhile.
+func mulVecSpan(n int) int {
+	if n < csrMulVecCutoff {
 		return 1
 	}
 	return parallel.Resolve(int(mulVecWorkers.Load()), n)

@@ -55,41 +55,6 @@ func TestCSRMulVecParallelBitIdentical(t *testing.T) {
 	}
 }
 
-func TestDenseMulVecParallelBitIdentical(t *testing.T) {
-	n := denseMulVecCutoff + 64
-	m := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			m.Set(i, j, float64((i*13+j*7)%89)/23.0-1)
-		}
-	}
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = float64((i*5)%71)/31.0 - 0.5
-	}
-	want := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := m.data[i*n : (i+1)*n]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		want[i] = s
-	}
-
-	defer SetWorkers(0)
-	for _, w := range []int{0, 1, 4, 16} {
-		SetWorkers(w)
-		dst := make([]float64, n)
-		m.MulVec(dst, x)
-		for i := range dst {
-			if dst[i] != want[i] {
-				t.Fatalf("workers=%d: dst[%d] = %v, want %v", w, i, dst[i], want[i])
-			}
-		}
-	}
-}
-
 func TestSetWorkersClampsNegative(t *testing.T) {
 	defer SetWorkers(0)
 	SetWorkers(-5)

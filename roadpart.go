@@ -182,7 +182,7 @@ func BaselineJiGeroliminis(g *Graph, f []float64, k int, seed uint64) ([]int, er
 // refined assignment and its partition count.
 func RefinePartition(g *Graph, f []float64, assign []int) ([]int, int, error) {
 	simG := core.SimilarityWeighted(g, f)
-	out, k, _, err := cut.RefineAlphaCut(simG, f, assign, cut.RefineOptions{})
+	out, k, _, err := cut.RefineAlphaCut(simG, f, assign)
 	return out, k, err
 }
 
