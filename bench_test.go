@@ -461,8 +461,9 @@ func deltaTargetSegment(assign []int, k int) int {
 // the region the delta touches. Compare against
 // BenchmarkIncrementalFullRecompute — the same kind of step touching
 // every region — to see the speedup region reuse buys (the acceptance
-// bar is ≥5×). Delta values vary per iteration so no step degenerates to
-// the replay path.
+// bar is ≥3× on 2 cores, since the full recompute re-splits its regions
+// concurrently; docs/PERFORMANCE.md). Delta values vary per iteration so
+// no step degenerates to the replay path.
 func BenchmarkIncrementalDelta(b *testing.B) {
 	net := benchNet(b)
 	d0 := net.Densities()

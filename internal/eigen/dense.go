@@ -42,9 +42,13 @@ func (d *Decomposition) Vector(j int) []float64 {
 // Lanczos and the reference of the eigensolver ablation.
 //
 // SymEigen does not verify symmetry; the result is meaningful only for
-// (numerically) symmetric operators.
+// (numerically) symmetric operators. A 0-dimensional operator has the
+// empty decomposition.
 func SymEigen(a Op) (*Decomposition, error) {
 	n := a.Dim()
+	if n == 0 {
+		return &Decomposition{}, nil
+	}
 	v := make([]float64, n*n)
 	unit, col := make([]float64, n), make([]float64, n)
 	for j := 0; j < n; j++ {

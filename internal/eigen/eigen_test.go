@@ -187,6 +187,18 @@ func TestSymEigenZeroMatrix(t *testing.T) {
 	checkDecomposition(t, a, dec, 1e-12)
 }
 
+// TestSymEigenEmpty: a 0-dimensional operator has the empty
+// decomposition, not a panic in the tridiagonalization.
+func TestSymEigenEmpty(t *testing.T) {
+	dec, err := SymEigen(newDenseOp(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.N != 0 || len(dec.Values) != 0 || len(dec.Vectors) != 0 {
+		t.Fatalf("empty operator gave N=%d, %d values, %d vector entries", dec.N, len(dec.Values), len(dec.Vectors))
+	}
+}
+
 func TestSymEigenReconstruction(t *testing.T) {
 	// A = V·Λ·Vᵀ elementwise, on a random symmetric matrix.
 	const n = 25

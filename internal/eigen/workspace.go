@@ -2,7 +2,6 @@ package eigen
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"roadpart/internal/linalg"
@@ -174,17 +173,16 @@ func (ws *Workspace) restartRows(rng *linalg.RNG, cnt int) bool {
 	return false
 }
 
-// Workspace pool: Lanczos draws from here, so the steady-state
-// population is bounded by the number of concurrent eigensolves — at
-// most one per worker. wsLast holds the most recently released
-// workspace ahead of the sync.Pool: the pool parks a released workspace
-// in the releasing P's private slot, which a solve on another P cannot
-// take, so back-to-back solves that hop between Ps would otherwise keep
-// one Krylov basis each alive in the pool.
+// Workspace pool: Lanczos draws from here. It is a single shared slot,
+// wsLast, holding the most recently released workspace: the next solve
+// takes it whichever goroutine or P it runs on. A workspace released
+// while the slot is taken — one of several concurrent solves — is
+// dropped for the collector rather than kept in a second tier, so the
+// pool never keeps more than one Krylov basis alive; concurrent solves
+// allocate the extra bases they need.
 var (
 	wsLast  atomic.Pointer[Workspace]
 	wsIdle  atomic.Int32 // collections since wsLast was last filled
-	wsPool  sync.Pool
 	wsTally = obs.NewPoolTally("eigen_workspace")
 )
 
@@ -209,11 +207,7 @@ func watchCollections() {
 }
 
 func getWorkspace() *Workspace {
-	ws := wsLast.Swap(nil)
-	if ws == nil {
-		ws, _ = wsPool.Get().(*Workspace)
-	}
-	if ws != nil {
+	if ws := wsLast.Swap(nil); ws != nil {
 		wsTally.Hit(ws.footprint())
 		return ws
 	}
@@ -224,7 +218,5 @@ func getWorkspace() *Workspace {
 func putWorkspace(ws *Workspace) {
 	if wsLast.CompareAndSwap(nil, ws) {
 		wsIdle.Store(0)
-	} else {
-		wsPool.Put(ws)
 	}
 }

@@ -226,10 +226,10 @@ func TestOrthogonalizeMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestReleasedWorkspaceIsReused pins the shared slot ahead of the pool:
-// the next solve gets the last released workspace back even when it runs
-// on another goroutine, and so possibly another P, whose sync.Pool
-// private slot would miss it.
+// TestReleasedWorkspaceIsReused pins the shared slot: the next solve
+// gets the last released workspace back even when it runs on another
+// goroutine, and so possibly another P, whose sync.Pool private slot
+// would miss it.
 func TestReleasedWorkspaceIsReused(t *testing.T) {
 	ws := getWorkspace()
 	putWorkspace(ws)
@@ -239,6 +239,23 @@ func TestReleasedWorkspaceIsReused(t *testing.T) {
 	defer putWorkspace(other)
 	if other != ws {
 		t.Fatal("the last released workspace was not reused")
+	}
+}
+
+// TestSecondWorkspaceIsDropped pins the pool's memory bound: of two
+// workspaces released by concurrent solves, only the first stays for
+// reuse, so the pool never keeps a second Krylov basis alive.
+func TestSecondWorkspaceIsDropped(t *testing.T) {
+	a, b := getWorkspace(), getWorkspace()
+	putWorkspace(a)
+	putWorkspace(b)
+	first, second := getWorkspace(), getWorkspace()
+	defer putWorkspace(first)
+	if first != a {
+		t.Fatal("the first released workspace was not reused")
+	}
+	if second == a || second == b {
+		t.Fatal("a workspace released while the slot was taken was kept")
 	}
 }
 

@@ -49,11 +49,7 @@ func Evaluate(f []float64, assign []int, g *graph.Graph) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	parts := membership(assign, k)
-	sp := make([]sortedPart, k)
-	for i, members := range parts {
-		sp[i] = newSortedPart(f, members)
-	}
+	sp := sortedParts(f, assign, k)
 	adj := adjacency(g, assign, k)
 
 	rep := Report{K: k}
@@ -162,21 +158,41 @@ type sortedPart struct {
 	mean   float64
 }
 
-func newSortedPart(f []float64, members []int) sortedPart {
-	vals := make([]float64, len(members))
-	for i, v := range members {
-		vals[i] = f[v]
+// sortedParts builds every partition's sortedPart in one counting pass:
+// partition p's values occupy one span of a shared array, gathered in
+// node order and then sorted, and its prefix sums one span of a second
+// shared array, so the whole set costs a fixed handful of allocations
+// whatever k is.
+func sortedParts(f []float64, assign []int, k int) []sortedPart {
+	start := make([]int, k+1)
+	for _, a := range assign {
+		start[a+1]++
 	}
-	sort.Float64s(vals)
-	prefix := make([]float64, len(vals)+1)
-	for i, v := range vals {
-		prefix[i+1] = prefix[i] + v
+	for p := 0; p < k; p++ {
+		start[p+1] += start[p]
 	}
-	var mean float64
-	if len(vals) > 0 {
-		mean = prefix[len(vals)] / float64(len(vals))
+	fill := append([]int(nil), start[:k]...)
+	vals := make([]float64, len(assign))
+	for v, a := range assign {
+		vals[fill[a]] = f[v]
+		fill[a]++
 	}
-	return sortedPart{vals: vals, prefix: prefix, mean: mean}
+	prefix := make([]float64, len(assign)+k) // one leading 0 per partition
+	sp := make([]sortedPart, k)
+	for p := range sp {
+		pv := vals[start[p]:start[p+1]]
+		sort.Float64s(pv)
+		pp := prefix[start[p]+p : start[p+1]+p+1]
+		for i, v := range pv {
+			pp[i+1] = pp[i] + v
+		}
+		var mean float64
+		if len(pv) > 0 {
+			mean = pp[len(pv)] / float64(len(pv))
+		}
+		sp[p] = sortedPart{vals: pv, prefix: pp, mean: mean}
+	}
+	return sp
 }
 
 // sumAbsTo returns Σ_u |vals[u] − x|.

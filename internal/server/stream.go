@@ -196,7 +196,7 @@ func (s *service) handleDensities(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		tr, err := temporal.NewTracker(req.Network, mode, temporal.Config{Scheme: scheme, K: req.K, Seed: req.Seed})
+		tr, err := temporal.NewTracker(req.Network, mode, temporal.Config{Scheme: scheme, K: req.K, Seed: req.Seed, Workers: s.cfg.Workers})
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return

@@ -63,6 +63,11 @@ type Config struct {
 	KeepANS float64
 	// Seed drives all randomized stages.
 	Seed uint64
+	// Workers bounds the goroutines of a step: the dirty regions it
+	// re-splits at once, and the parallel stages of each partition
+	// beneath (core.Config.Workers). 0 selects GOMAXPROCS, 1 forces
+	// serial execution. Frames are bit-identical for every worker count.
+	Workers int
 }
 
 func (c *Config) defaults() {
@@ -196,7 +201,7 @@ func RunCtx(ctx context.Context, net *roadnet.Network, snaps []traffic.Snapshot,
 // minimum over [2, KMax] when cfg.K is zero. A fixed K is clamped only to
 // what the pipeline can produce.
 func partitionGlobal(ctx context.Context, g *graph.Graph, f []float64, cfg Config) ([]int, error) {
-	p, err := core.NewPipelineFromGraphCtx(ctx, g, f, core.Config{Scheme: cfg.Scheme, Seed: cfg.Seed})
+	p, err := core.NewPipelineFromGraphCtx(ctx, g, f, core.Config{Scheme: cfg.Scheme, Seed: cfg.Seed, Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"roadpart/internal/graph"
 	"roadpart/internal/metrics"
 	"roadpart/internal/obs"
+	"roadpart/internal/parallel"
 	"roadpart/internal/roadnet"
 )
 
@@ -27,6 +28,10 @@ var (
 	regRecomputed  = obs.Default().Counter("roadpart_incremental_regions_total", incRegionsHelp, "result", "recomputed")
 	regReused      = obs.Default().Counter("roadpart_incremental_regions_total", incRegionsHelp, "result", "reused")
 
+	dirtyRegions = obs.Default().Histogram("roadpart_temporal_dirty_regions",
+		"Seed regions re-split per distributed-mode tracker step (0 = the step replayed every region).",
+		[]float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 32, 64})
+
 	stageFullStep  = obs.StageTimer("temporal_full_step")
 	stageDeltaStep = obs.StageTimer("temporal_delta_step")
 )
@@ -41,9 +46,8 @@ type trackRegion struct {
 	sub      *graph.Graph
 	orig     []int     // sub node -> global node
 	subF     []float64 // scratch: current densities restricted to the region
-	local    []int     // cached local labels; nil until first computed
+	local    []int     // cached local labels of the tracker's densities; nil until first computed
 	maxLocal int       // max(local), cached for stitching
-	dirty    bool      // no split cached, or densities changed since it was computed
 }
 
 // Tracker owns the long-lived state of an incremental re-partitioning
@@ -75,6 +79,10 @@ type Tracker struct {
 	seedAssign []int     // frame 0's partition (distributed regime anchor)
 	regions    []*trackRegion
 	nodeRegion []int // dual-graph node -> region index
+
+	// splitDone, when set, is called after each dirty region's split is
+	// computed — a seam for the tests that cancel a step part-way.
+	splitDone func(region int)
 }
 
 // NewTracker prepares a tracker for net: it builds the dual graph once
@@ -168,11 +176,13 @@ func (t *Tracker) stepLocked(ctx context.Context, f []float64, snapshot int) (Fr
 // advanceLocked produces the next frame from the already-copied density
 // vector f. It owns the compute-path decision: the first frame runs
 // full, unchanged densities replay, anything else recomputes (in the
-// distributed regime, only the dirty regions).
+// distributed regime, only the dirty regions). Tracker state changes
+// only once the whole step has succeeded: a step that fails, say on a
+// cancelled context, leaves the tracker exactly as it found it.
 func (t *Tracker) advanceLocked(ctx context.Context, f []float64, hash uint64, snapshot int) (Frame, error) {
 	t0 := time.Now()
 	changed := t.changedSegments(f)
-	assign, path, err := t.computeAssign(ctx, f, changed)
+	assign, path, splits, err := t.computeAssign(ctx, f, changed)
 	if err != nil {
 		return Frame{}, err
 	}
@@ -202,6 +212,10 @@ func (t *Tracker) advanceLocked(ctx context.Context, f []float64, hash uint64, s
 		Path:      path,
 		Elapsed:   time.Since(t0),
 	}
+	if t.steps == 0 {
+		t.seedAssign = assign
+	}
+	t.commitSplits(splits)
 	t.f = f
 	t.densHash = hash
 	t.steps++
@@ -233,8 +247,10 @@ func (t *Tracker) changedSegments(f []float64) []int {
 }
 
 // computeAssign runs the mode's compute for one step and reports the
-// path taken.
-func (t *Tracker) computeAssign(ctx context.Context, f []float64, changed []int) ([]int, string, error) {
+// path taken. In the distributed regime it also returns the fresh splits
+// of the regions it re-split, for advanceLocked to commit once the step
+// has succeeded.
+func (t *Tracker) computeAssign(ctx context.Context, f []float64, changed []int) ([]int, string, []regionSplit, error) {
 	// First frame: always a full global partition; it anchors the
 	// distributed regime's seed regions.
 	if t.steps == 0 || (t.mode == ModeGlobal && len(changed) > 0) {
@@ -242,36 +258,34 @@ func (t *Tracker) computeAssign(ctx context.Context, f []float64, changed []int)
 		assign, err := partitionGlobal(ctx, t.g, f, t.cfg)
 		sp.End()
 		if err != nil {
-			return nil, "", err
+			return nil, "", nil, err
 		}
-		if t.steps == 0 {
-			t.seedAssign = assign
-		}
-		return assign, PathFull, nil
+		return assign, PathFull, nil, nil
 	}
 	if t.mode == ModeGlobal {
 		// Nothing moved: a recompute would deterministically reproduce
 		// the previous frame.
-		return append([]int(nil), t.prev.Assign...), PathReused, nil
+		return append([]int(nil), t.prev.Assign...), PathReused, nil, nil
 	}
 
 	// Distributed regime: re-split the SEED frame's regions (not the
 	// previous refinement — otherwise splits compound round over round).
 	if err := t.ensureRegions(); err != nil {
-		return nil, "", err
+		return nil, "", nil, err
 	}
+	touched := make([]bool, len(t.regions))
 	for _, v := range changed {
-		t.regions[t.nodeRegion[v]].dirty = true
+		touched[t.nodeRegion[v]] = true
 	}
-	dirty := 0
-	for _, r := range t.regions {
-		if r.dirty {
-			dirty++
+	var dirty []int
+	for l, r := range t.regions {
+		if r.local == nil || touched[l] {
+			dirty = append(dirty, l)
 		}
 	}
 	path := PathDelta
 	timer := stageDeltaStep
-	switch dirty {
+	switch len(dirty) {
 	case 0:
 		path = PathReused
 	case len(t.regions):
@@ -282,12 +296,12 @@ func (t *Tracker) computeAssign(ctx context.Context, f []float64, changed []int)
 		timer = stageFullStep
 	}
 	sp := timer.Start()
-	assign, err := t.resplit(ctx, f)
+	assign, splits, err := t.resplit(ctx, f, dirty)
 	sp.End()
 	if err != nil {
-		return nil, "", err
+		return nil, "", nil, err
 	}
-	return assign, path, nil
+	return assign, path, splits, nil
 }
 
 // ensureRegions builds the per-region caches from the seed assignment:
@@ -317,7 +331,6 @@ func (t *Tracker) ensureRegions() error {
 			sub:     sub,
 			orig:    orig,
 			subF:    make([]float64, len(members)),
-			dirty:   true, // no split cached yet
 		}
 		for _, v := range members {
 			t.nodeRegion[v] = l
@@ -326,43 +339,85 @@ func (t *Tracker) ensureRegions() error {
 	return nil
 }
 
-// resplit produces the distributed frame: dirty regions recompute their
-// local split from the current densities, clean regions replay the
-// cached one, and the locals stitch into a global labeling in region
+// regionSplit is one dirty region's freshly computed split, held apart
+// from the region's cache until the step that computed it succeeds.
+type regionSplit struct {
+	region   int
+	local    []int
+	maxLocal int
+}
+
+// resplit produces the distributed frame: the dirty regions recompute
+// their local split from the current densities, clean regions replay
+// the cached one, and the locals stitch into a global labeling in region
 // order. A dirty region splits into up to SubKMax parts by
 // core.BestSplit, or stays whole when it has fewer than 4 segments or no
-// split scores within KeepANS. ctx is observed between regions — one
-// region's split is the cancellation grain.
-func (t *Tracker) resplit(ctx context.Context, f []float64) ([]int, error) {
-	out := make([]int, t.n)
-	next := 0
-	for l, r := range t.regions {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("temporal: re-split interrupted at region %d of %d: %w", l, len(t.regions), err)
+// split scores within KeepANS.
+//
+// The dirty regions are independent, so they re-split concurrently on
+// up to Config.Workers goroutines, each into its own slot; stitching in
+// region order makes the frame bit-identical for every worker count.
+// Cancellation is observed before each region starts and inside its
+// BestSplit; a cancelled step returns once the regions already started
+// have stopped, and its error is the context's. The fresh splits are
+// returned rather than cached: a step that fails part-way must not
+// leave regions holding splits of densities the tracker never adopted.
+func (t *Tracker) resplit(ctx context.Context, f []float64, dirty []int) ([]int, []regionSplit, error) {
+	splits := make([]regionSplit, len(dirty))
+	cfg := core.Config{Scheme: t.cfg.Scheme, Seed: t.cfg.Seed, Workers: t.cfg.Workers}
+	err := parallel.ForErrCtx(ctx, len(dirty), t.cfg.Workers, func(i int) error {
+		l := dirty[i]
+		r := t.regions[l]
+		s := regionSplit{region: l, local: make([]int, r.sub.N())}
+		if r.sub.N() >= 4 {
+			for j, v := range r.orig {
+				r.subF[j] = f[v]
+			}
+			best, err := core.BestSplit(ctx, r.sub, r.subF, cfg, t.cfg.SubKMax, t.cfg.KeepANS)
+			if err != nil {
+				return err
+			}
+			if best != nil {
+				s.local, s.maxLocal = best.Assign, best.K-1
+			}
 		}
-		if r.dirty {
-			for i, v := range r.orig {
-				r.subF[i] = f[v]
-			}
-			r.local, r.maxLocal = make([]int, r.sub.N()), 0
-			if r.sub.N() >= 4 {
-				best, err := core.BestSplit(ctx, r.sub, r.subF, core.Config{Scheme: t.cfg.Scheme, Seed: t.cfg.Seed}, t.cfg.SubKMax, t.cfg.KeepANS)
-				if err != nil {
-					return nil, err
-				}
-				if best != nil {
-					r.local, r.maxLocal = best.Assign, best.K-1
-				}
-			}
-			r.dirty = false
-			regRecomputed.Inc()
-		} else {
-			regReused.Inc()
+		splits[i] = s
+		if t.splitDone != nil {
+			t.splitDone(l)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("temporal: re-splitting %d of %d regions: %w", len(dirty), len(t.regions), err)
+	}
+	out := make([]int, t.n)
+	next, d := 0, 0
+	for l, r := range t.regions {
+		local, maxLocal := r.local, r.maxLocal
+		if d < len(splits) && splits[d].region == l {
+			local, maxLocal = splits[d].local, splits[d].maxLocal
+			d++
 		}
 		for i, v := range r.orig {
-			out[v] = next + r.local[i]
+			out[v] = next + local[i]
 		}
-		next += r.maxLocal + 1
+		next += maxLocal + 1
 	}
-	return out, nil
+	return out, splits, nil
+}
+
+// commitSplits adopts a successful step's fresh region splits into the
+// region caches and records the step's region accounting. It does
+// nothing before the distributed regime's regions exist.
+func (t *Tracker) commitSplits(splits []regionSplit) {
+	if t.regions == nil {
+		return
+	}
+	for _, s := range splits {
+		r := t.regions[s.region]
+		r.local, r.maxLocal = s.local, s.maxLocal
+	}
+	dirtyRegions.Observe(float64(len(splits)))
+	regRecomputed.Add(uint64(len(splits)))
+	regReused.Add(uint64(len(t.regions) - len(splits)))
 }
