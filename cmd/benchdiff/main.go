@@ -7,6 +7,9 @@
 //
 //	go test -bench . -benchmem -run '^$' . | benchdiff -snapshot -o BENCH_1.json
 //
+// Repeated result lines of one benchmark (`go test -count N`) fold into
+// one entry holding the median of each measurement.
+//
 // Compare mode diffs two snapshots and exits non-zero when any benchmark
 // present in both regresses beyond the thresholds:
 //
@@ -28,8 +31,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,6 +64,9 @@ type Benchmark struct {
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	// Runs is the number of result lines folded into this entry, each
+	// measurement being their median; absent for a single line.
+	Runs int `json:"runs,omitempty"`
 }
 
 const schemaV1 = "roadpart-bench/v1"
@@ -129,7 +137,58 @@ func parseText(r io.Reader) (*Snapshot, error) {
 	if len(snap.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark result lines found in input")
 	}
+	snap.Benchmarks = foldRuns(snap.Benchmarks)
 	return snap, nil
+}
+
+// foldRuns folds the repeated result lines of each benchmark of a package
+// (`go test -count N`) into one entry, in first-appearance order, holding
+// the median of every measurement: a single run of a short benchmark on
+// a loaded machine can swing by tens of percent.
+func foldRuns(bs []Benchmark) []Benchmark {
+	type key struct{ pkg, name string }
+	runs := map[key][]Benchmark{}
+	var keys []key
+	for _, b := range bs {
+		k := key{b.Pkg, b.Name}
+		if runs[k] == nil {
+			keys = append(keys, k)
+		}
+		runs[k] = append(runs[k], b)
+	}
+	out := make([]Benchmark, 0, len(keys))
+	for _, k := range keys {
+		rs := runs[k]
+		b := rs[0]
+		if len(rs) > 1 {
+			b.Runs = len(rs)
+			b.Iterations = int64(median(rs, func(r Benchmark) float64 { return float64(r.Iterations) }))
+			b.NsPerOp = median(rs, func(r Benchmark) float64 { return r.NsPerOp })
+			b.BytesPerOp = median(rs, func(r Benchmark) float64 { return r.BytesPerOp })
+			b.AllocsPerOp = median(rs, func(r Benchmark) float64 { return r.AllocsPerOp })
+			b.Metrics = maps.Clone(b.Metrics)
+			for unit := range b.Metrics {
+				b.Metrics[unit] = median(rs, func(r Benchmark) float64 { return r.Metrics[unit] })
+			}
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// median returns the median of f over runs: the middle value, or the
+// mean of the two middle values of an even count.
+func median(runs []Benchmark, f func(Benchmark) float64) float64 {
+	v := make([]float64, len(runs))
+	for i, r := range runs {
+		v[i] = f(r)
+	}
+	slices.Sort(v)
+	h := len(v) / 2
+	if len(v)%2 == 1 {
+		return v[h]
+	}
+	return (v[h-1] + v[h]) / 2
 }
 
 func loadSnapshot(path string) (*Snapshot, error) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -40,6 +41,34 @@ func TestParseText(t *testing.T) {
 	}
 	if norm := snap.Benchmarks[2]; norm.NsPerOp != 3.25 || norm.BytesPerOp != 0 {
 		t.Fatalf("ns-only line wrong: %+v", norm)
+	}
+}
+
+// TestParseTextFoldsRepeatedRuns pins the folding of `go test -count N`
+// output: one entry per benchmark and package, in first-appearance
+// order, holding the median of every measurement (the mean of the middle
+// two for an even count), with the number of folded lines in Runs.
+func TestParseTextFoldsRepeatedRuns(t *testing.T) {
+	// go test separates the measurements of a result line by tabs.
+	const text = "pkg: roadpart\n" +
+		"BenchmarkFig7-2\t1\t300 ns/op\t30 B/op\t3 allocs/op\t9 peakMB\n" +
+		"BenchmarkTable3-2\t2\t1000 ns/op\t100 B/op\t10 allocs/op\n" +
+		"BenchmarkFig7-2\t3\t100 ns/op\t50 B/op\t1 allocs/op\t7 peakMB\n" +
+		"BenchmarkTable3-2\t4\t2000 ns/op\t300 B/op\t20 allocs/op\n" +
+		"BenchmarkFig7-2\t5\t200 ns/op\t10 B/op\t2 allocs/op\t8 peakMB\n" +
+		"pkg: roadpart/internal/supergraph\n" +
+		"BenchmarkFig7-2\t7\t50 ns/op\n"
+	snap, err := parseText(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Benchmark{
+		{Name: "BenchmarkFig7", Pkg: "roadpart", Procs: 2, Iterations: 3, Runs: 3, NsPerOp: 200, BytesPerOp: 30, AllocsPerOp: 2, Metrics: map[string]float64{"peakMB": 8}},
+		{Name: "BenchmarkTable3", Pkg: "roadpart", Procs: 2, Iterations: 3, Runs: 2, NsPerOp: 1500, BytesPerOp: 200, AllocsPerOp: 15},
+		{Name: "BenchmarkFig7", Pkg: "roadpart/internal/supergraph", Procs: 2, Iterations: 7, NsPerOp: 50},
+	}
+	if !reflect.DeepEqual(snap.Benchmarks, want) {
+		t.Fatalf("folded benchmarks:\n got %+v\nwant %+v", snap.Benchmarks, want)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // vector f. It is the α-Cut analogue of the boundary-adjustment step Ji
 // & Geroliminis bolt onto normalized cut, offered as an optional
 // post-processing extension. assign may leave ids unused; the refined
-// labeling is dense, except on a graph without edge weight, which is
-// returned as given. It returns the refined labeling, its partition
-// count, and the number of moves performed.
+// labeling is dense (on a graph without edge weight, nothing moves and
+// the used ids are only ranked). It returns the refined labeling, its
+// partition count, and the number of moves performed.
 func RefineAlphaCut(g *graph.Graph, f []float64, assign []int) ([]int, int, int, error) {
 	k, err := validateAssign(g, assign)
 	if err != nil {
@@ -23,9 +23,6 @@ func RefineAlphaCut(g *graph.Graph, f []float64, assign []int) ([]int, int, int,
 	}
 	if len(f) != g.N() {
 		return nil, 0, 0, fmt.Errorf("cut: refine: %d features for %d nodes", len(f), g.N())
-	}
-	if g.TotalWeight() == 0 {
-		return slices.Clone(assign), k, 0, nil // no edge weight to move
 	}
 	// Rank the used ids densely in ascending order. Moves compare
 	// adjacent partitions by id and repair numbers pieces by node, so
@@ -42,6 +39,9 @@ func RefineAlphaCut(g *graph.Graph, f []float64, assign []int) ([]int, int, int,
 	labels := make([]int, len(assign))
 	for v, a := range assign {
 		labels[v] = rank[a]
+	}
+	if g.TotalWeight() == 0 {
+		return labels, used, 0, nil // no edge weight to move
 	}
 	moves, err := RefineMoves(g, labels, used, 8)
 	if err != nil {

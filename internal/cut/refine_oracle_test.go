@@ -96,8 +96,10 @@ func refineOracle(g *graph.Graph, f []float64, assign []int) ([]int, int, int, e
 
 // TestRefineMatchesOracle requires RefineAlphaCut to return exactly the
 // labels, partition count and move count of the full-scan oracle on
-// random graphs with isolated nodes, unused label ids, tied move gains,
-// zero-weight graphs and up to 12 partitions.
+// random graphs with isolated nodes, unused label ids, tied move gains
+// and up to 12 partitions. On a graph without edge weight, where the
+// oracle returns its input, RefineAlphaCut must return the dense ranking
+// of the used ids instead.
 func TestRefineMatchesOracle(t *testing.T) {
 	rng := linalg.RNGFromState(0x5eed)
 	var totalMoves int
@@ -139,6 +141,10 @@ func TestRefineMatchesOracle(t *testing.T) {
 		}
 		in := slices.Clone(assign)
 		want, wantK, wantMoves, wantErr := refineOracle(g, f, assign)
+		if wantErr == nil && g.TotalWeight() == 0 {
+			// Nothing moves, and the used ids are ranked densely.
+			want, wantK = rankDense(assign)
+		}
 		got, gotK, gotMoves, gotErr := RefineAlphaCut(g, f, assign)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d: error %v, oracle %v", trial, gotErr, wantErr)
@@ -154,5 +160,39 @@ func TestRefineMatchesOracle(t *testing.T) {
 	}
 	if totalMoves == 0 {
 		t.Fatal("no trial moved a node; the comparison is vacuous")
+	}
+}
+
+// rankDense relabels assign's used ids 0, 1, … in ascending order and
+// returns the relabelling and the number of used ids.
+func rankDense(assign []int) ([]int, int) {
+	ids := slices.Clone(assign)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	out := make([]int, len(assign))
+	for v, a := range assign {
+		out[v], _ = slices.BinarySearch(ids, a)
+	}
+	return out, len(ids)
+}
+
+// TestRefineWeightlessRanksLabels pins the labeling of a graph without
+// edge weight: no node moves, and the used ids are ranked densely, so
+// the returned count is the number of partitions returned.
+func TestRefineWeightlessRanksLabels(t *testing.T) {
+	gb := graph.NewBuilder(4)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}} {
+		if err := gb.AddEdge(e[0], e[1], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range []*graph.Graph{graph.NewBuilder(4).Build(), gb.Build()} {
+		got, k, moves, err := RefineAlphaCut(g, []float64{1, 2, 3, 4}, []int{0, 2, 2, 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{0, 1, 1, 2}; !slices.Equal(got, want) || k != 3 || moves != 0 {
+			t.Fatalf("%d edges: got %v, k=%d, %d moves; want %v, k=3, 0 moves", g.M(), got, k, moves, want)
+		}
 	}
 }

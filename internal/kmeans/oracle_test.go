@@ -196,7 +196,47 @@ func oracleVectors() map[string][]float64 {
 	// sums overflow to an infinite mean.
 	out["huge"] = vec(200, func() float64 { return (rng.Float64() - 0.5) * 1e300 })
 	out["overflow"] = vec(200, func() float64 { return rng.Float64() * math.MaxFloat64 })
+	// Values at the midpoint of two integer means, and one ulp either
+	// side of it: with k = 6, every block {c−2.5, c−2.5, c, c, c, c+5}
+	// is a cluster of exact mean c, whose c+5 ties between c and c+10.
+	for name, dir := range map[string]float64{"midpoint/tie": 0, "midpoint/below": -1, "midpoint/above": 1} {
+		var v []float64
+		for c := 0.0; c < 60; c += 10 {
+			probe := c + 5
+			if dir != 0 {
+				probe = math.Nextafter(probe, dir*math.Inf(1))
+			}
+			v = append(v, c-2.5, c-2.5, c, c, c, probe)
+		}
+		out[name] = v
+	}
+	// A large offset plus small noise, where the prefix sums cancel most,
+	// and small values sorted after a far block, whose prefix sums dwarf
+	// them: without the compensation, their prefix means are off by more
+	// than their spacing.
+	out["offset"] = vec(2100, func() float64 { return 1e9 + rng.Float64() })
+	out["far"] = vec(300, func() float64 {
+		if rng.Intn(8) == 0 {
+			return -1e15 * (1 + rng.Float64())
+		}
+		return rng.Float64() * 10
+	})
+	// Long runs of duplicates whose sums round.
+	out["duplicates"] = vec(1500, func() float64 { return 0.1 * float64(1+3*rng.Intn(4)) })
+	// With k = 4, cluster 2 holds three points after the first pass and
+	// none after the second (TestOneDCertificationFallback).
+	out["empties"] = emptiesVector()
 	return out
+}
+
+// emptiesVector returns a vector whose second Lloyd pass at k = 4 empties
+// a cluster the first pass filled.
+func emptiesVector() []float64 {
+	v := []float64{7.5, 22.5, 8.5, 24.25, 10.5, 15.75, 23.5, 0.5, 16.75, 24.5, 23.25}
+	for i := range v {
+		v[i] *= 1.1
+	}
+	return v
 }
 
 // nonFiniteVectors returns seeded vectors holding NaN or ±Inf values,
@@ -294,6 +334,46 @@ func TestOneDMatchesOracle(t *testing.T) {
 	}
 	if diff := sameResult(got, oracleOneD(data, 3, 0, nil)); diff != "" {
 		t.Fatalf("after a rejected vector: Scratch.Cluster differs from the oracle in %s", diff)
+	}
+}
+
+// TestOneDCertificationFallback pins both paths of a sorted pass through
+// the exact-pass counter: the pass falls back to data-order sums where a
+// point ties at the midpoint of two means or a cluster holding a prefix
+// mean empties, and next to never on uniform or heavy-tailed data, whose
+// passes take the prefix means. TestOneDMatchesOracle checks the results
+// of both paths.
+func TestOneDCertificationFallback(t *testing.T) {
+	e := emptiesVector()
+	if first, second := oracleOneD(e, 4, 1, nil).Sizes, oracleOneD(e, 4, 2, nil).Sizes; first[2] == 0 || second[2] != 0 {
+		t.Fatalf("the empties vector no longer empties cluster 2 on its second pass (sizes %v, then %v); the pin tests nothing", first, second)
+	}
+	vectors := oracleVectors()
+	var s Scratch
+	for _, tc := range []struct {
+		name       string
+		kMin, kMax int
+		fallback   bool
+	}{
+		{"midpoint/tie", 6, 6, true},
+		{"empties", 4, 4, true},
+		{"uniform/2100", 2, 25, false},
+		{"exp/2100", 2, 25, false},
+	} {
+		s.Prepare(vectors[tc.name])
+		iters, exact := oneDIterations.Value(), oneDExactPasses.Value()
+		for k := tc.kMin; k <= tc.kMax; k++ {
+			if _, err := s.Cluster(k, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		iters, exact = oneDIterations.Value()-iters, oneDExactPasses.Value()-exact
+		if tc.fallback && exact == 0 {
+			t.Errorf("%s: no pass fell back to data-order sums", tc.name)
+		}
+		if !tc.fallback && exact*20 > iters {
+			t.Errorf("%s: %d of %d passes fell back to data-order sums, want at most 1 in 20", tc.name, exact, iters)
+		}
 	}
 }
 

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"roadpart/internal/graph"
 )
 
 // TestFacadeEndToEnd exercises the entire public API surface the way a
@@ -109,6 +112,19 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if len(back.Segments) != len(net.Segments) {
 		t.Fatal("round trip lost segments")
+	}
+}
+
+// TestRefinePartitionWeightless pins RefinePartition's count to the
+// regions it returns on a road graph without edges, where nothing moves
+// and the used ids are only ranked densely.
+func TestRefinePartitionWeightless(t *testing.T) {
+	got, k, err := RefinePartition(graph.NewBuilder(4).Build(), []float64{1, 2, 3, 4}, []int{0, 2, 2, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 1, 2}; !slices.Equal(got, want) || k != 3 {
+		t.Fatalf("got %v, k=%d; want %v, k=3", got, k, want)
 	}
 }
 
