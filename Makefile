@@ -14,13 +14,11 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHTIME ?= 1x
 BENCH ?= .
-# bench-check knobs: the anchor subset it runs, how many times it runs
-# each (benchdiff gates the median of the runs) and the regression
+# bench-check knobs: the anchor subset it runs and the regression
 # thresholds it tolerates. 1x numbers are noisy, so the defaults are
 # deliberately loose; tighten them for interleaved runs on a quiet
 # machine.
 BENCH_CHECK ?= ^(BenchmarkFig7|BenchmarkTable3|BenchmarkSweepDeep|BenchmarkPartitionCached|BenchmarkIncrementalDelta|BenchmarkIncrementalFullRecompute|BenchmarkSupergraphMine)$$
-BENCH_CHECK_COUNT ?= 3
 BENCH_MAX_TIME ?= 0.50
 BENCH_MAX_BYTES ?= 0.25
 # The sweep-aware spectral core's performance gates. BENCH_TABLE3_GATE is
@@ -90,7 +88,7 @@ bench-smoke:
 	echo "bench-smoke: snapshot + self-compare OK"
 
 # bench-check guards the anchor benchmarks against regressions: it runs
-# the BENCH_CHECK subset BENCH_CHECK_COUNT times, snapshots the median of
+# the BENCH_CHECK subset 3 times (-count 3), snapshots the median of
 # each, and diffs against the most recent checked-in BENCH_<n>.json via
 # cmd/benchdiff. Benchmarks present in only one side (suite growth) are
 # reported but never failed.
@@ -106,8 +104,8 @@ bench-check:
 	@latest=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1); \
 	if [ -z "$$latest" ]; then echo "bench-check: no BENCH_<n>.json snapshot found"; exit 1; fi; \
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) test -bench '$(BENCH_CHECK)' -benchtime $(BENCHTIME) -count $(BENCH_CHECK_COUNT) -benchmem -run '^$$' . > "$$tmp/bench.txt" && \
-	$(GO) test -bench '^BenchmarkScale$$/^tier=L$$' -benchtime $(BENCHTIME) -count $(BENCH_CHECK_COUNT) -benchmem -run '^$$' . >> "$$tmp/bench.txt" && \
+	$(GO) test -bench '$(BENCH_CHECK)' -benchtime $(BENCHTIME) -count 3 -benchmem -run '^$$' . > "$$tmp/bench.txt" && \
+	$(GO) test -bench '^BenchmarkScale$$/^tier=L$$' -benchtime $(BENCHTIME) -count 3 -benchmem -run '^$$' . >> "$$tmp/bench.txt" && \
 	$(GO) run ./cmd/benchdiff -snapshot -o "$$tmp/new.json" "$$tmp/bench.txt" && \
 	echo "bench-check: comparing against $$latest" && \
 	$(GO) run ./cmd/benchdiff -max-time-regress $(BENCH_MAX_TIME) -max-bytes-regress $(BENCH_MAX_BYTES) \

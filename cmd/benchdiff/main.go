@@ -64,9 +64,6 @@ type Benchmark struct {
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
-	// Runs is the number of result lines folded into this entry, each
-	// measurement being their median; absent for a single line.
-	Runs int `json:"runs,omitempty"`
 }
 
 const schemaV1 = "roadpart-bench/v1"
@@ -161,7 +158,6 @@ func foldRuns(bs []Benchmark) []Benchmark {
 		rs := runs[k]
 		b := rs[0]
 		if len(rs) > 1 {
-			b.Runs = len(rs)
 			b.Iterations = int64(median(rs, func(r Benchmark) float64 { return float64(r.Iterations) }))
 			b.NsPerOp = median(rs, func(r Benchmark) float64 { return r.NsPerOp })
 			b.BytesPerOp = median(rs, func(r Benchmark) float64 { return r.BytesPerOp })

@@ -47,7 +47,7 @@ func TestParseText(t *testing.T) {
 // TestParseTextFoldsRepeatedRuns pins the folding of `go test -count N`
 // output: one entry per benchmark and package, in first-appearance
 // order, holding the median of every measurement (the mean of the middle
-// two for an even count), with the number of folded lines in Runs.
+// two for an even count).
 func TestParseTextFoldsRepeatedRuns(t *testing.T) {
 	// go test separates the measurements of a result line by tabs.
 	const text = "pkg: roadpart\n" +
@@ -63,8 +63,8 @@ func TestParseTextFoldsRepeatedRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Benchmark{
-		{Name: "BenchmarkFig7", Pkg: "roadpart", Procs: 2, Iterations: 3, Runs: 3, NsPerOp: 200, BytesPerOp: 30, AllocsPerOp: 2, Metrics: map[string]float64{"peakMB": 8}},
-		{Name: "BenchmarkTable3", Pkg: "roadpart", Procs: 2, Iterations: 3, Runs: 2, NsPerOp: 1500, BytesPerOp: 200, AllocsPerOp: 15},
+		{Name: "BenchmarkFig7", Pkg: "roadpart", Procs: 2, Iterations: 3, NsPerOp: 200, BytesPerOp: 30, AllocsPerOp: 2, Metrics: map[string]float64{"peakMB": 8}},
+		{Name: "BenchmarkTable3", Pkg: "roadpart", Procs: 2, Iterations: 3, NsPerOp: 1500, BytesPerOp: 200, AllocsPerOp: 15},
 		{Name: "BenchmarkFig7", Pkg: "roadpart/internal/supergraph", Procs: 2, Iterations: 7, NsPerOp: 50},
 	}
 	if !reflect.DeepEqual(snap.Benchmarks, want) {
