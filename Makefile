@@ -178,12 +178,17 @@ chaos-smoke:
 # § Determinism): the 1-D Lloyd kernel (TestOneDMatchesOracle), the
 # bounded d-dimensional Lloyd pass (TestNDMatchesOracle), the α-Cut
 # refiner and the connectivity repair (TestRefineMatchesOracle,
-# TestRepairMatchesOracle), and the fused reorthogonalization sweep
-# (TestOrthogonalizeMatchesUnfused, TestAxpyDotMatchesAxpyThenDot).
+# TestRepairMatchesOracle), the two component walks and the partition
+# adjacency (TestGroupComponentsMatchesClosureWalk,
+# TestSubsetComponentsMatchesStampedSplit,
+# TestQuotientAdjacencyMatchesOracle), and the fused reorthogonalization
+# sweep (TestOrthogonalizeMatchesUnfused, TestAxpyDotMatchesAxpyThenDot).
 numerics-check:
 	$(GO) test -run '^TestNumericsGoldenTable$$' .
 	$(GO) test -run '^(TestOneDMatchesOracle|TestNDMatchesOracle)$$' ./internal/kmeans
 	$(GO) test -run '^(TestRefineMatchesOracle|TestRepairMatchesOracle)$$' ./internal/cut
+	$(GO) test -run '^(TestGroupComponentsMatchesClosureWalk|TestSubsetComponentsMatchesStampedSplit)$$' ./internal/graph
+	$(GO) test -run '^TestQuotientAdjacencyMatchesOracle$$' ./internal/metrics
 	$(GO) test -run '^TestOrthogonalizeMatchesUnfused$$' ./internal/eigen
 	$(GO) test -run '^TestAxpyDotMatchesAxpyThenDot$$' ./internal/linalg
 

@@ -30,14 +30,11 @@ func RepairConnectivity(g *graph.Graph, f []float64, assign []int, k int) ([]int
 	labels := make([]int, g.N())
 	count := g.GroupComponentsInto(assign, labels)
 
-	_, graphComponents := g.Components()
-	floor := k
-	if graphComponents > floor {
-		floor = graphComponents
-	}
-
+	// Every piece lies inside one component of the graph, so once the
+	// pieces are the graph's own components the smallest has no
+	// neighbouring piece and the merge search below stops the loop.
 	size, sum := make([]int, count), make([]float64, count)
-	for count > floor {
+	for count > k {
 		// Component stats.
 		size, sum = size[:count], sum[:count]
 		clear(size)
@@ -72,7 +69,7 @@ func RepairConnectivity(g *graph.Graph, f []float64, assign []int, k int) ([]int
 			}
 		}
 		if best < 0 {
-			break // isolated component of the graph itself; cannot merge
+			break // a component of the graph itself; cannot merge
 		}
 		// Two adjacent connected pieces merge into one connected piece,
 		// whose lowest node is the lower number's. Renumbering it so and

@@ -156,7 +156,7 @@ func embedRows(dec *eigen.Decomposition, k int, eb *embedBuf) [][]float64 {
 // recursively bipartitioned FIFO until k groups remain; each group's
 // partitions merge.
 func reduce(ctx context.Context, g *graph.Graph, labels []int, kPrime, k int, method Method, opts Options) ([]int, error) {
-	meta, err := connectivityGraph(g, labels, kPrime)
+	meta, err := g.Quotient(labels, kPrime, func(_, _ int, w float64) float64 { return w })
 	if err != nil {
 		return nil, err
 	}
@@ -181,12 +181,6 @@ func reduce(ctx context.Context, g *graph.Graph, labels []int, kPrime, k int, me
 		out[v] = groupOf[l]
 	}
 	return out, nil
-}
-
-// connectivityGraph builds the k′-node meta-graph of partition
-// connectivity strengths A′(i,j) = sqrt(Σ w² / numadj).
-func connectivityGraph(g *graph.Graph, labels []int, kPrime int) (*graph.Graph, error) {
-	return g.Quotient(labels, kPrime, func(_, _ int, w float64) float64 { return w })
 }
 
 // recursiveBipartition splits the meta-graph's node set into k groups by

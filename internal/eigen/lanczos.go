@@ -43,9 +43,6 @@ var lanczosResidual = obs.Default().Histogram("roadpart_eigen_residual",
 // docs/NUMERICS.md § The Lanczos variant). The zero value selects
 // reasonable defaults.
 type LanczosOptions struct {
-	// MaxSteps caps the basis dimension (seed columns, Krylov expansions
-	// and restarts combined). 0 selects min(n, max(4k+30, 80)).
-	MaxSteps int
 	// Seed drives the deterministic start vector and every
 	// invariant-subspace restart direction. The same seed always yields
 	// the same decomposition (docs/NUMERICS.md § Determinism).
@@ -89,9 +86,9 @@ type LanczosOptions struct {
 // column (one operator application plus O(m·n) orthogonalization) and
 // returns a clean error wrapping ctx.Err() when it expires, so a
 // pathological operator under a deadline degrades to an error instead of
-// spinning. The column count is always bounded by MaxSteps, and the
-// invariant-subspace restart tries at most five fresh directions, so even
-// with context.Background() the iteration terminates.
+// spinning. The column count is always bounded by min(n, max(4k+30, 80)),
+// and the invariant-subspace restart tries at most five fresh directions,
+// so even with context.Background() the iteration terminates.
 //
 // Lanczos draws its scratch from the package workspace pool, so
 // steady-state runs allocate only the returned Decomposition.
@@ -112,19 +109,9 @@ func lanczos(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Workspac
 	if k > n {
 		return nil, fmt.Errorf("eigen: Lanczos k=%d exceeds operator order %d", k, n)
 	}
-	m := opts.MaxSteps
-	if m == 0 {
-		m = 4*k + 30
-		if m < 80 {
-			m = 80
-		}
-	}
-	if m > n {
-		m = n
-	}
-	if m < k {
-		m = k
-	}
+	// m caps the basis dimension: seed columns, Krylov expansions and
+	// restarts combined.
+	m := min(n, max(4*k+30, 80))
 	rng := linalg.RNGFromState(opts.Seed ^ 0x9e3779b97f4a7c15)
 
 	if ws == nil {

@@ -53,7 +53,7 @@ func TestTable1CityCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, count := g.Components(); count != 1 {
+		if _, count := g.GroupComponents(make([]int, g.N())); count != 1 {
 			t.Fatalf("%s dual has %d components, want 1", sp.name, count)
 		}
 	}

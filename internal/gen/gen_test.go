@@ -73,7 +73,7 @@ func dualConnected(t *testing.T, net *roadnet.Network) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, count := g.Components()
+	_, count := g.GroupComponents(make([]int, g.N()))
 	return count == 1
 }
 

@@ -43,7 +43,7 @@ func TestRadialDualConnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, count := g.Components(); count != 1 {
+	if _, count := g.GroupComponents(make([]int, g.N())); count != 1 {
 		t.Fatalf("radial dual should be connected, got %d components", count)
 	}
 }

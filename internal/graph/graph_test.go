@@ -78,7 +78,7 @@ func TestHasEdge(t *testing.T) {
 
 func TestComponents(t *testing.T) {
 	g := build(6, edge{0, 1, 1}, edge{1, 2, 1}, edge{3, 4, 1})
-	comp, count := g.Components()
+	comp, count := g.GroupComponents(make([]int, 6))
 	if count != 3 {
 		t.Fatalf("count = %d, want 3 (two chains + isolated 5)", count)
 	}
@@ -129,6 +129,12 @@ func TestIsConnectedSubset(t *testing.T) {
 	}
 	if !g.IsConnectedSubset(nil) || !g.IsConnectedSubset([]int{4}) {
 		t.Fatal("empty and singleton sets are connected by definition")
+	}
+	if g.IsConnectedSubset([]int{1, 2, 1}) {
+		t.Fatal("a set with a repeated node is not connected")
+	}
+	if g.IsConnectedSubset([]int{1, 5}) || g.IsConnectedSubset([]int{-1, 0}) {
+		t.Fatal("a set with a node outside the graph is not connected")
 	}
 }
 
@@ -186,7 +192,7 @@ func TestComponentsPartitionProperty(t *testing.T) {
 			}
 		}
 		g := b.Build()
-		comp, count := g.Components()
+		comp, count := g.GroupComponents(make([]int, n))
 		if count < 1 || count > n {
 			return false
 		}

@@ -50,7 +50,14 @@ func Evaluate(f []float64, assign []int, g *graph.Graph) (Report, error) {
 		return Report{}, err
 	}
 	sp := sortedParts(f, assign, k)
-	adj := adjacency(g, assign, k)
+	// The partition adjacency graph: its rows list each partition's
+	// spatially adjacent partitions once, in ascending order, so every
+	// later summation accumulates in a fixed order and the metrics stay
+	// bit-for-bit reproducible.
+	adj, err := g.Quotient(assign, k, func(int, int, float64) float64 { return 1 })
+	if err != nil {
+		return Report{}, err
+	}
 
 	rep := Report{K: k}
 	rep.Inter = inter(sp, adj)
@@ -68,26 +75,37 @@ func ANS(f []float64, assign []int, g *graph.Graph) (float64, error) {
 
 // ValidatePartition verifies conditions C.1 and C.2: labels form a dense
 // non-empty cover of the node set and every partition is connected in g.
+// A dense labeling into k partitions satisfies C.2 exactly when it has k
+// connected pieces.
 func ValidatePartition(g *graph.Graph, assign []int) error {
 	if len(assign) != g.N() {
 		return fmt.Errorf("metrics: assignment length %d != %d nodes", len(assign), g.N())
 	}
-	k := 0
-	for i, a := range assign {
-		if a < 0 {
-			return fmt.Errorf("metrics: node %d has negative partition", i)
-		}
-		if a+1 > k {
-			k = a + 1
+	k, err := partitionCount(assign)
+	if err != nil {
+		return err
+	}
+	comp, count := g.GroupComponents(assign)
+	// first[p] is the piece holding partition p's lowest node.
+	first := make([]int, k)
+	for p := range first {
+		first[p] = -1
+	}
+	for v, a := range assign {
+		if first[a] < 0 {
+			first[a] = comp[v]
 		}
 	}
-	parts := membership(assign, k)
-	for p, members := range parts {
-		if len(members) == 0 {
+	for p, c := range first {
+		if c < 0 {
 			return fmt.Errorf("metrics: partition %d is empty (labels not dense)", p)
 		}
-		if !g.IsConnectedSubset(members) {
-			return fmt.Errorf("metrics: partition %d is not connected (condition C.2)", p)
+	}
+	if count > k {
+		for v, a := range assign {
+			if comp[v] != first[a] {
+				return fmt.Errorf("metrics: partition %d is not connected (condition C.2)", a)
+			}
 		}
 	}
 	return nil
@@ -102,52 +120,20 @@ func checkInput(f []float64, assign []int, g *graph.Graph) (int, error) {
 	if len(assign) == 0 {
 		return 0, fmt.Errorf("metrics: empty input")
 	}
+	return partitionCount(assign)
+}
+
+// partitionCount returns the partition count k of a labeling, one more
+// than its largest label, or an error for a negative label.
+func partitionCount(assign []int) (int, error) {
 	k := 0
 	for i, a := range assign {
 		if a < 0 {
 			return 0, fmt.Errorf("metrics: node %d has negative partition", i)
 		}
-		if a+1 > k {
-			k = a + 1
-		}
+		k = max(k, a+1)
 	}
 	return k, nil
-}
-
-func membership(assign []int, k int) [][]int {
-	parts := make([][]int, k)
-	for v, a := range assign {
-		parts[a] = append(parts[a], v)
-	}
-	return parts
-}
-
-// adjacency returns for each partition the sorted list of spatially
-// adjacent partitions (those sharing at least one graph edge). Sorted
-// slices, not maps: every later summation then accumulates in a fixed
-// order, keeping the metrics bit-for-bit reproducible.
-func adjacency(g *graph.Graph, assign []int, k int) [][]int {
-	sets := make([]map[int]bool, k)
-	for i := range sets {
-		sets[i] = map[int]bool{}
-	}
-	for u := 0; u < g.N(); u++ {
-		for _, e := range g.Neighbors(u) {
-			a, b := assign[u], assign[e.To]
-			if a != b {
-				sets[a][b] = true
-				sets[b][a] = true
-			}
-		}
-	}
-	adj := make([][]int, k)
-	for i, s := range sets {
-		for j := range s {
-			adj[i] = append(adj[i], j)
-		}
-		sort.Ints(adj[i])
-	}
-	return adj
 }
 
 // sortedPart holds one partition's features sorted with prefix sums, the
@@ -245,16 +231,15 @@ func meanCross(p, q *sortedPart) float64 {
 
 // inter is the footnote-3 measure: the average InterDist over adjacent
 // partition pairs.
-func inter(sp []sortedPart, adj [][]int) float64 {
+func inter(sp []sortedPart, adj *graph.Graph) float64 {
 	var total float64
 	pairs := 0
 	for i := range sp {
-		for _, j := range adj[i] {
-			if j <= i {
-				continue
+		for _, e := range adj.Neighbors(i) {
+			if j := e.To; j > i {
+				total += meanCross(&sp[i], &sp[j])
+				pairs++
 			}
-			total += meanCross(&sp[i], &sp[j])
-			pairs++
 		}
 	}
 	if pairs == 0 {
@@ -279,7 +264,7 @@ func intra(sp []sortedPart) float64 {
 // gdbi is the footnote-5 measure: per partition, the worst
 // (S_i + S_j)/d(μ_i, μ_j) over spatially adjacent partitions, averaged.
 // S is the mean absolute distance of members from the partition mean.
-func gdbi(sp []sortedPart, adj [][]int) float64 {
+func gdbi(sp []sortedPart, adj *graph.Graph) float64 {
 	k := len(sp)
 	if k == 0 {
 		return 0
@@ -293,7 +278,8 @@ func gdbi(sp []sortedPart, adj [][]int) float64 {
 	for i := range sp {
 		worst := 0.0
 		seen := false
-		for _, j := range adj[i] {
+		for _, e := range adj.Neighbors(i) {
+			j := e.To
 			d := math.Abs(sp[i].mean - sp[j].mean)
 			r := float64(nsCap)
 			if d > 0 {
@@ -326,19 +312,19 @@ func gdbi(sp []sortedPart, adj [][]int) float64 {
 // denominator collapses and ANS rises again — which is why its minimum
 // over k selects the optimal partition count. Ratios are capped and 0/0
 // (no contrast either way) counts as 1.
-func ans(sp []sortedPart, adj [][]int) float64 {
+func ans(sp []sortedPart, adj *graph.Graph) float64 {
 	var total float64
 	counted := 0
 	for i := range sp {
-		if len(adj[i]) == 0 {
+		if adj.Degree(i) == 0 {
 			continue
 		}
 		av := sp[i].meanPairwise()
 		var bv float64
-		for _, j := range adj[i] {
-			bv += meanCross(&sp[i], &sp[j])
+		for _, e := range adj.Neighbors(i) {
+			bv += meanCross(&sp[i], &sp[e.To])
 		}
-		bv /= float64(len(adj[i]))
+		bv /= float64(adj.Degree(i))
 		var ns float64
 		switch {
 		case bv == 0 && av == 0:

@@ -1,11 +1,16 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"roadpart/internal/graph"
 )
 
 // TestARISymmetryProperty: ARI(a, b) == ARI(b, a) for random labelings.
@@ -128,7 +133,7 @@ func TestSortedPartsMatchesPerPart(t *testing.T) {
 			assign[v] = rng.Intn(k)
 		}
 		got := sortedParts(f, assign, k)
-		for p, members := range membership(assign, k) {
+		for p, members := range partMembers(assign, k) {
 			want := newSortedPart(f, members)
 			same := len(got[p].vals) == len(want.vals) && len(got[p].prefix) == len(want.prefix) &&
 				math.Float64bits(got[p].mean) == math.Float64bits(want.mean)
@@ -142,5 +147,120 @@ func TestSortedPartsMatchesPerPart(t *testing.T) {
 				t.Fatalf("trial %d partition %d: shared build %+v, per-part %+v", trial, p, got[p], want)
 			}
 		}
+	}
+}
+
+// partMembers lists every partition's nodes in node order.
+func partMembers(assign []int, k int) [][]int {
+	parts := make([][]int, k)
+	for v, a := range assign {
+		parts[a] = append(parts[a], v)
+	}
+	return parts
+}
+
+// adjacencyOracle is the partition adjacency Evaluate read before the
+// quotient graph: one set per partition, listed in ascending order.
+func adjacencyOracle(g *graph.Graph, assign []int, k int) [][]int {
+	sets := make([]map[int]bool, k)
+	for i := range sets {
+		sets[i] = map[int]bool{}
+	}
+	for u := 0; u < g.N(); u++ {
+		for _, e := range g.Neighbors(u) {
+			if a, b := assign[u], assign[e.To]; a != b {
+				sets[a][b] = true
+				sets[b][a] = true
+			}
+		}
+	}
+	adj := make([][]int, k)
+	for i, s := range sets {
+		for j := range s {
+			adj[i] = append(adj[i], j)
+		}
+		sort.Ints(adj[i])
+	}
+	return adj
+}
+
+// randomLabeling draws a graph on 1–40 nodes (sparse draws leave it
+// disconnected, repeated pairs add parallel edges) and a labeling into
+// up to 8 partitions, some of them empty.
+func randomLabeling(rng *rand.Rand) (*graph.Graph, []int, int) {
+	n, k := 1+rng.Intn(40), 1+rng.Intn(8)
+	gb := graph.NewBuilder(n)
+	for e := rng.Intn(2*n + 1); e > 0; e-- {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			gb.AddEdge(u, v, 1)
+		}
+	}
+	assign := make([]int, n)
+	for v := range assign {
+		assign[v] = rng.Intn(k)
+	}
+	return gb.Build(), assign, k
+}
+
+// TestQuotientAdjacencyMatchesOracle requires the quotient graph's rows
+// to list exactly the oracle's adjacent partitions, in the same order,
+// so every metric sum accumulates as before.
+func TestQuotientAdjacencyMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 300; trial++ {
+		g, assign, k := randomLabeling(rng)
+		q, err := g.Quotient(assign, k, func(int, int, float64) float64 { return 1 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p, want := range adjacencyOracle(g, assign, k) {
+			var got []int
+			for _, e := range q.Neighbors(p) {
+				got = append(got, e.To)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d partition %d: quotient row %v, oracle %v", trial, p, got, want)
+			}
+		}
+	}
+}
+
+// TestValidatePartitionMatchesPerPartCheck requires ValidatePartition to
+// accept exactly the labelings whose partitions are all non-empty and
+// connected, checked one partition at a time, and to name a partition
+// that is empty or disconnected when it refuses.
+func TestValidatePartitionMatchesPerPartCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	refused := 0
+	for trial := 0; trial < 500; trial++ {
+		g, assign, k := randomLabeling(rng)
+		k = slices.Max(assign) + 1
+		bad := map[int]string{}
+		for p, m := range partMembers(assign, k) {
+			switch {
+			case len(m) == 0:
+				bad[p] = "is empty"
+			case !g.IsConnectedSubset(m):
+				bad[p] = "is not connected"
+			}
+		}
+		err := ValidatePartition(g, assign)
+		if (err == nil) != (len(bad) == 0) {
+			t.Fatalf("trial %d %v: err %v, bad partitions %v", trial, assign, err, bad)
+		}
+		if err == nil {
+			continue
+		}
+		refused++
+		named := false
+		for p, why := range bad {
+			named = named || strings.Contains(err.Error(), fmt.Sprintf("partition %d %s", p, why))
+		}
+		if !named {
+			t.Fatalf("trial %d: %v names none of %v", trial, err, bad)
+		}
+	}
+	if refused == 0 || refused == 500 {
+		t.Fatalf("vacuous: %d of 500 labelings refused", refused)
 	}
 }

@@ -286,15 +286,11 @@ func stabilize(ctx context.Context, g *graph.Graph, features []float64, nodes []
 	var out []Supernode
 	splits := 0
 	// Pop-loop scratch: the feature and half buffers are reused across
-	// pops, and the generation-stamped membership arrays let every
-	// component split run without clearing (or reallocating) O(n) state.
+	// pops, and the subset walk returns its marks cleared, so every
+	// component split runs without clearing (or reallocating) O(n) state.
 	var fsBuf []float64
 	var preBuf, postBuf []int
-	inStamp := linalg.GetInts(g.N())
-	seenStamp := linalg.GetInts(g.N())
-	defer linalg.PutInts(inStamp)
-	defer linalg.PutInts(seenStamp)
-	gen := 0
+	mark := make([]bool, g.N())
 	for len(stack) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, fmt.Errorf("supergraph: stability split interrupted: %w", err)
@@ -337,43 +333,12 @@ func stabilize(ctx context.Context, g *graph.Graph, features []float64, nodes []
 		}
 		splits++
 		for _, part := range [][]int{pre, post} {
-			gen++
-			for _, comp := range splitComponents(g, part, inStamp, seenStamp, gen) {
+			for _, comp := range g.SubsetComponents(part, mark) {
 				stack = append(stack, Supernode{Members: comp})
 			}
 		}
 	}
 	return out, splits, nil
-}
-
-// splitComponents returns the connected components of the subgraph of g
-// induced by members. The in/seen arrays are generation-stamped
-// membership marks (value == gen means set): passing a fresh gen each
-// call makes prior contents irrelevant without any clearing, so the only
-// allocations are the component slices themselves, which the caller
-// keeps as supernode member lists.
-func splitComponents(g *graph.Graph, members []int, in, seen []int, gen int) [][]int {
-	for _, v := range members {
-		in[v] = gen
-	}
-	var comps [][]int
-	for _, s := range members {
-		if seen[s] == gen {
-			continue
-		}
-		comp := []int{s}
-		seen[s] = gen
-		for q := 0; q < len(comp); q++ {
-			for _, e := range g.Neighbors(comp[q]) {
-				if in[e.To] == gen && seen[e.To] != gen {
-					seen[e.To] = gen
-					comp = append(comp, e.To)
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	return comps
 }
 
 // buildLinks establishes weighted superlinks (Alg. 1 lines 21–25,

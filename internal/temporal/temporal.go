@@ -198,8 +198,9 @@ func RunCtx(ctx context.Context, net *roadnet.Network, snaps []traffic.Snapshot,
 }
 
 // partitionGlobal partitions the whole graph, selecting k by the ANS
-// minimum over [2, KMax] when cfg.K is zero. A fixed K is clamped only to
-// what the pipeline can produce.
+// minimum over [2, KMax] when cfg.K is zero: the sweep's partition for
+// that k is the result, since every stage is seeded. A fixed K is
+// clamped only to what the pipeline can produce.
 func partitionGlobal(ctx context.Context, g *graph.Graph, f []float64, cfg Config) ([]int, error) {
 	p, err := core.NewPipelineFromGraphCtx(ctx, g, f, core.Config{Scheme: cfg.Scheme, Seed: cfg.Seed, Workers: cfg.Workers})
 	if err != nil {
@@ -209,9 +210,11 @@ func partitionGlobal(ctx context.Context, g *graph.Graph, f []float64, cfg Confi
 	if k == 0 {
 		k = 1
 		if max := min(cfg.KMax, p.MaxK()); max >= 2 {
-			if k, _, err = p.BestKByANSCtx(ctx, 2, max); err != nil {
+			best, sweep, err := p.BestKByANSCtx(ctx, 2, max)
+			if err != nil {
 				return nil, err
 			}
+			return sweep[best-2].Result.Assign, nil
 		}
 	}
 	res, err := p.PartitionKCtx(ctx, k)

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"roadpart/internal/core"
 	"roadpart/internal/experiments"
 	"roadpart/internal/metrics"
+	"roadpart/internal/obs"
 	"roadpart/internal/roadnet"
 	"roadpart/internal/traffic"
 )
@@ -328,5 +330,48 @@ func TestMeanARISkipsFirstFrame(t *testing.T) {
 	}
 	if !math.IsNaN(MeanARI(frames[:1])) {
 		t.Fatal("MeanARI of only-NaN frames should be NaN")
+	}
+}
+
+// TestSeedStepReusesSweepPartition: with K zero the seed step keeps the
+// ANS sweep's own partition for the chosen k, so a sweep over [2, KMax]
+// costs KMax−1 spectral cuts and no extra cut repeats the best one. The
+// frame equals what a second partition of the chosen k on the same
+// warmed pipeline returns.
+func TestSeedStepReusesSweepPartition(t *testing.T) {
+	net, snaps := simCity(t)
+	const kMax = 5
+	tr, err := NewTracker(net, ModeGlobal, Config{Scheme: core.AG, KMax: kMax, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := obs.StageTimer("spectral_cut")
+	before := cuts.Count()
+	fr, err := tr.Step(context.Background(), snaps[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cuts.Count() - before; got != kMax-1 {
+		t.Fatalf("seed step ran %d spectral cuts, want %d (one per swept k)", got, kMax-1)
+	}
+
+	g, err := roadnet.DualGraph(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewPipelineFromGraphCtx(context.Background(), g, snaps[2], core.Config{Scheme: core.AG, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, _, err := p.BestKByANSCtx(context.Background(), 2, kMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := p.PartitionKCtx(context.Background(), best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.K != best || !slices.Equal(fr.Assign, again.Assign) {
+		t.Fatalf("seed frame K=%d differs from the repartition of the sweep's best k=%d", fr.K, best)
 	}
 }
