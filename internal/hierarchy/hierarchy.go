@@ -164,9 +164,19 @@ func (n *Node) Leaves() []*Node {
 
 // Validate checks the tree's structural invariants against the graph:
 // children partition their parent's members and every node's member set
-// is connected.
+// is connected. One mark buffer serves every node's subset walk, so the
+// cost is one N()-length allocation plus the tree's member lists.
 func (n *Node) Validate(g *graph.Graph) error {
-	if !g.IsConnectedSubset(n.Members) {
+	return n.validate(g, make([]bool, g.N()))
+}
+
+func (n *Node) validate(g *graph.Graph, mark []bool) error {
+	for _, v := range n.Members {
+		if v < 0 || v >= g.N() {
+			return fmt.Errorf("hierarchy: segment %d outside the %d-segment graph", v, g.N())
+		}
+	}
+	if len(n.Members) > 1 && len(g.SubsetComponents(n.Members, mark)[0]) != len(n.Members) {
 		return fmt.Errorf("hierarchy: node at depth %d is not connected", n.Depth)
 	}
 	if n.Children == nil {
@@ -185,7 +195,7 @@ func (n *Node) Validate(g *graph.Graph) error {
 			seen[v] = true
 		}
 		total += len(c.Members)
-		if err := c.Validate(g); err != nil {
+		if err := c.validate(g, mark); err != nil {
 			return err
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"roadpart/internal/core"
 	"roadpart/internal/gen"
+	"roadpart/internal/graph"
 	"roadpart/internal/metrics"
 	"roadpart/internal/roadnet"
 	"roadpart/internal/traffic"
@@ -166,6 +167,38 @@ func TestMinSizeOneBuilds(t *testing.T) {
 		}
 		if err := root.Validate(g); err != nil {
 			t.Fatalf("%v: %v", scheme, err)
+		}
+	}
+}
+
+// TestValidateHandBuiltTrees checks Validate on a path 0-1-2-3-4-5: a
+// valid three-level tree passes (every node reuses the same mark buffer),
+// and a disconnected, duplicated or out-of-range region is reported.
+func TestValidateHandBuiltTrees(t *testing.T) {
+	gb := graph.NewBuilder(6)
+	for i := 0; i+1 < 6; i++ {
+		gb.AddEdge(i, i+1, 1)
+	}
+	g := gb.Build()
+	tree := func(left, right []int) *Node {
+		return &Node{Members: []int{0, 1, 2, 3, 4, 5}, Children: []*Node{
+			{Members: left, Depth: 1, Children: []*Node{
+				{Members: left[:1], Depth: 2}, {Members: left[1:], Depth: 2},
+			}},
+			{Members: right, Depth: 1},
+		}}
+	}
+	if err := tree([]int{2, 1, 0}, []int{3, 4, 5}).Validate(g); err != nil {
+		t.Fatalf("valid tree rejected: %v", err)
+	}
+	for name, root := range map[string]*Node{
+		"disconnected child": tree([]int{0, 1, 3}, []int{2, 4, 5}),
+		"split grandchild":   tree([]int{1, 0, 2}, []int{3, 4, 5}),
+		"repeated segment":   {Members: []int{0, 1, 1, 2, 3, 4}},
+		"segment outside":    {Members: []int{0, 1, 2, 3, 4, 6}},
+	} {
+		if root.Validate(g) == nil {
+			t.Errorf("%s: Validate accepted an invalid tree", name)
 		}
 	}
 }
