@@ -181,15 +181,19 @@ chaos-smoke:
 # TestRepairMatchesOracle), the two component walks and the partition
 # adjacency (TestGroupComponentsMatchesClosureWalk,
 # TestSubsetComponentsMatchesStampedSplit,
-# TestQuotientAdjacencyMatchesOracle), and the fused reorthogonalization
-# sweep (TestOrthogonalizeMatchesUnfused, TestAxpyDotMatchesAxpyThenDot).
+# TestQuotientAdjacencyMatchesOracle), the bounded component walk
+# (TestGroupComponentsBoundedWalk), the fused reorthogonalization sweep
+# (TestOrthogonalizeMatchesUnfused, TestAxpyDotMatchesAxpyThenDot), and
+# the last-row Ritz check against the full re-solve
+# (TestRitzCheckMatchesFullSolve, TestRitzCheckFixtureStops,
+# TestSymTridEigenRowSubsets).
 numerics-check:
 	$(GO) test -run '^TestNumericsGoldenTable$$' .
 	$(GO) test -run '^(TestOneDMatchesOracle|TestNDMatchesOracle)$$' ./internal/kmeans
 	$(GO) test -run '^(TestRefineMatchesOracle|TestRepairMatchesOracle)$$' ./internal/cut
-	$(GO) test -run '^(TestGroupComponentsMatchesClosureWalk|TestSubsetComponentsMatchesStampedSplit)$$' ./internal/graph
+	$(GO) test -run '^(TestGroupComponentsMatchesClosureWalk|TestGroupComponentsBoundedWalk|TestSubsetComponentsMatchesStampedSplit)$$' ./internal/graph
 	$(GO) test -run '^TestQuotientAdjacencyMatchesOracle$$' ./internal/metrics
-	$(GO) test -run '^TestOrthogonalizeMatchesUnfused$$' ./internal/eigen
+	$(GO) test -run '^(TestOrthogonalizeMatchesUnfused|TestRitzCheckMatchesFullSolve|TestRitzCheckFixtureStops|TestSymTridEigenRowSubsets)$$' ./internal/eigen
 	$(GO) test -run '^TestAxpyDotMatchesAxpyThenDot$$' ./internal/linalg
 
 # docs-check fails on gofmt drift, vet findings, broken relative links

@@ -28,12 +28,15 @@ func RepairConnectivity(g *graph.Graph, f []float64, assign []int, k int) ([]int
 	// Split every label into its connected components, numbered by their
 	// lowest node.
 	labels := make([]int, g.N())
-	count := g.GroupComponentsInto(assign, labels)
+	count := g.GroupComponentsInto(assign, labels, g.N()+1)
 
-	// Every piece lies inside one component of the graph, so once the
-	// pieces are the graph's own components the smallest has no
-	// neighbouring piece and the merge search below stops the loop.
+	// Every piece lies inside one component of the graph. A piece with no
+	// neighbouring piece is a whole component and can never merge, so
+	// closed marks it (allocated on the first; a connected graph has
+	// none) and the merge goes to the smallest piece that has a
+	// neighbour; the loop stops when none has one.
 	size, sum := make([]int, count), make([]float64, count)
+	var closed []bool
 	for count > k {
 		// Component stats.
 		size, sum = size[:count], sum[:count]
@@ -43,33 +46,28 @@ func RepairConnectivity(g *graph.Graph, f []float64, assign []int, k int) ([]int
 			size[l]++
 			sum[l] += f[v]
 		}
-		// Smallest component.
-		smallest := 0
-		for l := 1; l < count; l++ {
-			if size[l] < size[smallest] {
-				smallest = l
-			}
-		}
-		// Adjacent component with the closest mean.
-		muS := sum[smallest] / float64(size[smallest])
-		best, bestD := -1, math.Inf(1)
-		for v, l := range labels {
-			if l != smallest {
-				continue
-			}
-			for _, e := range g.Neighbors(v) {
-				t := labels[e.To]
-				if t == smallest {
-					continue
+		var smallest int
+		best := -1
+		for best < 0 {
+			// Smallest piece not closed, ties to the lowest number.
+			smallest = -1
+			for l := range count {
+				if (closed == nil || !closed[l]) && (smallest < 0 || size[l] < size[smallest]) {
+					smallest = l
 				}
-				d := math.Abs(sum[t]/float64(size[t]) - muS)
-				if d < bestD {
-					best, bestD = t, d
+			}
+			if smallest < 0 {
+				break
+			}
+			if best = closestNeighbour(g, labels, size, sum, smallest); best < 0 {
+				if closed == nil {
+					closed = make([]bool, count)
 				}
+				closed[smallest] = true
 			}
 		}
 		if best < 0 {
-			break // a component of the graph itself; cannot merge
+			break // every piece is a component of the graph itself
 		}
 		// Two adjacent connected pieces merge into one connected piece,
 		// whose lowest node is the lower number's. Renumbering it so and
@@ -83,8 +81,35 @@ func RepairConnectivity(g *graph.Graph, f []float64, assign []int, k int) ([]int
 				labels[v] = l - 1
 			}
 		}
+		if closed != nil {
+			closed = append(closed[:drop], closed[drop+1:]...)
+		}
 		count--
 	}
 	dense, kk := renumber(labels)
 	return dense, kk, nil
+}
+
+// closestNeighbour returns the piece adjacent to piece s whose mean
+// feature is closest to s's (the first such in node and edge order on a
+// tie), or -1 when no other piece touches s.
+func closestNeighbour(g *graph.Graph, labels, size []int, sum []float64, s int) int {
+	muS := sum[s] / float64(size[s])
+	best, bestD := -1, math.Inf(1)
+	for v, l := range labels {
+		if l != s {
+			continue
+		}
+		for _, e := range g.Neighbors(v) {
+			t := labels[e.To]
+			if t == s {
+				continue
+			}
+			d := math.Abs(sum[t]/float64(size[t]) - muS)
+			if d < bestD {
+				best, bestD = t, d
+			}
+		}
+	}
+	return best
 }

@@ -43,6 +43,31 @@ func TestRepairConnectivitySplitsAndMerges(t *testing.T) {
 	}
 }
 
+// TestRepairMergesPastAnIsland puts an isolated node, the smallest piece,
+// next to a 10-node path cut into 5 pieces. The island has no neighbour
+// and must not stop the merges: k=2 gives the island and the whole path.
+func TestRepairMergesPastAnIsland(t *testing.T) {
+	gb := graph.NewBuilder(11)
+	for i := 1; i+1 < 11; i++ {
+		gb.AddEdge(i, i+1, 1)
+	}
+	g := gb.Build()
+	f := []float64{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5}
+	assign := []int{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5}
+	out, k, err := RepairConnectivity(g, f, assign, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
+	if k != 2 || !slices.Equal(out, want) {
+		t.Fatalf("got k=%d %v, want k=2 %v", k, out, want)
+	}
+	// Two islands and k=1: the graph's own two components are the floor.
+	if _, k, err = RepairConnectivity(g, f, assign, 1); err != nil || k != 2 {
+		t.Fatalf("k=1 on two components: got k=%d, err %v; want 2", k, err)
+	}
+}
+
 func TestRepairConnectivityAlreadyGood(t *testing.T) {
 	gb := graph.NewBuilder(4)
 	for i := 0; i+1 < 4; i++ {
@@ -141,12 +166,13 @@ func TestPartitionScalarAlphaBarbell(t *testing.T) {
 	}
 }
 
-// repairOracle is RepairConnectivity as it stood before merges renumbered
-// in place: every round relabels the smallest piece and recomputes the
-// components with a fresh search.
+// repairOracle is RepairConnectivity without renumbering in place: every
+// round relabels the smallest piece that has a neighbouring piece (pieces
+// tried in (size, number) order) and recomputes the components with a
+// fresh search.
 func repairOracle(g *graph.Graph, f []float64, assign []int, k int) ([]int, int) {
 	labels := make([]int, g.N())
-	count := g.GroupComponentsInto(assign, labels)
+	count := g.GroupComponentsInto(assign, labels, g.N()+1)
 	_, graphComponents := g.GroupComponents(make([]int, g.N()))
 	floor := max(k, graphComponents)
 	for count > floor {
@@ -155,26 +181,32 @@ func repairOracle(g *graph.Graph, f []float64, assign []int, k int) ([]int, int)
 			size[l]++
 			sum[l] += f[v]
 		}
-		smallest := 0
-		for l := 1; l < count; l++ {
-			if size[l] < size[smallest] {
-				smallest = l
-			}
+		order := make([]int, count)
+		for l := range order {
+			order[l] = l
 		}
-		muS := sum[smallest] / float64(size[smallest])
-		best, bestD := -1, math.Inf(1)
-		for v, l := range labels {
-			if l != smallest {
-				continue
-			}
-			for _, e := range g.Neighbors(v) {
-				t := labels[e.To]
-				if t == smallest {
+		slices.SortStableFunc(order, func(a, b int) int { return size[a] - size[b] })
+		smallest, best := -1, -1
+		for _, s := range order {
+			muS := sum[s] / float64(size[s])
+			bestD := math.Inf(1)
+			for v, l := range labels {
+				if l != s {
 					continue
 				}
-				if d := math.Abs(sum[t]/float64(size[t]) - muS); d < bestD {
-					best, bestD = t, d
+				for _, e := range g.Neighbors(v) {
+					t := labels[e.To]
+					if t == s {
+						continue
+					}
+					if d := math.Abs(sum[t]/float64(size[t]) - muS); d < bestD {
+						best, bestD = t, d
+					}
 				}
+			}
+			if best >= 0 {
+				smallest = s
+				break
 			}
 		}
 		if best < 0 {
@@ -186,7 +218,7 @@ func repairOracle(g *graph.Graph, f []float64, assign []int, k int) ([]int, int)
 			}
 		}
 		next := make([]int, g.N())
-		count = g.GroupComponentsInto(labels, next)
+		count = g.GroupComponentsInto(labels, next, g.N()+1)
 		labels = next
 	}
 	return renumber(labels)
@@ -223,7 +255,7 @@ func TestRepairMatchesOracle(t *testing.T) {
 		if gotK != wantK || !slices.Equal(got, want) {
 			t.Fatalf("trial %d (n=%d, k=%d): got k=%d %v, oracle k=%d %v", trial, n, k, gotK, got, wantK, want)
 		}
-		pieces := g.GroupComponentsInto(assign, make([]int, n))
+		pieces := g.GroupComponentsInto(assign, make([]int, n), n+1)
 		merges += pieces - gotK
 	}
 	if merges == 0 {

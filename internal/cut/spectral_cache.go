@@ -123,7 +123,7 @@ func (s *Spectral) PartitionCtx(ctx context.Context, k int) (*Result, error) {
 	}
 	lbuf := linalg.GetInts(n)
 	defer linalg.PutInts(lbuf)
-	kPrime := s.g.GroupComponentsInto(km.Assign, lbuf)
+	kPrime := s.g.GroupComponentsInto(km.Assign, lbuf, s.g.N()+1)
 	labels := lbuf
 	res := &Result{KPrime: kPrime}
 	sp = stageReduce.Start()

@@ -31,6 +31,36 @@ func BenchmarkLanczosRing5k(b *testing.B) {
 	}
 }
 
+// BenchmarkLanczosCold is the stream's solve shape: a cold 12-pair solve
+// of a 128-node operator (a weighted 16×8 grid Laplacian), small enough
+// that the periodic convergence checks, not the matvecs, dominate.
+func BenchmarkLanczosCold(b *testing.B) {
+	const w, h = 16, 8
+	var entries []symEntry
+	deg := make([]float64, w*h)
+	for i := range deg {
+		for _, j := range []int{i + 1, i + w} {
+			if (j == i+1 && j%w == 0) || j >= w*h {
+				continue
+			}
+			wt := 1 + float64((i*7+j)%5)
+			entries = append(entries, symEntry{i, j, -wt})
+			deg[i] += wt
+			deg[j] += wt
+		}
+	}
+	for i, d := range deg {
+		entries = append(entries, symEntry{i, i, d})
+	}
+	op := CSROp{symCSR(b, w*h, entries)}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Lanczos(context.Background(), op, 12, LanczosOptions{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSymTridEigen2k(b *testing.B) {
 	const n = 2000
 	for i := 0; i < b.N; i++ {
@@ -42,7 +72,7 @@ func BenchmarkSymTridEigen2k(b *testing.B) {
 			e[j] = 1
 		}
 		b.StartTimer()
-		if err := SymTridEigen(d, e, nil, n); err != nil {
+		if err := SymTridEigen(d, e, nil, n, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -60,12 +60,46 @@ func TestLanczosDegenerateTerminates(t *testing.T) {
 	}
 }
 
+// spreadOp is diag(0, 1, …, n−1): its lowest eigenvalues sit so close
+// together against the width of the spectrum that Lanczos cannot certify
+// them before the basis cap, so a solve applies it at every column.
+type spreadOp struct{ n int }
+
+func (o spreadOp) Dim() int { return o.n }
+func (o spreadOp) Apply(dst, x []float64) {
+	for i := range dst {
+		dst[i] = float64(i) * x[i]
+	}
+}
+
+// countingOp counts its applications into *applied.
+type countingOp struct {
+	Op
+	applied *int
+}
+
+func (o countingOp) Apply(dst, x []float64) {
+	*o.applied++
+	o.Op.Apply(dst, x)
+}
+
 // TestLanczosDeadlineStopsSlowOperator asserts the threaded context is a
 // real iteration budget: a slow operator under a short deadline degrades
 // to a clean wrapped error instead of running its full step count.
 func TestLanczosDeadlineStopsSlowOperator(t *testing.T) {
-	op := slowOp{Op: zeroOp{n: 400}, delay: 5 * time.Millisecond}
-	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
+	const delay, deadline = 5 * time.Millisecond, 25 * time.Millisecond
+	// Left alone, the solve runs to the basis cap, many times the
+	// deadline's worth of slow applications, so only the deadline can
+	// stop it early.
+	applied := 0
+	if _, err := Lanczos(context.Background(), countingOp{spreadOp{n: 400}, &applied}, 4, LanczosOptions{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if work := time.Duration(applied) * delay; work < 10*deadline {
+		t.Fatalf("an undeadlined solve applies the operator %d times (%v slowed), want at least 10× the %v deadline", applied, work, deadline)
+	}
+	op := slowOp{Op: spreadOp{n: 400}, delay: delay}
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
 	_, err := Lanczos(ctx, op, 4, LanczosOptions{Seed: 1})
@@ -76,10 +110,8 @@ func TestLanczosDeadlineStopsSlowOperator(t *testing.T) {
 	if !strings.Contains(err.Error(), "interrupted") {
 		t.Fatalf("error %q does not describe the interruption", err)
 	}
-	// Left alone, the solve stops at its first convergence check, about
-	// eight 5ms applications in; the deadline must cut it before that,
-	// and with one step of overrun it comes in far below a second.
+	// With one step of overrun the deadline comes in far below a second.
 	if elapsed > time.Second {
-		t.Fatalf("Lanczos ran %v past a 25ms deadline", elapsed)
+		t.Fatalf("Lanczos ran %v past a %v deadline", elapsed, deadline)
 	}
 }

@@ -227,7 +227,7 @@ func TestSymTridEigenKnown(t *testing.T) {
 	d := []float64{1, 1, 1}
 	e := []float64{1, 1}
 	z := []float64{1, 0, 0, 0, 1, 0, 0, 0, 1}
-	if err := SymTridEigen(d, e, z, 3); err != nil {
+	if err := SymTridEigen(d, e, z, 3, 3); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{1 - math.Sqrt2, 1, 1 + math.Sqrt2}
@@ -239,11 +239,11 @@ func TestSymTridEigenKnown(t *testing.T) {
 }
 
 func TestSymTridEigenSizeZeroOne(t *testing.T) {
-	if err := SymTridEigen(nil, nil, nil, 0); err != nil {
+	if err := SymTridEigen(nil, nil, nil, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	d := []float64{42}
-	if err := SymTridEigen(d, nil, nil, 1); err != nil {
+	if err := SymTridEigen(d, nil, nil, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if d[0] != 42 {

@@ -27,7 +27,7 @@ func FuzzSymTridEigen(f *testing.F) {
 				e[i] = float64(int(raw[i+n])-128) / 8
 			}
 		}
-		if err := SymTridEigen(d, e, nil, n); err != nil {
+		if err := SymTridEigen(d, e, nil, n, 0); err != nil {
 			return // non-convergence reported, not panicked
 		}
 		var sum float64

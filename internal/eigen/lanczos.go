@@ -38,6 +38,16 @@ var lanczosResidual = obs.Default().Histogram("roadpart_eigen_residual",
 	"Worst relative residual bound max ‖A·y − θ·y‖ / max|θ| of the Ritz pairs each Lanczos solve returns (tolerance 1e-8).",
 	[]float64{1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1})
 
+// ritzChecks count the periodic convergence checks by path (see
+// Workspace.converged); their ratio is the fallback rate of the
+// last-row check.
+const ritzChecksHelp = "Periodic Lanczos convergence checks, by path: last_row solves for one coordinate row of the Ritz vectors, full re-solves the whole projected problem."
+
+var (
+	ritzChecksLastRow = obs.Default().Counter("roadpart_eigen_ritz_checks_total", ritzChecksHelp, "path", "last_row")
+	ritzChecksFull    = obs.Default().Counter("roadpart_eigen_ritz_checks_total", ritzChecksHelp, "path", "full")
+)
+
 // LanczosOptions tunes the iterative solver (the block Lanczos variant
 // with full reorthogonalization and an explicit Rayleigh–Ritz projection;
 // docs/NUMERICS.md § The Lanczos variant). The zero value selects
@@ -120,58 +130,20 @@ func lanczos(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Workspac
 	}
 	ws.reset(n, m)
 
-	// Seed the basis: StartBlock rows (orthonormalized in order,
-	// degenerate rows dropped), else one deterministic random vector.
-	cnt := 0
-	for _, s := range opts.StartBlock {
-		if len(s) != n || cnt == m {
-			continue
-		}
-		if ws.seed(s, cnt) {
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		randUnitInto(&rng, ws.v)
-		copy(ws.q[0], ws.v)
-		cnt = 1
-	}
+	cnt := ws.seedBasis(opts.StartBlock, &rng)
 
-	// Process basis columns in order. Each column j contributes one
-	// operator application, one Rayleigh-matrix column (H[i][j] = the
-	// first orthogonalization pass's coefficients, β on the appended
-	// residual row) and, unless the residual deflates or the basis is
-	// full, one new basis column. The loop ends when every column is
-	// processed (proc == cnt with no replenishment possible) or a
-	// periodic Rayleigh–Ritz solve certifies the k requested pairs under
-	// convergenceTol.
+	// Process basis columns in order (Workspace.advance). The loop ends
+	// when every column is processed (proc == cnt with no replenishment
+	// possible) or a periodic Rayleigh–Ritz solve certifies the k
+	// requested pairs under convergenceTol.
 	proc := 0
 	solved := false
 	for proc < cnt {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("eigen: Lanczos interrupted after %d of %d columns: %w", proc, m, err)
 		}
-		j := proc
-		beta := ws.columnStep(a, j, cnt)
-		ws.offres[j] = beta
-		if beta > deflationTol && cnt < m {
-			qn := ws.q[cnt]
-			for i, wv := range ws.w {
-				qn[i] = wv / beta
-			}
-			ws.h[cnt*m+j] = beta
-			ws.h[j*m+cnt] = beta
-			ws.offres[j] = 0 // residual captured as basis row cnt
-			cnt++
-		}
+		cnt = ws.advance(a, proc, cnt, &rng)
 		proc++
-		if proc == cnt && cnt < m {
-			// Invariant subspace found: restart with a fresh direction
-			// orthogonal to the current basis.
-			if ws.restartRows(&rng, cnt) {
-				cnt++
-			}
-		}
 		if proc >= k+2 && proc%8 == 0 && ws.converged(proc, cnt, k, convergenceTol) {
 			solved = true
 			break
@@ -180,7 +152,7 @@ func lanczos(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Workspac
 
 	p := proc
 	if !solved {
-		if err := ws.ritzSolve(p); err != nil {
+		if err := ws.ritzSolve(p, true); err != nil {
 			return nil, err
 		}
 	}
@@ -208,7 +180,7 @@ func lanczos(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Workspac
 	}
 	vals := make([]float64, k)
 	copy(vals, ws.d[:k])
-	r2, scale := ws.worstResidual(p, cnt, k)
+	r2, scale := ws.worstResidual(z, 0, p, cnt, k)
 	res := math.Sqrt(r2) / scale
 	lanczosResidual.Observe(res)
 	return &Decomposition{N: n, Values: vals, Vectors: vec, Residual: res}, nil
@@ -216,10 +188,14 @@ func lanczos(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Workspac
 
 // ritzSolve computes the eigendecomposition of the p×p leading principal
 // block of the Rayleigh matrix H = QᵀAQ in the workspace's scratch: on
-// return ws.d[:p] holds the Ritz values ascending and ws.z[:p*p] the
-// Ritz coordinate vectors (row-major, vectors in columns). It allocates
-// nothing.
-func (ws *Workspace) ritzSolve(p int) error {
+// return ws.d[:p] holds the Ritz values ascending and, with vectors,
+// ws.z[:p*p] the Ritz coordinate vectors (row-major, vectors in
+// columns). Without vectors it skips the accumulated transformation and
+// leaves only the last row of that matrix, coordinate p−1 of every
+// vector, in ws.row[:p]: the transformation's last row is e_{p−1}, and
+// the QL rotations act on each row on its own, so the row and ws.d are
+// bit-identical to the full solve's. It allocates nothing.
+func (ws *Workspace) ritzSolve(p int, vectors bool) error {
 	m := ws.m
 	z := ws.z[:p*p]
 	for i := 0; i < p; i++ {
@@ -227,8 +203,14 @@ func (ws *Workspace) ritzSolve(p int) error {
 	}
 	d := ws.d[:p]
 	e := ws.e[:p]
-	tred2(z, d, e, p)
-	return SymTridEigen(d, e, z, p)
+	tred2(z, d, e, p, vectors)
+	if vectors {
+		return SymTridEigen(d, e, z, p, p)
+	}
+	row := ws.row[:p]
+	clear(row)
+	row[p-1] = 1
+	return SymTridEigen(d, e, row, p, 1)
 }
 
 // converged solves the Rayleigh–Ritz problem over the p processed columns
@@ -243,25 +225,78 @@ func (ws *Workspace) ritzSolve(p int) error {
 // the processed prefix, the second the deflated (or basis-capped)
 // directions that never became rows. This bound stays valid for seeded
 // (warm-started) bases, where the classic tridiagonal |β·s_last| bound
-// does not apply. It allocates nothing.
+// does not apply.
+//
+// When every coupling sits on column p−1 (lastColumnCoupled: a cold
+// basis, restarts included, unless a deflation or the basis cap left a
+// remainder before p−1), only coordinate s_{p−1} enters the sum,
+// so the check solves for that one row and the Ritz values. Every other
+// term of the full sum is an exact zero, so the verdict and r² are the
+// same bits; a passing check then runs the full solve once for the
+// vectors. On true ws.d and ws.z hold the full solve either way. It
+// allocates nothing.
 func (ws *Workspace) converged(p, cnt, k int, tol float64) bool {
 	if k > p {
 		return false
 	}
-	if ws.ritzSolve(p) != nil {
+	r2, scale, lastRow, err := ws.ritzCheck(p, cnt, k)
+	bound := tol * scale
+	if err != nil || r2 > bound*bound {
 		return false
 	}
-	r2, scale := ws.worstResidual(p, cnt, k)
-	bound := tol * scale
-	return !(r2 > bound*bound)
+	return !lastRow || ws.ritzSolve(p, true) == nil
+}
+
+// ritzCheck solves the Rayleigh–Ritz problem over the p processed
+// columns, by the last row when lastColumnCoupled allows it, and returns
+// worstResidual's r² and scale and which path it took.
+func (ws *Workspace) ritzCheck(p, cnt, k int) (r2, scale float64, lastRow bool, err error) {
+	if ws.lastColumnCoupled(p, cnt) {
+		ritzChecksLastRow.Inc()
+		if err := ws.ritzSolve(p, false); err != nil {
+			return 0, 0, true, err
+		}
+		r2, scale = ws.worstResidual(ws.row[:p], p-1, p, cnt, k)
+		return r2, scale, true, nil
+	}
+	ritzChecksFull.Inc()
+	if err := ws.ritzSolve(p, true); err != nil {
+		return 0, 0, false, err
+	}
+	r2, scale = ws.worstResidual(ws.z[:p*p], 0, p, cnt, k)
+	return r2, scale, false, nil
+}
+
+// lastColumnCoupled reports whether the processed prefix's residual
+// couplings all sit on its last column: H[r][c] == 0 for every row r in
+// [p, cnt) and column c < p−1, and offres[c] == 0 for c < p−1. It costs
+// O((cnt−p)·p).
+func (ws *Workspace) lastColumnCoupled(p, cnt int) bool {
+	for _, x := range ws.offres[:p-1] {
+		if x != 0 {
+			return false
+		}
+	}
+	m := ws.m
+	for r := p; r < cnt; r++ {
+		for _, x := range ws.h[r*m : r*m+p-1] {
+			if x != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // worstResidual returns the largest squared residual ‖A·y − θ·y‖² of the
 // k smallest Ritz pairs of the last ritzSolve(p), computed from the
 // stored couplings as converged documents, and the scale max|θ| the
-// tolerance is relative to (1 when every Ritz value is zero). A NaN
-// residual never displaces a finite one. It allocates nothing.
-func (ws *Workspace) worstResidual(p, cnt, k int) (r2max, scale float64) {
+// tolerance is relative to (1 when every Ritz value is zero). z holds
+// rows first..p−1 of the Ritz coordinate vectors (row-major, p columns):
+// first is 0 for the full solve, p−1 for the last row, which is exact
+// only when the rows before first carry no coupling (lastColumnCoupled).
+// A NaN residual never displaces a finite one. It allocates nothing.
+func (ws *Workspace) worstResidual(z []float64, first, p, cnt, k int) (r2max, scale float64) {
 	d := ws.d[:p]
 	for _, v := range d {
 		if a := math.Abs(v); a > scale {
@@ -271,20 +306,19 @@ func (ws *Workspace) worstResidual(p, cnt, k int) (r2max, scale float64) {
 	if scale == 0 {
 		scale = 1
 	}
-	z := ws.z[:p*p]
 	m := ws.m
 	for j := 0; j < k; j++ {
 		r2 := 0.0
 		for r := p; r < cnt; r++ {
-			hr := ws.h[r*m : r*m+p]
+			hr := ws.h[r*m+first : r*m+p]
 			dot := 0.0
 			for c, s := range hr {
 				dot += s * z[c*p+j]
 			}
 			r2 += dot * dot
 		}
-		for c := 0; c < p; c++ {
-			t := ws.offres[c] * z[c*p+j]
+		for c := first; c < p; c++ {
+			t := ws.offres[c] * z[(c-first)*p+j]
 			r2 += t * t
 		}
 		if r2 > r2max {

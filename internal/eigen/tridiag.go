@@ -37,21 +37,25 @@ const eps = 2.220446049250313e-16
 // (e may have length n-1 or n; a trailing element is ignored).
 //
 // On return d holds the eigenvalues in ascending order and e is destroyed.
-// If z is non-nil it must be an n×n row-major matrix; on entry it should
-// hold the orthogonal transformation that produced the tridiagonal form
-// (the identity for a plain tridiagonal problem) and on exit column j of z
-// is the eigenvector for d[j].
+// z is a row-major matrix of rows rows by n columns (nil when rows is 0).
+// On entry its rows should be rows of the orthogonal transformation that
+// produced the tridiagonal form (the identity for a plain tridiagonal
+// problem); on exit column j holds those rows of the eigenvector for
+// d[j]. Every rotation and swap acts on each row on its own, so a row
+// comes out bit-identical whichever other rows are passed with it: rows
+// == n gives the eigenvectors, fewer rows give those coordinates alone
+// at O(rows·n) per sweep, and d never depends on z.
 //
 // The implementation follows the EISPACK/JAMA tql2 routine.
-func SymTridEigen(d, e []float64, z []float64, n int) error {
+func SymTridEigen(d, e []float64, z []float64, n, rows int) error {
 	if len(d) < n {
 		return fmt.Errorf("eigen: SymTridEigen needs d of length >= %d, got %d", n, len(d))
 	}
 	if n > 1 && len(e) < n-1 {
 		return fmt.Errorf("eigen: SymTridEigen needs e of length >= %d, got %d", n-1, len(e))
 	}
-	if z != nil && len(z) < n*n {
-		return fmt.Errorf("eigen: SymTridEigen z must hold %d elements, got %d", n*n, len(z))
+	if rows < 0 || len(z) < rows*n {
+		return fmt.Errorf("eigen: SymTridEigen z must hold %d rows of %d, got %d elements", rows, n, len(z))
 	}
 	if n == 0 {
 		return nil
@@ -114,12 +118,10 @@ func SymTridEigen(d, e []float64, z []float64, n int) error {
 					c = p / r
 					p = c*d[i] - s*g
 					d[i+1] = h + s*(c*g+s*d[i])
-					if z != nil {
-						for k := 0; k < n; k++ {
-							h := z[k*n+i+1]
-							z[k*n+i+1] = s*z[k*n+i] + c*h
-							z[k*n+i] = c*z[k*n+i] - s*h
-						}
+					for k := 0; k < rows; k++ {
+						h := z[k*n+i+1]
+						z[k*n+i+1] = s*z[k*n+i] + c*h
+						z[k*n+i] = c*z[k*n+i] - s*h
 					}
 				}
 				p = -s * s2 * c3 * el1 * sub[l] / dl1
@@ -134,7 +136,7 @@ func SymTridEigen(d, e []float64, z []float64, n int) error {
 		sub[l] = 0
 	}
 
-	// Sort eigenvalues ascending, permuting eigenvector columns to match.
+	// Sort eigenvalues ascending, permuting the columns of z to match.
 	for i := 0; i < n-1; i++ {
 		k := i
 		p := d[i]
@@ -147,10 +149,8 @@ func SymTridEigen(d, e []float64, z []float64, n int) error {
 		if k != i {
 			d[k] = d[i]
 			d[i] = p
-			if z != nil {
-				for r := 0; r < n; r++ {
-					z[r*n+i], z[r*n+k] = z[r*n+k], z[r*n+i]
-				}
+			for r := 0; r < rows; r++ {
+				z[r*n+i], z[r*n+k] = z[r*n+k], z[r*n+i]
 			}
 		}
 	}

@@ -44,6 +44,7 @@ type Workspace struct {
 	d      []float64   // Ritz eigenvalues, capacity m
 	e      []float64   // Ritz tridiagonal scratch, capacity m
 	z      []float64   // Ritz solve scratch matrix, capacity m×m
+	row    []float64   // last-row Ritz check coordinates, capacity m
 	col    []float64   // Ritz column assembly buffer, length n
 }
 
@@ -77,6 +78,7 @@ func (ws *Workspace) reset(n, m int) {
 	ws.d = grow(ws.d, m)
 	ws.e = grow(ws.e, m)
 	ws.z = grow(ws.z, m*m)
+	ws.row = grow(ws.row, m)
 }
 
 // grow returns s resized to length n, reallocating only when the
@@ -92,8 +94,58 @@ func grow(s []float64, n int) []float64 {
 // pool's bytes-reused accounting.
 func (ws *Workspace) footprint() int {
 	floats := cap(ws.kryl) + cap(ws.v) + cap(ws.w) + cap(ws.cand) + cap(ws.col) +
-		cap(ws.h) + cap(ws.offres) + cap(ws.d) + cap(ws.e) + cap(ws.z)
+		cap(ws.h) + cap(ws.offres) + cap(ws.d) + cap(ws.e) + cap(ws.z) + cap(ws.row)
 	return 8 * floats
+}
+
+// seedBasis stages the start of the basis and returns its row count:
+// the block's rows, orthonormalized in order (rows of the wrong length or
+// degenerate ones dropped, at most m kept), else one deterministic
+// random vector drawn from rng.
+func (ws *Workspace) seedBasis(block [][]float64, rng *linalg.RNG) int {
+	cnt := 0
+	for _, s := range block {
+		if len(s) != ws.n || cnt == ws.m {
+			continue
+		}
+		if ws.seed(s, cnt) {
+			cnt++
+		}
+	}
+	if cnt == 0 {
+		randUnitInto(rng, ws.v)
+		copy(ws.q[0], ws.v)
+		cnt = 1
+	}
+	return cnt
+}
+
+// advance processes basis column j of a cnt-row basis and returns the new
+// row count. The column contributes one operator application, one
+// Rayleigh-matrix column (H[i][j] = the first orthogonalization pass's
+// coefficients, β on the appended residual row) and, unless the residual
+// deflates or the basis is full, one new basis row; otherwise β stays in
+// offres[j]. When that leaves every row processed, an invariant subspace
+// was found and the chain restarts from a fresh direction orthogonal to
+// the basis, drawn from rng.
+func (ws *Workspace) advance(a Op, j, cnt int, rng *linalg.RNG) int {
+	m := ws.m
+	beta := ws.columnStep(a, j, cnt)
+	ws.offres[j] = beta
+	if beta > deflationTol && cnt < m {
+		qn := ws.q[cnt]
+		for i, wv := range ws.w {
+			qn[i] = wv / beta
+		}
+		ws.h[cnt*m+j] = beta
+		ws.h[j*m+cnt] = beta
+		ws.offres[j] = 0 // residual captured as basis row cnt
+		cnt++
+	}
+	if j+1 == cnt && cnt < m && ws.restartRows(rng, cnt) {
+		cnt++
+	}
+	return cnt
 }
 
 // columnStep processes basis column j against the cnt current basis rows:

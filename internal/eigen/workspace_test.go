@@ -119,17 +119,7 @@ func TestLanczosStepAllocFree(t *testing.T) {
 	copy(ws.q[0], ws.v)
 	cnt := 1
 	for j := 0; j < 6; j++ {
-		beta := ws.columnStep(op, j, cnt)
-		ws.offres[j] = beta
-		if beta > deflationTol && cnt < ws.m {
-			for i, wv := range ws.w {
-				ws.q[cnt][i] = wv / beta
-			}
-			ws.h[cnt*ws.m+j] = beta
-			ws.h[j*ws.m+cnt] = beta
-			ws.offres[j] = 0
-			cnt++
-		}
+		cnt = ws.advance(op, j, cnt, &rng)
 	}
 	allocs = testing.AllocsPerRun(50, func() { ws.converged(6, cnt, 2, 1e-30) })
 	if allocs != 0 {

@@ -101,7 +101,7 @@ func TestGroupComponentsMatchesClosureWalk(t *testing.T) {
 		for v := range comp {
 			comp[v] = rng.Intn(3) - 1
 		}
-		count := g.GroupComponentsInto(group, comp)
+		count := g.GroupComponentsInto(group, comp, n+1)
 		if count != wantCount || !slices.Equal(comp, want) {
 			t.Fatalf("trial %d (n=%d, %d groups): got %d %v, oracle %d %v", trial, n, groups, count, comp, wantCount, want)
 		}
@@ -118,6 +118,44 @@ func TestGroupComponentsMatchesClosureWalk(t *testing.T) {
 	}
 	if disconnected == 0 || split == 0 {
 		t.Fatalf("vacuous: %d disconnected graphs, %d split labelings", disconnected, split)
+	}
+}
+
+// TestGroupComponentsBoundedWalk holds the bounded walk to its contract
+// over random labelings and every bound from 0 to two past the count:
+// it returns min(count, bound), and below the bound its labels are the
+// unbounded walk's, whatever comp held before.
+func TestGroupComponentsBoundedWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	stopped := 0
+	for trial := 0; trial < 300; trial++ {
+		g := randomGraph(rng)
+		n := g.N()
+		groups := 1 + rng.Intn(n)
+		group := make([]int, n)
+		for v := range group {
+			group[v] = rng.Intn(groups)
+		}
+		want, count := g.GroupComponents(group)
+		comp := make([]int, n)
+		for bound := 0; bound <= count+2; bound++ {
+			for v := range comp {
+				comp[v] = rng.Intn(n+1) - 1
+			}
+			got := g.GroupComponentsInto(group, comp, bound)
+			if got != min(count, bound) {
+				t.Fatalf("trial %d (n=%d): bound %d returned %d, want min(%d, %d)", trial, n, bound, got, count, bound)
+			}
+			if count < bound && !slices.Equal(comp, want) {
+				t.Fatalf("trial %d: bound %d > count %d labelled %v, unbounded %v", trial, bound, count, comp, want)
+			}
+			if bound > 0 && bound <= count {
+				stopped++
+			}
+		}
+	}
+	if stopped == 0 {
+		t.Fatal("vacuous: no walk stopped at its bound")
 	}
 }
 

@@ -283,7 +283,7 @@ func (g *Graph) Quotient(labels []int, k int, term func(u, v int, w float64) flo
 // graph's own components.
 func (g *Graph) GroupComponents(group []int) ([]int, int) {
 	comp := make([]int, g.N())
-	count := g.GroupComponentsInto(group, comp)
+	count := g.GroupComponentsInto(group, comp, g.N()+1)
 	return comp, count
 }
 
@@ -294,7 +294,13 @@ func (g *Graph) GroupComponents(group []int) ([]int, int) {
 // numbered by their lowest node, so the labeling does not depend on the
 // traversal order. The queue comes from the shared scratch pool, so
 // sweeps that label components repeatedly allocate nothing.
-func (g *Graph) GroupComponentsInto(group, comp []int) int {
+//
+// The walk stops once the count reaches bound: it returns min(count,
+// bound), and the labels are complete only when count < bound (comp is
+// unspecified otherwise). A caller that only wants a count below some
+// best so far passes that best and pays for a losing labeling only up
+// to it; a caller that needs the labels passes a bound above N().
+func (g *Graph) GroupComponentsInto(group, comp []int, bound int) int {
 	n := g.N()
 	if len(group) != n || len(comp) != n {
 		panic(fmt.Sprintf("graph: GroupComponents lengths %d/%d != %d nodes", len(group), len(comp), n))
@@ -308,6 +314,9 @@ func (g *Graph) GroupComponentsInto(group, comp []int) int {
 	for s := 0; s < n; s++ {
 		if comp[s] >= 0 {
 			continue
+		}
+		if count+1 >= bound {
+			return bound // opening this piece makes count >= bound
 		}
 		comp[s] = count
 		queue := append(qbuf[:0], s)

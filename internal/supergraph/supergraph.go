@@ -175,7 +175,7 @@ func MineCtx(ctx context.Context, g *graph.Graph, features []float64, opts MineO
 	// allocations are bounded by the number of improvements, not by the
 	// shortlist length.
 	spKMeans := stageFullKMeans.Start()
-	bestComp := -1
+	bestComp := n + 1 // above any count, so the first κ is labelled in full
 	var bestAssign, bestLabels []int
 	var bestMeans []float64
 	chosen := 0
@@ -191,8 +191,10 @@ func MineCtx(ctx context.Context, g *graph.Graph, features []float64, opts MineO
 		if err != nil {
 			return nil, fmt.Errorf("supergraph: κ=%d: %w", kappa, err)
 		}
-		count := g.GroupComponentsInto(res.Assign, labels)
-		if bestComp < 0 || count < bestComp {
+		// A κ wins only with fewer pieces than the best so far, so the
+		// walk stops at that count; a winner's labels are complete.
+		count := g.GroupComponentsInto(res.Assign, labels, bestComp)
+		if count < bestComp {
 			bestComp = count
 			bestLabels = append(bestLabels[:0], labels...)
 			bestAssign = append(bestAssign[:0], res.Assign...)

@@ -237,3 +237,29 @@ func TestOneSegmentNetworkAllSchemes(t *testing.T) {
 		})
 	}
 }
+
+// TestIslandSegmentReachesK adds one segment with no neighbour to a
+// generated city. The island is a region of its own, and connectivity
+// repair must still merge the city's pieces down to the k asked for
+// rather than stop at the island.
+func TestIslandSegmentReachesK(t *testing.T) {
+	net, err := GenerateCity(CityConfig{TargetIntersections: 600, TargetSegments: 1100, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ni := len(net.Intersections)
+	net.Intersections = append(net.Intersections,
+		Intersection{ID: ni, X: -1e6, Y: -1e6}, Intersection{ID: ni + 1, X: -1e6 + 50, Y: -1e6})
+	net.Segments = append(net.Segments, Segment{ID: len(net.Segments), From: ni, To: ni + 1, Length: 50, Density: 0.01})
+	for _, scheme := range []Scheme{AG, NG} {
+		for k := 2; k <= 10; k++ {
+			res, err := PartitionCtx(context.Background(), net, Config{K: k, Scheme: scheme, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.K != k {
+				t.Errorf("%v k=%d: K=%d", scheme, k, res.K)
+			}
+		}
+	}
+}
