@@ -37,14 +37,14 @@ const eps = 2.220446049250313e-16
 // (e may have length n-1 or n; a trailing element is ignored).
 //
 // On return d holds the eigenvalues in ascending order and e is destroyed.
-// z is a row-major matrix of rows rows by n columns (nil when rows is 0).
-// On entry its rows should be rows of the orthogonal transformation that
-// produced the tridiagonal form (the identity for a plain tridiagonal
-// problem); on exit column j holds those rows of the eigenvector for
-// d[j]. Every rotation and swap acts on each row on its own, so a row
-// comes out bit-identical whichever other rows are passed with it: rows
-// == n gives the eigenvectors, fewer rows give those coordinates alone
-// at O(rows·n) per sweep, and d never depends on z.
+// z holds the given number of rows of n columns, row-major (nil when
+// rows is 0). On entry they should be rows of the orthogonal
+// transformation that produced the tridiagonal form (the identity for a
+// plain tridiagonal problem); on exit column j holds those rows of the
+// eigenvector for d[j]. Every rotation and swap acts on each row on its
+// own, so a row comes out bit-identical whichever other rows are passed
+// with it: rows == n gives the eigenvectors, fewer rows give those
+// coordinates alone at O(rows·n) per sweep, and d never depends on z.
 //
 // The implementation follows the EISPACK/JAMA tql2 routine.
 func SymTridEigen(d, e []float64, z []float64, n, rows int) error {
