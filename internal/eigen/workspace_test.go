@@ -121,9 +121,16 @@ func TestLanczosStepAllocFree(t *testing.T) {
 	for j := 0; j < 6; j++ {
 		cnt = ws.advance(op, j, cnt, &rng)
 	}
-	allocs = testing.AllocsPerRun(50, func() { ws.converged(6, cnt, 2, 1e-30) })
-	if allocs != 0 {
-		t.Fatalf("Workspace.converged allocates %v per call, want 0", allocs)
+	// A failing check takes the last-row path alone; a passing one adds
+	// the full solve.
+	for _, tol := range []float64{1e-30, 1e30} {
+		allocs = testing.AllocsPerRun(50, func() { ws.converged(6, cnt, 2, tol) })
+		if allocs != 0 {
+			t.Fatalf("Workspace.converged (tol %g) allocates %v per call, want 0", tol, allocs)
+		}
+	}
+	if !ws.converged(6, cnt, 2, 1e30) {
+		t.Fatal("a 1e30 tolerance should pass")
 	}
 }
 
