@@ -120,13 +120,16 @@ bench-check:
 		"$$tmp/new.json"
 
 # fuzz-smoke runs each roadnet fuzz target, and the service-boundary
-# targets FuzzJobSubmit (POST /v1/jobs) and FuzzDecodeRequest (all five
-# request documents, internal/server), for FUZZTIME (default 10s).
-# FuzzReadJSON and FuzzDecodeRequest are differential: the strict
-# roadnet.Cursor decoders must accept, reject and decode exactly as
-# encoding/json with DisallowUnknownFields does, float bits included,
-# apart from repeated member names and trailing data, which only they
-# reject. Go allows one -fuzz target per invocation, so the targets run
+# targets FuzzJobSubmit (POST /v1/jobs), FuzzDecodeRequest (all five
+# request documents) and FuzzKeyedReplay (internal/server), for FUZZTIME
+# (default 10s). FuzzReadJSON and FuzzDecodeRequest are differential:
+# the strict roadnet.Cursor decoders must accept, reject and decode
+# exactly as encoding/json with DisallowUnknownFields does, float bits
+# included, apart from repeated member names and trailing data, which
+# only they reject. FuzzKeyedReplay is differential in time: each input
+# posted twice to /v1/partition and /v1/sweep on a cache-enabled
+# service must get the same answer both times, so a raw-body alias hit
+# replays only what the decoded request answered. Go allows one -fuzz target per invocation, so the targets run
 # in sequence; seeds come from internal/roadnet/testdata plus the inline
 # f.Add corpus. A crasher fails the run and is written to the package's
 # testdata/fuzz/ for triage.
@@ -136,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDensitiesCSV$$' -fuzztime $(FUZZTIME) ./internal/roadnet
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSubmit$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyedReplay$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # loc prints the number of non-test and test Go lines outside perfbench/
 # — the two figures each change reports (ROADMAP aim 2). Code moved into

@@ -41,7 +41,7 @@ var lanczosResidual = obs.Default().Histogram("roadpart_eigen_residual",
 // ritzChecks count the periodic convergence checks by path (see
 // Workspace.converged); their ratio is the fallback rate of the
 // last-row check.
-const ritzChecksHelp = "Periodic Lanczos convergence checks, by path: last_row solves for one coordinate row of the Ritz vectors, full re-solves the whole projected problem."
+const ritzChecksHelp = "Periodic Lanczos convergence checks, by path: last_row solves for one coordinate row of the Ritz vectors (an exact verdict, or a failing lower bound on a deflation remainder basis), full re-solves the whole projected problem."
 
 var (
 	ritzChecksLastRow = obs.Default().Counter("roadpart_eigen_ritz_checks_total", ritzChecksHelp, "path", "last_row")
@@ -227,56 +227,75 @@ func (ws *Workspace) ritzSolve(p int, vectors bool) error {
 // (warm-started) bases, where the classic tridiagonal |β·s_last| bound
 // does not apply.
 //
-// When every coupling sits on column p−1 (lastColumnCoupled: a cold
-// basis, restarts included, unless a deflation or the basis cap left a
-// remainder before p−1), only coordinate s_{p−1} enters the sum,
-// so the check solves for that one row and the Ritz values. Every other
-// term of the full sum is an exact zero, so the verdict and r² are the
-// same bits; a passing check then runs the full solve once for the
-// vectors. On true ws.d and ws.z hold the full solve either way. It
-// allocates nothing.
+// ritzCheck decides by coordinate s_{p−1} alone where that is exact or
+// already fails; a passing last-row check then runs the full solve once
+// for the vectors. On true ws.d and ws.z hold the full solve either way.
+// It allocates nothing.
 func (ws *Workspace) converged(p, cnt, k int, tol float64) bool {
 	if k > p {
 		return false
 	}
-	r2, scale, lastRow, err := ws.ritzCheck(p, cnt, k)
+	r2, scale, path, err := ws.ritzCheck(p, cnt, k, tol)
 	bound := tol * scale
 	if err != nil || r2 > bound*bound {
 		return false
 	}
-	return !lastRow || ws.ritzSolve(p, true) == nil
+	return path == checkFull || ws.ritzSolve(p, true) == nil
 }
 
+// checkPath is how ritzCheck reached its verdict.
+type checkPath int
+
+const (
+	checkFull     checkPath = iota // the full re-solve
+	checkLastRow                   // the last row, exact
+	checkFailFast                  // the last row, a lower bound that already fails
+)
+
 // ritzCheck solves the Rayleigh–Ritz problem over the p processed
-// columns, by the last row when lastColumnCoupled allows it, and returns
-// worstResidual's r² and scale and which path it took.
-func (ws *Workspace) ritzCheck(p, cnt, k int) (r2, scale float64, lastRow bool, err error) {
-	if ws.lastColumnCoupled(p, cnt) {
-		ritzChecksLastRow.Inc()
+// columns and returns worstResidual's r² and scale and the path it took.
+// When the residual rows couple only to column p−1 (rowsLastCoupled: a
+// cold basis, restarts included), it solves for the row e_{p−1} and the
+// Ritz values first. With no remainder offres[c] before p−1 (no
+// deflation or basis cap left one) only s_{p−1} enters the sum and every
+// other term is an exact zero, so r² is the full re-solve's bit for bit.
+// With remainders, the row gives the full sum without their terms: the
+// same row p−1 and d, the same H terms, and the omitted terms are
+// squares added before the last one, so by the monotonicity of rounded
+// addition each pair's partial r² is at most its full one. A finite
+// partial r²max above (tol·scale)² therefore fails the check as the full
+// re-solve would. The row, d and the remainders must be finite for that:
+// a NaN residual never displaces a finite one, so a NaN term could lower
+// the full maximum. Every other case re-solves in full.
+func (ws *Workspace) ritzCheck(p, cnt, k int, tol float64) (r2, scale float64, path checkPath, err error) {
+	if ws.rowsLastCoupled(p, cnt) {
 		if err := ws.ritzSolve(p, false); err != nil {
-			return 0, 0, true, err
+			ritzChecksLastRow.Inc()
+			return 0, 0, checkLastRow, err
 		}
 		r2, scale = ws.worstResidual(ws.row[:p], p-1, p, cnt, k)
-		return r2, scale, true, nil
+		if allZero(ws.offres[:p-1]) {
+			ritzChecksLastRow.Inc()
+			return r2, scale, checkLastRow, nil
+		}
+		bound := tol * scale
+		if r2 > bound*bound && !math.IsInf(r2, 1) && finite(ws.d[:p]) && finite(ws.row[:p]) && finite(ws.offres[:p]) {
+			ritzChecksLastRow.Inc()
+			return r2, scale, checkFailFast, nil
+		}
 	}
 	ritzChecksFull.Inc()
 	if err := ws.ritzSolve(p, true); err != nil {
-		return 0, 0, false, err
+		return 0, 0, checkFull, err
 	}
 	r2, scale = ws.worstResidual(ws.z[:p*p], 0, p, cnt, k)
-	return r2, scale, false, nil
+	return r2, scale, checkFull, nil
 }
 
-// lastColumnCoupled reports whether the processed prefix's residual
-// couplings all sit on its last column: H[r][c] == 0 for every row r in
-// [p, cnt) and column c < p−1, and offres[c] == 0 for c < p−1. It costs
-// O((cnt−p)·p).
-func (ws *Workspace) lastColumnCoupled(p, cnt int) bool {
-	for _, x := range ws.offres[:p-1] {
-		if x != 0 {
-			return false
-		}
-	}
+// rowsLastCoupled reports whether the residual rows couple to the
+// processed prefix only through its last column: H[r][c] == 0 for every
+// row r in [p, cnt) and column c < p−1. It costs O((cnt−p)·p).
+func (ws *Workspace) rowsLastCoupled(p, cnt int) bool {
 	m := ws.m
 	for r := p; r < cnt; r++ {
 		for _, x := range ws.h[r*m : r*m+p-1] {
@@ -288,13 +307,34 @@ func (ws *Workspace) lastColumnCoupled(p, cnt int) bool {
 	return true
 }
 
+// allZero reports whether every value of v is zero.
+func allZero(v []float64) bool {
+	for _, x := range v {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// finite reports whether every value of v is finite.
+func finite(v []float64) bool {
+	for _, x := range v {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return false
+		}
+	}
+	return true
+}
+
 // worstResidual returns the largest squared residual ‖A·y − θ·y‖² of the
 // k smallest Ritz pairs of the last ritzSolve(p), computed from the
 // stored couplings as converged documents, and the scale max|θ| the
 // tolerance is relative to (1 when every Ritz value is zero). z holds
 // rows first..p−1 of the Ritz coordinate vectors (row-major, p columns):
 // first is 0 for the full solve, p−1 for the last row, which is exact
-// only when the rows before first carry no coupling (lastColumnCoupled).
+// only when the rows before first carry no coupling (rowsLastCoupled and
+// no remainder before p−1), and a lower bound when only remainders do.
 // A NaN residual never displaces a finite one. It allocates nothing.
 func (ws *Workspace) worstResidual(z []float64, first, p, cnt, k int) (r2max, scale float64) {
 	d := ws.d[:p]

@@ -24,17 +24,21 @@ func oracleCheck(ws *Workspace, p, cnt, k int, tol float64) (ok bool, r2, scale 
 type checkTrace struct {
 	stop          int  // processed columns when the loop ended
 	solved        bool // the last check passed
-	lastRow, full int  // checks by path
+	lastRow, full int  // exact last-row and full checks
+	failFast      int  // last-row checks that failed on a remainder basis
 	lastRowPasses int  // passing checks on the last-row path
-	tailCoupled   int  // last-row checks with offres[p−1] ≠ 0 (basis cap)
+	tailCoupled   int  // exact last-row checks with offres[p−1] ≠ 0 (basis cap)
 	restarts      int  // invariant-subspace restarts
 }
 
 // traceChecks runs lanczos' column loop under tol and, at every check
 // column, holds the production check (verdict, r², scale and error) to
-// oracleCheck bit for bit. Under convergenceTol it also requires the
-// traced solve to return Lanczos' values and residual bits, which pins
-// the trace, and so the stopping column, to the production loop.
+// oracleCheck bit for bit, except that a check failing fast on a
+// remainder basis must report an r² above the bound and no larger than
+// the oracle's. Under
+// convergenceTol it also requires the traced solve to return Lanczos'
+// values and residual bits, which pins the trace, and so the stopping
+// column, to the production loop.
 func traceChecks(tb testing.TB, a Op, k int, opts LanczosOptions, tol float64) checkTrace {
 	tb.Helper()
 	n := a.Dim()
@@ -56,25 +60,31 @@ func traceChecks(tb testing.TB, a Op, k int, opts LanczosOptions, tol float64) c
 			continue
 		}
 		wantOK, wantR2, wantScale, wantErr := oracleCheck(ws, p, cnt, k, tol)
-		r2, scale, lastRow, err := ws.ritzCheck(p, cnt, k)
-		if (err != nil) != (wantErr != nil) || math.Float64bits(r2) != math.Float64bits(wantR2) ||
-			math.Float64bits(scale) != math.Float64bits(wantScale) {
-			tb.Fatalf("n=%d k=%d p=%d cnt=%d (last row %v): r² %v scale %v err %v, oracle %v %v %v",
-				n, k, p, cnt, lastRow, r2, scale, err, wantR2, wantScale, wantErr)
+		r2, scale, path, err := ws.ritzCheck(p, cnt, k, tol)
+		sameR2 := math.Float64bits(r2) == math.Float64bits(wantR2)
+		if bound := tol * scale; path == checkFailFast {
+			sameR2 = r2 <= wantR2 && r2 > bound*bound
 		}
-		if lastRow {
+		if (err != nil) != (wantErr != nil) || !sameR2 || math.Float64bits(scale) != math.Float64bits(wantScale) {
+			tb.Fatalf("n=%d k=%d p=%d cnt=%d (path %d): r² %v scale %v err %v, oracle %v %v %v",
+				n, k, p, cnt, path, r2, scale, err, wantR2, wantScale, wantErr)
+		}
+		switch path {
+		case checkLastRow:
 			tr.lastRow++
 			if ws.offres[p-1] != 0 {
 				tr.tailCoupled++
 			}
-		} else {
+		case checkFailFast:
+			tr.failFast++
+		default:
 			tr.full++
 		}
 		tr.solved = ws.converged(p, cnt, k, tol)
 		if tr.solved != wantOK {
 			tb.Fatalf("n=%d k=%d p=%d: verdict %v, oracle %v", n, k, p, tr.solved, wantOK)
 		}
-		if tr.solved && lastRow {
+		if tr.solved && path == checkLastRow {
 			tr.lastRowPasses++
 		}
 	}
@@ -150,6 +160,7 @@ func TestRitzCheckMatchesFullSolve(t *testing.T) {
 		sum.full += tr.full
 		sum.tailCoupled += tr.tailCoupled
 		sum.lastRowPasses += tr.lastRowPasses
+		sum.failFast += tr.failFast
 		sum.restarts += tr.restarts
 	}
 	tols := []float64{convergenceTol, 1e-3, 0}
@@ -188,7 +199,10 @@ func TestRitzCheckMatchesFullSolve(t *testing.T) {
 		t.Errorf("vacuous: cold bases made %d last-row checks, %d passing", cold.lastRow, cold.lastRowPasses)
 	}
 	if seeded.lastRow != 0 || seeded.full == 0 {
-		t.Errorf("seeded bases made %d last-row and %d full checks, want full only", seeded.lastRow, seeded.full)
+		t.Errorf("seeded bases made %d exact last-row and %d full checks, want no exact last-row check", seeded.lastRow, seeded.full)
+	}
+	if disc.failFast == 0 {
+		t.Error("vacuous: no check on a deflation remainder failed by the last row")
 	}
 	if disc.restarts == 0 || disc.lastRow+disc.full == 0 {
 		t.Errorf("vacuous: disconnected operators restarted %d times over %d checks", disc.restarts, disc.lastRow+disc.full)
@@ -253,7 +267,10 @@ func TestSymTridEigenRowSubsets(t *testing.T) {
 }
 
 // TestRitzChecksCounted reads the path counters around a cold solve,
-// which checks by the last row, and a seeded one, which re-solves.
+// which checks by the last row; a seeded one that converges early, which
+// re-solves; and a seeded one that runs into the basis cap, whose last
+// check sees the cap's remainder before column p−1 and fails by the last
+// row, so it counts under last_row too.
 func TestRitzChecksCounted(t *testing.T) {
 	op := randomSym(120, 5)
 	lastRow, full := ritzChecksLastRow.Value(), ritzChecksFull.Value()
@@ -263,13 +280,23 @@ func TestRitzChecksCounted(t *testing.T) {
 	if ritzChecksLastRow.Value() == lastRow || ritzChecksFull.Value() != full {
 		t.Fatalf("cold solve: last_row %d → %d, full %d → %d", lastRow, ritzChecksLastRow.Value(), full, ritzChecksFull.Value())
 	}
+	rng := linalg.RNGFromState(5)
 	block := [][]float64{make([]float64, 120), make([]float64, 120)}
-	block[0][0], block[1][1] = 1, 1
+	for _, b := range block {
+		randUnitInto(&rng, b)
+	}
 	lastRow = ritzChecksLastRow.Value()
-	if _, err := Lanczos(context.Background(), op, 4, LanczosOptions{Seed: 1, StartBlock: block}); err != nil {
+	if _, err := Lanczos(context.Background(), gapOp{n: 120, gap: 6}, 4, LanczosOptions{Seed: 1, StartBlock: block}); err != nil {
 		t.Fatal(err)
 	}
 	if ritzChecksFull.Value() == full || ritzChecksLastRow.Value() != lastRow {
 		t.Fatalf("seeded solve: last_row %d → %d, full %d → %d", lastRow, ritzChecksLastRow.Value(), full, ritzChecksFull.Value())
+	}
+	full = ritzChecksFull.Value()
+	if _, err := Lanczos(context.Background(), op, 4, LanczosOptions{Seed: 1, StartBlock: block}); err != nil {
+		t.Fatal(err)
+	}
+	if ritzChecksFull.Value() == full || ritzChecksLastRow.Value() == lastRow {
+		t.Fatalf("capped seeded solve: last_row %d → %d, full %d → %d", lastRow, ritzChecksLastRow.Value(), full, ritzChecksFull.Value())
 	}
 }

@@ -18,6 +18,11 @@
 // propagate to every waiter but still leave the cache empty, so a later
 // request retries.
 //
+// Each entry also carries at most one alias: a digest of the raw request
+// body that last resolved to its key (see Alias). A server that sees the
+// same bytes again finds the entry by that digest and skips decoding and
+// fingerprinting. Aliases live only in memory and leave with their entry.
+//
 // Capacity is a byte budget over the cached response bodies, evicted
 // LRU. Everything is observable through internal/obs:
 // roadpart_resultcache_events_total{op,result} plus bytes/entries
@@ -29,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"sync"
 
 	"roadpart/internal/obs"
@@ -48,12 +54,25 @@ type Key struct {
 // String renders the key the way the disk store names files.
 func (k Key) String() string { return fmt.Sprintf("%s-%016x", k.Op, k.Sum) }
 
+// Alias identifies one raw request body: the op it was posted to, its
+// length and its maphash sum under the owning Cache's seed. Two bodies
+// with equal aliases are taken to be the same bytes. Two different
+// bodies of one length and op collide with probability about 2⁻⁶⁴, and
+// maphash, though not a cryptographic hash, is seeded per Cache with a
+// seed that never leaves the process, so a client has no sums to search
+// against. The zero Alias names no body.
+type Alias struct {
+	op  string
+	n   int
+	sum uint64
+}
+
 // Metric families. The events counter follows the pool-tally convention:
-// one family, (op, result) labels, result ∈ hit | miss | coalesced |
-// evict | reject | store_error | warm | invalidate.
+// one family, (op, result) labels, result ∈ hit | alias | miss |
+// coalesced | evict | reject | store_error | warm | invalidate.
 const (
 	EventsFamily = "roadpart_resultcache_events_total"
-	eventsHelp   = "Result-cache lookups and maintenance events, by operation and result (hit = served from memory, miss = computed, coalesced = waited on an identical in-flight compute, evict = LRU eviction, reject = body larger than the budget, store_error = best-effort disk persistence failed, warm = loaded from the snapshot store at startup, invalidate = dropped because its fingerprint tag was superseded by a density update)."
+	eventsHelp   = "Result-cache lookups and maintenance events, by operation and result (hit = served from memory, alias = a hit whose request body was found by its raw-bytes digest and never decoded (also counted as hit), miss = computed, coalesced = waited on an identical in-flight compute, evict = LRU eviction, reject = body larger than the budget, store_error = best-effort disk persistence failed, warm = loaded from the snapshot store at startup, invalidate = dropped because its fingerprint tag was superseded by a density update)."
 	bytesHelp    = "Bytes of cached response bodies currently resident."
 	entriesHelp  = "Cached results currently resident."
 )
@@ -100,10 +119,11 @@ type flight struct {
 // (structure, density) generation they were computed from; 0 = untagged
 // (CLI Puts and store-warmed entries), which only ages out via LRU.
 type entry struct {
-	key  Key
-	body []byte
-	tag  uint64
-	elem *list.Element
+	key   Key
+	body  []byte
+	tag   uint64
+	alias Alias // the body that last resolved to key; zero when none
+	elem  *list.Element
 }
 
 // Cache is the content-addressed result cache. Safe for concurrent use.
@@ -117,6 +137,8 @@ type Cache struct {
 	bytes   int64
 	flights map[Key]*flight
 	tags    map[uint64]map[Key]*entry // secondary index; 0 is never a key
+	aliases map[Alias]*entry          // secondary index; one alias per entry
+	seed    maphash.Seed
 }
 
 // New constructs a Cache under cfg. It panics on a non-positive
@@ -133,6 +155,8 @@ func New(cfg Config) (*Cache, error) {
 		lru:     list.New(),
 		flights: make(map[Key]*flight),
 		tags:    make(map[uint64]map[Key]*entry),
+		aliases: make(map[Alias]*entry),
+		seed:    maphash.MakeSeed(),
 	}
 	if cfg.Dir != "" {
 		st, err := OpenStore(cfg.Dir)
@@ -176,6 +200,62 @@ func (c *Cache) Get(key Key) ([]byte, bool) {
 		return e.body, true
 	}
 	return nil, false
+}
+
+// Alias digests a raw request body posted to op.
+func (c *Cache) Alias(op string, raw []byte) Alias {
+	return Alias{op: op, n: len(raw), sum: maphash.Bytes(c.seed, raw)}
+}
+
+// Aliased returns the key of the resident entry that a's body last
+// resolved to. It counts nothing and leaves recency alone, so a caller
+// can route the request before deciding to serve it here.
+func (c *Cache) Aliased(a Alias) (Key, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.aliases[a]; ok {
+		return e.key, true
+	}
+	return Key{}, false
+}
+
+// GetAlias is Get by alias: it returns the body of the entry a's body
+// last resolved to, counting the lookup as both hit and alias.
+func (c *Cache) GetAlias(a Alias) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.aliases[a]
+	if !ok {
+		return nil, false
+	}
+	c.lru.MoveToFront(e.elem)
+	event(e.key.Op, "hit")
+	event(e.key.Op, "alias")
+	return e.body, true
+}
+
+// SetAlias records that the body a digests resolved to key, once the
+// caller has decoded and validated it. It replaces key's previous alias
+// and does nothing when key is not resident, when a is zero or when a
+// was posted to another op.
+func (c *Cache) SetAlias(key Key, a Alias) {
+	if a.op == "" || a.op != key.Op {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok || e.alias == a {
+		return
+	}
+	if prev, ok := c.aliases[a]; ok {
+		prev.alias = Alias{}
+	}
+	if e.alias.op != "" {
+		delete(c.aliases, e.alias)
+	}
+	e.alias = a
+	c.aliases[a] = e
 }
 
 // Put inserts body under key unconditionally (no single-flight), for
@@ -320,6 +400,9 @@ func (c *Cache) removeLocked(e *entry, result string) {
 				delete(c.tags, e.tag)
 			}
 		}
+	}
+	if e.alias.op != "" {
+		delete(c.aliases, e.alias)
 	}
 	c.bytes -= int64(len(e.body)) + entryOverhead
 	cacheBytes.Set(float64(c.bytes))

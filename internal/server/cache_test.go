@@ -218,7 +218,8 @@ func TestCancelledRequestDoesNotPoisonServerCache(t *testing.T) {
 }
 
 // TestCacheMetricsVisible: the hit/miss/eviction counter family and the
-// byte/entry gauges must appear on /v1/metrics after cache traffic.
+// byte/entry gauges must appear on /v1/metrics after cache traffic. The
+// repeated request is the same bytes, so its hit is also an alias hit.
 func TestCacheMetricsVisible(t *testing.T) {
 	srv := cachedServer(t)
 	req := PartitionRequest{Network: testNet(t), K: 3, Scheme: "AG", Seed: 55}
@@ -233,6 +234,7 @@ func TestCacheMetricsVisible(t *testing.T) {
 	text := rec.Body.String()
 	for _, want := range []string{
 		`roadpart_resultcache_events_total{op="partition",result="hit"}`,
+		`roadpart_resultcache_events_total{op="partition",result="alias"}`,
 		`roadpart_resultcache_events_total{op="partition",result="miss"}`,
 		"roadpart_resultcache_bytes",
 		"roadpart_resultcache_entries",

@@ -23,6 +23,13 @@ const firstChunk = 1 << 20
 // doc, writing the 400 itself on failure. It returns the raw body for
 // forwarding.
 func readRequest(w http.ResponseWriter, r *http.Request, doc interface{}) ([]byte, bool) {
+	raw, ok := readRaw(w, r)
+	return raw, ok && decodeRaw(w, raw, doc)
+}
+
+// readRaw enforces POST and reads the bounded body, writing the 400
+// itself on failure.
+func readRaw(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if !allow(w, r, http.MethodPost) {
 		return nil, false
 	}
@@ -31,11 +38,17 @@ func readRequest(w http.ResponseWriter, r *http.Request, doc interface{}) ([]byt
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 		return nil, false
 	}
+	return raw, true
+}
+
+// decodeRaw decodes a body read by readRaw into doc, writing the 400
+// itself on failure.
+func decodeRaw(w http.ResponseWriter, raw []byte, doc interface{}) bool {
 	if err := decodeRequest(raw, doc); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return nil, false
+		return false
 	}
-	return raw, true
+	return true
 }
 
 // readBody reads r to its end into one buffer. claimed is the request's

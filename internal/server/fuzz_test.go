@@ -76,6 +76,69 @@ func FuzzJobSubmit(f *testing.F) {
 // allowed difference is an input decodeRequest rejects for a repeated
 // member name or trailing data.
 func FuzzDecodeRequest(f *testing.F) {
+	addRequestSeeds(f)
+	docs := []func() interface{}{
+		func() interface{} { return &PartitionRequest{} },
+		func() interface{} { return &SweepRequest{} },
+		func() interface{} { return &JobSubmitRequest{} },
+		func() interface{} { return &DensitiesRequest{} },
+		func() interface{} { return &RenderRequest{} },
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		strict := jsontest.StrictOnly(body)
+		for _, newDoc := range docs {
+			want, got := newDoc(), newDoc()
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			refErr := dec.Decode(want)
+			err := decodeRequest(body, got)
+			switch {
+			case err == nil && refErr != nil:
+				t.Fatalf("%T: accepted input encoding/json rejects (%v)", got, refErr)
+			case err == nil && strict:
+				t.Fatalf("%T: accepted a repeated member name or trailing data", got)
+			case err == nil && !jsontest.Identical(got, want):
+				t.Fatalf("%T: decoded %+v, encoding/json decoded %+v", got, got, want)
+			case err != nil && refErr == nil && !strict:
+				t.Fatalf("%T: rejected input encoding/json accepts: %v", got, err)
+			}
+		}
+	})
+}
+
+// FuzzKeyedReplay posts every input twice to /v1/partition and twice to
+// /v1/sweep on one cache-enabled service, so the second post of a body
+// that was answered in full can be an alias hit. Both answers must have
+// the same status, content type and body: an alias may replay only what
+// decoding, validating and computing the same bytes answered. The one
+// exception is a first answer of 408, whose budget depends on the clock.
+func FuzzKeyedReplay(f *testing.F) {
+	addRequestSeeds(f)
+	srv := newTestService(f, Config{Workers: 1, CacheMaxBytes: 8 << 20})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, path := range []string{"/v1/partition", "/v1/sweep"} {
+			var recs [2]*httptest.ResponseRecorder
+			for i := range recs {
+				recs[i] = httptest.NewRecorder()
+				srv.ServeHTTP(recs[i], httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			}
+			first, second := recs[0], recs[1]
+			if first.Code == http.StatusRequestTimeout {
+				continue
+			}
+			if first.Code != second.Code || first.Header().Get("Content-Type") != second.Header().Get("Content-Type") ||
+				!bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
+				t.Fatalf("%s: first %d %s, replay %d %s", path, first.Code, first.Body.String(), second.Code, second.Body.String())
+			}
+		}
+	})
+}
+
+// addRequestSeeds adds the request-document corpus: each of the five
+// documents encoded in full, plus inputs at the edges of the strict
+// decoder (repeated members, trailing data, case folding, number forms,
+// escapes and invalid UTF-8).
+func addRequestSeeds(f *testing.F) {
 	net := &roadnet.Network{
 		Intersections: []roadnet.Intersection{{ID: 0}, {ID: 1, X: 100}, {ID: 2, X: 100, Y: -0.5}},
 		Segments: []roadnet.Segment{
@@ -110,31 +173,4 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"seed":18446744073709551616,"k":9223372036854775808}`))
 	f.Add([]byte(`{"densities":[1e-400,4.9e-324,1.7976931348623157e308,-1E+2]}`))
 	f.Add([]byte(`{"assign":[0,-0,7],"title":""}`))
-	docs := []func() interface{}{
-		func() interface{} { return &PartitionRequest{} },
-		func() interface{} { return &SweepRequest{} },
-		func() interface{} { return &JobSubmitRequest{} },
-		func() interface{} { return &DensitiesRequest{} },
-		func() interface{} { return &RenderRequest{} },
-	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		strict := jsontest.StrictOnly(body)
-		for _, newDoc := range docs {
-			want, got := newDoc(), newDoc()
-			dec := json.NewDecoder(bytes.NewReader(body))
-			dec.DisallowUnknownFields()
-			refErr := dec.Decode(want)
-			err := decodeRequest(body, got)
-			switch {
-			case err == nil && refErr != nil:
-				t.Fatalf("%T: accepted input encoding/json rejects (%v)", got, refErr)
-			case err == nil && strict:
-				t.Fatalf("%T: accepted a repeated member name or trailing data", got)
-			case err == nil && !jsontest.Identical(got, want):
-				t.Fatalf("%T: decoded %+v, encoding/json decoded %+v", got, got, want)
-			case err != nil && refErr == nil && !strict:
-				t.Fatalf("%T: rejected input encoding/json accepts: %v", got, err)
-			}
-		}
-	})
 }
