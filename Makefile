@@ -187,17 +187,19 @@ chaos-smoke:
 # TestSubsetComponentsMatchesStampedSplit,
 # TestQuotientAdjacencyMatchesOracle), the bounded component walk
 # (TestGroupComponentsBoundedWalk), the fused reorthogonalization sweep
-# (TestOrthogonalizeMatchesUnfused, TestAxpyDotMatchesAxpyThenDot), and
-# the last-row Ritz check against the full re-solve
+# (TestOrthogonalizeMatchesUnfused, TestAxpyDotMatchesAxpyThenDot), the
+# last-row Ritz check against the full re-solve and its path counters
 # (TestRitzCheckMatchesFullSolve, TestRitzCheckFixtureStops,
-# TestSymTridEigenRowSubsets).
+# TestSymTridEigenRowSubsets, TestRitzChecksCounted), and the
+# eigensolver's dirty-workspace bit identity
+# (TestLanczosWSDirtyWorkspaceBitIdentical).
 numerics-check:
 	$(GO) test -run '^TestNumericsGoldenTable$$' .
 	$(GO) test -run '^(TestOneDMatchesOracle|TestNDMatchesOracle)$$' ./internal/kmeans
 	$(GO) test -run '^(TestRefineMatchesOracle|TestRepairMatchesOracle)$$' ./internal/cut
 	$(GO) test -run '^(TestGroupComponentsMatchesClosureWalk|TestGroupComponentsBoundedWalk|TestSubsetComponentsMatchesStampedSplit)$$' ./internal/graph
 	$(GO) test -run '^TestQuotientAdjacencyMatchesOracle$$' ./internal/metrics
-	$(GO) test -run '^(TestOrthogonalizeMatchesUnfused|TestRitzCheckMatchesFullSolve|TestRitzCheckFixtureStops|TestSymTridEigenRowSubsets)$$' ./internal/eigen
+	$(GO) test -run '^(TestOrthogonalizeMatchesUnfused|TestRitzCheckMatchesFullSolve|TestRitzCheckFixtureStops|TestSymTridEigenRowSubsets|TestRitzChecksCounted|TestLanczosWSDirtyWorkspaceBitIdentical)$$' ./internal/eigen
 	$(GO) test -run '^TestAxpyDotMatchesAxpyThenDot$$' ./internal/linalg
 
 # docs-check fails on gofmt drift, vet findings, broken relative links

@@ -17,6 +17,7 @@ import (
 
 	"roadpart/internal/core"
 	"roadpart/internal/gen"
+	"roadpart/internal/obs"
 	"roadpart/internal/roadnet"
 	"roadpart/internal/traffic"
 )
@@ -106,8 +107,11 @@ func watchHeapPeak(b *testing.B) (stop func()) {
 // tier. S and M sit under the auto threshold and measure the flat
 // spectral path at growing n; L crosses it and measures the multilevel
 // path end to end. XL is not benchmarked in-loop — run `make
-// scale-smoke` (TestScaleSmokeXL) for the million-segment check.
+// scale-smoke` (TestScaleSmokeXL) for the million-segment check. Each
+// tier also reports residual, the mean roadpart_eigen_residual of the
+// Lanczos solves its ops ran (benchdiff records it without gating it).
 func BenchmarkScale(b *testing.B) {
+	residual := obs.Default().Histogram("roadpart_eigen_residual", "", nil)
 	tiers := []struct {
 		name string
 		tier gen.Tier
@@ -121,6 +125,7 @@ func BenchmarkScale(b *testing.B) {
 			net := scaleNet(b, tc.tier)
 			b.ReportAllocs()
 			stop := watchHeapPeak(b)
+			solves, sum := residual.Count(), residual.Sum()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p, err := core.NewPipeline(net, core.Config{Scheme: core.AG, K: 8, Seed: 7})
@@ -133,6 +138,9 @@ func BenchmarkScale(b *testing.B) {
 			}
 			b.StopTimer()
 			stop()
+			if n := residual.Count() - solves; n > 0 {
+				b.ReportMetric((residual.Sum()-sum)/float64(n), "residual")
+			}
 		})
 	}
 }

@@ -400,8 +400,10 @@ func (p *Pipeline) PartitionKCtx(ctx context.Context, k int) (*Result, error) {
 		}
 		assign, kPrime = res.Assign, res.KPrime
 	}
-	// Final C.2 enforcement (recursive bipartitioning can, rarely, leave a
-	// merged group disconnected).
+	// Final C.2 enforcement: merge the disconnected pieces of the k
+	// groups until k connected partitions remain. Far from rare on large
+	// flat cuts (the M tier needs 99 merges); roadpart_repair_merges
+	// records each call's count.
 	assign, kk, err := cut.RepairConnectivity(p.G, p.F, assign, k)
 	if err != nil {
 		return nil, err

@@ -5,7 +5,13 @@ import (
 	"math"
 
 	"roadpart/internal/graph"
+	"roadpart/internal/obs"
 )
+
+// repairMerges records the merges each RepairConnectivity call made.
+var repairMerges = obs.Default().Histogram("roadpart_repair_merges",
+	"Piece merges each connectivity repair made to reach its target partition count.",
+	[]float64{0, 1, 4, 16, 64, 256, 1024})
 
 // RepairConnectivity enforces condition C.2 on an assignment: every
 // partition label must induce a connected subgraph. Components beyond the
@@ -13,11 +19,12 @@ import (
 // partition whose mean feature is closest, until exactly k connected
 // partitions remain (or the graph's own component count, if larger, since
 // disconnected graphs cannot do better). The returned labeling is dense in
-// [0, K).
+// [0, K). Each call's merge count goes to roadpart_repair_merges.
 //
-// Both the framework (whose recursive bipartitioning can in rare cases
-// produce disconnected groups) and the Ji–Geroliminis baseline (whose
-// boundary adjustment moves nodes freely) use this as their final step.
+// Both the framework (whose k′→k reduction can leave groups
+// disconnected, often on large flat cuts) and the Ji–Geroliminis
+// baseline (whose boundary adjustment moves nodes freely) use this as
+// their final step.
 func RepairConnectivity(g *graph.Graph, f []float64, assign []int, k int) ([]int, int, error) {
 	if len(assign) != g.N() || len(f) != g.N() {
 		return nil, 0, fmt.Errorf("cut: repair sizes differ: %d nodes, %d assignments, %d features", g.N(), len(assign), len(f))
@@ -37,6 +44,7 @@ func RepairConnectivity(g *graph.Graph, f []float64, assign []int, k int) ([]int
 	// neighbour; the loop stops when none has one.
 	size, sum := make([]int, count), make([]float64, count)
 	var closed []bool
+	pieces := count
 	for count > k {
 		// Component stats.
 		size, sum = size[:count], sum[:count]
@@ -86,6 +94,7 @@ func RepairConnectivity(g *graph.Graph, f []float64, assign []int, k int) ([]int
 		}
 		count--
 	}
+	repairMerges.Observe(float64(pieces - count))
 	dense, kk := renumber(labels)
 	return dense, kk, nil
 }

@@ -45,7 +45,8 @@ func TestRepairConnectivitySplitsAndMerges(t *testing.T) {
 
 // TestRepairMergesPastAnIsland puts an isolated node, the smallest piece,
 // next to a 10-node path cut into 5 pieces. The island has no neighbour
-// and must not stop the merges: k=2 gives the island and the whole path.
+// and must not stop the merges: k=2 gives the island and the whole path,
+// four merges, which roadpart_repair_merges observes.
 func TestRepairMergesPastAnIsland(t *testing.T) {
 	gb := graph.NewBuilder(11)
 	for i := 1; i+1 < 11; i++ {
@@ -54,6 +55,7 @@ func TestRepairMergesPastAnIsland(t *testing.T) {
 	g := gb.Build()
 	f := []float64{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5}
 	assign := []int{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5}
+	calls, merges := repairMerges.Count(), repairMerges.Sum()
 	out, k, err := RepairConnectivity(g, f, assign, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -61,6 +63,9 @@ func TestRepairMergesPastAnIsland(t *testing.T) {
 	want := []int{0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
 	if k != 2 || !slices.Equal(out, want) {
 		t.Fatalf("got k=%d %v, want k=2 %v", k, out, want)
+	}
+	if c, m := repairMerges.Count()-calls, repairMerges.Sum()-merges; c != 1 || m != 4 {
+		t.Fatalf("roadpart_repair_merges observed %d calls and %v merges, want 1 and 4", c, m)
 	}
 	// Two islands and k=1: the graph's own two components are the floor.
 	if _, k, err = RepairConnectivity(g, f, assign, 1); err != nil || k != 2 {

@@ -61,33 +61,32 @@ func SymEigen(a Op) (*Decomposition, error) {
 	}
 	d := make([]float64, n)
 	e := make([]float64, n)
-	tred2(v, d, e, n, true)
+	householder(v, d, e, n)
+	accumulate(v, d, n)
 	if err := SymTridEigen(d, e, v, n, n); err != nil {
 		return nil, err
 	}
 	return &Decomposition{N: n, Values: d, Vectors: v}, nil
 }
 
-// tred2 reduces the symmetric matrix stored row-major in v (n×n) to
-// tridiagonal form by orthogonal Householder similarity transformations.
-// On exit d holds the diagonal, e[0..n-2] the sub-diagonal (e[i] couples
-// rows i and i+1), and, when vectors is set, v the accumulated orthogonal
-// transformation. Without vectors the accumulation is skipped and v is
-// left as scratch. d and e are bit-identical either way: the
-// accumulation never touches e and only moves each diagonal element
-// v[j][j] of the reduced matrix into d. The accumulated transformation's
-// last row is always e_{n-1} exactly, because every Householder step
-// acts on rows 0..i-1 alone (docs/NUMERICS.md § The last-row check).
+// householder reduces the symmetric matrix stored row-major in v (n×n)
+// to tridiagonal form by orthogonal Householder similarity
+// transformations. On exit e[0..n-2] holds the sub-diagonal (e[i] couples
+// rows i and i+1), the diagonal sits on v's diagonal, the Householder
+// vectors below it, and d[1..n-1] their h values: the input accumulate
+// needs to build the transformation. The transformation's last row is
+// always e_{n-1} exactly, because every Householder step acts on rows
+// 0..i-1 alone (docs/NUMERICS.md § The last-row check).
 //
-// The implementation follows the EISPACK/JAMA tred2 routine (which stores
-// the coupling of rows i-1,i in e[i]); the final loop converts to this
-// package's e[i]-couples-(i,i+1) convention.
-func tred2(v, d, e []float64, n int, vectors bool) {
+// householder and accumulate follow the EISPACK/JAMA tred2 routine
+// (which stores the coupling of rows i-1,i in e[i]); householder's last
+// loop converts to this package's e[i]-couples-(i,i+1) convention, which
+// the accumulation never reads.
+func householder(v, d, e []float64, n int) {
 	for j := 0; j < n; j++ {
 		d[j] = v[(n-1)*n+j]
 	}
 
-	// Householder reduction to tridiagonal form.
 	for i := n - 1; i > 0; i-- {
 		// Scale to avoid under/overflow.
 		var scale, h float64
@@ -152,45 +151,41 @@ func tred2(v, d, e []float64, n int, vectors bool) {
 		d[i] = h
 	}
 
-	if vectors {
-		// Accumulate transformations.
-		for i := 0; i < n-1; i++ {
-			v[(n-1)*n+i] = v[i*n+i]
-			v[i*n+i] = 1
-			h := d[i+1]
-			if h != 0 {
-				for k := 0; k <= i; k++ {
-					d[k] = v[k*n+i+1] / h
-				}
-				for j := 0; j <= i; j++ {
-					var g float64
-					for k := 0; k <= i; k++ {
-						g += v[k*n+i+1] * v[k*n+j]
-					}
-					for k := 0; k <= i; k++ {
-						v[k*n+j] -= g * d[k]
-					}
-				}
-			}
-			for k := 0; k <= i; k++ {
-				v[k*n+i+1] = 0
-			}
-		}
-		for j := 0; j < n; j++ {
-			d[j] = v[(n-1)*n+j]
-			v[(n-1)*n+j] = 0
-		}
-		v[(n-1)*n+n-1] = 1
-	} else {
-		// The loop above would move exactly these elements into d.
-		for j := 0; j < n; j++ {
-			d[j] = v[j*n+j]
-		}
-	}
-
-	// Convert e to the e[i]-couples-(i,i+1) convention used by SymTridEigen.
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
 	e[n-1] = 0
+}
+
+// accumulate turns householder's output in v and d into the orthogonal
+// transformation, in v, and moves the tridiagonal's diagonal into d. It
+// uses d[:i+1] as scratch at step i, after reading the h value d[i+1].
+func accumulate(v, d []float64, n int) {
+	for i := 0; i < n-1; i++ {
+		v[(n-1)*n+i] = v[i*n+i]
+		v[i*n+i] = 1
+		h := d[i+1]
+		if h != 0 {
+			for k := 0; k <= i; k++ {
+				d[k] = v[k*n+i+1] / h
+			}
+			for j := 0; j <= i; j++ {
+				var g float64
+				for k := 0; k <= i; k++ {
+					g += v[k*n+i+1] * v[k*n+j]
+				}
+				for k := 0; k <= i; k++ {
+					v[k*n+j] -= g * d[k]
+				}
+			}
+		}
+		for k := 0; k <= i; k++ {
+			v[k*n+i+1] = 0
+		}
+	}
+	for j := 0; j < n; j++ {
+		d[j] = v[(n-1)*n+j]
+		v[(n-1)*n+j] = 0
+	}
+	v[(n-1)*n+n-1] = 1
 }

@@ -38,10 +38,10 @@ var lanczosResidual = obs.Default().Histogram("roadpart_eigen_residual",
 	"Worst relative residual bound max ‖A·y − θ·y‖ / max|θ| of the Ritz pairs each Lanczos solve returns (tolerance 1e-8).",
 	[]float64{1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1})
 
-// ritzChecks count the periodic convergence checks by path (see
-// Workspace.converged); their ratio is the fallback rate of the
-// last-row check.
-const ritzChecksHelp = "Periodic Lanczos convergence checks, by path: last_row solves for one coordinate row of the Ritz vectors (an exact verdict, or a failing lower bound on a deflation remainder basis), full re-solves the whole projected problem."
+// ritzChecks count the periodic convergence checks by how they decided
+// (see Workspace.converged): last_row is the share the last-row bound
+// fails without accumulating the transformation.
+const ritzChecksHelp = "Periodic Lanczos convergence checks, by path: last_row checks failed by one coordinate row of the Ritz vectors alone, full checks accumulated the transformation and decided on the whole residual sum (every passing check among them)."
 
 var (
 	ritzChecksLastRow = obs.Default().Counter("roadpart_eigen_ritz_checks_total", ritzChecksHelp, "path", "last_row")
@@ -152,7 +152,8 @@ func lanczos(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Workspac
 
 	p := proc
 	if !solved {
-		if err := ws.ritzSolve(p, true); err != nil {
+		ws.reduce(p)
+		if err := ws.ritzVectors(p); err != nil {
 			return nil, err
 		}
 	}
@@ -180,37 +181,32 @@ func lanczos(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Workspac
 	}
 	vals := make([]float64, k)
 	copy(vals, ws.d[:k])
-	r2, scale := ws.worstResidual(z, 0, p, cnt, k)
+	r2, scale := ws.worstResidual(ws.d[:p], z, 0, p, cnt, k)
 	res := math.Sqrt(r2) / scale
 	lanczosResidual.Observe(res)
 	return &Decomposition{N: n, Values: vals, Vectors: vec, Residual: res}, nil
 }
 
-// ritzSolve computes the eigendecomposition of the p×p leading principal
-// block of the Rayleigh matrix H = QᵀAQ in the workspace's scratch: on
-// return ws.d[:p] holds the Ritz values ascending and, with vectors,
-// ws.z[:p*p] the Ritz coordinate vectors (row-major, vectors in
-// columns). Without vectors it skips the accumulated transformation and
-// leaves only the last row of that matrix, coordinate p−1 of every
-// vector, in ws.row[:p]: the transformation's last row is e_{p−1}, and
-// the QL rotations act on each row on its own, so the row and ws.d are
-// bit-identical to the full solve's. It allocates nothing.
-func (ws *Workspace) ritzSolve(p int, vectors bool) error {
+// reduce copies the p×p leading principal block of the Rayleigh matrix
+// H = QᵀAQ into ws.z and reduces it to tridiagonal form (householder):
+// ws.e[:p] holds the sub-diagonal, ws.z the diagonal and the Householder
+// vectors, ws.d[:p] their h values. It allocates nothing.
+func (ws *Workspace) reduce(p int) {
 	m := ws.m
 	z := ws.z[:p*p]
 	for i := 0; i < p; i++ {
 		copy(z[i*p:(i+1)*p], ws.h[i*m:i*m+p])
 	}
-	d := ws.d[:p]
-	e := ws.e[:p]
-	tred2(z, d, e, p, vectors)
-	if vectors {
-		return SymTridEigen(d, e, z, p, p)
-	}
-	row := ws.row[:p]
-	clear(row)
-	row[p-1] = 1
-	return SymTridEigen(d, e, row, p, 1)
+	householder(z, ws.d[:p], ws.e[:p], p)
+}
+
+// ritzVectors finishes the solve reduce(p) began: on return ws.d[:p]
+// holds the Ritz values ascending and ws.z[:p*p] the Ritz coordinate
+// vectors (row-major, vectors in columns). It allocates nothing.
+func (ws *Workspace) ritzVectors(p int) error {
+	z, d := ws.z[:p*p], ws.d[:p]
+	accumulate(z, d, p)
+	return SymTridEigen(d, ws.e[:p], z, p, p)
 }
 
 // converged solves the Rayleigh–Ritz problem over the p processed columns
@@ -227,69 +223,52 @@ func (ws *Workspace) ritzSolve(p int, vectors bool) error {
 // (warm-started) bases, where the classic tridiagonal |β·s_last| bound
 // does not apply.
 //
-// ritzCheck decides by coordinate s_{p−1} alone where that is exact or
-// already fails; a passing last-row check then runs the full solve once
-// for the vectors. On true ws.d and ws.z hold the full solve either way.
-// It allocates nothing.
+// The check reduces H once. When the residual rows couple to the prefix
+// only through column p−1 (rowsLastCoupled: a cold basis, restarts
+// included), it first rotates the row e_{p−1} of the transformation on
+// copies of the tridiagonal: the Ritz values and coordinate s_{p−1} of
+// every vector, bit for bit the full solve's. Summed over s_{p−1} alone,
+// the residual leaves out only the remainder terms offres[c]·s_c for
+// c < p−1, squares added before the last term, so by the monotonicity of
+// rounded addition each pair's r² is at most its full one, and equal to
+// it when no remainder precedes p−1. A finite r²max above (tol·scale)²
+// fails the check as the full sum would. The values, the row and the
+// remainders must be finite for that: a NaN residual never displaces a
+// finite one, so a NaN term could lower the full maximum. Every other
+// check accumulates the same reduction and decides on the full sum, so a
+// passing check leaves the full solve in ws.d and ws.z (docs/NUMERICS.md
+// § The last-row check). It allocates nothing.
 func (ws *Workspace) converged(p, cnt, k int, tol float64) bool {
 	if k > p {
 		return false
 	}
-	r2, scale, path, err := ws.ritzCheck(p, cnt, k, tol)
-	bound := tol * scale
-	if err != nil || r2 > bound*bound {
-		return false
-	}
-	return path == checkFull || ws.ritzSolve(p, true) == nil
-}
-
-// checkPath is how ritzCheck reached its verdict.
-type checkPath int
-
-const (
-	checkFull     checkPath = iota // the full re-solve
-	checkLastRow                   // the last row, exact
-	checkFailFast                  // the last row, a lower bound that already fails
-)
-
-// ritzCheck solves the Rayleigh–Ritz problem over the p processed
-// columns and returns worstResidual's r² and scale and the path it took.
-// When the residual rows couple only to column p−1 (rowsLastCoupled: a
-// cold basis, restarts included), it solves for the row e_{p−1} and the
-// Ritz values first. With no remainder offres[c] before p−1 (no
-// deflation or basis cap left one) only s_{p−1} enters the sum and every
-// other term is an exact zero, so r² is the full re-solve's bit for bit.
-// With remainders, the row gives the full sum without their terms: the
-// same row p−1 and d, the same H terms, and the omitted terms are
-// squares added before the last one, so by the monotonicity of rounded
-// addition each pair's partial r² is at most its full one. A finite
-// partial r²max above (tol·scale)² therefore fails the check as the full
-// re-solve would. The row, d and the remainders must be finite for that:
-// a NaN residual never displaces a finite one, so a NaN term could lower
-// the full maximum. Every other case re-solves in full.
-func (ws *Workspace) ritzCheck(p, cnt, k int, tol float64) (r2, scale float64, path checkPath, err error) {
+	ws.reduce(p)
 	if ws.rowsLastCoupled(p, cnt) {
-		if err := ws.ritzSolve(p, false); err != nil {
-			ritzChecksLastRow.Inc()
-			return 0, 0, checkLastRow, err
+		d, e, row := ws.rowD[:p], ws.rowE[:p], ws.row[:p]
+		for j := range d {
+			d[j] = ws.z[j*p+j]
 		}
-		r2, scale = ws.worstResidual(ws.row[:p], p-1, p, cnt, k)
-		if allZero(ws.offres[:p-1]) {
+		copy(e, ws.e[:p])
+		clear(row)
+		row[p-1] = 1
+		if err := SymTridEigen(d, e, row, p, 1); err != nil {
 			ritzChecksLastRow.Inc()
-			return r2, scale, checkLastRow, nil
+			return false // the full solve runs the same QL iterations
 		}
+		r2, scale := ws.worstResidual(d, row, p-1, p, cnt, k)
 		bound := tol * scale
-		if r2 > bound*bound && !math.IsInf(r2, 1) && finite(ws.d[:p]) && finite(ws.row[:p]) && finite(ws.offres[:p]) {
+		if r2 > bound*bound && !math.IsInf(r2, 1) && finite(d) && finite(row) && finite(ws.offres[:p]) {
 			ritzChecksLastRow.Inc()
-			return r2, scale, checkFailFast, nil
+			return false
 		}
 	}
 	ritzChecksFull.Inc()
-	if err := ws.ritzSolve(p, true); err != nil {
-		return 0, 0, checkFull, err
+	if ws.ritzVectors(p) != nil {
+		return false
 	}
-	r2, scale = ws.worstResidual(ws.z[:p*p], 0, p, cnt, k)
-	return r2, scale, checkFull, nil
+	r2, scale := ws.worstResidual(ws.d[:p], ws.z[:p*p], 0, p, cnt, k)
+	bound := tol * scale
+	return !(r2 > bound*bound)
 }
 
 // rowsLastCoupled reports whether the residual rows couple to the
@@ -307,16 +286,6 @@ func (ws *Workspace) rowsLastCoupled(p, cnt int) bool {
 	return true
 }
 
-// allZero reports whether every value of v is zero.
-func allZero(v []float64) bool {
-	for _, x := range v {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // finite reports whether every value of v is finite.
 func finite(v []float64) bool {
 	for _, x := range v {
@@ -328,16 +297,15 @@ func finite(v []float64) bool {
 }
 
 // worstResidual returns the largest squared residual ‖A·y − θ·y‖² of the
-// k smallest Ritz pairs of the last ritzSolve(p), computed from the
-// stored couplings as converged documents, and the scale max|θ| the
-// tolerance is relative to (1 when every Ritz value is zero). z holds
-// rows first..p−1 of the Ritz coordinate vectors (row-major, p columns):
+// k smallest of the p Ritz pairs with values d, computed from the stored
+// couplings as converged documents, and the scale max|θ| the tolerance
+// is relative to (1 when every Ritz value is zero). z holds rows
+// first..p−1 of the Ritz coordinate vectors (row-major, p columns):
 // first is 0 for the full solve, p−1 for the last row, which is exact
 // only when the rows before first carry no coupling (rowsLastCoupled and
 // no remainder before p−1), and a lower bound when only remainders do.
 // A NaN residual never displaces a finite one. It allocates nothing.
-func (ws *Workspace) worstResidual(z []float64, first, p, cnt, k int) (r2max, scale float64) {
-	d := ws.d[:p]
+func (ws *Workspace) worstResidual(d, z []float64, first, p, cnt, k int) (r2max, scale float64) {
 	for _, v := range d {
 		if a := math.Abs(v); a > scale {
 			scale = a

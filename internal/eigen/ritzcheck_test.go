@@ -9,13 +9,14 @@ import (
 	"roadpart/internal/linalg"
 )
 
-// oracleCheck is the convergence check without the last-row path: the
+// oracleCheck is the convergence check without the last-row bound: the
 // full Rayleigh–Ritz solve and the full residual sum at every check.
 func oracleCheck(ws *Workspace, p, cnt, k int, tol float64) (ok bool, r2, scale float64, err error) {
-	if err := ws.ritzSolve(p, true); err != nil {
+	ws.reduce(p)
+	if err := ws.ritzVectors(p); err != nil {
 		return false, 0, 0, err
 	}
-	r2, scale = ws.worstResidual(ws.z[:p*p], 0, p, cnt, k)
+	r2, scale = ws.worstResidual(ws.d[:p], ws.z[:p*p], 0, p, cnt, k)
 	bound := tol * scale
 	return !(r2 > bound*bound), r2, scale, nil
 }
@@ -24,21 +25,25 @@ func oracleCheck(ws *Workspace, p, cnt, k int, tol float64) (ok bool, r2, scale 
 type checkTrace struct {
 	stop          int  // processed columns when the loop ended
 	solved        bool // the last check passed
-	lastRow, full int  // exact last-row and full checks
-	failFast      int  // last-row checks that failed on a remainder basis
-	lastRowPasses int  // passing checks on the last-row path
-	tailCoupled   int  // exact last-row checks with offres[p−1] ≠ 0 (basis cap)
+	rowChecks     int  // checks on a basis the last row can decide (rowsLastCoupled)
+	rowOpen       int  // rowChecks with residual rows left (cnt > p)
+	lastRow, full int  // checks failed by the last row, and checks that accumulated
+	failFast      int  // last-row failures with a remainder before column p−1
+	rowPasses     int  // passing checks among rowChecks
+	tailCoupled   int  // last-row failures with offres[p−1] ≠ 0 (basis cap)
 	restarts      int  // invariant-subspace restarts
 }
 
 // traceChecks runs lanczos' column loop under tol and, at every check
-// column, holds the production check (verdict, r², scale and error) to
-// oracleCheck bit for bit, except that a check failing fast on a
-// remainder basis must report an r² above the bound and no larger than
-// the oracle's. Under
-// convergenceTol it also requires the traced solve to return Lanczos'
-// values and residual bits, which pins the trace, and so the stopping
-// column, to the production loop.
+// column, holds the production check to oracleCheck. The counters tell
+// how each check decided. A check that accumulated must leave the
+// oracle's r² and scale, bit for bit, in ws.d and ws.z. A check failed
+// by the last row must leave, in the last-row scratch, the oracle's
+// scale and an r² above the bound and no larger than the oracle's, bit
+// for bit the oracle's when no remainder precedes column p−1. The
+// verdicts must match. Under convergenceTol it also requires the traced
+// solve to return Lanczos' values and residual bits, which pins the
+// trace, and so the stopping column, to the production loop.
 func traceChecks(tb testing.TB, a Op, k int, opts LanczosOptions, tol float64) checkTrace {
 	tb.Helper()
 	n := a.Dim()
@@ -60,32 +65,47 @@ func traceChecks(tb testing.TB, a Op, k int, opts LanczosOptions, tol float64) c
 			continue
 		}
 		wantOK, wantR2, wantScale, wantErr := oracleCheck(ws, p, cnt, k, tol)
-		r2, scale, path, err := ws.ritzCheck(p, cnt, k, tol)
-		sameR2 := math.Float64bits(r2) == math.Float64bits(wantR2)
-		if bound := tol * scale; path == checkFailFast {
-			sameR2 = r2 <= wantR2 && r2 > bound*bound
-		}
-		if (err != nil) != (wantErr != nil) || !sameR2 || math.Float64bits(scale) != math.Float64bits(wantScale) {
-			tb.Fatalf("n=%d k=%d p=%d cnt=%d (path %d): r² %v scale %v err %v, oracle %v %v %v",
-				n, k, p, cnt, path, r2, scale, err, wantR2, wantScale, wantErr)
-		}
-		switch path {
-		case checkLastRow:
-			tr.lastRow++
-			if ws.offres[p-1] != 0 {
-				tr.tailCoupled++
-			}
-		case checkFailFast:
-			tr.failFast++
-		default:
-			tr.full++
-		}
+		rowBasis := ws.rowsLastCoupled(p, cnt)
+		lastRow, full := ritzChecksLastRow.Value(), ritzChecksFull.Value()
 		tr.solved = ws.converged(p, cnt, k, tol)
+		byRow, accumulated := ritzChecksLastRow.Value()-lastRow, ritzChecksFull.Value()-full
+		if byRow+accumulated != 1 || (byRow == 1 && !rowBasis) {
+			tb.Fatalf("n=%d k=%d p=%d: counted %d last_row and %d full checks (last-row basis %v)", n, k, p, byRow, accumulated, rowBasis)
+		}
 		if tr.solved != wantOK {
 			tb.Fatalf("n=%d k=%d p=%d: verdict %v, oracle %v", n, k, p, tr.solved, wantOK)
 		}
-		if tr.solved && path == checkLastRow {
-			tr.lastRowPasses++
+		var r2, scale float64
+		var same bool
+		if byRow == 1 {
+			r2, scale = ws.worstResidual(ws.rowD[:p], ws.row[:p], p-1, p, cnt, k)
+			bound := tol * scale
+			exact := !slices.ContainsFunc(ws.offres[:p-1], func(x float64) bool { return x != 0 })
+			same = r2 <= wantR2 && r2 > bound*bound && (!exact || math.Float64bits(r2) == math.Float64bits(wantR2))
+			if !exact {
+				tr.failFast++
+			}
+			if ws.offres[p-1] != 0 {
+				tr.tailCoupled++
+			}
+		} else {
+			r2, scale = ws.worstResidual(ws.d[:p], ws.z[:p*p], 0, p, cnt, k)
+			same = math.Float64bits(r2) == math.Float64bits(wantR2)
+		}
+		if wantErr == nil && (!same || math.Float64bits(scale) != math.Float64bits(wantScale)) {
+			tb.Fatalf("n=%d k=%d p=%d cnt=%d (last row %d): r² %v scale %v, oracle %v %v",
+				n, k, p, cnt, byRow, r2, scale, wantR2, wantScale)
+		}
+		tr.lastRow += int(byRow)
+		tr.full += int(accumulated)
+		if rowBasis {
+			tr.rowChecks++
+			if cnt > p {
+				tr.rowOpen++
+			}
+			if tr.solved {
+				tr.rowPasses++
+			}
 		}
 	}
 	if tol != convergenceTol {
@@ -93,11 +113,12 @@ func traceChecks(tb testing.TB, a Op, k int, opts LanczosOptions, tol float64) c
 	}
 	p := tr.stop
 	if !tr.solved {
-		if err := ws.ritzSolve(p, true); err != nil {
+		ws.reduce(p)
+		if err := ws.ritzVectors(p); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	r2, scale := ws.worstResidual(ws.z[:p*p], 0, p, cnt, k)
+	r2, scale := ws.worstResidual(ws.d[:p], ws.z[:p*p], 0, p, cnt, k)
 	dec, err := Lanczos(context.Background(), a, k, opts)
 	if err != nil {
 		tb.Fatal(err)
@@ -146,20 +167,22 @@ func componentsLaplacian(tb testing.TB, sizes []int) CSROp {
 }
 
 // TestRitzCheckMatchesFullSolve holds the convergence check to the full
-// re-solve at every check column, bit for bit, on four shapes of basis:
-// cold, StartBlock-seeded (always the full path), disconnected with
-// invariant-subspace restarts, and n ≤ m with the basis cap reached,
-// where offres[p−1] ≠ 0. Each shape runs under the production tolerance
-// (also tying the trace to Lanczos), a loose one that passes early and
-// one that never passes.
+// re-solve at every check column (traceChecks) on four shapes of basis:
+// cold, StartBlock-seeded (a last-row basis only at the cap), disconnected with
+// invariant-subspace restarts and deflation remainders, and n ≤ m with
+// the basis cap reached, where offres[p−1] ≠ 0. Each shape runs under
+// the production tolerance (also tying the trace to Lanczos), a loose
+// one that passes early and one that never passes.
 func TestRitzCheckMatchesFullSolve(t *testing.T) {
 	rng := linalg.RNGFromState(26)
 	var cold, seeded, disc, capped checkTrace
 	add := func(sum *checkTrace, tr checkTrace) {
+		sum.rowChecks += tr.rowChecks
+		sum.rowOpen += tr.rowOpen
 		sum.lastRow += tr.lastRow
 		sum.full += tr.full
 		sum.tailCoupled += tr.tailCoupled
-		sum.lastRowPasses += tr.lastRowPasses
+		sum.rowPasses += tr.rowPasses
 		sum.failFast += tr.failFast
 		sum.restarts += tr.restarts
 	}
@@ -195,11 +218,11 @@ func TestRitzCheckMatchesFullSolve(t *testing.T) {
 		}
 	}
 	t.Logf("cold %+v, seeded %+v, disconnected %+v, capped %+v", cold, seeded, disc, capped)
-	if cold.lastRow == 0 || cold.lastRowPasses == 0 {
-		t.Errorf("vacuous: cold bases made %d last-row checks, %d passing", cold.lastRow, cold.lastRowPasses)
+	if cold.lastRow == 0 || cold.rowPasses == 0 {
+		t.Errorf("vacuous: cold bases made %d checks failed by the last row, %d passing last-row-basis checks", cold.lastRow, cold.rowPasses)
 	}
-	if seeded.lastRow != 0 || seeded.full == 0 {
-		t.Errorf("seeded bases made %d exact last-row and %d full checks, want no exact last-row check", seeded.lastRow, seeded.full)
+	if seeded.rowOpen != 0 || seeded.full == 0 {
+		t.Errorf("seeded bases made %d last-row-basis checks with residual rows and %d accumulating checks, want a last-row basis only once no residual row is left", seeded.rowOpen, seeded.full)
 	}
 	if disc.failFast == 0 {
 		t.Error("vacuous: no check on a deflation remainder failed by the last row")
@@ -208,15 +231,16 @@ func TestRitzCheckMatchesFullSolve(t *testing.T) {
 		t.Errorf("vacuous: disconnected operators restarted %d times over %d checks", disc.restarts, disc.lastRow+disc.full)
 	}
 	if capped.tailCoupled == 0 {
-		t.Error("vacuous: no last-row check saw a basis-cap remainder on column p−1")
+		t.Error("vacuous: no last-row failure saw a basis-cap remainder on column p−1")
 	}
 }
 
 // TestSymTridEigenRowSubsets requires the QL rotations applied to any
 // subset of the transformation's rows to give exactly those rows of the
-// full eigenvector matrix, and the same eigenvalues, and requires tred2
-// without vectors to give the same d and e, with the accumulated
-// transformation's last row e_{n−1}.
+// full eigenvector matrix, and the same eigenvalues. It also pins the
+// split reduction: accumulate leaves e as householder wrote it, moves
+// the diagonal householder left on v's diagonal into d, and builds a
+// transformation whose last row is e_{n−1}.
 func TestSymTridEigenRowSubsets(t *testing.T) {
 	rng := linalg.RNGFromState(27)
 	for trial := 0; trial < 200; trial++ {
@@ -231,12 +255,14 @@ func TestSymTridEigenRowSubsets(t *testing.T) {
 		}
 		z := slices.Clone(a.data)
 		d, e := make([]float64, n), make([]float64, n)
-		tred2(z, d, e, n, true)
-		v := slices.Clone(a.data)
-		dv, ev := make([]float64, n), make([]float64, n)
-		tred2(v, dv, ev, n, false)
-		if !slices.Equal(d, dv) || !slices.Equal(e, ev) {
-			t.Fatalf("trial %d (n=%d): tred2 without vectors gave d %v e %v, with %v %v", trial, n, dv, ev, d, e)
+		householder(z, d, e, n)
+		diag, sub := make([]float64, n), slices.Clone(e)
+		for j := range diag {
+			diag[j] = z[j*n+j]
+		}
+		accumulate(z, d, n)
+		if !slices.Equal(d, diag) || !slices.Equal(e, sub) {
+			t.Fatalf("trial %d (n=%d): accumulate gave d %v e %v, householder left diagonal %v e %v", trial, n, d, e, diag, sub)
 		}
 		last := make([]float64, n)
 		last[n-1] = 1
@@ -244,42 +270,44 @@ func TestSymTridEigenRowSubsets(t *testing.T) {
 			t.Fatalf("trial %d: transformation's last row %v, want e_%d", trial, z[(n-1)*n:], n-1)
 		}
 		rows := rng.Perm(n)[:rng.Intn(n+1)]
-		sub := make([]float64, 0, len(rows)*n)
+		picked := make([]float64, 0, len(rows)*n)
 		for _, r := range rows {
-			sub = append(sub, z[r*n:(r+1)*n]...)
+			picked = append(picked, z[r*n:(r+1)*n]...)
 		}
 		ds, es := slices.Clone(d), slices.Clone(e)
 		if err := SymTridEigen(d, e, z, n, n); err != nil {
 			t.Fatal(err)
 		}
-		if err := SymTridEigen(ds, es, sub, n, len(rows)); err != nil {
+		if err := SymTridEigen(ds, es, picked, n, len(rows)); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(d, ds) {
 			t.Fatalf("trial %d: eigenvalues %v with %d rows, %v with all", trial, ds, len(rows), d)
 		}
 		for i, r := range rows {
-			if !slices.Equal(sub[i*n:(i+1)*n], z[r*n:(r+1)*n]) {
-				t.Fatalf("trial %d: row %d alone %v, in the full matrix %v", trial, r, sub[i*n:(i+1)*n], z[r*n:(r+1)*n])
+			if !slices.Equal(picked[i*n:(i+1)*n], z[r*n:(r+1)*n]) {
+				t.Fatalf("trial %d: row %d alone %v, in the full matrix %v", trial, r, picked[i*n:(i+1)*n], z[r*n:(r+1)*n])
 			}
 		}
 	}
 }
 
 // TestRitzChecksCounted reads the path counters around a cold solve,
-// which checks by the last row; a seeded one that converges early, which
-// re-solves; and a seeded one that runs into the basis cap, whose last
-// check sees the cap's remainder before column p−1 and fails by the last
-// row, so it counts under last_row too.
+// whose failing checks fail by the last row and whose one accumulating
+// check is its stop; a seeded one that converges early, which
+// accumulates at every check; and a seeded one that runs into the basis
+// cap, whose last check sees the cap's remainder before column p−1 and
+// fails by the last row, so it counts under last_row too.
 func TestRitzChecksCounted(t *testing.T) {
 	op := randomSym(120, 5)
 	lastRow, full := ritzChecksLastRow.Value(), ritzChecksFull.Value()
 	if _, err := Lanczos(context.Background(), op, 4, LanczosOptions{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if ritzChecksLastRow.Value() == lastRow || ritzChecksFull.Value() != full {
-		t.Fatalf("cold solve: last_row %d → %d, full %d → %d", lastRow, ritzChecksLastRow.Value(), full, ritzChecksFull.Value())
+	if ritzChecksLastRow.Value() == lastRow || ritzChecksFull.Value() != full+1 {
+		t.Fatalf("cold solve: last_row %d → %d, full %d → %d, want one full check", lastRow, ritzChecksLastRow.Value(), full, ritzChecksFull.Value())
 	}
+	full = ritzChecksFull.Value()
 	rng := linalg.RNGFromState(5)
 	block := [][]float64{make([]float64, 120), make([]float64, 120)}
 	for _, b := range block {

@@ -36,15 +36,15 @@ type Workspace struct {
 
 	kryl   []float64   // m×n row-major basis backing store
 	q      [][]float64 // row views into kryl, q[j] = kryl[j*n:(j+1)*n]
-	v      []float64   // seed staging vector, length n
 	w      []float64   // operator product / residual, length n
-	cand   []float64   // restart / extra-block candidate, length n
 	h      []float64   // m×m Rayleigh matrix H = QᵀAQ, zeroed by reset
 	offres []float64   // per-column off-basis residual norms, capacity m
 	d      []float64   // Ritz eigenvalues, capacity m
 	e      []float64   // Ritz tridiagonal scratch, capacity m
 	z      []float64   // Ritz solve scratch matrix, capacity m×m
-	row    []float64   // last-row Ritz check coordinates, capacity m
+	row    []float64   // last-row check coordinates, capacity m
+	rowD   []float64   // last-row check Ritz values, capacity m
+	rowE   []float64   // last-row check tridiagonal scratch, capacity m
 	col    []float64   // Ritz column assembly buffer, length n
 }
 
@@ -66,9 +66,7 @@ func (ws *Workspace) reset(n, m int) {
 	for j := 0; j < m; j++ {
 		ws.q[j] = ws.kryl[j*n : (j+1)*n]
 	}
-	ws.v = grow(ws.v, n)
 	ws.w = grow(ws.w, n)
-	ws.cand = grow(ws.cand, n)
 	ws.col = grow(ws.col, n)
 	ws.h = grow(ws.h, m*m)
 	for i := range ws.h {
@@ -79,6 +77,8 @@ func (ws *Workspace) reset(n, m int) {
 	ws.e = grow(ws.e, m)
 	ws.z = grow(ws.z, m*m)
 	ws.row = grow(ws.row, m)
+	ws.rowD = grow(ws.rowD, m)
+	ws.rowE = grow(ws.rowE, m)
 }
 
 // grow returns s resized to length n, reallocating only when the
@@ -93,8 +93,8 @@ func grow(s []float64, n int) []float64 {
 // footprint returns the workspace's buffer capacity in bytes, for the
 // pool's bytes-reused accounting.
 func (ws *Workspace) footprint() int {
-	floats := cap(ws.kryl) + cap(ws.v) + cap(ws.w) + cap(ws.cand) + cap(ws.col) +
-		cap(ws.h) + cap(ws.offres) + cap(ws.d) + cap(ws.e) + cap(ws.z) + cap(ws.row)
+	floats := cap(ws.kryl) + cap(ws.w) + cap(ws.col) + cap(ws.h) + cap(ws.offres) +
+		cap(ws.d) + cap(ws.e) + cap(ws.z) + cap(ws.row) + cap(ws.rowD) + cap(ws.rowE)
 	return 8 * floats
 }
 
@@ -113,8 +113,7 @@ func (ws *Workspace) seedBasis(block [][]float64, rng *linalg.RNG) int {
 		}
 	}
 	if cnt == 0 {
-		randUnitInto(rng, ws.v)
-		copy(ws.q[0], ws.v)
+		randUnitInto(rng, ws.q[0])
 		cnt = 1
 	}
 	return cnt
@@ -195,18 +194,12 @@ func (ws *Workspace) orthogonalize(v []float64, cnt, col int) {
 	}
 }
 
-// seed stages vector s as basis row cnt: it copies s, orthogonalizes it
-// against rows 0..cnt-1 and normalizes. It reports whether the direction
-// survived — a zero vector or one (numerically) dependent on earlier
-// rows is rejected.
+// seed stages vector s as basis row cnt (admit). It reports whether the
+// direction survived — a zero vector or one (numerically) dependent on
+// earlier rows is rejected.
 func (ws *Workspace) seed(s []float64, cnt int) bool {
-	copy(ws.v, s)
-	ws.orthogonalize(ws.v, cnt, -1)
-	if linalg.Normalize(ws.v) <= 1e-8 {
-		return false
-	}
-	copy(ws.q[cnt], ws.v)
-	return true
+	copy(ws.q[cnt], s)
+	return ws.admit(cnt)
 }
 
 // restartRows installs a fresh deterministic random direction orthogonal
@@ -215,14 +208,20 @@ func (ws *Workspace) seed(s []float64, cnt int) bool {
 // found within five attempts.
 func (ws *Workspace) restartRows(rng *linalg.RNG, cnt int) bool {
 	for attempt := 0; attempt < 5; attempt++ {
-		randUnitInto(rng, ws.cand)
-		ws.orthogonalize(ws.cand, cnt, -1)
-		if linalg.Normalize(ws.cand) > 1e-8 {
-			copy(ws.q[cnt], ws.cand)
+		randUnitInto(rng, ws.q[cnt])
+		if ws.admit(cnt) {
 			return true
 		}
 	}
 	return false
+}
+
+// admit orthogonalizes the candidate staged in basis row cnt against
+// rows 0..cnt-1 and normalizes it, reporting whether it kept a norm above
+// 1e-8. A rejected candidate leaves row cnt as scratch.
+func (ws *Workspace) admit(cnt int) bool {
+	ws.orthogonalize(ws.q[cnt], cnt, -1)
+	return linalg.Normalize(ws.q[cnt]) > 1e-8
 }
 
 // Workspace pool: Lanczos draws from here. It is a single shared slot,

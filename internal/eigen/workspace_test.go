@@ -3,10 +3,12 @@ package eigen
 import (
 	"context"
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"roadpart/internal/linalg"
 )
@@ -41,7 +43,9 @@ func decompEqual(t *testing.T, a, b *Decomposition) {
 
 // TestLanczosWSDirtyWorkspaceBitIdentical is the dirty-workspace reset
 // test: a workspace left full of garbage by a previous (differently
-// sized) run must produce the same bits as a fresh solve.
+// sized) run must produce the same bits as a fresh solve. It poisons
+// every []float64 field of Workspace, found by reflection, so a buffer
+// added later is covered without editing the test.
 func TestLanczosWSDirtyWorkspaceBitIdentical(t *testing.T) {
 	opts := LanczosOptions{Seed: 42}
 	big := CSROp{M: pathOp(t, 300)}
@@ -52,24 +56,36 @@ func TestLanczosWSDirtyWorkspaceBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ws := &Workspace{}
-	if _, err := lanczos(context.Background(), big, 6, opts, ws); err != nil {
-		t.Fatal(err)
-	}
-	// Poison everything the previous run left behind.
-	for i := range ws.kryl {
-		ws.kryl[i] = math.NaN()
-	}
-	for _, s := range [][]float64{ws.v, ws.w, ws.cand, ws.col, ws.h, ws.offres, ws.d, ws.e, ws.z} {
-		for i := range s {
-			s[i] = math.Inf(1)
+	for _, poison := range []float64{math.NaN(), math.Inf(1)} {
+		ws := &Workspace{}
+		if _, err := lanczos(context.Background(), big, 6, opts, ws); err != nil {
+			t.Fatal(err)
 		}
+		// Poison everything the previous run left behind, up to each
+		// buffer's capacity.
+		buffers := 0
+		wv := reflect.ValueOf(ws).Elem()
+		for i := 0; i < wv.NumField(); i++ {
+			f := wv.Field(i)
+			if f.Type() != reflect.TypeFor[[]float64]() {
+				continue
+			}
+			s := *(*[]float64)(unsafe.Pointer(f.UnsafeAddr()))
+			s = s[:cap(s)]
+			for j := range s {
+				s[j] = poison
+			}
+			buffers++
+		}
+		if buffers < 11 {
+			t.Fatalf("poisoned %d []float64 buffers, want every one of Workspace's (at least 11)", buffers)
+		}
+		reused, err := lanczos(context.Background(), small, 4, opts, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decompEqual(t, fresh, reused)
 	}
-	reused, err := lanczos(context.Background(), small, 4, opts, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decompEqual(t, fresh, reused)
 }
 
 // TestLanczosNilWorkspacePoolIdentical checks that the pool-backed path
@@ -100,11 +116,10 @@ func TestLanczosStepAllocFree(t *testing.T) {
 	ws := &Workspace{}
 	ws.reset(op.Dim(), 12)
 	rng := linalg.RNGFromState(99)
-	randUnitInto(&rng, ws.v)
-	copy(ws.q[0], ws.v)
+	randUnitInto(&rng, ws.q[0])
 	for cnt := 1; cnt < 6; cnt++ { // a few rows, so the fused sweeps chain
-		randUnitInto(&rng, ws.v)
-		if !ws.seed(ws.v, cnt) {
+		randUnitInto(&rng, ws.w)
+		if !ws.seed(ws.w, cnt) {
 			t.Fatal("random row rejected")
 		}
 	}
@@ -115,14 +130,13 @@ func TestLanczosStepAllocFree(t *testing.T) {
 	// Process a few columns for real so the convergence check has a
 	// meaningful prefix, then pin it at zero allocations too.
 	ws.reset(op.Dim(), 12)
-	randUnitInto(&rng, ws.v)
-	copy(ws.q[0], ws.v)
+	randUnitInto(&rng, ws.q[0])
 	cnt := 1
 	for j := 0; j < 6; j++ {
 		cnt = ws.advance(op, j, cnt, &rng)
 	}
-	// A failing check takes the last-row path alone; a passing one adds
-	// the full solve.
+	// A failing check fails on the last row alone; a passing one
+	// accumulates the transformation.
 	for _, tol := range []float64{1e-30, 1e30} {
 		allocs = testing.AllocsPerRun(50, func() { ws.converged(6, cnt, 2, tol) })
 		if allocs != 0 {
@@ -196,16 +210,16 @@ func TestOrthogonalizeMatchesUnfused(t *testing.T) {
 	plain.reset(n, m)
 	for cnt := 0; cnt < 12; cnt++ {
 		for _, col := range []int{-1, cnt} {
-			randUnitInto(&rng, fused.v)
-			for i := range fused.v {
-				fused.v[i] *= 1 + float64(i%7) // not unit, not uniform
+			randUnitInto(&rng, fused.w)
+			for i := range fused.w {
+				fused.w[i] *= 1 + float64(i%7) // not unit, not uniform
 			}
-			copy(plain.v, fused.v)
-			fused.orthogonalize(fused.v, cnt, col)
-			oracleOrthogonalize(plain, plain.v, cnt, col)
-			for i := range fused.v {
-				if math.Float64bits(fused.v[i]) != math.Float64bits(plain.v[i]) {
-					t.Fatalf("cnt=%d col=%d: v[%d] = %v, unfused %v", cnt, col, i, fused.v[i], plain.v[i])
+			copy(plain.w, fused.w)
+			fused.orthogonalize(fused.w, cnt, col)
+			oracleOrthogonalize(plain, plain.w, cnt, col)
+			for i := range fused.w {
+				if math.Float64bits(fused.w[i]) != math.Float64bits(plain.w[i]) {
+					t.Fatalf("cnt=%d col=%d: v[%d] = %v, unfused %v", cnt, col, i, fused.w[i], plain.w[i])
 				}
 			}
 			for i := range fused.h {
@@ -215,8 +229,8 @@ func TestOrthogonalizeMatchesUnfused(t *testing.T) {
 			}
 		}
 		// Grow both bases by the same random row.
-		randUnitInto(&rng, fused.cand)
-		if !fused.seed(fused.cand, cnt) {
+		randUnitInto(&rng, fused.col)
+		if !fused.seed(fused.col, cnt) {
 			t.Fatal("random row rejected")
 		}
 		copy(plain.q[cnt], fused.q[cnt])

@@ -259,7 +259,8 @@ func (c *Cache) SetAlias(key Key, a Alias) {
 }
 
 // Put inserts body under key unconditionally (no single-flight), for
-// callers that computed outside the cache — the CLI snapshot path.
+// callers that computed outside the cache, such as a benchmark harness
+// preloading entries. A newly inserted body is persisted like any other.
 func (c *Cache) Put(key Key, body []byte) {
 	c.mu.Lock()
 	inserted := c.insertLocked(key, body, 0)

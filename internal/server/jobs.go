@@ -121,13 +121,22 @@ func (s *service) jobSpec(req *JobSubmitRequest) (jobs.Spec, error) {
 }
 
 // partitionConfig resolves and validates a partition document into its
-// core config.
+// core config. A k below 1 or above the network's segment count is
+// rejected here, before any admission slot or mining is spent on it; a k
+// above what the mined supergraph supports is only known after mining
+// and fails in the pipeline.
 func (s *service) partitionConfig(p *PartitionRequest) (core.Config, error) {
 	cfg, err := s.baseConfig(p.Network, p.Scheme, p.Seed, p.Workers, p.Multilevel)
+	if err != nil {
+		return cfg, err
+	}
+	if n := len(p.Network.Segments); p.K < 1 || p.K > n {
+		return cfg, fmt.Errorf("bad k=%d: want 1 <= k <= %d, the network's segment count", p.K, n)
+	}
 	cfg.K = p.K
 	cfg.StabilityEps = p.StabilityEps
 	cfg.Refine = p.Refine
-	return cfg, err
+	return cfg, nil
 }
 
 // sweepConfig resolves and validates a sweep document, applying the

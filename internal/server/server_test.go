@@ -164,7 +164,7 @@ func TestPartitionEndpointErrors(t *testing.T) {
 	}{
 		{"missing network", PartitionRequest{K: 3}, http.StatusBadRequest, "missing network"},
 		{"bad scheme", PartitionRequest{Network: net, K: 3, Scheme: "XX"}, http.StatusBadRequest, "XX"},
-		{"bad k", PartitionRequest{Network: net, K: -1}, http.StatusUnprocessableEntity, ""},
+		{"bad k", PartitionRequest{Network: net, K: -1}, http.StatusBadRequest, "bad k=-1"},
 		{"unknown field", map[string]interface{}{"nope": 1}, http.StatusBadRequest, `unknown field "nope"`},
 		{"trailing garbage", withTail(t, ok, " garbage"), http.StatusBadRequest, "trailing data"},
 		{"trailing document", withTail(t, ok, `{"k":99}`), http.StatusBadRequest, "trailing data"},
@@ -318,5 +318,35 @@ func TestSweepRangeValidation(t *testing.T) {
 	rec := post(t, sv, "/v1/sweep", SweepRequest{Network: net, KMin: 150, KMax: 200, Scheme: "ASG", Seed: 1})
 	if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "supports at most k=") {
 		t.Fatalf("k_min above the cap: status = %d body=%s, want 422 naming the cap", rec.Code, rec.Body.String())
+	}
+}
+
+// TestPartitionKValidation pins where a partition's k is checked. A k
+// below 1 or above the network's segment count is a malformed request:
+// 400 from /v1/partition and from job submission alike, naming the k,
+// so no job is accepted that can only fail. A k within the segment
+// count but above what the mined supergraph supports is only known
+// after mining: 422.
+func TestPartitionKValidation(t *testing.T) {
+	net := testNet(t)
+	sv := newJobService(t, Config{})
+	for _, k := range []int{0, -2, len(net.Segments) + 1} {
+		doc := PartitionRequest{Network: net, K: k, Scheme: "ASG", Seed: 1}
+		want := fmt.Sprintf("bad k=%d", k)
+		rec := post(t, sv, "/v1/partition", doc)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("k=%d: /v1/partition = %d %s, want 400 naming %q", k, rec.Code, rec.Body.String(), want)
+		}
+		rec = post(t, sv, "/v1/jobs", JobSubmitRequest{Op: "partition", Partition: &doc})
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("k=%d: /v1/jobs = %d %s, want 400 naming %q", k, rec.Code, rec.Body.String(), want)
+		}
+	}
+
+	// testNet has 180 segments, so the ASG supergraph has fewer than 180
+	// supernodes.
+	rec := post(t, sv, "/v1/partition", PartitionRequest{Network: net, K: len(net.Segments), Scheme: "ASG", Seed: 1})
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("k above the supernode count: status = %d body=%s, want 422", rec.Code, rec.Body.String())
 	}
 }
