@@ -26,8 +26,9 @@ BENCH_MAX_BYTES ?= 0.25
 # (BENCH_TABLE3_ANCHOR): the diff fails unless BenchmarkTable3 is at
 # least 40% faster than it recorded. BENCH_SWEEP_RATIO is the intra-run
 # warm-vs-cold invariant on BenchmarkSweepDeep: the cold per-k sweep
-# must be at least this many times slower than the shared warm-widened
-# sweep (see docs/PERFORMANCE.md and docs/NUMERICS.md § Warm starts).
+# must be at least this many times slower than the shared sweep cache,
+# which widens with headroom (see docs/PERFORMANCE.md and
+# docs/NUMERICS.md § Headroom).
 BENCH_TABLE3_ANCHOR ?= BENCH_4.json
 BENCH_TABLE3_GATE ?= -0.40
 BENCH_SWEEP_RATIO ?= 1.5
@@ -190,13 +191,16 @@ chaos-smoke:
 # (TestOrthogonalizeMatchesUnfused, TestAxpyDotMatchesAxpyThenDot), the
 # last-row Ritz check against the full re-solve and its path counters
 # (TestRitzCheckMatchesFullSolve, TestRitzCheckFixtureStops,
-# TestSymTridEigenRowSubsets, TestRitzChecksCounted), and the
+# TestSymTridEigenRowSubsets, TestRitzChecksCounted), the
 # eigensolver's dirty-workspace bit identity
-# (TestLanczosWSDirtyWorkspaceBitIdentical).
+# (TestLanczosWSDirtyWorkspaceBitIdentical), a widened spectral cache
+# against a fresh solve (TestSpectralWideningMatchesFresh), and the
+# generated networks' digests (TestGeneratorDigests).
 numerics-check:
 	$(GO) test -run '^TestNumericsGoldenTable$$' .
 	$(GO) test -run '^(TestOneDMatchesOracle|TestNDMatchesOracle)$$' ./internal/kmeans
-	$(GO) test -run '^(TestRefineMatchesOracle|TestRepairMatchesOracle)$$' ./internal/cut
+	$(GO) test -run '^(TestRefineMatchesOracle|TestRepairMatchesOracle|TestSpectralWideningMatchesFresh)$$' ./internal/cut
+	$(GO) test -run '^TestGeneratorDigests$$' ./internal/gen
 	$(GO) test -run '^(TestGroupComponentsMatchesClosureWalk|TestGroupComponentsBoundedWalk|TestSubsetComponentsMatchesStampedSplit)$$' ./internal/graph
 	$(GO) test -run '^TestQuotientAdjacencyMatchesOracle$$' ./internal/metrics
 	$(GO) test -run '^(TestOrthogonalizeMatchesUnfused|TestRitzCheckMatchesFullSolve|TestRitzCheckFixtureStops|TestSymTridEigenRowSubsets|TestRitzChecksCounted|TestLanczosWSDirtyWorkspaceBitIdentical)$$' ./internal/eigen

@@ -150,15 +150,14 @@ func benchName(prefix string, n int) string { return fmt.Sprintf("%s=%d", prefix
 // needs, without the per-k k-means/reduction stages (those cost the same
 // in both modes and would dilute the contrast).
 //
-//   - cold: a fresh cut.Spectral per k — with no cached block to widen
-//     from, every k pays a full cold eigensolve, the naive per-k sweep
-//     protocol.
+//   - cold: a fresh cut.Spectral per k — every k pays a full
+//     eigensolve, the naive per-k sweep protocol.
 //   - warm: one cut.Spectral shared across the sweep — a handful of
-//     widening solves (one per sweepHeadroom stride), each seeded from
-//     the previous Ritz block.
+//     widening solves (one per sweepHeadroom stride), each the solve a
+//     fresh cut.Spectral runs at that k.
 //
 // The cold/warm ratio is what the sweep-aware spectral core buys on the
-// paper's ANS-minimum selection loop (docs/NUMERICS.md § Warm starts,
+// paper's ANS-minimum selection loop (docs/NUMERICS.md § Headroom,
 // docs/PERFORMANCE.md); `make bench-check` enforces warm ≥ 1.5× faster
 // via benchdiff's -min-ratio.
 func BenchmarkSweepDeep(b *testing.B) {

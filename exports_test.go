@@ -26,7 +26,6 @@ var exportAllowlist = map[string]string{
 	"internal/cut.AlphaCutValue":              "test oracle: the α-Cut objective of Eq. 5",
 	"internal/cut.NCutValue":                  "test oracle: the normalized-cut objective",
 	"internal/cut.Modularity":                 "test oracle: modularity of a labeling",
-	"internal/cut.Options.Normalized":         "TestNormalizedMatchesDownstreamDefaults cross-checks it against every caller",
 	"internal/cut.ReduceRecursiveBipartition": "names the zero-value Reduction, the paper's choice",
 	"internal/eigen.Residual":                 "test oracle: the explicit residual ‖Av − λv‖",
 	"internal/linalg.CSR.At":                  "cross-package test fixture",

@@ -140,12 +140,9 @@ type Config struct {
 	// 0 selects GOMAXPROCS, 1 forces serial execution. Results are
 	// bit-identical for every worker count at the same Seed.
 	Workers int
-	// ColdWiden disables the warm-started widening of the cached
-	// spectral decomposition — every solve starts from the seeded
-	// random basis instead of the previous Ritz block. Partitions are
-	// identical either way (docs/NUMERICS.md § Warm starts); the knob
-	// exists for warm-vs-cold benchmarks and the tests pinning that
-	// equivalence.
+	// ColdWiden has no effect: every spectral solve starts cold from
+	// Seed (docs/NUMERICS.md § Headroom). It is kept for callers that
+	// still set it and is not part of the result fingerprint.
 	ColdWiden bool
 	// Multilevel selects the coarsen → solve → project path for module 3
 	// (docs/SCALING.md). The zero value, MultilevelAuto, engages it only
@@ -164,8 +161,10 @@ type Config struct {
 // inside supergraph.MineCtx, the spectral options inside cut). Two configs
 // with equal Normalized forms drive identical pipelines on the same
 // inputs, which is exactly what content-addressed result caching keys
-// on (internal/resultcache); the pinned values are cross-checked against
-// the downstream packages by TestNormalizedMatchesDownstreamDefaults.
+// on (internal/resultcache). The spectral defaults come from
+// cut.Options.Normalized itself; the mining values are pinned here and
+// cross-checked against their packages by
+// TestNormalizedMatchesDownstreamDefaults.
 //
 // Fields that do not influence the output are canonicalized away:
 // Workers is forced to 0 (worker count never changes results — the
@@ -192,12 +191,8 @@ func (c Config) Normalized() Config {
 		c.StabilityEps = 0
 		c.Weighting = 0
 	}
-	if c.Restarts == 0 {
-		c.Restarts = 5
-	}
-	if c.DenseCutoff == 0 {
-		c.DenseCutoff = 900
-	}
+	co := cut.Options{Restarts: c.Restarts, DenseCutoff: c.DenseCutoff}.Normalized()
+	c.Restarts, c.DenseCutoff = co.Restarts, co.DenseCutoff
 	if c.Multilevel == MultilevelAuto {
 		if c.MultilevelThreshold == 0 {
 			c.MultilevelThreshold = DefaultMultilevelThreshold
@@ -348,7 +343,7 @@ func newPipelineFromGraph(ctx context.Context, g *graph.Graph, f []float64, cfg 
 		p.SG = sg
 		p.m2 = time.Since(t0)
 	}
-	opts := cut.Options{Seed: cfg.Seed, Restarts: cfg.Restarts, DenseCutoff: cfg.DenseCutoff, Workers: cfg.Workers, ColdWiden: cfg.ColdWiden}
+	opts := cut.Options{Seed: cfg.Seed, Restarts: cfg.Restarts, DenseCutoff: cfg.DenseCutoff, Workers: cfg.Workers}
 	// Module-3 graph and its per-node density feature: the mined
 	// supergraph for ASG/NSG, the similarity-weighted road graph
 	// otherwise.

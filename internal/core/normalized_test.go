@@ -1,15 +1,12 @@
 package core
 
-import (
-	"testing"
+import "testing"
 
-	"roadpart/internal/cut"
-)
-
-// TestNormalizedMatchesDownstreamDefaults cross-checks the values pinned
-// inside Config.Normalized against the packages that actually apply
-// them, so a default changed downstream cannot silently desynchronize
-// the cache-key canonicalization.
+// TestNormalizedMatchesDownstreamDefaults cross-checks the mining values
+// pinned inside Config.Normalized against the packages that actually
+// apply them, so a default changed downstream cannot silently
+// desynchronize the cache-key canonicalization. The spectral defaults
+// need no check: Normalized takes them from cut.Options.Normalized.
 func TestNormalizedMatchesDownstreamDefaults(t *testing.T) {
 	n := Config{Scheme: ASG}.Normalized()
 	// supergraph.MineCtx: EpsThetaFrac 0 → 0.8; cluster.SweepKappaCtx:
@@ -17,14 +14,6 @@ func TestNormalizedMatchesDownstreamDefaults(t *testing.T) {
 	if n.EpsThetaFrac != 0.8 || n.KappaMax != 25 || n.SampleSize != 2000 {
 		t.Fatalf("mining defaults = (%v, %d, %d), want (0.8, 25, 2000)",
 			n.EpsThetaFrac, n.KappaMax, n.SampleSize)
-	}
-	// cut.Options.normalized is exported enough to check directly.
-	co := cut.Options{}.Normalized()
-	if n.Restarts != co.Restarts {
-		t.Fatalf("Restarts default %d, cut uses %d", n.Restarts, co.Restarts)
-	}
-	if n.DenseCutoff != co.DenseCutoff {
-		t.Fatalf("DenseCutoff default %d, cut uses %d", n.DenseCutoff, co.DenseCutoff)
 	}
 }
 

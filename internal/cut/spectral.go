@@ -53,8 +53,8 @@ type Options struct {
 	// (internal/resultcache hashes it) but no longer selects a solver:
 	// the partitioner is always matrix-free through eigen.RankOneOp and
 	// the block Lanczos iteration (docs/NUMERICS.md § The Lanczos
-	// variant). 0 still normalizes to 900 and negative values to -1, so
-	// existing fingerprints keep their meaning.
+	// variant). 0 still normalizes to 900, so existing fingerprints keep
+	// their meaning.
 	DenseCutoff int
 	// Reduction selects how k′ > k partitions are brought down to k.
 	Reduction Reduction
@@ -67,14 +67,10 @@ type Options struct {
 	// partition produced is identical for every worker count at the same
 	// seed — this is purely a resource knob.
 	Workers int
-	// ColdWiden disables the warm-started widening of a cached Spectral:
-	// every decomposition that outgrows the cache restarts the Lanczos
-	// iteration cold instead of seeding from the cached Ritz block. The
-	// knob exists for benchmarks and ablations that measure the warm-start
-	// win (BenchmarkSweepDeep); it does not change results — warm and cold
-	// widening converge to the same eigenspace and the same partitions
-	// (docs/NUMERICS.md § Warm starts) — and it is deliberately not part
-	// of the configuration fingerprint.
+	// ColdWiden has no effect: every solve, a widening of the cached
+	// decomposition included, starts cold from Seed (docs/NUMERICS.md
+	// § Headroom). It is kept for callers that still set it and is not
+	// part of the configuration fingerprint.
 	ColdWiden bool
 }
 
@@ -254,7 +250,7 @@ func bipartition(ctx context.Context, g *graph.Graph, method Method, opts Option
 	}
 	// A lean two-pair solve: the meta-graphs and partitions split here are
 	// small and never widened.
-	dec, err := decompose(ctx, g, 2, method, opts, nil)
+	dec, err := decompose(ctx, g, 2, method, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -149,20 +149,6 @@ func (s *Spectral) PartitionCtx(ctx context.Context, k int) (*Result, error) {
 	return res, nil
 }
 
-// ritzBlock unpacks a decomposition's eigenvectors into freshly allocated
-// row vectors — the eigen.LanczosOptions.StartBlock shape. A nil or empty
-// decomposition yields nil.
-func ritzBlock(dec *eigen.Decomposition) [][]float64 {
-	if dec == nil || len(dec.Values) == 0 {
-		return nil
-	}
-	blk := make([][]float64, len(dec.Values))
-	for j := range blk {
-		blk[j] = dec.Vector(j)
-	}
-	return blk
-}
-
 // WarmCtx ensures the cached decomposition holds at least k eigenpairs,
 // computing it (once) if needed; ctx cancels the eigensolve. A sweep that
 // warms to its largest k before fanning out guarantees every PartitionCtx
@@ -235,25 +221,17 @@ func (s *Spectral) decomposition(ctx context.Context, k int) (*eigen.Decompositi
 		}
 
 		// Uniform headroom: solve for a few eigenpairs beyond k so a
-		// k-sweep widens the cache in a handful of steps, each of which
-		// warm-starts from the previous Ritz block below.
-		want := k + sweepHeadroom
-		if n := s.g.N(); want > n {
-			want = n
-		}
+		// k-sweep widens the cache in a handful of steps. Every solve,
+		// a widening included, is the cold one a fresh Spectral runs at
+		// the same k (docs/NUMERICS.md § Headroom).
+		want := min(k+sweepHeadroom, s.g.N())
 		f := &specFlight{want: want, done: make(chan struct{})}
 		s.flight = f
-		// A cached, too narrow decomposition seeds its own widening —
-		// unless ColdWiden asks for a cold restart (the ablation knob).
-		var warm [][]float64
-		if !s.opts.ColdWiden {
-			warm = ritzBlock(s.dec)
-		}
 		s.mu.Unlock()
 
 		specMisses.Inc()
 		sp := stageEigen.Start()
-		dec, err := decompose(ctx, s.g, want, s.method, s.opts, warm)
+		dec, err := decompose(ctx, s.g, want, s.method, s.opts)
 		sp.End()
 
 		s.mu.Lock()
@@ -285,9 +263,8 @@ const sweepHeadroom = 8
 // always matrix-free: every method is an eigen.RankOneOp-shaped operator
 // (or the normalized Laplacian for the ncut baseline) handed to the block
 // Lanczos solver — the α-Cut matrix is never materialized
-// (docs/NUMERICS.md § The sparse-plus-rank-one matvec). startBlock, when
-// non-empty, seeds the iteration (docs/NUMERICS.md § Warm starts).
-func decompose(ctx context.Context, g *graph.Graph, k int, method Method, opts Options, startBlock [][]float64) (*eigen.Decomposition, error) {
+// (docs/NUMERICS.md § The sparse-plus-rank-one matvec).
+func decompose(ctx context.Context, g *graph.Graph, k int, method Method, opts Options) (*eigen.Decomposition, error) {
 	adj, err := g.AdjacencyCSR()
 	if err != nil {
 		return nil, err
@@ -305,5 +282,5 @@ func decompose(ctx context.Context, g *graph.Graph, k int, method Method, opts O
 	if err != nil {
 		return nil, err
 	}
-	return eigen.Lanczos(ctx, op, k, eigen.LanczosOptions{Seed: opts.Seed, StartBlock: startBlock})
+	return eigen.Lanczos(ctx, op, k, eigen.LanczosOptions{Seed: opts.Seed})
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // TestSpectralMatchesPartition pins the cache: one Spectral shared
-// across k — whose later calls reuse or warm-widen the decomposition the
+// across k — whose later calls reuse or widen the decomposition the
 // first call computed — partitions exactly like a fresh Spectral per k.
 func TestSpectralMatchesPartition(t *testing.T) {
 	g := barbell(6, 1, 0.05)

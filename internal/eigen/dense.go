@@ -1,9 +1,6 @@
 package eigen
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Decomposition holds the result of a symmetric eigendecomposition:
 // Values[j] is the j-th smallest eigenvalue and the j-th column of Vectors
@@ -18,19 +15,6 @@ type Decomposition struct {
 	// computes it from the Rayleigh matrix exactly as its convergence
 	// check does; SymEigen leaves it zero.
 	Residual float64
-}
-
-// Vector returns the eigenvector for Values[j] as a freshly allocated slice.
-func (d *Decomposition) Vector(j int) []float64 {
-	if j < 0 || j >= len(d.Values) {
-		panic(fmt.Sprintf("eigen: vector index %d out of range %d", j, len(d.Values)))
-	}
-	v := make([]float64, d.N)
-	cols := len(d.Values)
-	for i := 0; i < d.N; i++ {
-		v[i] = d.Vectors[i*cols+j]
-	}
-	return v
 }
 
 // SymEigen computes the full eigendecomposition of the symmetric

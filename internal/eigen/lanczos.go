@@ -27,9 +27,8 @@ const deflationTol = 1e-12
 // convergenceTol is the residual tolerance for declaring a Ritz pair
 // converged: the iteration stops at the first periodic check where all k
 // requested pairs satisfy ‖M·y − θ·y‖ ≤ convergenceTol·max|θ| (the
-// residual is computed exactly from the Rayleigh matrix's tail couplings,
-// so seeded bases are certified correctly; docs/NUMERICS.md § Early
-// termination).
+// residual is computed exactly from the Rayleigh matrix's tail couplings
+// and the deflation remainders; docs/NUMERICS.md § Early termination).
 const convergenceTol = 1e-8
 
 // lanczosResidual records every solve's Decomposition.Residual, in
@@ -57,17 +56,6 @@ type LanczosOptions struct {
 	// invariant-subspace restart direction. The same seed always yields
 	// the same decomposition (docs/NUMERICS.md § Determinism).
 	Seed uint64
-	// StartBlock seeds the basis with a whole block of vectors — the
-	// Ritz vectors of a previous, closely related solve (a narrower
-	// decomposition of the same operator, or the same graph under
-	// slightly different densities). Rows are orthonormalized in order;
-	// rows of the wrong length or (numerically) dependent on earlier
-	// rows are dropped. Warm-started solves run the same algorithm from
-	// a different basis, so they converge to the same eigenspace but are
-	// not bit-identical to cold solves (docs/NUMERICS.md § Warm starts).
-	// When no row survives, the iteration starts from one deterministic
-	// random vector.
-	StartBlock [][]float64
 }
 
 // Lanczos computes the k algebraically smallest eigenpairs of the symmetric
@@ -76,16 +64,17 @@ type LanczosOptions struct {
 // projection H = QᵀAQ solved by Householder tridiagonalization + QL, and
 // residual-based early termination. It implements the eigensolver step of
 // the paper's Algorithm 3 (line 5); the numerical contract — variant
-// choice, restart policy, warm-start and determinism semantics — is
-// specified in docs/NUMERICS.md.
+// choice, restart policy and determinism semantics — is specified in
+// docs/NUMERICS.md.
 //
 // Full reorthogonalization costs O(m²n) for an m-column basis but
 // eliminates the ghost-eigenvalue problem entirely, which matters here:
 // the α-Cut spectrum has tight clusters near its lower end, exactly where
 // spurious copies appear with selective reorthogonalization. The explicit
-// Rayleigh matrix (rather than the classic three-term tridiagonal) is what
-// lets a solve start from an arbitrary seed block — previous Ritz vectors
-// — and still certify convergence with an exact residual bound.
+// Rayleigh matrix (rather than the classic three-term tridiagonal) keeps
+// every coupling the reorthogonalization records, restarts included, so
+// with the stored deflation remainders the convergence check certifies
+// the residual exactly.
 //
 // If the Krylov space exhausts the operator (an invariant subspace is
 // found) the iteration restarts with a fresh deterministic direction
@@ -119,8 +108,8 @@ func lanczos(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Workspac
 	if k > n {
 		return nil, fmt.Errorf("eigen: Lanczos k=%d exceeds operator order %d", k, n)
 	}
-	// m caps the basis dimension: seed columns, Krylov expansions and
-	// restarts combined.
+	// m caps the basis dimension: the start vector, Krylov expansions
+	// and restarts combined.
 	m := min(n, max(4*k+30, 80))
 	rng := linalg.RNGFromState(opts.Seed ^ 0x9e3779b97f4a7c15)
 
@@ -130,7 +119,8 @@ func lanczos(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Workspac
 	}
 	ws.reset(n, m)
 
-	cnt := ws.seedBasis(opts.StartBlock, &rng)
+	randUnitInto(&rng, ws.q[0])
+	cnt := 1
 
 	// Process basis columns in order (Workspace.advance). The loop ends
 	// when every column is processed (proc == cnt with no replenishment
@@ -217,73 +207,56 @@ func (ws *Workspace) ritzVectors(p int) error {
 //
 //	‖A·y − θ·y‖² = Σ_{r=p}^{cnt-1} (H[r, :p]·s)² + Σ_{c<p} (offres[c]·s_c)²
 //
-// — the first sum covers residual rows and seed couplings still outside
-// the processed prefix, the second the deflated (or basis-capped)
-// directions that never became rows. This bound stays valid for seeded
-// (warm-started) bases, where the classic tridiagonal |β·s_last| bound
-// does not apply.
+// — the first sum covers the residual rows outside the processed prefix,
+// the second the deflated (or basis-capped) directions that never became
+// rows.
 //
-// The check reduces H once. When the residual rows couple to the prefix
-// only through column p−1 (rowsLastCoupled: a cold basis, restarts
-// included), it first rotates the row e_{p−1} of the transformation on
-// copies of the tridiagonal: the Ritz values and coordinate s_{p−1} of
-// every vector, bit for bit the full solve's. Summed over s_{p−1} alone,
-// the residual leaves out only the remainder terms offres[c]·s_c for
-// c < p−1, squares added before the last term, so by the monotonicity of
-// rounded addition each pair's r² is at most its full one, and equal to
-// it when no remainder precedes p−1. A finite r²max above (tol·scale)²
-// fails the check as the full sum would. The values, the row and the
-// remainders must be finite for that: a NaN residual never displaces a
-// finite one, so a NaN term could lower the full maximum. Every other
-// check accumulates the same reduction and decides on the full sum, so a
-// passing check leaves the full solve in ws.d and ws.z (docs/NUMERICS.md
-// § The last-row check). It allocates nothing.
+// The check reduces H once, then rotates the row e_{p−1} of the
+// transformation on copies of the tridiagonal: the Ritz values and
+// coordinate s_{p−1} of every vector, bit for bit the full solve's. Every
+// basis row r is created at column r−1 (a residual row) or after it with
+// no coupling (a restart row), so the residual rows r ≥ p couple to the
+// prefix only through column p−1 (H[r][c] = 0 for c < p−1). Summed over
+// s_{p−1} alone, the residual therefore leaves out only the remainder
+// terms offres[c]·s_c for c < p−1, squares added before the last term,
+// so by the monotonicity of rounded addition each pair's r² is at most
+// its full one, and equal to it when no remainder precedes p−1. A finite
+// r²max above (tol·scale)² fails the check as the full sum would. The
+// values, the row and the remainders must be finite for that: a NaN
+// residual never displaces a finite one, so a NaN term could lower the
+// full maximum. Every other check accumulates the same reduction and
+// decides on the full sum, so a passing check leaves the full solve in
+// ws.d and ws.z (docs/NUMERICS.md § The last-row check). It allocates
+// nothing.
 func (ws *Workspace) converged(p, cnt, k int, tol float64) bool {
 	if k > p {
 		return false
 	}
 	ws.reduce(p)
-	if ws.rowsLastCoupled(p, cnt) {
-		d, e, row := ws.rowD[:p], ws.rowE[:p], ws.row[:p]
-		for j := range d {
-			d[j] = ws.z[j*p+j]
-		}
-		copy(e, ws.e[:p])
-		clear(row)
-		row[p-1] = 1
-		if err := SymTridEigen(d, e, row, p, 1); err != nil {
-			ritzChecksLastRow.Inc()
-			return false // the full solve runs the same QL iterations
-		}
-		r2, scale := ws.worstResidual(d, row, p-1, p, cnt, k)
-		bound := tol * scale
-		if r2 > bound*bound && !math.IsInf(r2, 1) && finite(d) && finite(row) && finite(ws.offres[:p]) {
-			ritzChecksLastRow.Inc()
-			return false
-		}
+	d, e, row := ws.rowD[:p], ws.rowE[:p], ws.row[:p]
+	for j := range d {
+		d[j] = ws.z[j*p+j]
+	}
+	copy(e, ws.e[:p])
+	clear(row)
+	row[p-1] = 1
+	if err := SymTridEigen(d, e, row, p, 1); err != nil {
+		ritzChecksLastRow.Inc()
+		return false // the full solve runs the same QL iterations
+	}
+	r2, scale := ws.worstResidual(d, row, p-1, p, cnt, k)
+	bound := tol * scale
+	if r2 > bound*bound && !math.IsInf(r2, 1) && finite(d) && finite(row) && finite(ws.offres[:p]) {
+		ritzChecksLastRow.Inc()
+		return false
 	}
 	ritzChecksFull.Inc()
 	if ws.ritzVectors(p) != nil {
 		return false
 	}
-	r2, scale := ws.worstResidual(ws.d[:p], ws.z[:p*p], 0, p, cnt, k)
-	bound := tol * scale
+	r2, scale = ws.worstResidual(ws.d[:p], ws.z[:p*p], 0, p, cnt, k)
+	bound = tol * scale
 	return !(r2 > bound*bound)
-}
-
-// rowsLastCoupled reports whether the residual rows couple to the
-// processed prefix only through its last column: H[r][c] == 0 for every
-// row r in [p, cnt) and column c < p−1. It costs O((cnt−p)·p).
-func (ws *Workspace) rowsLastCoupled(p, cnt int) bool {
-	m := ws.m
-	for r := p; r < cnt; r++ {
-		for _, x := range ws.h[r*m : r*m+p-1] {
-			if x != 0 {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // finite reports whether every value of v is finite.
@@ -302,8 +275,8 @@ func finite(v []float64) bool {
 // is relative to (1 when every Ritz value is zero). z holds rows
 // first..p−1 of the Ritz coordinate vectors (row-major, p columns):
 // first is 0 for the full solve, p−1 for the last row, which is exact
-// only when the rows before first carry no coupling (rowsLastCoupled and
-// no remainder before p−1), and a lower bound when only remainders do.
+// when no remainder precedes p−1 (the residual rows never couple before
+// it) and a lower bound otherwise.
 // A NaN residual never displaces a finite one. It allocates nothing.
 func (ws *Workspace) worstResidual(d, z []float64, first, p, cnt, k int) (r2max, scale float64) {
 	for _, v := range d {

@@ -77,7 +77,7 @@ func TestLanczosEigenvalueMultiplicityThree(t *testing.T) {
 	// a degenerate eigenspace orthogonality is entirely the solver's
 	// doing (any basis of the eigenspace has zero residual).
 	for j := 0; j < k; j++ {
-		v := dec.Vector(j)
+		v := vector(dec, j)
 		if r := Residual(a, dec.Values[j], v); r > 1e-7 {
 			t.Errorf("residual for eigenpair %d = %g (λ=%g)", j, r, dec.Values[j])
 		}
@@ -85,28 +85,9 @@ func TestLanczosEigenvalueMultiplicityThree(t *testing.T) {
 			t.Errorf("eigenvector %d not unit norm: off by %g", j, d)
 		}
 		for l := j + 1; l < k; l++ {
-			if d := math.Abs(linalg.Dot(v, dec.Vector(l))); d > 1e-10 {
+			if d := math.Abs(linalg.Dot(v, vector(dec, l))); d > 1e-10 {
 				t.Errorf("eigenvectors %d,%d not orthogonal: dot=%g", j, l, d)
 			}
-		}
-	}
-
-	// A warm-seeded re-solve from the converged Ritz block must resolve
-	// the same degenerate triples (the warm path skips the random seeds
-	// the cold path relied on, so degeneracy handling must not depend on
-	// which seeding produced the basis).
-	blk := make([][]float64, k)
-	for j := range blk {
-		blk[j] = dec.Vector(j)
-	}
-	warm, err := Lanczos(context.Background(), a, k, LanczosOptions{Seed: 5, StartBlock: blk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < k; j++ {
-		if d := math.Abs(warm.Values[j] - ref.Values[j]); d > 1e-8 {
-			t.Errorf("warm eigenvalue %d = %.12g, dense reference %.12g (off by %g)",
-				j, warm.Values[j], ref.Values[j], d)
 		}
 	}
 }

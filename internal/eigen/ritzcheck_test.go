@@ -25,25 +25,26 @@ func oracleCheck(ws *Workspace, p, cnt, k int, tol float64) (ok bool, r2, scale 
 type checkTrace struct {
 	stop          int  // processed columns when the loop ended
 	solved        bool // the last check passed
-	rowChecks     int  // checks on a basis the last row can decide (rowsLastCoupled)
-	rowOpen       int  // rowChecks with residual rows left (cnt > p)
 	lastRow, full int  // checks failed by the last row, and checks that accumulated
 	failFast      int  // last-row failures with a remainder before column p−1
-	rowPasses     int  // passing checks among rowChecks
+	passes        int  // passing checks
 	tailCoupled   int  // last-row failures with offres[p−1] ≠ 0 (basis cap)
 	restarts      int  // invariant-subspace restarts
 }
 
 // traceChecks runs lanczos' column loop under tol and, at every check
-// column, holds the production check to oracleCheck. The counters tell
-// how each check decided. A check that accumulated must leave the
-// oracle's r² and scale, bit for bit, in ws.d and ws.z. A check failed
-// by the last row must leave, in the last-row scratch, the oracle's
-// scale and an r² above the bound and no larger than the oracle's, bit
-// for bit the oracle's when no remainder precedes column p−1. The
-// verdicts must match. Under convergenceTol it also requires the traced
-// solve to return Lanczos' values and residual bits, which pins the
-// trace, and so the stopping column, to the production loop.
+// column, holds the production check to oracleCheck. It first asserts
+// the invariant the last-row bound rests on: the residual rows couple to
+// the processed prefix only through its last column (H[r][c] == 0 for r
+// in [p, cnt) and c < p−1). The counters tell how each check decided. A
+// check that accumulated must leave the oracle's r² and scale, bit for
+// bit, in ws.d and ws.z. A check failed by the last row must leave, in
+// the last-row scratch, the oracle's scale and an r² above the bound and
+// no larger than the oracle's, bit for bit the oracle's when no
+// remainder precedes column p−1. The verdicts must match. Under
+// convergenceTol it also requires the traced solve to return Lanczos'
+// values and residual bits, which pins the trace, and so the stopping
+// column, to the production loop.
 func traceChecks(tb testing.TB, a Op, k int, opts LanczosOptions, tol float64) checkTrace {
 	tb.Helper()
 	n := a.Dim()
@@ -52,7 +53,8 @@ func traceChecks(tb testing.TB, a Op, k int, opts LanczosOptions, tol float64) c
 	ws := &Workspace{}
 	ws.reset(n, m)
 	var tr checkTrace
-	cnt := ws.seedBasis(opts.StartBlock, &rng)
+	randUnitInto(&rng, ws.q[0])
+	cnt := 1
 	for tr.stop < cnt && !tr.solved {
 		j, before := tr.stop, cnt
 		cnt = ws.advance(a, j, cnt, &rng)
@@ -64,13 +66,17 @@ func traceChecks(tb testing.TB, a Op, k int, opts LanczosOptions, tol float64) c
 		if p < k+2 || p%8 != 0 {
 			continue
 		}
+		for r := p; r < cnt; r++ {
+			if c := slices.IndexFunc(ws.h[r*m:r*m+p-1], func(x float64) bool { return x != 0 }); c >= 0 {
+				tb.Fatalf("n=%d k=%d p=%d: residual row %d couples to column %d < p−1", n, k, p, r, c)
+			}
+		}
 		wantOK, wantR2, wantScale, wantErr := oracleCheck(ws, p, cnt, k, tol)
-		rowBasis := ws.rowsLastCoupled(p, cnt)
 		lastRow, full := ritzChecksLastRow.Value(), ritzChecksFull.Value()
 		tr.solved = ws.converged(p, cnt, k, tol)
 		byRow, accumulated := ritzChecksLastRow.Value()-lastRow, ritzChecksFull.Value()-full
-		if byRow+accumulated != 1 || (byRow == 1 && !rowBasis) {
-			tb.Fatalf("n=%d k=%d p=%d: counted %d last_row and %d full checks (last-row basis %v)", n, k, p, byRow, accumulated, rowBasis)
+		if byRow+accumulated != 1 {
+			tb.Fatalf("n=%d k=%d p=%d: counted %d last_row and %d full checks", n, k, p, byRow, accumulated)
 		}
 		if tr.solved != wantOK {
 			tb.Fatalf("n=%d k=%d p=%d: verdict %v, oracle %v", n, k, p, tr.solved, wantOK)
@@ -98,14 +104,8 @@ func traceChecks(tb testing.TB, a Op, k int, opts LanczosOptions, tol float64) c
 		}
 		tr.lastRow += int(byRow)
 		tr.full += int(accumulated)
-		if rowBasis {
-			tr.rowChecks++
-			if cnt > p {
-				tr.rowOpen++
-			}
-			if tr.solved {
-				tr.rowPasses++
-			}
+		if tr.solved {
+			tr.passes++
 		}
 	}
 	if tol != convergenceTol {
@@ -167,22 +167,19 @@ func componentsLaplacian(tb testing.TB, sizes []int) CSROp {
 }
 
 // TestRitzCheckMatchesFullSolve holds the convergence check to the full
-// re-solve at every check column (traceChecks) on four shapes of basis:
-// cold, StartBlock-seeded (a last-row basis only at the cap), disconnected with
-// invariant-subspace restarts and deflation remainders, and n ≤ m with
-// the basis cap reached, where offres[p−1] ≠ 0. Each shape runs under
-// the production tolerance (also tying the trace to Lanczos), a loose
-// one that passes early and one that never passes.
+// re-solve at every check column (traceChecks) on three shapes of basis:
+// cold, disconnected with invariant-subspace restarts and deflation
+// remainders, and n ≤ m with the basis cap reached, where offres[p−1] ≠ 0.
+// Each shape runs under the production tolerance (also tying the trace
+// to Lanczos), a loose one that passes early and one that never passes.
 func TestRitzCheckMatchesFullSolve(t *testing.T) {
 	rng := linalg.RNGFromState(26)
-	var cold, seeded, disc, capped checkTrace
+	var cold, disc, capped checkTrace
 	add := func(sum *checkTrace, tr checkTrace) {
-		sum.rowChecks += tr.rowChecks
-		sum.rowOpen += tr.rowOpen
 		sum.lastRow += tr.lastRow
 		sum.full += tr.full
 		sum.tailCoupled += tr.tailCoupled
-		sum.rowPasses += tr.rowPasses
+		sum.passes += tr.passes
 		sum.failFast += tr.failFast
 		sum.restarts += tr.restarts
 	}
@@ -198,14 +195,7 @@ func TestRitzCheckMatchesFullSolve(t *testing.T) {
 		ops := []Op{randomSym(n, seed), gapOp{n: max(n, 90), gap: 6}}
 		for _, tol := range tols {
 			for _, op := range ops {
-				kk := min(k, op.Dim()-2)
-				add(&cold, traceChecks(t, op, kk, LanczosOptions{Seed: seed}, tol))
-				block := make([][]float64, 2+rng.Intn(3))
-				for i := range block {
-					block[i] = make([]float64, op.Dim())
-					randUnitInto(&rng, block[i])
-				}
-				add(&seeded, traceChecks(t, op, kk, LanczosOptions{Seed: seed, StartBlock: block}, tol))
+				add(&cold, traceChecks(t, op, min(k, op.Dim()-2), LanczosOptions{Seed: seed}, tol))
 			}
 			sizes := make([]int, 2+rng.Intn(5))
 			for i := range sizes {
@@ -217,12 +207,9 @@ func TestRitzCheckMatchesFullSolve(t *testing.T) {
 			add(&capped, traceChecks(t, randomSym(nc, seed+100), min(12, nc-2), LanczosOptions{Seed: seed}, tol))
 		}
 	}
-	t.Logf("cold %+v, seeded %+v, disconnected %+v, capped %+v", cold, seeded, disc, capped)
-	if cold.lastRow == 0 || cold.rowPasses == 0 {
-		t.Errorf("vacuous: cold bases made %d checks failed by the last row, %d passing last-row-basis checks", cold.lastRow, cold.rowPasses)
-	}
-	if seeded.rowOpen != 0 || seeded.full == 0 {
-		t.Errorf("seeded bases made %d last-row-basis checks with residual rows and %d accumulating checks, want a last-row basis only once no residual row is left", seeded.rowOpen, seeded.full)
+	t.Logf("cold %+v, disconnected %+v, capped %+v", cold, disc, capped)
+	if cold.lastRow == 0 || cold.passes == 0 {
+		t.Errorf("vacuous: cold bases made %d checks failed by the last row, %d passing checks", cold.lastRow, cold.passes)
 	}
 	if disc.failFast == 0 {
 		t.Error("vacuous: no check on a deflation remainder failed by the last row")
@@ -294,10 +281,7 @@ func TestSymTridEigenRowSubsets(t *testing.T) {
 
 // TestRitzChecksCounted reads the path counters around a cold solve,
 // whose failing checks fail by the last row and whose one accumulating
-// check is its stop; a seeded one that converges early, which
-// accumulates at every check; and a seeded one that runs into the basis
-// cap, whose last check sees the cap's remainder before column p−1 and
-// fails by the last row, so it counts under last_row too.
+// check is its stop.
 func TestRitzChecksCounted(t *testing.T) {
 	op := randomSym(120, 5)
 	lastRow, full := ritzChecksLastRow.Value(), ritzChecksFull.Value()
@@ -306,25 +290,5 @@ func TestRitzChecksCounted(t *testing.T) {
 	}
 	if ritzChecksLastRow.Value() == lastRow || ritzChecksFull.Value() != full+1 {
 		t.Fatalf("cold solve: last_row %d → %d, full %d → %d, want one full check", lastRow, ritzChecksLastRow.Value(), full, ritzChecksFull.Value())
-	}
-	full = ritzChecksFull.Value()
-	rng := linalg.RNGFromState(5)
-	block := [][]float64{make([]float64, 120), make([]float64, 120)}
-	for _, b := range block {
-		randUnitInto(&rng, b)
-	}
-	lastRow = ritzChecksLastRow.Value()
-	if _, err := Lanczos(context.Background(), gapOp{n: 120, gap: 6}, 4, LanczosOptions{Seed: 1, StartBlock: block}); err != nil {
-		t.Fatal(err)
-	}
-	if ritzChecksFull.Value() == full || ritzChecksLastRow.Value() != lastRow {
-		t.Fatalf("seeded solve: last_row %d → %d, full %d → %d", lastRow, ritzChecksLastRow.Value(), full, ritzChecksFull.Value())
-	}
-	full = ritzChecksFull.Value()
-	if _, err := Lanczos(context.Background(), op, 4, LanczosOptions{Seed: 1, StartBlock: block}); err != nil {
-		t.Fatal(err)
-	}
-	if ritzChecksFull.Value() == full || ritzChecksLastRow.Value() == lastRow {
-		t.Fatalf("capped seeded solve: last_row %d → %d, full %d → %d", lastRow, ritzChecksLastRow.Value(), full, ritzChecksFull.Value())
 	}
 }

@@ -9,11 +9,11 @@ import (
 )
 
 // Workspace holds every scratch buffer a block Lanczos run needs — the
-// basis (seed block plus Krylov expansions), the iteration vectors, the
-// dense Rayleigh matrix H = QᵀAQ with its Ritz solve scratch, and the
-// column assembly buffer — so repeated eigensolves (sweep after sweep,
-// request after request) reuse memory instead of reallocating O(m·n)
-// per call.
+// basis (start vector, Krylov expansions and restarts), the iteration
+// vectors, the dense Rayleigh matrix H = QᵀAQ with its Ritz solve
+// scratch, and the column assembly buffer — so repeated eigensolves
+// (sweep after sweep, request after request) reuse memory instead of
+// reallocating O(m·n) per call.
 //
 // Ownership and reset rules (the memory-discipline contract of
 // docs/PERFORMANCE.md):
@@ -98,27 +98,6 @@ func (ws *Workspace) footprint() int {
 	return 8 * floats
 }
 
-// seedBasis stages the start of the basis and returns its row count:
-// the block's rows, orthonormalized in order (rows of the wrong length or
-// degenerate ones dropped, at most m kept), else one deterministic
-// random vector drawn from rng.
-func (ws *Workspace) seedBasis(block [][]float64, rng *linalg.RNG) int {
-	cnt := 0
-	for _, s := range block {
-		if len(s) != ws.n || cnt == ws.m {
-			continue
-		}
-		if ws.seed(s, cnt) {
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		randUnitInto(rng, ws.q[0])
-		cnt = 1
-	}
-	return cnt
-}
-
 // advance processes basis column j of a cnt-row basis and returns the new
 // row count. The column contributes one operator application, one
 // Rayleigh-matrix column (H[i][j] = the first orthogonalization pass's
@@ -194,34 +173,20 @@ func (ws *Workspace) orthogonalize(v []float64, cnt, col int) {
 	}
 }
 
-// seed stages vector s as basis row cnt (admit). It reports whether the
-// direction survived — a zero vector or one (numerically) dependent on
-// earlier rows is rejected.
-func (ws *Workspace) seed(s []float64, cnt int) bool {
-	copy(ws.q[cnt], s)
-	return ws.admit(cnt)
-}
-
 // restartRows installs a fresh deterministic random direction orthogonal
-// to basis rows 0..cnt-1 as row cnt, for the invariant-subspace restart
-// and for cold-start blocks. It reports whether a usable direction was
-// found within five attempts.
+// to basis rows 0..cnt-1 as row cnt, for the invariant-subspace restart:
+// a candidate survives when it keeps a norm above 1e-8 after
+// orthogonalization. It reports whether one did within five attempts; a
+// rejected candidate leaves row cnt as scratch.
 func (ws *Workspace) restartRows(rng *linalg.RNG, cnt int) bool {
 	for attempt := 0; attempt < 5; attempt++ {
 		randUnitInto(rng, ws.q[cnt])
-		if ws.admit(cnt) {
+		ws.orthogonalize(ws.q[cnt], cnt, -1)
+		if linalg.Normalize(ws.q[cnt]) > 1e-8 {
 			return true
 		}
 	}
 	return false
-}
-
-// admit orthogonalizes the candidate staged in basis row cnt against
-// rows 0..cnt-1 and normalizes it, reporting whether it kept a norm above
-// 1e-8. A rejected candidate leaves row cnt as scratch.
-func (ws *Workspace) admit(cnt int) bool {
-	ws.orthogonalize(ws.q[cnt], cnt, -1)
-	return linalg.Normalize(ws.q[cnt]) > 1e-8
 }
 
 // Workspace pool: Lanczos draws from here. It is a single shared slot,

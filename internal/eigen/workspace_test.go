@@ -118,8 +118,7 @@ func TestLanczosStepAllocFree(t *testing.T) {
 	rng := linalg.RNGFromState(99)
 	randUnitInto(&rng, ws.q[0])
 	for cnt := 1; cnt < 6; cnt++ { // a few rows, so the fused sweeps chain
-		randUnitInto(&rng, ws.w)
-		if !ws.seed(ws.w, cnt) {
+		if !ws.restartRows(&rng, cnt) {
 			t.Fatal("random row rejected")
 		}
 	}
@@ -229,8 +228,7 @@ func TestOrthogonalizeMatchesUnfused(t *testing.T) {
 			}
 		}
 		// Grow both bases by the same random row.
-		randUnitInto(&rng, fused.col)
-		if !fused.seed(fused.col, cnt) {
+		if !fused.restartRows(&rng, cnt) {
 			t.Fatal("random row rejected")
 		}
 		copy(plain.q[cnt], fused.q[cnt])

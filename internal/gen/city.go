@@ -49,37 +49,72 @@ func City(cfg CityConfig) (*roadnet.Network, error) {
 		jitter = 0
 	}
 	rng := NewRNG(cfg.Seed)
+	place := func(r, c int) (x, y float64) {
+		x = float64(c)*spacing + jitter*spacing*(2*rng.Float64()-1)
+		y = float64(r)*spacing + jitter*spacing*(2*rng.Float64()-1)
+		return x, y
+	}
+	// Keep every road when the target allows, down to the spanning-tree
+	// floor otherwise; promote roads to two-way for a target above the
+	// road count, at most all of them.
+	budget := func(roads, tree int) (keep, twoWay int) {
+		target := cfg.TargetSegments
+		if target <= 0 {
+			target = roads
+		}
+		keep = roads
+		switch {
+		case target < roads:
+			keep = max(target, tree)
+		case target > roads:
+			twoWay = min(target-roads, roads)
+		}
+		return keep, twoWay
+	}
+	return lattice(ni, rng, place, budget)
+}
 
-	// Lattice shape: near-square, carving the tail of the last row.
-	cols := int(math.Ceil(math.Sqrt(float64(ni))))
-	rows := (ni + cols - 1) / cols
-	// Node (r, c) exists iff r*cols+c < ni.
+// latticeShape returns the near-square lattice that holds ni
+// intersections with the tail of its last row carved away: node (r, c)
+// exists iff r*cols+c < ni, so the row-major ids r*cols+c are exactly
+// 0..ni-1.
+func latticeShape(ni int) (rows, cols int) {
+	cols = int(math.Ceil(math.Sqrt(float64(ni))))
+	return (ni + cols - 1) / cols, cols
+}
+
+// lattice builds the city network both generators share, on the ni-node
+// lattice of latticeShape. place positions node (r, c) and is called in
+// row-major order. Physical roads join lattice neighbours; a union–find
+// spanning tree marks the roads that must survive; budget turns the road
+// and tree counts into how many roads to keep and how many of those to
+// promote to two-way. rng then removes random non-tree roads and promotes
+// random kept ones, in that order, and one-way roads alternate direction
+// by lattice row/column parity like real downtown grids.
+func lattice(ni int, rng *RNG, place func(r, c int) (x, y float64), budget func(roads, tree int) (keep, twoWay int)) (*roadnet.Network, error) {
+	rows, cols := latticeShape(ni)
 	exists := func(r, c int) bool {
 		return r >= 0 && c >= 0 && r < rows && c < cols && r*cols+c < ni
 	}
 	id := func(r, c int) int { return r*cols + c }
 
-	net := &roadnet.Network{}
+	net := &roadnet.Network{Intersections: make([]roadnet.Intersection, 0, ni)}
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if !exists(r, c) {
 				continue
 			}
-			net.Intersections = append(net.Intersections, roadnet.Intersection{
-				ID: id(r, c),
-				X:  float64(c)*spacing + jitter*spacing*(2*rng.Float64()-1),
-				Y:  float64(r)*spacing + jitter*spacing*(2*rng.Float64()-1),
-			})
+			x, y := place(r, c)
+			net.Intersections = append(net.Intersections, roadnet.Intersection{ID: id(r, c), X: x, Y: y})
 		}
 	}
 
-	// Physical roads between lattice neighbors.
 	type road struct {
 		a, b       int
 		horizontal bool
 		r, c       int // lattice position of endpoint a
 	}
-	var roads []road
+	roads := make([]road, 0, 2*ni)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if !exists(r, c) {
@@ -94,14 +129,11 @@ func City(cfg CityConfig) (*roadnet.Network, error) {
 		}
 	}
 
-	// Spanning tree over the roads (union–find) to know which roads are
-	// removable without disconnecting the city.
 	parent := make([]int, ni)
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -121,28 +153,8 @@ func City(cfg CityConfig) (*roadnet.Network, error) {
 	if treeCount != ni-1 {
 		return nil, fmt.Errorf("gen: internal error: lattice not connected (%d tree edges for %d nodes)", treeCount, ni)
 	}
+	keep, twoWay := budget(len(roads), treeCount)
 
-	// Decide how many roads to keep and how many become two-way.
-	target := cfg.TargetSegments
-	if target <= 0 {
-		target = len(roads)
-	}
-	keep := len(roads)
-	twoWay := 0
-	switch {
-	case target < len(roads):
-		keep = target
-		if keep < treeCount {
-			keep = treeCount // connectivity floor
-		}
-	case target > len(roads):
-		twoWay = target - len(roads)
-		if twoWay > len(roads) {
-			twoWay = len(roads) // everything two-way is the ceiling
-		}
-	}
-
-	// Remove random non-tree roads until only `keep` remain.
 	removed := make([]bool, len(roads))
 	var removable []int
 	for i := range roads {
@@ -155,7 +167,6 @@ func City(cfg CityConfig) (*roadnet.Network, error) {
 		removed[removable[perm[i]]] = true
 	}
 
-	// Promote random kept roads to two-way.
 	var kept []int
 	for i := range roads {
 		if !removed[i] {
@@ -168,24 +179,19 @@ func City(cfg CityConfig) (*roadnet.Network, error) {
 		isTwoWay[kept[perm[i]]] = true
 	}
 
-	// Emit directed segments. One-way roads alternate direction by lattice
-	// row/column parity like real downtown grids.
-	pos := make(map[int][2]float64, ni)
+	px := make([]float64, ni)
+	py := make([]float64, ni)
 	for _, p := range net.Intersections {
-		pos[p.ID] = [2]float64{p.X, p.Y}
+		px[p.ID], py[p.ID] = p.X, p.Y
 	}
-	dist := func(a, b int) float64 {
-		pa, pb := pos[a], pos[b]
-		dx, dy := pa[0]-pb[0], pa[1]-pb[1]
-		d := math.Hypot(dx, dy)
+	net.Segments = make([]roadnet.Segment, 0, keep+twoWay)
+	addSeg := func(from, to int) {
+		d := math.Hypot(px[from]-px[to], py[from]-py[to])
 		if d < 1 {
 			d = 1
 		}
-		return d
-	}
-	addSeg := func(from, to int) {
 		net.Segments = append(net.Segments, roadnet.Segment{
-			ID: len(net.Segments), From: from, To: to, Length: dist(from, to),
+			ID: len(net.Segments), From: from, To: to, Length: d,
 		})
 	}
 	for i, rd := range roads {
@@ -206,15 +212,6 @@ func City(cfg CityConfig) (*roadnet.Network, error) {
 		}
 	}
 
-	// Intersection IDs must equal their slice index; the carve keeps
-	// row-major order so only a remap of IDs is needed when the lattice is
-	// rectangular-with-carve (ids are already dense row-major: position
-	// r*cols+c < ni, so they are exactly 0..ni-1 in order).
-	for i := range net.Intersections {
-		if net.Intersections[i].ID != i {
-			return nil, fmt.Errorf("gen: internal error: non-dense intersection ids")
-		}
-	}
 	if err := net.Validate(); err != nil {
 		return nil, fmt.Errorf("gen: generated network invalid: %w", err)
 	}

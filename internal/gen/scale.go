@@ -96,20 +96,12 @@ func ScaleTier(t Tier, seed uint64) (*roadnet.Network, error) {
 	}
 	rng := NewRNG(seed)
 
-	// Lattice shape, as in City: near-square with the tail of the last
-	// row carved away so the intersection count is hit exactly.
-	cols := int(math.Ceil(math.Sqrt(float64(ni))))
-	rows := (ni + cols - 1) / cols
-	exists := func(r, c int) bool {
-		return r >= 0 && c >= 0 && r < rows && c < cols && r*cols+c < ni
-	}
-	id := func(r, c int) int { return r*cols + c }
-
 	// Heavy-tailed geometry: each row and column carries its own
 	// log-normal pitch (median 80 m, σ = 0.9), so block lengths span
 	// roughly an order of magnitude like the empirical length
 	// distributions, while the lattice stays planar.
 	const pitchMedian, pitchSigma = 80.0, 0.9
+	rows, cols := latticeShape(ni)
 	colX := make([]float64, cols)
 	rowY := make([]float64, rows)
 	for c := 1; c < cols; c++ {
@@ -118,142 +110,17 @@ func ScaleTier(t Tier, seed uint64) (*roadnet.Network, error) {
 	for r := 1; r < rows; r++ {
 		rowY[r] = rowY[r-1] + pitchMedian*math.Exp(pitchSigma*rng.NormFloat64())
 	}
-
-	net := &roadnet.Network{Intersections: make([]roadnet.Intersection, 0, ni)}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if !exists(r, c) {
-				continue
-			}
-			net.Intersections = append(net.Intersections, roadnet.Intersection{
-				ID: id(r, c),
-				X:  colX[c] + 0.1*pitchMedian*(2*rng.Float64()-1),
-				Y:  rowY[r] + 0.1*pitchMedian*(2*rng.Float64()-1),
-			})
-		}
+	place := func(r, c int) (x, y float64) {
+		x = colX[c] + 0.1*pitchMedian*(2*rng.Float64()-1)
+		y = rowY[r] + 0.1*pitchMedian*(2*rng.Float64()-1)
+		return x, y
 	}
-
-	type road struct {
-		a, b       int
-		horizontal bool
-		r, c       int
-	}
-	roads := make([]road, 0, 2*ni)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if !exists(r, c) {
-				continue
-			}
-			if exists(r, c+1) {
-				roads = append(roads, road{a: id(r, c), b: id(r, c+1), horizontal: true, r: r, c: c})
-			}
-			if exists(r+1, c) {
-				roads = append(roads, road{a: id(r, c), b: id(r+1, c), r: r, c: c})
-			}
-		}
-	}
-
-	// Spanning tree (union–find) marks the roads that must survive the
-	// degree thinning.
-	parent := make([]int, ni)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	tree := make([]bool, len(roads))
-	treeCount := 0
-	for i, rd := range roads {
-		ra, rb := find(rd.a), find(rd.b)
-		if ra != rb {
-			parent[ra] = rb
-			tree[i] = true
-			treeCount++
-		}
-	}
-	if treeCount != ni-1 {
-		return nil, fmt.Errorf("gen: internal error: lattice not connected (%d tree edges for %d nodes)", treeCount, ni)
-	}
-
 	// Degree law: keep 1.55·ni roads so the mean intersection degree is
 	// 2·keep/ni ≈ 3.1; promote 30% of them to two-way, putting the
 	// directed segment count at ≈ 2.015·ni.
-	keep := int(1.55 * float64(ni))
-	if keep < treeCount {
-		keep = treeCount
+	budget := func(roads, tree int) (keep, twoWay int) {
+		keep = min(max(int(1.55*float64(ni)), tree), roads)
+		return keep, int(0.30 * float64(keep))
 	}
-	if keep > len(roads) {
-		keep = len(roads)
-	}
-	twoWay := int(0.30 * float64(keep))
-
-	removed := make([]bool, len(roads))
-	var removable []int
-	for i := range roads {
-		if !tree[i] {
-			removable = append(removable, i)
-		}
-	}
-	perm := rng.Perm(len(removable))
-	for i := 0; i < len(roads)-keep && i < len(removable); i++ {
-		removed[removable[perm[i]]] = true
-	}
-
-	var kept []int
-	for i := range roads {
-		if !removed[i] {
-			kept = append(kept, i)
-		}
-	}
-	isTwoWay := make([]bool, len(roads))
-	perm = rng.Perm(len(kept))
-	for i := 0; i < twoWay && i < len(kept); i++ {
-		isTwoWay[kept[perm[i]]] = true
-	}
-
-	// Dense intersection ids let position lookup be a slice, which
-	// matters at the XL tier's half-million intersections.
-	px := make([]float64, ni)
-	py := make([]float64, ni)
-	for _, p := range net.Intersections {
-		px[p.ID], py[p.ID] = p.X, p.Y
-	}
-	net.Segments = make([]roadnet.Segment, 0, keep+twoWay)
-	addSeg := func(from, to int) {
-		d := math.Hypot(px[from]-px[to], py[from]-py[to])
-		if d < 1 {
-			d = 1
-		}
-		net.Segments = append(net.Segments, roadnet.Segment{
-			ID: len(net.Segments), From: from, To: to, Length: d,
-		})
-	}
-	for i, rd := range roads {
-		if removed[i] {
-			continue
-		}
-		from, to := rd.a, rd.b
-		if rd.horizontal {
-			if rd.r%2 == 1 {
-				from, to = to, from
-			}
-		} else if rd.c%2 == 1 {
-			from, to = to, from
-		}
-		addSeg(from, to)
-		if isTwoWay[i] {
-			addSeg(to, from)
-		}
-	}
-
-	if err := net.Validate(); err != nil {
-		return nil, fmt.Errorf("gen: generated network invalid: %w", err)
-	}
-	return net, nil
+	return lattice(ni, rng, place, budget)
 }

@@ -16,8 +16,10 @@ import (
 // documented default, so Config{} is a working (memory-only) setup.
 type Config struct {
 	// Workers bounds concurrently executing attempts. 0 selects 2.
-	// Job concurrency is deliberately independent of the HTTP admission
-	// controller: the pool is the async path's admission.
+	// Each attempt's compute then takes a slot of the daemon's HTTP
+	// admission controller, like a synchronous request, so a saturated
+	// server fails the attempt and the retry backoff spreads its return
+	// (docs/ARCHITECTURE.md § Jobs dataflow).
 	Workers int
 	// QueueDepth bounds active (non-terminal) jobs; submissions beyond
 	// it fail with ErrQueueFull (HTTP 429). 0 selects 64.
