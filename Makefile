@@ -188,7 +188,9 @@ chaos-smoke:
 # TestSubsetComponentsMatchesStampedSplit,
 # TestQuotientAdjacencyMatchesOracle), the bounded component walk
 # (TestGroupComponentsBoundedWalk), the fused reorthogonalization sweep
-# (TestOrthogonalizeMatchesUnfused, TestAxpyDotMatchesAxpyThenDot), the
+# (TestOrthogonalizeMatchesUnfused, TestAxpyDotMatchesAxpyThenDot), its
+# chunk-ordered fold at workers 1, 2 and 3 (TestSweepMatchesChunkOracle,
+# TestOrthogonalizeWorkerIndependent, TestLanczosWorkerIndependent), the
 # last-row Ritz check against the full re-solve and its path counters
 # (TestRitzCheckMatchesFullSolve, TestRitzCheckFixtureStops,
 # TestSymTridEigenRowSubsets, TestRitzChecksCounted), the
@@ -203,8 +205,8 @@ numerics-check:
 	$(GO) test -run '^TestGeneratorDigests$$' ./internal/gen
 	$(GO) test -run '^(TestGroupComponentsMatchesClosureWalk|TestGroupComponentsBoundedWalk|TestSubsetComponentsMatchesStampedSplit)$$' ./internal/graph
 	$(GO) test -run '^TestQuotientAdjacencyMatchesOracle$$' ./internal/metrics
-	$(GO) test -run '^(TestOrthogonalizeMatchesUnfused|TestRitzCheckMatchesFullSolve|TestRitzCheckFixtureStops|TestSymTridEigenRowSubsets|TestRitzChecksCounted|TestLanczosWSDirtyWorkspaceBitIdentical)$$' ./internal/eigen
-	$(GO) test -run '^TestAxpyDotMatchesAxpyThenDot$$' ./internal/linalg
+	$(GO) test -run '^(TestOrthogonalizeMatchesUnfused|TestOrthogonalizeWorkerIndependent|TestLanczosWorkerIndependent|TestRitzCheckMatchesFullSolve|TestRitzCheckFixtureStops|TestSymTridEigenRowSubsets|TestRitzChecksCounted|TestLanczosWSDirtyWorkspaceBitIdentical)$$' ./internal/eigen
+	$(GO) test -run '^(TestAxpyDotMatchesAxpyThenDot|TestSweepMatchesChunkOracle)$$' ./internal/linalg
 
 # docs-check fails on gofmt drift, vet findings, broken relative links
 # in the repository's Markdown, or a package path in a quoted `go run`/

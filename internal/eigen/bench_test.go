@@ -3,6 +3,8 @@ package eigen
 import (
 	"context"
 	"testing"
+
+	"roadpart/internal/linalg"
 )
 
 func BenchmarkSymEigen200(b *testing.B) {
@@ -35,7 +37,17 @@ func BenchmarkLanczosRing5k(b *testing.B) {
 // of a 128-node operator (a weighted 16×8 grid Laplacian), small enough
 // that the periodic convergence checks, not the matvecs, dominate.
 func BenchmarkLanczosCold(b *testing.B) {
-	const w, h = 16, 8
+	op := gridLaplacian(b, 16, 8)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Lanczos(context.Background(), op, 12, LanczosOptions{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// gridLaplacian returns the Laplacian of a weighted w×h grid graph.
+func gridLaplacian(tb testing.TB, w, h int) CSROp {
 	var entries []symEntry
 	deg := make([]float64, w*h)
 	for i := range deg {
@@ -52,12 +64,31 @@ func BenchmarkLanczosCold(b *testing.B) {
 	for i, d := range deg {
 		entries = append(entries, symEntry{i, i, d})
 	}
-	op := CSROp{symCSR(b, w*h, entries)}
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := Lanczos(context.Background(), op, 12, LanczosOptions{Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
+	return CSROp{symCSR(tb, w*h, entries)}
+}
+
+// BenchmarkLanczosScale is the perfbench scale solve's shape: 16 pairs
+// (k=8 plus headroom) of a 25,600-node operator, a weighted 160×160 grid
+// Laplacian whose clustered low spectrum fills the 94-column basis, as
+// the M-tier α-Cut operator does. workers=1 is the serial sweep;
+// workers=GOMAXPROCS splits the reorthogonalization and the Ritz-vector
+// assembly over linalg.Team spans.
+func BenchmarkLanczosScale(b *testing.B) {
+	op := gridLaplacian(b, 160, 160)
+	defer linalg.SetWorkers(0)
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=GOMAXPROCS", 0}} {
+		b.Run(tc.name, func(b *testing.B) {
+			linalg.SetWorkers(tc.workers)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Lanczos(context.Background(), op, 16, LanczosOptions{Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -8,12 +8,12 @@ import (
 	"roadpart/internal/obs"
 )
 
-// Workspace holds every scratch buffer a block Lanczos run needs — the
-// basis (start vector, Krylov expansions and restarts), the iteration
-// vectors, the dense Rayleigh matrix H = QᵀAQ with its Ritz solve
-// scratch, and the column assembly buffer — so repeated eigensolves
-// (sweep after sweep, request after request) reuse memory instead of
-// reallocating O(m·n) per call.
+// Workspace holds every scratch buffer a Lanczos run needs — the basis
+// (start vector, Krylov expansions and restart rows), the iteration
+// vectors, the orthogonalization's per-chunk partial sums, the dense
+// Rayleigh matrix H = QᵀAQ with its Ritz solve scratch, and the column
+// assembly buffers — so repeated eigensolves (sweep after sweep, request
+// after request) reuse memory instead of reallocating O(m·n) per call.
 //
 // Ownership and reset rules (the memory-discipline contract of
 // docs/PERFORMANCE.md):
@@ -45,7 +45,8 @@ type Workspace struct {
 	row    []float64   // last-row check coordinates, capacity m
 	rowD   []float64   // last-row check Ritz values, capacity m
 	rowE   []float64   // last-row check tridiagonal scratch, capacity m
-	col    []float64   // Ritz column assembly buffer, length n
+	part   []float64   // per-chunk partial sums of the orthogonalization
+	col    []float64   // Ritz column assembly buffers, n per team span
 }
 
 // reset sizes the workspace for an order-n operator and an m-column
@@ -79,6 +80,7 @@ func (ws *Workspace) reset(n, m int) {
 	ws.row = grow(ws.row, m)
 	ws.rowD = grow(ws.rowD, m)
 	ws.rowE = grow(ws.rowE, m)
+	ws.part = grow(ws.part, (n+linalg.ChunkLen-1)/linalg.ChunkLen)
 }
 
 // grow returns s resized to length n, reallocating only when the
@@ -94,7 +96,7 @@ func grow(s []float64, n int) []float64 {
 // pool's bytes-reused accounting.
 func (ws *Workspace) footprint() int {
 	floats := cap(ws.kryl) + cap(ws.w) + cap(ws.col) + cap(ws.h) + cap(ws.offres) +
-		cap(ws.d) + cap(ws.e) + cap(ws.z) + cap(ws.row) + cap(ws.rowD) + cap(ws.rowE)
+		cap(ws.d) + cap(ws.e) + cap(ws.z) + cap(ws.row) + cap(ws.rowD) + cap(ws.rowE) + cap(ws.part)
 	return 8 * floats
 }
 
@@ -144,16 +146,21 @@ func (ws *Workspace) columnStep(a Op, j, cnt int) float64 {
 // are recorded as Rayleigh-matrix column col, mirrored so H stays
 // symmetric.
 //
-// Each subtraction and the next coefficient share one sweep over v
-// (linalg.AxpyDot), so the two passes read v 2·cnt+1 times instead of
-// 4·cnt. Every coefficient and every element of v is the same float as
-// in the unfused Axpy-then-Dot loop (docs/NUMERICS.md § Determinism).
+// Each subtraction and the next coefficient share one step of a
+// linalg.Sweep, so the two passes read v 2·cnt+1 times instead of
+// 4·cnt. Every coefficient is a chunk-ordered fold (linalg.ChunkLen),
+// which from two full chunks up runs on the linalg worker cap. Every
+// coefficient and every element of v is the same float as in the
+// unfused Axpy-then-Dot loop with chunk-ordered dots, for any worker
+// count (docs/NUMERICS.md § Determinism).
 func (ws *Workspace) orthogonalize(v []float64, cnt, col int) {
 	if cnt == 0 {
 		return
 	}
 	m := ws.m
-	c := linalg.Dot(v, ws.q[0])
+	sw := linalg.StartSweep(v, ws.part)
+	defer sw.Stop()
+	c := sw.Dot(ws.q[0])
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < cnt; i++ {
 			if pass == 0 && col >= 0 {
@@ -163,12 +170,12 @@ func (ws *Workspace) orthogonalize(v []float64, cnt, col int) {
 			next := i + 1
 			if next == cnt {
 				if pass == 1 {
-					linalg.Axpy(-c, ws.q[i], v)
+					sw.Axpy(-c, ws.q[i])
 					return
 				}
 				next = 0
 			}
-			c = linalg.AxpyDot(-c, ws.q[i], v, ws.q[next])
+			c = sw.AxpyDot(-c, ws.q[i], ws.q[next])
 		}
 	}
 }

@@ -2,9 +2,11 @@ package eigen
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -176,15 +178,28 @@ func TestLanczosConcurrentPooledIdentical(t *testing.T) {
 	}
 }
 
+// chunkDot is linalg.Dot as a chunk-ordered fold: Dot over each
+// linalg.ChunkLen-element chunk, the partials added left to right. At
+// n <= ChunkLen it is linalg.Dot.
+func chunkDot(x, y []float64) float64 {
+	s := linalg.Dot(x[:min(linalg.ChunkLen, len(x))], y[:min(linalg.ChunkLen, len(y))])
+	for lo := linalg.ChunkLen; lo < len(x); lo += linalg.ChunkLen {
+		hi := min(lo+linalg.ChunkLen, len(x))
+		s += linalg.Dot(x[lo:hi], y[lo:hi])
+	}
+	return s
+}
+
 // oracleOrthogonalize is the unfused two-pass modified Gram–Schmidt loop
-// the fused orthogonalize replaced, kept verbatim: a Dot then an Axpy
-// per basis row, twice, recording the first pass's coefficients as
-// Rayleigh-matrix column col when col >= 0.
+// the fused orthogonalize replaced, with chunk-ordered dots: a Dot then
+// an Axpy per basis row, twice, recording the first pass's coefficients
+// as Rayleigh-matrix column col when col >= 0. At n <= linalg.ChunkLen
+// it is the unfused loop verbatim.
 func oracleOrthogonalize(ws *Workspace, v []float64, cnt, col int) {
 	m := ws.m
 	for i := 0; i < cnt; i++ {
 		qi := ws.q[i]
-		c := linalg.Dot(v, qi)
+		c := chunkDot(v, qi)
 		if col >= 0 {
 			ws.h[i*m+col] = c
 			ws.h[col*m+i] = c
@@ -193,46 +208,133 @@ func oracleOrthogonalize(ws *Workspace, v []float64, cnt, col int) {
 	}
 	for i := 0; i < cnt; i++ {
 		qi := ws.q[i]
-		linalg.Axpy(-linalg.Dot(v, qi), qi, v)
+		linalg.Axpy(-chunkDot(v, qi), qi, v)
+	}
+}
+
+// orthogonalizeCase fills ws.w with a fixed non-unit, non-uniform vector
+// and orthogonalizes it against the first cnt basis rows.
+func orthogonalizeCase(ws *Workspace, seed uint64, cnt, col int, oracle bool) {
+	rng := linalg.RNGFromState(seed)
+	randUnitInto(&rng, ws.w)
+	for i := range ws.w {
+		ws.w[i] *= 1 + float64(i%7)
+	}
+	if oracle {
+		oracleOrthogonalize(ws, ws.w, cnt, col)
+	} else {
+		ws.orthogonalize(ws.w, cnt, col)
+	}
+}
+
+// sameBits fails unless v and H of the two workspaces are equal bit for
+// bit.
+func sameBits(t *testing.T, what string, got, want *Workspace) {
+	t.Helper()
+	for i := range got.w {
+		if math.Float64bits(got.w[i]) != math.Float64bits(want.w[i]) {
+			t.Fatalf("%s: v[%d] = %v, want %v", what, i, got.w[i], want.w[i])
+		}
+	}
+	for i := range got.h {
+		if math.Float64bits(got.h[i]) != math.Float64bits(want.h[i]) {
+			t.Fatalf("%s: H[%d] = %v, want %v", what, i, got.h[i], want.h[i])
+		}
 	}
 }
 
 // TestOrthogonalizeMatchesUnfused pins the fused reorthogonalization to
-// the unfused loops bit for bit — every element of the orthogonalized
-// vector and every recorded Rayleigh coefficient — for basis sizes from
-// empty to a dozen rows, with and without an H column.
+// the unfused loops with chunk-ordered dots bit for bit — every element
+// of the orthogonalized vector and every recorded Rayleigh coefficient —
+// for basis sizes from empty to a dozen rows, with and without an H
+// column, on one chunk (where the oracle is today's unfused loop) and on
+// four, under the default worker cap.
 func TestOrthogonalizeMatchesUnfused(t *testing.T) {
-	const n, m = 97, 14
-	rng := linalg.RNGFromState(5)
-	fused, plain := &Workspace{}, &Workspace{}
-	fused.reset(n, m)
-	plain.reset(n, m)
-	for cnt := 0; cnt < 12; cnt++ {
-		for _, col := range []int{-1, cnt} {
-			randUnitInto(&rng, fused.w)
-			for i := range fused.w {
-				fused.w[i] *= 1 + float64(i%7) // not unit, not uniform
+	const m = 14
+	for _, n := range []int{97, 3*linalg.ChunkLen + 17} {
+		rng := linalg.RNGFromState(5)
+		fused, plain := &Workspace{}, &Workspace{}
+		fused.reset(n, m)
+		plain.reset(n, m)
+		for cnt := 0; cnt < 12; cnt++ {
+			for _, col := range []int{-1, cnt} {
+				seed := uint64(100*cnt + col + 1)
+				orthogonalizeCase(fused, seed, cnt, col, false)
+				orthogonalizeCase(plain, seed, cnt, col, true)
+				sameBits(t, fmt.Sprintf("n=%d cnt=%d col=%d", n, cnt, col), fused, plain)
 			}
-			copy(plain.w, fused.w)
-			fused.orthogonalize(fused.w, cnt, col)
-			oracleOrthogonalize(plain, plain.w, cnt, col)
-			for i := range fused.w {
-				if math.Float64bits(fused.w[i]) != math.Float64bits(plain.w[i]) {
-					t.Fatalf("cnt=%d col=%d: v[%d] = %v, unfused %v", cnt, col, i, fused.w[i], plain.w[i])
-				}
+			// Grow both bases by the same random row.
+			if !fused.restartRows(&rng, cnt) {
+				t.Fatal("random row rejected")
 			}
-			for i := range fused.h {
-				if math.Float64bits(fused.h[i]) != math.Float64bits(plain.h[i]) {
-					t.Fatalf("cnt=%d col=%d: H[%d] = %v, unfused %v", cnt, col, i, fused.h[i], plain.h[i])
-				}
-			}
+			copy(plain.q[cnt], fused.q[cnt])
 		}
-		// Grow both bases by the same random row.
-		if !fused.restartRows(&rng, cnt) {
-			t.Fatal("random row rejected")
-		}
-		copy(plain.q[cnt], fused.q[cnt])
 	}
+}
+
+// withWorkers runs fn under linalg.SetWorkers(w) for w = 1, 2 and 3,
+// with GOMAXPROCS raised to at least 3 so that three spans really run.
+func withWorkers(t *testing.T, fn func(w int)) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(3, runtime.GOMAXPROCS(0))))
+	defer linalg.SetWorkers(0)
+	for _, w := range []int{1, 2, 3} {
+		linalg.SetWorkers(w)
+		fn(w)
+	}
+}
+
+// TestOrthogonalizeWorkerIndependent pins the orthogonalization's bits
+// across the chunk boundaries and the serial/parallel threshold: workers
+// 1, 2 and 3 give the same v and H, with and without an H column.
+func TestOrthogonalizeWorkerIndependent(t *testing.T) {
+	const m, cnt = 8, 6
+	for _, n := range []int{linalg.ChunkLen, linalg.ChunkLen + 1, 2*linalg.ChunkLen - 1, 2 * linalg.ChunkLen, 3*linalg.ChunkLen + 17} {
+		want := map[int]*Workspace{}
+		withWorkers(t, func(w int) {
+			ws := &Workspace{}
+			ws.reset(n, m)
+			rng := linalg.RNGFromState(uint64(n))
+			randUnitInto(&rng, ws.q[0])
+			for r := 1; r < cnt; r++ {
+				if !ws.restartRows(&rng, r) {
+					t.Fatal("random row rejected")
+				}
+			}
+			for _, col := range []int{-1, cnt} {
+				orthogonalizeCase(ws, 9, cnt, col, false)
+				if w == 1 {
+					want[col] = &Workspace{w: slices.Clone(ws.w), h: slices.Clone(ws.h)}
+					continue
+				}
+				sameBits(t, fmt.Sprintf("n=%d workers=%d col=%d", n, w, col), ws, want[col])
+			}
+		})
+	}
+}
+
+// TestLanczosWorkerIndependent solves on an operator of three chunks,
+// where the reorthogonalization and the Ritz-vector assembly both split
+// over the worker cap, and requires bit-identical decompositions under
+// SetWorkers 1, 2 and 3; workers 1 builds the Ritz vectors with the
+// serial column loop.
+func TestLanczosWorkerIndependent(t *testing.T) {
+	op := CSROp{M: pathOp(t, 2*linalg.ChunkLen+17)}
+	var want *Decomposition
+	withWorkers(t, func(w int) {
+		d, err := Lanczos(context.Background(), op, 6, LanczosOptions{Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = d
+			return
+		}
+		decompEqual(t, want, d)
+		if d.Residual != want.Residual {
+			t.Fatalf("workers=%d: residual %v, %v under 1", w, d.Residual, want.Residual)
+		}
+	})
 }
 
 // TestReleasedWorkspaceIsReused pins the shared slot: the next solve

@@ -23,14 +23,16 @@ var matvecCSR = obs.Default().Counter("roadpart_linalg_matvec_total",
 // serial.
 const csrMulVecCutoff = 2048
 
-// mulVecWorkers is the package-wide worker cap for MulVec kernels:
-// 0 selects GOMAXPROCS, 1 forces serial. Set once at startup via
-// SetWorkers; the kernels read it atomically.
+// mulVecWorkers is the package-wide worker cap for the MulVec kernels
+// and the Team spans: 0 selects GOMAXPROCS, 1 forces serial. Set once at
+// startup via SetWorkers; the kernels read it atomically.
 var mulVecWorkers atomic.Int32
 
-// SetWorkers caps the goroutines used by the row-parallel MulVec kernels.
-// 0 restores the default (GOMAXPROCS); 1 forces the serial path. Results
-// are bit-identical for every setting — this is purely a resource knob.
+// SetWorkers caps the goroutines used by the row-parallel MulVec kernels
+// and by a Team: the Lanczos reorthogonalization sweep (Sweep) and the
+// Ritz-vector assembly. 0 restores the default (GOMAXPROCS, which also
+// caps every Team); 1 forces the serial path. Results are bit-identical
+// for every setting — this is purely a resource knob.
 func SetWorkers(w int) {
 	if w < 0 {
 		w = 1
