@@ -32,7 +32,7 @@ func main() {
 		kmin    = flag.Int("kmin", 0, "minimum k (0 = paper default)")
 		kmax    = flag.Int("kmax", 0, "maximum k (0 = paper default)")
 		csvTo   = flag.String("csv", "", "directory to write plot-ready CSV series into (figures only)")
-		workers = flag.Int("workers", 0, "worker goroutines for parallel stages, the matvecs and the Lanczos reorthogonalization included (0 = GOMAXPROCS; medians are identical for any value)")
+		workers = flag.Int("workers", 0, "worker goroutines for parallel stages, the Lanczos reorthogonalization and Ritz assembly included (0 = GOMAXPROCS; medians are identical for any value)")
 		timings = flag.Bool("timings", false, "print the per-stage wall-clock breakdown after all experiments")
 	)
 	flag.Parse()

@@ -59,7 +59,7 @@ func main() {
 		kmax     = flag.Int("kmax", 12, "upper bound for -autok")
 		stabEps  = flag.Float64("stability", 0, "supernode stability threshold in [0,1] (0 = off)")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		workers  = flag.Int("workers", 0, "worker goroutines for parallel stages, the matvecs and the Lanczos reorthogonalization included (0 = GOMAXPROCS, 1 = serial; same result either way)")
+		workers  = flag.Int("workers", 0, "worker goroutines for parallel stages, the Lanczos reorthogonalization and Ritz assembly included (0 = GOMAXPROCS, 1 = serial; same result either way)")
 		mlevel   = flag.String("multilevel", "auto", "multilevel coarsening path: auto (engage above the node threshold), on, off (see docs/SCALING.md)")
 		timings  = flag.Bool("timings", false, "print the per-stage wall-clock breakdown (paper Table 3 layout)")
 		outPath  = flag.String("out", "", "write segment,partition CSV here")

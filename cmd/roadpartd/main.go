@@ -86,7 +86,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "default worker count for parallel stages; also caps the matvecs and the Lanczos reorthogonalization (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "default worker count for parallel stages; also caps the Lanczos reorthogonalization and Ritz assembly (0 = GOMAXPROCS)")
 	drain := flag.Duration("drain", 30*time.Second, "grace period for in-flight requests on shutdown")
 	withPprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 

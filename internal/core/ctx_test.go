@@ -20,7 +20,7 @@ import (
 //
 // Originally captured from the pre-context-propagation tree, these were
 // re-pinned exactly once, when the partitioner switched from the dense
-// eigensolver to the matrix-free block Lanczos solver (the invariance
+// eigensolver to the matrix-free Lanczos solver (the invariance
 // argument — same eigenspace, different basis rotation, identical
 // partitions after k-means canonicalization — is docs/NUMERICS.md
 // § Golden re-pinning policy; these hashes are the table of record

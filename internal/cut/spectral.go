@@ -52,9 +52,9 @@ type Options struct {
 	// DenseCutoff is retained for configuration-fingerprint compatibility
 	// (internal/resultcache hashes it) but no longer selects a solver:
 	// the partitioner is always matrix-free through eigen.RankOneOp and
-	// the block Lanczos iteration (docs/NUMERICS.md § The Lanczos
-	// variant). 0 still normalizes to 900, so existing fingerprints keep
-	// their meaning.
+	// the Lanczos iteration — one Krylov chain plus restart rows
+	// (docs/NUMERICS.md § The Lanczos variant). 0 still normalizes to
+	// 900, so existing fingerprints keep their meaning.
 	DenseCutoff int
 	// Reduction selects how k′ > k partitions are brought down to k.
 	Reduction Reduction

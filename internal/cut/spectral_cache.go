@@ -261,8 +261,9 @@ const sweepHeadroom = 8
 
 // decompose computes the k smallest eigenpairs of the method's matrix,
 // always matrix-free: every method is an eigen.RankOneOp-shaped operator
-// (or the normalized Laplacian for the ncut baseline) handed to the block
-// Lanczos solver — the α-Cut matrix is never materialized
+// (or the normalized Laplacian for the ncut baseline) handed to the
+// Lanczos solver (one Krylov chain plus restart rows, docs/NUMERICS.md
+// § The Lanczos variant) — the α-Cut matrix is never materialized
 // (docs/NUMERICS.md § The sparse-plus-rank-one matvec).
 func decompose(ctx context.Context, g *graph.Graph, k int, method Method, opts Options) (*eigen.Decomposition, error) {
 	adj, err := g.AdjacencyCSR()

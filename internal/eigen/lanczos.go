@@ -169,28 +169,36 @@ func lanczos(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Workspac
 }
 
 // assemble builds the k smallest Ritz vectors into vec (row-major, n×k)
-// from the p-column solve in ws.z. Below two full chunks it builds one
-// column at a time. From two full chunks up it splits the columns into
-// contiguous blocks on a linalg.Team, each column built whole by one
-// goroutine in its own n-element slice of ws.col, so every column has
-// the column loop's bits whatever the split.
+// from the p-column solve in ws.z, as one linalg.Team step: the columns
+// are split into contiguous blocks, one per span, each column built whole
+// by one goroutine in its span's n-element slice of ws.col, so every
+// column has the same bits whatever the split. Below two full chunks the
+// team is the serial one and its one span builds every column.
 func (ws *Workspace) assemble(vec []float64, k, p int) {
 	team := linalg.NewTeam(ws.n)
-	if team == nil {
-		ws.ritzColumns(ws.col, vec, 0, k, k, p)
-		return
-	}
 	defer team.Close()
 	ws.col = grow(ws.col, team.Spans()*ws.n)
-	team.Run(&ritzAssembly{ws: ws, vec: vec, k: k, p: p})
+	ws.ritz = ritzAssembly{ws: ws, vec: vec, k: k, p: p}
+	team.Run(&ws.ritz)
+	ws.ritz = ritzAssembly{} // a pooled workspace must not keep the output alive
 }
 
-// ritzColumns builds Ritz vectors lo..hi-1 of the k smallest into vec
-// (row-major, n×k): column j is Q·s_j from the Ritz coordinates in
-// ws.z, normalized, assembled in col (length n).
-func (ws *Workspace) ritzColumns(col, vec []float64, lo, hi, k, p int) {
-	z := ws.z[:p*p]
-	for j := lo; j < hi; j++ {
+// ritzAssembly is the Ritz-vector assembly as one linalg.Team step: span
+// s builds a contiguous block of columns. It lives in the Workspace, so
+// handing it to the team allocates nothing.
+type ritzAssembly struct {
+	ws   *Workspace
+	vec  []float64
+	k, p int
+}
+
+// Span builds Ritz vectors s·k/spans … (s+1)·k/spans−1 of the k smallest
+// into vec: column j is Q·s_j from the Ritz coordinates in ws.z,
+// normalized, assembled in span s's slice of ws.col.
+func (ra *ritzAssembly) Span(s, spans int) {
+	ws, k, p := ra.ws, ra.k, ra.p
+	col, z := ws.col[s*ws.n:(s+1)*ws.n], ws.z[:p*p]
+	for j := s * k / spans; j < (s+1)*k/spans; j++ {
 		for i := range col {
 			col[i] = 0
 		}
@@ -199,22 +207,9 @@ func (ws *Workspace) ritzColumns(col, vec []float64, lo, hi, k, p int) {
 		}
 		linalg.Normalize(col)
 		for i, c := range col {
-			vec[i*k+j] = c
+			ra.vec[i*k+j] = c
 		}
 	}
-}
-
-// ritzAssembly is the parallel Ritz-vector assembly as one linalg.Team
-// step: span s builds a contiguous block of columns.
-type ritzAssembly struct {
-	ws   *Workspace
-	vec  []float64
-	k, p int
-}
-
-func (ra *ritzAssembly) Span(s, spans int) {
-	n := ra.ws.n
-	ra.ws.ritzColumns(ra.ws.col[s*n:(s+1)*n], ra.vec, s*ra.k/spans, (s+1)*ra.k/spans, ra.k, ra.p)
 }
 
 // reduce copies the p×p leading principal block of the Rayleigh matrix

@@ -47,6 +47,8 @@ type Workspace struct {
 	rowE   []float64   // last-row check tridiagonal scratch, capacity m
 	part   []float64   // per-chunk partial sums of the orthogonalization
 	col    []float64   // Ritz column assembly buffers, n per team span
+
+	ritz ritzAssembly // the Ritz assembly's team step
 }
 
 // reset sizes the workspace for an order-n operator and an m-column

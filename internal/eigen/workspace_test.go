@@ -16,7 +16,7 @@ import (
 )
 
 // pathOp builds the CSR adjacency of a weighted path graph for tests; its
-// size stays below the matvec parallel cutoff so Apply is serial.
+// size stays below two full chunks, so the sweeps run on the serial team.
 func pathOp(t *testing.T, n int) *linalg.CSR {
 	t.Helper()
 	var entries []symEntry

@@ -3,8 +3,6 @@ package linalg
 import (
 	"fmt"
 	"sort"
-
-	"roadpart/internal/parallel"
 )
 
 // CSR is a compressed-sparse-row matrix. It is immutable after
@@ -77,27 +75,15 @@ func (m *CSR) At(i, j int) float64 {
 // MulVec computes dst = m·x. dst and x must not alias.
 // It panics on dimension mismatch.
 //
-// Large matrices compute row-parallel (see SetWorkers); each row's
-// accumulation order is unchanged, so the result is bit-identical to the
-// serial loop for any worker count. The serial path (small matrices, or
-// Workers=1) allocates nothing — it is one of the pinned
-// allocation-free kernels of docs/PERFORMANCE.md.
+// It runs on the calling goroutine at every size and SetWorkers setting
+// and allocates nothing — it is one of the pinned allocation-free
+// kernels of docs/PERFORMANCE.md.
 func (m *CSR) MulVec(dst, x []float64) {
 	if len(x) != m.cols || len(dst) != m.rows {
 		panic(fmt.Sprintf("linalg: MulVec dims %dx%d with x[%d] dst[%d]", m.rows, m.cols, len(x), len(dst)))
 	}
 	matvecCSR.Inc()
-	if span := mulVecSpan(m.rows); span > 1 {
-		parallel.Blocks(m.rows, span, func(lo, hi int) { m.mulVecRange(dst, x, lo, hi) })
-		return
-	}
-	m.mulVecRange(dst, x, 0, m.rows)
-}
-
-// mulVecRange computes dst[lo:hi] of the product — the shared kernel of
-// the serial and row-parallel paths.
-func (m *CSR) mulVecRange(dst, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.rows; i++ {
 		var s float64
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
 			s += m.vals[k] * x[m.colIdx[k]]

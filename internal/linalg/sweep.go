@@ -25,7 +25,7 @@ func teamSpans(n int) int {
 	if n < 2*ChunkLen {
 		return 1
 	}
-	w := parallel.Resolve(int(mulVecWorkers.Load()), (n+ChunkLen-1)/ChunkLen)
+	w := parallel.Resolve(int(teamWorkers.Load()), (n+ChunkLen-1)/ChunkLen)
 	return min(w, runtime.GOMAXPROCS(0))
 }
 
@@ -47,6 +47,10 @@ type Spanner interface {
 // A Team is driven by one goroutine. Close releases the helpers without
 // waiting for them, since a helper that has not run yet would make that
 // wait the stall the claims avoid; a Team must not be used after it.
+//
+// A nil *Team is the serial team: one span, run on the calling
+// goroutine, so a caller has one code path whether NewTeam made a team
+// or not.
 type Team struct {
 	spans int
 	w     Spanner
@@ -61,10 +65,11 @@ type spanFlags struct {
 	_           [48]byte
 }
 
-// NewTeam returns a Team for steps over an n-element vector, or nil when
-// they should run serially: below two full chunks, under SetWorkers(1)
-// or with GOMAXPROCS 1. It starts one helper goroutine per span after
-// the first.
+// NewTeam returns a Team for steps over an n-element vector, or nil (the
+// serial team) when they should run serially: below two full chunks,
+// under SetWorkers(1) or with GOMAXPROCS 1. It starts one helper
+// goroutine per span after the first; it is the only place in this
+// package that starts goroutines.
 func NewTeam(n int) *Team {
 	spans := teamSpans(n)
 	if spans < 2 {
@@ -78,11 +83,20 @@ func NewTeam(n int) *Team {
 }
 
 // Spans returns the number of spans each step is split into.
-func (t *Team) Spans() int { return t.spans }
+func (t *Team) Spans() int {
+	if t == nil {
+		return 1
+	}
+	return t.spans
+}
 
 // Run does one step: w.Span(s, spans) for every span s, returning when
 // all of them have finished.
 func (t *Team) Run(w Spanner) {
+	if t == nil {
+		w.Span(0, 1)
+		return
+	}
 	t.w = w
 	st := t.step.Load() + 1
 	t.step.Store(st)
@@ -104,7 +118,11 @@ func (t *Team) Run(w Spanner) {
 
 // Close releases the helpers. A helper that has not started yet exits as
 // soon as it runs, touching nothing but the Team.
-func (t *Team) Close() { t.step.Store(-1) }
+func (t *Team) Close() {
+	if t != nil {
+		t.step.Store(-1)
+	}
+}
 
 // help is the loop of the helper for span s: it claims span s of every
 // step it sees published before the caller does, and exits on Close.
@@ -133,44 +151,41 @@ func (t *Team) help(s int) {
 // Sweep is the Gram–Schmidt sweep of one vector y: a chain of steps,
 // each y += a·x fused with the inner product of the updated y with the
 // next basis row z. Every inner product is a chunk-ordered fold over
-// ChunkLen-element chunks. From two full chunks up, the chunks are split
-// into contiguous spans on a Team, one barrier per step; the partials
-// and their fold do not depend on the span count, so every step's bits
-// are the serial sweep's for any SetWorkers setting.
+// ChunkLen-element chunks. A step computes the chunks' partial sums as
+// the spans of a Team, or as the one span of the serial team, and folds
+// them left to right; the partials and their fold do not depend on the
+// span count, so every step's bits are the same for any SetWorkers
+// setting.
 //
-// The serial path allocates nothing. The parallel path allocates its
-// Team and one helper goroutine per extra span when it starts.
+// The serial sweep allocates nothing: its step lives in the Sweep. A
+// parallel sweep allocates its Team, one helper goroutine per extra
+// span and the copy of the step its helpers read when it starts.
 type Sweep struct {
-	y    []float64
-	team *sweepTeam // nil: every step runs on the calling goroutine
+	cur    sweepStep  // the current step; the serial sweep runs it in place
+	team   *Team      // nil: the serial team
+	shared *sweepStep // the team's copy of cur, read by its helpers
 }
 
-// sweepTeam is a Sweep's parallel state: the Team and the current step.
-type sweepTeam struct {
-	*Team
+// sweepStep is one step of a sweep over y, a Spanner over the chunks.
+type sweepStep struct {
 	y, part []float64
 	a       float64
 	x, z    []float64 // nil x: no update; nil z: no reduction
 }
 
-// StartSweep starts a sweep over y. part holds the per-chunk partial
-// sums of the parallel path and needs at least ⌈len(y)/ChunkLen⌉
-// elements; its contents are overwritten. Call Stop when the sweep is
-// done.
+// StartSweep starts a sweep over the non-empty vector y. part holds the
+// per-chunk partial sums and needs at least ⌈len(y)/ChunkLen⌉ elements;
+// its contents are overwritten. Call Stop when the sweep is done.
 func StartSweep(y, part []float64) Sweep {
-	sw := Sweep{y: y}
+	sw := Sweep{cur: sweepStep{y: y, part: part[:(len(y)+ChunkLen-1)/ChunkLen]}}
 	if t := NewTeam(len(y)); t != nil {
-		sw.team = &sweepTeam{Team: t, y: y, part: part[:(len(y)+ChunkLen-1)/ChunkLen]}
+		sw.team, sw.shared = t, new(sweepStep)
 	}
 	return sw
 }
 
 // Stop releases the sweep's helper goroutines, if any.
-func (sw *Sweep) Stop() {
-	if sw.team != nil {
-		sw.team.Close()
-	}
-}
+func (sw *Sweep) Stop() { sw.team.Close() }
 
 // Dot returns the chunk-ordered inner product y·z.
 func (sw *Sweep) Dot(z []float64) float64 { return sw.step(0, nil, z) }
@@ -184,33 +199,27 @@ func (sw *Sweep) AxpyDot(a float64, x, z []float64) float64 { return sw.step(a, 
 func (sw *Sweep) Axpy(a float64, x []float64) { sw.step(a, x, nil) }
 
 func (sw *Sweep) step(a float64, x, z []float64) float64 {
-	n := len(sw.y)
-	if (x != nil && len(x) != n) || (z != nil && len(z) != n) {
+	st := &sw.cur
+	if n := len(st.y); (x != nil && len(x) != n) || (z != nil && len(z) != n) {
 		panic(fmt.Sprintf("linalg: Sweep length mismatch %d, %d, %d", len(x), n, len(z)))
 	}
-	if st := sw.team; st != nil {
-		st.a, st.x, st.z = a, x, z
-		st.Run(st)
-		s := st.part[0]
-		for _, p := range st.part[1:] {
-			s += p
-		}
-		return s
+	st.a, st.x, st.z = a, x, z
+	// Handing cur itself to the team would move every Sweep to the heap.
+	if sw.team == nil {
+		st.Span(0, 1)
+	} else {
+		*sw.shared = *st
+		sw.team.Run(sw.shared)
 	}
-	var s float64
-	for lo := 0; lo < n; lo += ChunkLen {
-		p := chunkStep(a, x, sw.y, z, lo, min(lo+ChunkLen, n))
-		if lo == 0 {
-			s = p
-		} else {
-			s += p
-		}
+	s := st.part[0]
+	for _, p := range st.part[1:] {
+		s += p
 	}
 	return s
 }
 
 // Span runs the current step on the chunks of span s.
-func (st *sweepTeam) Span(s, spans int) {
+func (st *sweepStep) Span(s, spans int) {
 	n, chunks := len(st.y), len(st.part)
 	for c := s * chunks / spans; c < (s+1)*chunks/spans; c++ {
 		lo := c * ChunkLen

@@ -131,15 +131,14 @@ func (c *countSpans) Span(s, spans int) { c.runs[c.step][s].Add(1) }
 // TestTeamRunsEverySpanOnce runs many short steps, so the caller often
 // claims spans its helpers have not reached, and checks that every span
 // of every step ran exactly once and that Close releases the helpers.
+// Under SetWorkers(1) the team is the serial (nil) one, whose one span
+// runs on the caller.
 func TestTeamRunsEverySpanOnce(t *testing.T) {
 	base := runtime.NumGoroutine()
 	withWorkers(t, func(w int) {
 		team := NewTeam(4 * ChunkLen)
-		if w == 1 {
-			if team != nil {
-				t.Fatal("SetWorkers(1) made a team")
-			}
-			return
+		if w == 1 && team != nil {
+			t.Fatal("SetWorkers(1) made a team")
 		}
 		if team.Spans() != w {
 			t.Fatalf("workers=%d: %d spans", w, team.Spans())

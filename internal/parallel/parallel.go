@@ -1,9 +1,10 @@
 // Package parallel provides the small, deterministic, bounded worker
 // pools used by the partitioning hot paths: the k-sweep in core, the
-// row-parallel matvec kernels in linalg, the k-means restarts and the
-// experiments fan-out. It implements no paper section itself — it is the
-// execution substrate under all three modules of the paper's framework
-// (Figure 2), added for the production-scale goals in ROADMAP.md.
+// k-means restarts and the experiments fan-out (the Lanczos kernels in
+// linalg split their steps on a linalg.Team instead). It implements no
+// paper section itself — it is the execution substrate under all three
+// modules of the paper's framework (Figure 2), added for the
+// production-scale goals in ROADMAP.md.
 //
 // Design rules, in priority order:
 //
@@ -149,34 +150,4 @@ func MapCtx[T any](ctx context.Context, n, workers int, fn func(i int) (T, error
 		return nil, err
 	}
 	return out, nil
-}
-
-// Blocks splits [0, n) into at most `workers` contiguous spans and runs
-// fn(lo, hi) for each, blocking until all return. It is the grain for
-// row-parallel kernels: each row is written by exactly one goroutine and
-// per-row arithmetic order is unchanged, so results are bit-identical to
-// the serial loop for any worker count.
-func Blocks(n, workers int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	workers = Resolve(workers, n)
-	if workers == 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

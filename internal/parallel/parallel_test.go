@@ -93,39 +93,6 @@ func TestMapError(t *testing.T) {
 	}
 }
 
-func TestBlocksCoverExactly(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8, 64} {
-		const n = 103
-		var hits [n]atomic.Int32
-		Blocks(n, workers, func(lo, hi int) {
-			if lo >= hi {
-				t.Errorf("empty block [%d,%d)", lo, hi)
-			}
-			for i := lo; i < hi; i++ {
-				hits[i].Add(1)
-			}
-		})
-		for i := range hits {
-			if c := hits[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: index %d covered %d times", workers, i, c)
-			}
-		}
-	}
-}
-
-func TestBlocksSerialSingleSpan(t *testing.T) {
-	calls := 0
-	Blocks(10, 1, func(lo, hi int) {
-		calls++
-		if lo != 0 || hi != 10 {
-			t.Fatalf("serial block [%d,%d)", lo, hi)
-		}
-	})
-	if calls != 1 {
-		t.Fatalf("serial Blocks made %d calls", calls)
-	}
-}
-
 func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []int {
 		out, err := MapCtx(context.Background(), 64, workers, func(i int) (int, error) { return i*31 + 7, nil })

@@ -67,7 +67,7 @@ func withDelta(f []float64, d roadnet.DensityDelta) []float64 {
 // for D1 and M1 under AG and ASG. The literal hashes were captured from
 // the retired from-scratch engine and also pin today's output against
 // silent drift in any upstream stage. Re-pinned exactly once with the
-// switch to the matrix-free block Lanczos solver (docs/NUMERICS.md
+// switch to the matrix-free Lanczos solver (docs/NUMERICS.md
 // § Golden re-pinning policy).
 var trackerGoldens = map[string]uint64{
 	"D1/AG":  0x2c456561038494e5,
