@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"roadpart/internal/experiments"
-	"roadpart/internal/linalg"
 	"roadpart/internal/obs"
 )
 
@@ -32,11 +31,10 @@ func main() {
 		kmin    = flag.Int("kmin", 0, "minimum k (0 = paper default)")
 		kmax    = flag.Int("kmax", 0, "maximum k (0 = paper default)")
 		csvTo   = flag.String("csv", "", "directory to write plot-ready CSV series into (figures only)")
-		workers = flag.Int("workers", 0, "worker goroutines for parallel stages, the Lanczos reorthogonalization and Ritz assembly included (0 = GOMAXPROCS; medians are identical for any value)")
+		workers = flag.Int("workers", 0, "worker goroutines for parallel stages; the pipelines under a per-seed, per-scheme or per-dataset fan-out run serial, the Lanczos solve included (0 = GOMAXPROCS; medians are identical for any value)")
 		timings = flag.Bool("timings", false, "print the per-stage wall-clock breakdown after all experiments")
 	)
 	flag.Parse()
-	linalg.SetWorkers(*workers)
 	if *csvTo != "" {
 		if err := os.MkdirAll(*csvTo, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -118,7 +116,7 @@ func main() {
 				func() (*experiments.AblationData, error) { return experiments.AblationWeighting(opts, 0) },
 				func() (*experiments.AblationData, error) { return experiments.AblationReduction(opts, 0) },
 				func() (*experiments.AblationData, error) { return experiments.AblationRefine(opts, 0) },
-				func() (*experiments.AblationData, error) { return experiments.AblationEigen(0) },
+				func() (*experiments.AblationData, error) { return experiments.AblationEigen(opts, 0) },
 				func() (*experiments.AblationData, error) { return experiments.AblationNoise(opts, 0) },
 				func() (*experiments.AblationData, error) { return experiments.AblationKMeansInit(opts, 0) },
 			} {

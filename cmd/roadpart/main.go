@@ -40,7 +40,6 @@ import (
 
 	"roadpart/internal/core"
 	"roadpart/internal/experiments"
-	"roadpart/internal/linalg"
 	"roadpart/internal/obs"
 	"roadpart/internal/render"
 	"roadpart/internal/resultcache"
@@ -111,7 +110,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	linalg.SetWorkers(*workers)
 	cfg := core.Config{K: *k, Scheme: scheme, StabilityEps: *stabEps, Seed: *seed, Workers: *workers, Multilevel: multilevel}
 
 	p, err := core.NewPipeline(net, cfg)

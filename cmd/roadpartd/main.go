@@ -80,13 +80,12 @@ import (
 	"time"
 
 	"roadpart/internal/core"
-	"roadpart/internal/linalg"
 	"roadpart/internal/server"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "default worker count for parallel stages; also caps the Lanczos reorthogonalization and Ritz assembly (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "default worker count for each request's parallel stages, the Lanczos reorthogonalization and Ritz assembly included; a request's workers field overrides it (0 = GOMAXPROCS, 1 = serial)")
 	drain := flag.Duration("drain", 30*time.Second, "grace period for in-flight requests on shutdown")
 	withPprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
@@ -144,7 +143,6 @@ func main() {
 	if len(peerURLs) > 0 && *self == "" {
 		log.Fatalf("roadpartd: -peers requires -self (the daemon must know its own base URL to find itself on the ring)")
 	}
-	linalg.SetWorkers(*workers)
 	svc, err := server.NewService(server.Config{
 		Workers:           *workers,
 		Multilevel:        *multilevel,

@@ -136,9 +136,10 @@ type Config struct {
 	// Seed drives all randomized stages.
 	Seed uint64
 	// Workers bounds the goroutines used by the parallel stages (the
-	// k-sweep fan-out and the k-means restarts beneath each partition):
-	// 0 selects GOMAXPROCS, 1 forces serial execution. Results are
-	// bit-identical for every worker count at the same Seed.
+	// k-sweep fan-out, and beneath each partition the Lanczos solve's
+	// team and the k-means restarts): 0 selects GOMAXPROCS, 1 forces
+	// serial execution. Results are bit-identical for every worker count
+	// at the same Seed.
 	Workers int
 	// ColdWiden has no effect: every spectral solve starts cold from
 	// Seed (docs/NUMERICS.md § Headroom). It is kept for callers that

@@ -62,8 +62,8 @@ type Options struct {
 	// The degenerate α=0 (no balance term at all) is intentionally not
 	// expressible — it reduces the objective to a plain min-cut.
 	Alpha float64
-	// Workers bounds the goroutines used by the randomized stages
-	// (k-means restarts): 0 selects GOMAXPROCS, 1 forces serial. The
+	// Workers bounds the goroutines of the Lanczos solve's team and of
+	// the k-means restarts: 0 selects GOMAXPROCS, 1 forces serial. The
 	// partition produced is identical for every worker count at the same
 	// seed — this is purely a resource knob.
 	Workers int

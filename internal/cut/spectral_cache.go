@@ -283,5 +283,5 @@ func decompose(ctx context.Context, g *graph.Graph, k int, method Method, opts O
 	if err != nil {
 		return nil, err
 	}
-	return eigen.Lanczos(ctx, op, k, eigen.LanczosOptions{Seed: opts.Seed})
+	return eigen.Lanczos(ctx, op, k, eigen.LanczosOptions{Seed: opts.Seed, Workers: opts.Workers})
 }

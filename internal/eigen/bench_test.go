@@ -3,8 +3,6 @@ package eigen
 import (
 	"context"
 	"testing"
-
-	"roadpart/internal/linalg"
 )
 
 func BenchmarkSymEigen200(b *testing.B) {
@@ -70,21 +68,19 @@ func gridLaplacian(tb testing.TB, w, h int) CSROp {
 // BenchmarkLanczosScale is the perfbench scale solve's shape: 16 pairs
 // (k=8 plus headroom) of a 25,600-node operator, a weighted 160×160 grid
 // Laplacian whose clustered low spectrum fills the 94-column basis, as
-// the M-tier α-Cut operator does. workers=1 is the serial sweep;
+// the M-tier α-Cut operator does. workers=1 is the serial solve;
 // workers=GOMAXPROCS splits the reorthogonalization and the Ritz-vector
-// assembly over linalg.Team spans.
+// assembly over the spans of the solve's linalg.Team.
 func BenchmarkLanczosScale(b *testing.B) {
 	op := gridLaplacian(b, 160, 160)
-	defer linalg.SetWorkers(0)
 	for _, tc := range []struct {
 		name    string
 		workers int
 	}{{"workers=1", 1}, {"workers=GOMAXPROCS", 0}} {
 		b.Run(tc.name, func(b *testing.B) {
-			linalg.SetWorkers(tc.workers)
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := Lanczos(context.Background(), op, 16, LanczosOptions{Seed: 1}); err != nil {
+				if _, err := Lanczos(context.Background(), op, 16, LanczosOptions{Seed: 1, Workers: tc.workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

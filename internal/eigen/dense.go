@@ -88,7 +88,7 @@ func householder(v, d, e []float64, n int) {
 			// Generate the Householder vector.
 			for k := 0; k < i; k++ {
 				d[k] /= scale
-				h += d[k] * d[k]
+				h += float64(d[k] * d[k])
 			}
 			f := d[i-1]
 			g := math.Sqrt(h)
@@ -96,7 +96,7 @@ func householder(v, d, e []float64, n int) {
 				g = -g
 			}
 			e[i] = scale * g
-			h -= f * g
+			h -= float64(f * g)
 			d[i-1] = f - g
 			for j := 0; j < i; j++ {
 				e[j] = 0
@@ -106,27 +106,27 @@ func householder(v, d, e []float64, n int) {
 			for j := 0; j < i; j++ {
 				f = d[j]
 				v[j*n+i] = f
-				g = e[j] + v[j*n+j]*f
+				g = e[j] + float64(v[j*n+j]*f)
 				for k := j + 1; k <= i-1; k++ {
-					g += v[k*n+j] * d[k]
-					e[k] += v[k*n+j] * f
+					g += float64(v[k*n+j] * d[k])
+					e[k] += float64(v[k*n+j] * f)
 				}
 				e[j] = g
 			}
 			f = 0
 			for j := 0; j < i; j++ {
 				e[j] /= h
-				f += e[j] * d[j]
+				f += float64(e[j] * d[j])
 			}
 			hh := f / (h + h)
 			for j := 0; j < i; j++ {
-				e[j] -= hh * d[j]
+				e[j] -= float64(hh * d[j])
 			}
 			for j := 0; j < i; j++ {
 				f = d[j]
 				g = e[j]
 				for k := j; k <= i-1; k++ {
-					v[k*n+j] -= f*e[k] + g*d[k]
+					v[k*n+j] -= float64(f*e[k]) + float64(g*d[k])
 				}
 				d[j] = v[(i-1)*n+j]
 				v[i*n+j] = 0
@@ -156,10 +156,10 @@ func accumulate(v, d []float64, n int) {
 			for j := 0; j <= i; j++ {
 				var g float64
 				for k := 0; k <= i; k++ {
-					g += v[k*n+i+1] * v[k*n+j]
+					g += float64(v[k*n+i+1] * v[k*n+j])
 				}
 				for k := 0; k <= i; k++ {
-					v[k*n+j] -= g * d[k]
+					v[k*n+j] -= float64(g * d[k])
 				}
 			}
 		}

@@ -56,13 +56,17 @@ type LanczosOptions struct {
 	// invariant-subspace restart direction. The same seed always yields
 	// the same decomposition (docs/NUMERICS.md § Determinism).
 	Seed uint64
+	// Workers bounds the spans of the solve's linalg.Team: 0 selects
+	// GOMAXPROCS, 1 forces serial. The decomposition is bit-identical
+	// for every worker count.
+	Workers int
 }
 
 // Lanczos computes the k algebraically smallest eigenpairs of the symmetric
 // operator a with a Lanczos iteration: one Krylov chain from a random
 // start vector, plus restart rows when it exhausts an invariant
 // subspace, with full reorthogonalization against the whole basis (two
-// passes, split over the linalg worker cap on large operators), an
+// passes, split over opts.Workers on large operators), an
 // explicit dense Rayleigh–Ritz projection H = QᵀAQ solved by Householder
 // tridiagonalization + QL, and residual-based early termination. It
 // implements the eigensolver step of the paper's Algorithm 3 (line 5);
@@ -93,8 +97,9 @@ type LanczosOptions struct {
 //
 // Lanczos draws its scratch from the package workspace pool, so
 // steady-state serial runs allocate only the returned Decomposition. From
-// two full chunks (linalg.ChunkLen) up, each orthogonalization and the
-// Ritz-vector assembly also start a linalg.Team.
+// two full chunks (linalg.ChunkLen) up, at more than one worker, the
+// solve also starts one linalg.Team, which runs every orthogonalization
+// and the Ritz-vector assembly.
 func Lanczos(ctx context.Context, a Op, k int, opts LanczosOptions) (*Decomposition, error) {
 	return lanczos(ctx, a, k, opts, nil)
 }
@@ -122,6 +127,8 @@ func lanczos(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Workspac
 		defer putWorkspace(ws)
 	}
 	ws.reset(n, m)
+	ws.team = linalg.NewTeam(n, opts.Workers)
+	defer ws.stopTeam()
 
 	randUnitInto(&rng, ws.q[0])
 	cnt := 1
@@ -169,17 +176,15 @@ func lanczos(ctx context.Context, a Op, k int, opts LanczosOptions, ws *Workspac
 }
 
 // assemble builds the k smallest Ritz vectors into vec (row-major, n×k)
-// from the p-column solve in ws.z, as one linalg.Team step: the columns
-// are split into contiguous blocks, one per span, each column built whole
-// by one goroutine in its span's n-element slice of ws.col, so every
-// column has the same bits whatever the split. Below two full chunks the
-// team is the serial one and its one span builds every column.
+// from the p-column solve in ws.z, as one step of the solve's team: the
+// columns are split into contiguous blocks, one per span, each column
+// built whole by one goroutine in its span's n-element slice of ws.col,
+// so every column has the same bits whatever the split. On the serial
+// team its one span builds every column.
 func (ws *Workspace) assemble(vec []float64, k, p int) {
-	team := linalg.NewTeam(ws.n)
-	defer team.Close()
-	ws.col = grow(ws.col, team.Spans()*ws.n)
+	ws.col = grow(ws.col, ws.team.Spans()*ws.n)
 	ws.ritz = ritzAssembly{ws: ws, vec: vec, k: k, p: p}
-	team.Run(&ws.ritz)
+	ws.team.Run(&ws.ritz)
 	ws.ritz = ritzAssembly{} // a pooled workspace must not keep the output alive
 }
 
@@ -329,13 +334,13 @@ func (ws *Workspace) worstResidual(d, z []float64, first, p, cnt, k int) (r2max,
 			hr := ws.h[r*m+first : r*m+p]
 			dot := 0.0
 			for c, s := range hr {
-				dot += s * z[c*p+j]
+				dot += float64(s * z[c*p+j])
 			}
-			r2 += dot * dot
+			r2 += float64(dot * dot)
 		}
 		for c := first; c < p; c++ {
 			t := ws.offres[c] * z[(c-first)*p+j]
-			r2 += t * t
+			r2 += float64(t * t)
 		}
 		if r2 > r2max {
 			r2max = r2
@@ -348,7 +353,7 @@ func (ws *Workspace) worstResidual(d, z []float64, first, p, cnt, k int) (r2max,
 // overwriting any previous contents. It allocates nothing.
 func randUnitInto(rng *linalg.RNG, v []float64) {
 	for i := range v {
-		v[i] = 2*rng.Float64() - 1
+		v[i] = float64(2*rng.Float64()) - 1
 		if v[i] == 0 {
 			v[i] = 0.5
 		}

@@ -65,7 +65,7 @@ func (op *RankOneOp) Apply(dst, x []float64) {
 	op.A.MulVec(dst, x)
 	if op.Diag != nil {
 		for i := range dst {
-			dst[i] = op.Diag[i]*x[i] - dst[i]
+			dst[i] = float64(op.Diag[i]*x[i]) - dst[i]
 		}
 	} else {
 		for i := range dst {

@@ -17,6 +17,10 @@
 //
 // Both solvers return eigenvalues in ascending order with orthonormal
 // eigenvectors.
+//
+// As in package linalg, every product that feeds a sum is rounded with an
+// explicit float64(...), so no compiler fuses it into an FMA instruction
+// and the bits are the same on every platform (make fma-check).
 package eigen
 
 import (
@@ -111,17 +115,17 @@ func SymTridEigen(d, e []float64, z []float64, n, rows int) error {
 				for i := m - 1; i >= l; i-- {
 					c3, c2, s2 = c2, c, s
 					g = c * sub[i]
-					h = c * p
+					h = float64(c * p) // it feeds the sum for d[i+1]
 					r = pythag(p, sub[i])
 					sub[i+1] = s * r
 					s = sub[i] / r
 					c = p / r
-					p = c*d[i] - s*g
-					d[i+1] = h + s*(c*g+s*d[i])
+					p = float64(c*d[i]) - float64(s*g)
+					d[i+1] = h + float64(s*(float64(c*g)+float64(s*d[i])))
 					for k := 0; k < rows; k++ {
 						h := z[k*n+i+1]
-						z[k*n+i+1] = s*z[k*n+i] + c*h
-						z[k*n+i] = c*z[k*n+i] - s*h
+						z[k*n+i+1] = float64(s*z[k*n+i]) + float64(c*h)
+						z[k*n+i] = float64(c*z[k*n+i]) - float64(s*h)
 					}
 				}
 				p = -s * s2 * c3 * el1 * sub[l] / dl1
@@ -163,11 +167,11 @@ func pythag(a, b float64) float64 {
 	switch {
 	case aa > ab:
 		r := ab / aa
-		return aa * math.Sqrt(1+r*r)
+		return aa * math.Sqrt(1+float64(r*r))
 	case ab == 0:
 		return 0
 	default:
 		r := aa / ab
-		return ab * math.Sqrt(1+r*r)
+		return ab * math.Sqrt(1+float64(r*r))
 	}
 }

@@ -48,7 +48,9 @@ type Workspace struct {
 	part   []float64   // per-chunk partial sums of the orthogonalization
 	col    []float64   // Ritz column assembly buffers, n per team span
 
-	ritz ritzAssembly // the Ritz assembly's team step
+	team  *linalg.Team // the solve's team, nil between solves and when serial
+	sweep linalg.Sweep // the orthogonalization's team step
+	ritz  ritzAssembly // the Ritz assembly's team step
 }
 
 // reset sizes the workspace for an order-n operator and an m-column
@@ -83,6 +85,13 @@ func (ws *Workspace) reset(n, m int) {
 	ws.rowD = grow(ws.rowD, m)
 	ws.rowE = grow(ws.rowE, m)
 	ws.part = grow(ws.part, (n+linalg.ChunkLen-1)/linalg.ChunkLen)
+}
+
+// stopTeam closes the solve's team and clears it and the sweep that ran
+// on it, so a pooled workspace keeps neither alive.
+func (ws *Workspace) stopTeam() {
+	ws.team.Close()
+	ws.team, ws.sweep = nil, linalg.Sweep{}
 }
 
 // grow returns s resized to length n, reallocating only when the
@@ -149,19 +158,18 @@ func (ws *Workspace) columnStep(a Op, j, cnt int) float64 {
 // symmetric.
 //
 // Each subtraction and the next coefficient share one step of a
-// linalg.Sweep, so the two passes read v 2·cnt+1 times instead of
-// 4·cnt. Every coefficient is a chunk-ordered fold (linalg.ChunkLen),
-// which from two full chunks up runs on the linalg worker cap. Every
-// coefficient and every element of v is the same float as in the
-// unfused Axpy-then-Dot loop with chunk-ordered dots, for any worker
-// count (docs/NUMERICS.md § Determinism).
+// linalg.Sweep on the solve's team, so the two passes read v 2·cnt+1
+// times instead of 4·cnt. Every coefficient is a chunk-ordered fold
+// (linalg.ChunkLen). Every coefficient and every element of v is the
+// same float as in the unfused Axpy-then-Dot loop with chunk-ordered
+// dots, for any worker count (docs/NUMERICS.md § Determinism).
 func (ws *Workspace) orthogonalize(v []float64, cnt, col int) {
 	if cnt == 0 {
 		return
 	}
 	m := ws.m
-	sw := linalg.StartSweep(v, ws.part)
-	defer sw.Stop()
+	sw := &ws.sweep
+	sw.Start(ws.team, v, ws.part)
 	c := sw.Dot(ws.q[0])
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < cnt; i++ {

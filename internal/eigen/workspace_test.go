@@ -248,7 +248,7 @@ func sameBits(t *testing.T, what string, got, want *Workspace) {
 // of the orthogonalized vector and every recorded Rayleigh coefficient —
 // for basis sizes from empty to a dozen rows, with and without an H
 // column, on one chunk (where the oracle is today's unfused loop) and on
-// four, under the default worker cap.
+// four, on a team of GOMAXPROCS spans.
 func TestOrthogonalizeMatchesUnfused(t *testing.T) {
 	const m = 14
 	for _, n := range []int{97, 3*linalg.ChunkLen + 17} {
@@ -256,6 +256,8 @@ func TestOrthogonalizeMatchesUnfused(t *testing.T) {
 		fused, plain := &Workspace{}, &Workspace{}
 		fused.reset(n, m)
 		plain.reset(n, m)
+		fused.team = linalg.NewTeam(n, 0)
+		defer fused.stopTeam()
 		for cnt := 0; cnt < 12; cnt++ {
 			for _, col := range []int{-1, cnt} {
 				seed := uint64(100*cnt + col + 1)
@@ -272,14 +274,12 @@ func TestOrthogonalizeMatchesUnfused(t *testing.T) {
 	}
 }
 
-// withWorkers runs fn under linalg.SetWorkers(w) for w = 1, 2 and 3,
-// with GOMAXPROCS raised to at least 3 so that three spans really run.
+// withWorkers runs fn for the worker counts w = 1, 2 and 3, with
+// GOMAXPROCS raised to at least 3 so that three spans really run.
 func withWorkers(t *testing.T, fn func(w int)) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(3, runtime.GOMAXPROCS(0))))
-	defer linalg.SetWorkers(0)
 	for _, w := range []int{1, 2, 3} {
-		linalg.SetWorkers(w)
 		fn(w)
 	}
 }
@@ -294,6 +294,8 @@ func TestOrthogonalizeWorkerIndependent(t *testing.T) {
 		withWorkers(t, func(w int) {
 			ws := &Workspace{}
 			ws.reset(n, m)
+			ws.team = linalg.NewTeam(n, w)
+			defer ws.stopTeam()
 			rng := linalg.RNGFromState(uint64(n))
 			randUnitInto(&rng, ws.q[0])
 			for r := 1; r < cnt; r++ {
@@ -315,14 +317,13 @@ func TestOrthogonalizeWorkerIndependent(t *testing.T) {
 
 // TestLanczosWorkerIndependent solves on an operator of three chunks,
 // where the reorthogonalization and the Ritz-vector assembly both split
-// over the worker cap, and requires bit-identical decompositions under
-// SetWorkers 1, 2 and 3; workers 1 builds the Ritz vectors with the
-// serial column loop.
+// over the solve's team, and requires bit-identical decompositions at
+// workers 1, 2 and 3; workers 1 runs the whole solve on the serial team.
 func TestLanczosWorkerIndependent(t *testing.T) {
 	op := CSROp{M: pathOp(t, 2*linalg.ChunkLen+17)}
 	var want *Decomposition
 	withWorkers(t, func(w int) {
-		d, err := Lanczos(context.Background(), op, 6, LanczosOptions{Seed: 11})
+		d, err := Lanczos(context.Background(), op, 6, LanczosOptions{Seed: 11, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,6 +336,74 @@ func TestLanczosWorkerIndependent(t *testing.T) {
 			t.Fatalf("workers=%d: residual %v, %v under 1", w, d.Residual, want.Residual)
 		}
 	})
+}
+
+// TestParallelSolveAllocsFlat pins one team per solve: on the 8,209-node
+// path operator at two workers, a solve of 150 basis columns allocates
+// no more than one of 80, so no orthogonalization starts a team of its
+// own. It counts runtime.MemStats.Mallocs because testing.AllocsPerRun
+// runs at GOMAXPROCS 1, where no team starts.
+func TestParallelSolveAllocsFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six solves of an 8,209-node operator")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	op := CSROp{M: pathOp(t, 2*linalg.ChunkLen+17)}
+	ws := &Workspace{}
+	// solve returns the fewest allocations of three solves for k pairs,
+	// so a collection's finalizer or a grown buffer does not count, and
+	// the basis columns each processed.
+	solve := func(k int) (allocs uint64, columns int) {
+		allocs = math.MaxUint64
+		for range 3 {
+			columns = 0
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := lanczos(context.Background(), countingOp{op, &columns}, k, LanczosOptions{Seed: 1, Workers: 2}, ws)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
+		}
+		return allocs, columns
+	}
+	long, longCols := solve(30)
+	short, shortCols := solve(4)
+	if longCols < shortCols+50 {
+		t.Fatalf("the solves processed %d and %d columns, want at least 50 apart", longCols, shortCols)
+	}
+	if long > short+2 {
+		t.Fatalf("%d columns allocate %d times, %d columns %d times: allocations grow with the basis", longCols, long, shortCols, short)
+	}
+}
+
+// TestLanczosReleasesTeamHelpers checks that a solve on a team lets its
+// helpers go on both return paths, a finished solve and one whose
+// context is already cancelled, and leaves no team in its workspace.
+func TestLanczosReleasesTeamHelpers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	op := CSROp{M: pathOp(t, 2*linalg.ChunkLen+17)}
+	base := runtime.NumGoroutine()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	ws := &Workspace{}
+	for _, ctx := range []context.Context{context.Background(), cancelled} {
+		_, err := lanczos(ctx, op, 4, LanczosOptions{Seed: 1, Workers: 2}, ws)
+		if (err != nil) != (ctx == cancelled) {
+			t.Fatalf("solve error %v", err)
+		}
+		if ws.team != nil {
+			t.Fatal("the workspace kept the solve's team")
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the solves, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestReleasedWorkspaceIsReused pins the shared slot: the next solve

@@ -168,7 +168,7 @@ func AblationRefine(opts Options, k int) (*AblationData, error) {
 // eigenproblem: at each operator size it times both solvers for the k
 // smallest eigenpairs and reports their agreement — the measurement
 // behind the partitioner running Lanczos at every size.
-func AblationEigen(k int, sizes ...int) (*AblationData, error) {
+func AblationEigen(opts Options, k int, sizes ...int) (*AblationData, error) {
 	if k == 0 {
 		k = 6
 	}
@@ -212,7 +212,7 @@ func AblationEigen(k int, sizes ...int) (*AblationData, error) {
 		denseTime := time.Since(t0)
 
 		t0 = time.Now()
-		lancDec, err := eigen.Lanczos(context.Background(), op, k, eigen.LanczosOptions{Seed: 1})
+		lancDec, err := eigen.Lanczos(context.Background(), op, k, eigen.LanczosOptions{Seed: 1, Workers: opts.Workers})
 		if err != nil {
 			return nil, err
 		}

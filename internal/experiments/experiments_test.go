@@ -302,7 +302,7 @@ func TestAblationsSmallRun(t *testing.T) {
 		"weighting": func() (*AblationData, error) { return AblationWeighting(Options{Scale: ScaleSmall}, 4) },
 		"reduction": func() (*AblationData, error) { return AblationReduction(Options{Scale: ScaleSmall}, 4) },
 		"refine":    func() (*AblationData, error) { return AblationRefine(Options{Scale: ScaleSmall}, 4) },
-		"eigen":     func() (*AblationData, error) { return AblationEigen(4, 150, 300) },
+		"eigen":     func() (*AblationData, error) { return AblationEigen(Options{}, 4, 150, 300) },
 		"noise":     func() (*AblationData, error) { return AblationNoise(Options{Scale: ScaleSmall}, 4) },
 		"kminit":    func() (*AblationData, error) { return AblationKMeansInit(Options{Scale: ScaleSmall}, 5) },
 	} {

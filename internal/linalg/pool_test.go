@@ -51,13 +51,10 @@ func TestPutVecEmptyIsSafe(t *testing.T) {
 }
 
 // TestCSRMulVecAllocFree pins the CSR matvec — the inner kernel of
-// every Lanczos step — at zero steady-state allocations, small and
-// large, under a worker cap of 2: AllocsPerRun runs at GOMAXPROCS 1,
-// which alone would make any worker split serial. This is one of the
-// allocation-free hot-path pins of docs/PERFORMANCE.md.
+// every Lanczos step, serial at every size — at zero steady-state
+// allocations, small and large. This is one of the allocation-free
+// hot-path pins of docs/PERFORMANCE.md.
 func TestCSRMulVecAllocFree(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(2)
 	for _, n := range []int{512, 4096} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			var entries []entry

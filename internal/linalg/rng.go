@@ -29,8 +29,9 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 { return float64(r.Uint64()>>11) / (1 << 53) }
+// Float64 returns a uniform value in [0, 1), rounded by an explicit
+// conversion so that it never fuses into a caller's sum.
+func (r *RNG) Float64() float64 { return float64(float64(r.Uint64()>>11) / (1 << 53)) }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {

@@ -3,7 +3,16 @@ package linalg
 import (
 	"fmt"
 	"sort"
+
+	"roadpart/internal/obs"
 )
+
+// matvecCSR tallies one increment per MulVec call (not per row), so the
+// cost is a single atomic add against O(nnz) kernel work. The count is
+// deterministic for a given workload — the Lanczos iteration count per
+// eigensolve is seed-fixed.
+var matvecCSR = obs.Default().Counter("roadpart_linalg_matvec_total",
+	"Matrix-vector products computed, by matrix kind.", "kind", "csr")
 
 // CSR is a compressed-sparse-row matrix. It is immutable after
 // construction; build one with NewCSR.
@@ -75,8 +84,8 @@ func (m *CSR) At(i, j int) float64 {
 // MulVec computes dst = m·x. dst and x must not alias.
 // It panics on dimension mismatch.
 //
-// It runs on the calling goroutine at every size and SetWorkers setting
-// and allocates nothing — it is one of the pinned allocation-free
+// It runs on the calling goroutine at every size and worker count and
+// allocates nothing — it is one of the pinned allocation-free
 // kernels of docs/PERFORMANCE.md.
 func (m *CSR) MulVec(dst, x []float64) {
 	if len(x) != m.cols || len(dst) != m.rows {
@@ -86,7 +95,7 @@ func (m *CSR) MulVec(dst, x []float64) {
 	for i := 0; i < m.rows; i++ {
 		var s float64
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k] * x[m.colIdx[k]]
+			s += float64(m.vals[k] * x[m.colIdx[k]])
 		}
 		dst[i] = s
 	}

@@ -17,15 +17,15 @@ import (
 // (docs/NUMERICS.md § Determinism).
 const ChunkLen = 4096
 
-// teamSpans returns the number of spans a Team over an n-element vector
-// splits a step into: 1 (serial) below two full chunks, otherwise the
-// SetWorkers cap resolved against the chunk count, never more than
-// GOMAXPROCS.
-func teamSpans(n int) int {
+// teamSpans returns the number of spans a Team of the given worker
+// count over an n-element vector splits a step into: 1 (serial) below
+// two full chunks, otherwise workers resolved against the chunk count
+// (0 selects GOMAXPROCS, below 1 is serial), never more than GOMAXPROCS.
+func teamSpans(n, workers int) int {
 	if n < 2*ChunkLen {
 		return 1
 	}
-	w := parallel.Resolve(int(teamWorkers.Load()), (n+ChunkLen-1)/ChunkLen)
+	w := parallel.Resolve(workers, (n+ChunkLen-1)/ChunkLen)
 	return min(w, runtime.GOMAXPROCS(0))
 }
 
@@ -65,13 +65,13 @@ type spanFlags struct {
 	_           [48]byte
 }
 
-// NewTeam returns a Team for steps over an n-element vector, or nil (the
-// serial team) when they should run serially: below two full chunks,
-// under SetWorkers(1) or with GOMAXPROCS 1. It starts one helper
-// goroutine per span after the first; it is the only place in this
-// package that starts goroutines.
-func NewTeam(n int) *Team {
-	spans := teamSpans(n)
+// NewTeam returns a Team of up to workers spans (0 selects GOMAXPROCS)
+// for steps over an n-element vector, or nil (the serial team) when they
+// should run serially: below two full chunks, at one worker or with
+// GOMAXPROCS 1. It starts one helper goroutine per span after the first;
+// it is the only place in this package that starts goroutines.
+func NewTeam(n, workers int) *Team {
+	spans := teamSpans(n, workers)
 	if spans < 2 {
 		return nil
 	}
@@ -154,16 +154,14 @@ func (t *Team) help(s int) {
 // ChunkLen-element chunks. A step computes the chunks' partial sums as
 // the spans of a Team, or as the one span of the serial team, and folds
 // them left to right; the partials and their fold do not depend on the
-// span count, so every step's bits are the same for any SetWorkers
-// setting.
+// span count, so every step's bits are the same for any worker count.
 //
-// The serial sweep allocates nothing: its step lives in the Sweep. A
-// parallel sweep allocates its Team, one helper goroutine per extra
-// span and the copy of the step its helpers read when it starts.
+// A Sweep runs on a team its caller owns and allocates nothing: its step
+// lives in the Sweep, so the Sweep must live on the heap (in a reused
+// workspace, say) for handing the step to a team to stay free.
 type Sweep struct {
-	cur    sweepStep  // the current step; the serial sweep runs it in place
-	team   *Team      // nil: the serial team
-	shared *sweepStep // the team's copy of cur, read by its helpers
+	cur  sweepStep // the current step
+	team *Team     // nil: the serial team
 }
 
 // sweepStep is one step of a sweep over y, a Spanner over the chunks.
@@ -173,19 +171,13 @@ type sweepStep struct {
 	x, z    []float64 // nil x: no update; nil z: no reduction
 }
 
-// StartSweep starts a sweep over the non-empty vector y. part holds the
-// per-chunk partial sums and needs at least ⌈len(y)/ChunkLen⌉ elements;
-// its contents are overwritten. Call Stop when the sweep is done.
-func StartSweep(y, part []float64) Sweep {
-	sw := Sweep{cur: sweepStep{y: y, part: part[:(len(y)+ChunkLen-1)/ChunkLen]}}
-	if t := NewTeam(len(y)); t != nil {
-		sw.team, sw.shared = t, new(sweepStep)
-	}
-	return sw
+// Start starts a sweep over the non-empty vector y on team t (nil: the
+// serial team). part holds the per-chunk partial sums and needs at least
+// ⌈len(y)/ChunkLen⌉ elements; its contents are overwritten.
+func (sw *Sweep) Start(t *Team, y, part []float64) {
+	sw.cur = sweepStep{y: y, part: part[:(len(y)+ChunkLen-1)/ChunkLen]}
+	sw.team = t
 }
-
-// Stop releases the sweep's helper goroutines, if any.
-func (sw *Sweep) Stop() { sw.team.Close() }
 
 // Dot returns the chunk-ordered inner product y·z.
 func (sw *Sweep) Dot(z []float64) float64 { return sw.step(0, nil, z) }
@@ -204,12 +196,12 @@ func (sw *Sweep) step(a float64, x, z []float64) float64 {
 		panic(fmt.Sprintf("linalg: Sweep length mismatch %d, %d, %d", len(x), n, len(z)))
 	}
 	st.a, st.x, st.z = a, x, z
-	// Handing cur itself to the team would move every Sweep to the heap.
+	// The serial step is a direct call: Team.Run's nil case would make
+	// it an interface call.
 	if sw.team == nil {
 		st.Span(0, 1)
 	} else {
-		*sw.shared = *st
-		sw.team.Run(sw.shared)
+		sw.team.Run(st)
 	}
 	s := st.part[0]
 	for _, p := range st.part[1:] {

@@ -14,14 +14,12 @@ import (
 // two, and four chunks with a short tail.
 var foldSizes = []int{ChunkLen, ChunkLen + 1, 2*ChunkLen - 1, 2 * ChunkLen, 3*ChunkLen + 17}
 
-// withWorkers runs fn under SetWorkers(w) for w = 1, 2 and 3, with
+// withWorkers runs fn for the worker counts w = 1, 2 and 3, with
 // GOMAXPROCS raised to at least 3 so that three spans really run.
 func withWorkers(t *testing.T, fn func(w int)) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(3, runtime.GOMAXPROCS(0))))
-	defer SetWorkers(0)
 	for _, w := range []int{1, 2, 3} {
-		SetWorkers(w)
 		fn(w)
 	}
 }
@@ -46,12 +44,14 @@ func testVec(n int, seed uint64) []float64 {
 	return v
 }
 
-// sweepChain runs the Gram–Schmidt step pattern on y against rows: a
-// Dot, an AxpyDot per row and a closing Axpy, returning every
-// coefficient.
-func sweepChain(y []float64, rows [][]float64) []float64 {
-	sw := StartSweep(y, make([]float64, (len(y)+ChunkLen-1)/ChunkLen))
-	defer sw.Stop()
+// sweepChain runs the Gram–Schmidt step pattern on y against rows on a
+// team of the given worker count: a Dot, an AxpyDot per row and a
+// closing Axpy, returning every coefficient.
+func sweepChain(workers int, y []float64, rows [][]float64) []float64 {
+	team := NewTeam(len(y), workers)
+	defer team.Close()
+	var sw Sweep
+	sw.Start(team, y, make([]float64, (len(y)+ChunkLen-1)/ChunkLen))
 	c := sw.Dot(rows[0])
 	cs := []float64{c}
 	for i := 1; i < len(rows); i++ {
@@ -85,7 +85,7 @@ func TestSweepMatchesChunkOracle(t *testing.T) {
 
 		withWorkers(t, func(w int) {
 			y := testVec(n, 3)
-			gotC := sweepChain(y, rows)
+			gotC := sweepChain(w, y, rows)
 			for i := range wantC {
 				if math.Float64bits(gotC[i]) != math.Float64bits(wantC[i]) {
 					t.Fatalf("n=%d workers=%d: coefficient %d = %v, oracle %v", n, w, i, gotC[i], wantC[i])
@@ -101,18 +101,20 @@ func TestSweepMatchesChunkOracle(t *testing.T) {
 }
 
 // TestSweepSerialAllocFree pins the serial sweep at zero allocations:
-// below two full chunks, and at any size under SetWorkers(1).
+// below two full chunks, and at any size at one worker.
 func TestSweepSerialAllocFree(t *testing.T) {
-	defer SetWorkers(0)
 	for _, tc := range []struct{ n, workers int }{{2*ChunkLen - 1, 0}, {3*ChunkLen + 17, 1}} {
-		SetWorkers(tc.workers)
+		team := NewTeam(tc.n, tc.workers)
+		if team != nil {
+			t.Fatalf("n=%d workers=%d made a team", tc.n, tc.workers)
+		}
 		y, x, part := testVec(tc.n, 1), testVec(tc.n, 2), make([]float64, 4)
+		var sw Sweep
 		allocs := testing.AllocsPerRun(20, func() {
-			sw := StartSweep(y, part)
+			sw.Start(team, y, part)
 			c := sw.Dot(x)
 			c = sw.AxpyDot(-c, x, x)
 			sw.Axpy(-c, x)
-			sw.Stop()
 		})
 		if allocs != 0 {
 			t.Fatalf("n=%d workers=%d: the serial sweep allocates %v per run, want 0", tc.n, tc.workers, allocs)
@@ -131,14 +133,14 @@ func (c *countSpans) Span(s, spans int) { c.runs[c.step][s].Add(1) }
 // TestTeamRunsEverySpanOnce runs many short steps, so the caller often
 // claims spans its helpers have not reached, and checks that every span
 // of every step ran exactly once and that Close releases the helpers.
-// Under SetWorkers(1) the team is the serial (nil) one, whose one span
-// runs on the caller.
+// At one worker the team is the serial (nil) one, whose one span runs
+// on the caller.
 func TestTeamRunsEverySpanOnce(t *testing.T) {
 	base := runtime.NumGoroutine()
 	withWorkers(t, func(w int) {
-		team := NewTeam(4 * ChunkLen)
+		team := NewTeam(4*ChunkLen, w)
 		if w == 1 && team != nil {
-			t.Fatal("SetWorkers(1) made a team")
+			t.Fatal("one worker made a team")
 		}
 		if team.Spans() != w {
 			t.Fatalf("workers=%d: %d spans", w, team.Spans())
@@ -175,10 +177,9 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestTeamSpans pins the span count: serial below two full chunks, never
-// more spans than GOMAXPROCS or chunks.
+// TestTeamSpans pins the span count: serial below two full chunks and
+// at a worker count below 2, never more spans than GOMAXPROCS or chunks.
 func TestTeamSpans(t *testing.T) {
-	defer SetWorkers(0)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, tc := range []struct{ n, workers, want int }{
 		{2*ChunkLen - 1, 0, 1},
@@ -186,10 +187,10 @@ func TestTeamSpans(t *testing.T) {
 		{2 * ChunkLen, 8, 2},
 		{10 * ChunkLen, 8, 2},
 		{10 * ChunkLen, 1, 1},
+		{10 * ChunkLen, -5, 1},
 	} {
 		t.Run(fmt.Sprintf("n=%d/workers=%d", tc.n, tc.workers), func(t *testing.T) {
-			SetWorkers(tc.workers)
-			if got := teamSpans(tc.n); got != tc.want {
+			if got := teamSpans(tc.n, tc.workers); got != tc.want {
 				t.Fatalf("teamSpans = %d, want %d", got, tc.want)
 			}
 		})

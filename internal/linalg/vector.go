@@ -8,6 +8,14 @@
 // deliberately minimal: it implements exactly the operations the
 // framework needs, with predictable O(nnz) or O(n) costs and no hidden
 // allocation in the hot kernels.
+//
+// Every product that feeds a sum is converted with an explicit
+// float64(...), which rounds it on its own (the Go spec's rule for
+// explicit conversions). Without it the compiler may fuse the multiply
+// and the add into one FMA instruction on arm64, ppc64le and riscv64,
+// and the sums would differ from amd64's in the last bit; make fma-check
+// disassembles those builds to keep it so (docs/NUMERICS.md
+// § Determinism).
 package linalg
 
 import (
@@ -23,7 +31,7 @@ func Dot(x, y []float64) float64 {
 	}
 	var s float64
 	for i, v := range x {
-		s += v * y[i]
+		s += float64(v * y[i])
 	}
 	return s
 }
@@ -40,11 +48,11 @@ func Norm2(x []float64) float64 {
 		a := math.Abs(v)
 		if scale < a {
 			r := scale / a
-			ssq = 1 + ssq*r*r
+			ssq = 1 + float64(ssq*r*r)
 			scale = a
 		} else {
 			r := a / scale
-			ssq += r * r
+			ssq += float64(r * r)
 		}
 	}
 	if scale == 0 {
@@ -67,7 +75,7 @@ func Axpy(a float64, x, y []float64) {
 		panic(fmt.Sprintf("linalg: Axpy length mismatch %d vs %d", len(x), len(y)))
 	}
 	for i, v := range x {
-		y[i] += a * v
+		y[i] += float64(a * v)
 	}
 }
 
@@ -83,8 +91,8 @@ func AxpyDot(a float64, x, y, z []float64) float64 {
 	}
 	var s float64
 	for i, v := range x {
-		y[i] += a * v
-		s += y[i] * z[i]
+		y[i] += float64(a * v)
+		s += float64(y[i] * z[i])
 	}
 	return s
 }

@@ -137,9 +137,9 @@ type errorBody struct {
 // Config tunes the service.
 type Config struct {
 	// Workers is the default worker count for the parallel stages of
-	// each request (k-sweep fan-out, k-means restarts): 0 selects
-	// GOMAXPROCS, 1 forces serial. A request's nonzero workers field
-	// overrides it.
+	// each request (k-sweep fan-out, the Lanczos solve's team, k-means
+	// restarts): 0 selects GOMAXPROCS, 1 forces serial. A request's
+	// nonzero workers field overrides it.
 	Workers int
 	// DefaultTimeout bounds each compute request's pipeline work when
 	// the client sends no timeout_ms. 0 imposes no server-side deadline
