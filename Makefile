@@ -132,7 +132,11 @@ bench-check:
 # only they reject. FuzzKeyedReplay is differential in time: each input
 # posted twice to /v1/partition and /v1/sweep on a cache-enabled
 # service must get the same answer both times, so a raw-body alias hit
-# replays only what the decoded request answered. Go allows one -fuzz target per invocation, so the targets run
+# replays only what the decoded request answered; a longer decoy posted
+# before each copy makes it land in a recycled body buffer with a stale
+# tail (spaces the first time, 'x' the second), so a read past the
+# body's end would answer the two differently. Go allows one -fuzz
+# target per invocation, so the targets run
 # in sequence; seeds come from internal/roadnet/testdata plus the inline
 # f.Add corpus. A crasher fails the run and is written to the package's
 # testdata/fuzz/ for triage.

@@ -143,23 +143,26 @@ type ndRun struct {
 // new seed is drawn with probability proportional to its squared
 // distance from the nearest existing seed. It draws exactly the same RNG
 // stream as the historical allocating seeder (one draw per centroid
-// pick) so pooling cannot change which points are chosen.
+// pick) so pooling cannot change which points are chosen. d2 keeps each
+// point's distance to its nearest seed so far, so a round compares it
+// with the newest seed alone: the minimum over the same distances is the
+// same float whatever order they are met in.
 func seedInto(points [][]float64, k int, rng *linalg.RNG, sc *ndScratch) {
 	n := len(points)
 	means := sc.means
 	copy(means[0], points[rng.Intn(n)])
 	d2 := sc.d2
+	for i := range d2 {
+		d2[i] = math.Inf(1)
+	}
 	for used := 1; used < k; used++ {
 		var total float64
+		newest := means[used-1]
 		for i, p := range points {
-			d := math.Inf(1)
-			for _, m := range means[:used] {
-				if v := sqDist(p, m); v < d {
-					d = v
-				}
+			if v := sqDist(p, newest); v < d2[i] {
+				d2[i] = v
 			}
-			d2[i] = d
-			total += d
+			total += d2[i]
 		}
 		var next int
 		if total == 0 {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"roadpart/internal/gen"
+	"roadpart/internal/roadnet"
 	"roadpart/internal/traffic"
 )
 
@@ -18,21 +19,7 @@ import (
 // and two trailing spaces), so each request finds the alias holding the
 // other spelling and decodes, fingerprints and hits.
 func BenchmarkServeCachedPartition(b *testing.B) {
-	net, err := gen.City(gen.CityConfig{TargetIntersections: 1200, TargetSegments: 2100, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap, err := traffic.SyntheticField(net, traffic.FieldConfig{Hotspots: 6, Seed: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := traffic.ApplySnapshot(net, snap); err != nil {
-		b.Fatal(err)
-	}
-	raw, err := json.Marshal(PartitionRequest{Network: net, K: 6, Scheme: "ASG", Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	raw := hotPartitionBody(b)
 	srv := newTestService(b, Config{CacheMaxBytes: 64 << 20})
 	serve := func(body []byte, state string) {
 		rec := httptest.NewRecorder()
@@ -57,4 +44,31 @@ func BenchmarkServeCachedPartition(b *testing.B) {
 			serve(spellings[i%2], "hit")
 		}
 	})
+}
+
+// hotNet is the 2.1k-segment fixture of perfbench's hot workload.
+func hotNet(tb testing.TB) *roadnet.Network {
+	tb.Helper()
+	net, err := gen.City(gen.CityConfig{TargetIntersections: 1200, TargetSegments: 2100, Seed: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	snap, err := traffic.SyntheticField(net, traffic.FieldConfig{Hotspots: 6, Seed: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := traffic.ApplySnapshot(net, snap); err != nil {
+		tb.Fatal(err)
+	}
+	return net
+}
+
+// hotPartitionBody is hot's k = 6 partition document on hotNet (187 kB).
+func hotPartitionBody(tb testing.TB) []byte {
+	tb.Helper()
+	raw, err := json.Marshal(PartitionRequest{Network: hotNet(tb), K: 6, Scheme: "ASG", Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
 }

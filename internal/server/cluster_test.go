@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -546,5 +547,92 @@ func TestLatEWMAConcurrent(t *testing.T) {
 	wg.Wait()
 	if l.seconds() < 0 {
 		t.Fatal("EWMA went negative")
+	}
+}
+
+// TestClusterForwardedBodyIntact: an owner that answers before it reads
+// the forwarded body still reads every byte the client sent, although
+// the forwarding shard released the body once the answer was relayed
+// and the next requests recycled its buffer. It covers both hops that
+// carry a body: the stream home (a 350 kB densities step) and a keyed
+// partition (hot's 187 kB document). net/http's transport waits up to
+// 50 ms for the request write to finish before it hands back the
+// answer's end, so this holds at any owner that reads within that
+// time; proxy's copy covers an exchange abandoned mid-write, which no
+// owner receives intact.
+func TestClusterForwardedBodyIntact(t *testing.T) {
+	received := make(chan []byte)
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rc := http.NewResponseController(w)
+		if err := rc.EnableFullDuplex(); err != nil {
+			t.Error(err)
+		}
+		w.Header().Set("Content-Length", "3")
+		w.WriteHeader(http.StatusAccepted)
+		_, _ = io.WriteString(w, "ok\n")
+		_ = rc.Flush()
+		b, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Errorf("owner reading the forwarded body: %v", err)
+		}
+		received <- b
+	}))
+	defer stub.Close()
+
+	// Pick an address for this shard that makes the stub the stream home.
+	var self string
+	for port := 9; self == ""; port++ {
+		cand := fmt.Sprintf("http://127.0.0.1:%d", port)
+		ring, err := peers.NewRing(cand, []string{stub.URL})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ring.OwnerString(streamRouteKey) == stub.URL {
+			self = cand
+		}
+	}
+	sv := newTestService(t, Config{Self: self, Peers: []string{stub.URL}})
+	ring, err := peers.NewRing(self, []string{stub.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	densities := make([]float64, 20000)
+	for i := range densities {
+		densities[i] = float64(i) / 7
+	}
+	var forwarded [][2]string // path, body
+	for seed := 0; seed < 4; seed++ {
+		densities[0] = float64(seed)
+		forwarded = append(forwarded, [2]string{"/v1/densities", string(marshalBody(t, DensitiesRequest{Densities: densities}))})
+	}
+	net := hotNet(t)
+	for seed := uint64(1); len(forwarded) < 8; seed++ {
+		doc := &PartitionRequest{Network: net, K: 6, Scheme: "AG", Seed: seed}
+		k, err := sv.svc.resolve(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ring.Owner(k.key.Sum) == stub.URL {
+			forwarded = append(forwarded, [2]string{"/v1/partition", string(marshalBody(t, doc))})
+		}
+	}
+
+	for _, f := range forwarded {
+		path, body := f[0], f[1]
+		if rec := post(t, sv, path, rawBody(body)); rec.Code != http.StatusAccepted {
+			t.Fatalf("%s: status %d body=%s, want the owner's 202", path, rec.Code, rec.Body.String())
+		}
+		// Requests of the same size whose bodies land in the released
+		// buffer and are rejected here.
+		junk := strings.Repeat("x", len(body))
+		for i := 0; i < 4; i++ {
+			if rec := post(t, sv, path, rawBody(junk)); rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s junk: status %d, want 400", path, rec.Code)
+			}
+		}
+		if got := <-received; string(got) != body {
+			t.Fatalf("%s: the owner read %d bytes that differ from the %d sent", path, len(got), len(body))
+		}
 	}
 }

@@ -3,8 +3,11 @@ package server
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
+	"sync"
 
+	"roadpart/internal/obs"
 	"roadpart/internal/roadnet"
 )
 
@@ -12,23 +15,111 @@ import (
 // its body once into a single buffer, decodes it with roadnet.Cursor —
 // strict, reflection-free, and value-for-value what encoding/json with
 // DisallowUnknownFields produced — and keeps the bytes, so a keyed route
-// can proxy exactly what the client sent to the owning shard.
+// can proxy exactly what the client sent to the owning shard. The buffer
+// comes from bodyPools and goes back through releaseBody.
 
 // firstChunk bounds the body buffer sized up front from Content-Length:
 // a larger claim is believed only as its bytes arrive, so a client that
 // announces maxBodyBytes and sends ten bytes costs one small buffer.
 const firstChunk = 1 << 20
 
+// Body buffers of up to firstChunk bytes are recycled through bodyPools,
+// one sync.Pool of *[]byte per size class: each power of two from
+// minBodyClass to firstChunk and the size half-way to the next (4, 6,
+// 8, 12, … 768, 1024 KiB). A steady stream of large bodies reuses a few
+// buffers instead of allocating, zeroing and collecting one per
+// request; a body fills at least two thirds of its class's buffer, and
+// a small body never holds a large one. A larger body allocates and is
+// never pooled.
+const (
+	minBodyClass = 4 << 10
+	bodyClasses  = 17 // 2·log2(firstChunk/minBodyClass) + 1
+)
+
+var (
+	bodyPools [bodyClasses]sync.Pool
+	bodyTally = obs.NewPoolTally("request_body")
+)
+
+// classSize is the buffer capacity of size class c.
+func classSize(c int) int {
+	return (minBodyClass + c%2*minBodyClass/2) << (c / 2)
+}
+
+// bodyClass returns the smallest size class holding n bytes, for
+// 0 < n <= firstChunk.
+func bodyClass(n int) int {
+	b := bits.Len(uint(n-1) / minBodyClass) // minBodyClass<<b is the smallest power of two holding n
+	if b > 0 && n <= classSize(2*b-1) {
+		return 2*b - 1
+	}
+	return 2 * b
+}
+
+// getBody returns an empty buffer of n's size class, for
+// 0 < n <= firstChunk.
+func getBody(n int) []byte {
+	c := bodyClass(n)
+	if p, ok := bodyPools[c].Get().(*[]byte); ok {
+		bodyTally.Hit(cap(*p))
+		return (*p)[:0]
+	}
+	bodyTally.Miss()
+	return make([]byte, 0, classSize(c))
+}
+
+// releaseBody hands a body read by readRaw back to its pool. A handler
+// calls it once it has answered without a compute: an alias hit, a
+// forwarded request, a job submission or a rejection. A body whose
+// request goes on to a partition, sweep, density step or render is
+// dropped instead, before the compute: pooled, its buffer would stay
+// live through the compute for no measurable gain
+// (docs/PERFORMANCE.md § Recycled request bodies).
+//
+// The handler must not touch raw afterwards, and nothing may keep raw or
+// a slice of it past this call: the pool may hand the buffer to a
+// concurrent request at once, and its next body overwrites it. Nothing
+// does today — resultcache.Alias keeps only (op, length, maphash),
+// roadnet.Cursor copies the strings it decodes, jobSpec re-marshals the
+// resolved document, and proxy hands the transport a copy of a pooled
+// body. No caller appends to raw, which could write into the pooled
+// capacity past its length. A buffer outside the size classes is left
+// to the collector.
+func releaseBody(raw []byte) {
+	if p := classPool(raw); p != nil {
+		raw = raw[:0]
+		p.Put(&raw)
+	}
+}
+
+// classPool returns the pool that releaseBody hands raw's buffer to, or
+// nil when its capacity is not a size class and it is never pooled.
+func classPool(raw []byte) *sync.Pool {
+	n := cap(raw)
+	if n < minBodyClass || n > firstChunk {
+		return nil
+	}
+	if c := bodyClass(n); classSize(c) == n {
+		return &bodyPools[c]
+	}
+	return nil
+}
+
 // readRequest enforces POST, reads the bounded body and decodes it into
 // doc, writing the 400 itself on failure. It returns the raw body for
-// forwarding.
+// forwarding; releaseBody says when the caller hands it back.
 func readRequest(w http.ResponseWriter, r *http.Request, doc interface{}) ([]byte, bool) {
 	raw, ok := readRaw(w, r)
-	return raw, ok && decodeRaw(w, raw, doc)
+	if ok && !decodeRaw(w, raw, doc) {
+		releaseBody(raw)
+		return nil, false
+	}
+	return raw, ok
 }
 
 // readRaw enforces POST and reads the bounded body, writing the 400
-// itself on failure.
+// itself on failure; releaseBody says when the caller hands the body
+// back.
 func readRaw(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if !allow(w, r, http.MethodPost) {
 		return nil, false
@@ -52,17 +143,22 @@ func decodeRaw(w http.ResponseWriter, raw []byte, doc interface{}) bool {
 }
 
 // readBody reads r to its end into one buffer. claimed is the request's
-// Content-Length (-1 when unknown). A claim that fits in firstChunk sizes
-// the buffer exactly, with one spare byte so the read that meets the end
-// needs no growth; a larger one starts at firstChunk. The buffer then
-// doubles as bytes arrive, capped at the claim, or else at the body
-// limit, plus that spare byte.
+// Content-Length (-1 when unknown). A claim below firstChunk takes a
+// pooled buffer of the size class that holds the claim and one spare
+// byte, so the read that meets the end needs no growth; an unknown
+// length starts at the smallest class, and a larger claim at a fresh
+// firstChunk. The buffer then doubles as bytes arrive, capped at the
+// claim, or else at the body limit, plus that spare byte.
 func readBody(r io.Reader, claimed int64) ([]byte, error) {
-	size := int64(512)
-	if claimed >= 0 {
-		size = min(claimed+1, firstChunk)
+	var buf []byte
+	switch {
+	case claimed < 0:
+		buf = getBody(minBodyClass)
+	case claimed < firstChunk:
+		buf = getBody(int(claimed) + 1)
+	default:
+		buf = make([]byte, 0, firstChunk)
 	}
-	buf := make([]byte, 0, size)
 	for {
 		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
@@ -70,6 +166,7 @@ func readBody(r io.Reader, claimed int64) ([]byte, error) {
 			return buf, nil
 		}
 		if err != nil {
+			releaseBody(buf)
 			return nil, err
 		}
 		if len(buf) == cap(buf) {

@@ -9,12 +9,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
-	"roadpart/internal/gen"
 	"roadpart/internal/jsontest"
-	"roadpart/internal/traffic"
 )
 
 // TestBodyClaimBeyondSent: a request whose Content-Length claims the
@@ -56,22 +56,121 @@ func TestBodyClaimBeyondSent(t *testing.T) {
 	}
 }
 
-// TestReadBodySizing: an honest Content-Length gets one buffer of that
-// size plus the byte that meets the end; an unknown length still reads
-// everything.
+// TestReadBodySizing: an honest Content-Length below firstChunk gets one
+// pooled buffer of the smallest size class that holds the body and the
+// byte that meets the end; a larger claim grows to exactly that size; an
+// unknown length still reads everything. Every buffer goes back to its
+// pool, so later reads land in recycled buffers that still hold earlier
+// bodies.
 func TestReadBodySizing(t *testing.T) {
-	for _, n := range []int{0, 1, 511, 512, 513, firstChunk - 1, firstChunk + 1, 3*firstChunk + 7} {
-		src := bytes.Repeat([]byte{'x'}, n)
+	for _, n := range []int{0, 1, 511, 512, 513, minBodyClass - 1, minBodyClass, firstChunk - 1, firstChunk, firstChunk + 1, 3*firstChunk + 7} {
+		src := bytes.Repeat([]byte{byte('a' + n%26)}, n)
 		for _, claimed := range []int64{int64(n), -1} {
 			buf, err := readBody(bytes.NewReader(src), claimed)
 			if err != nil || !bytes.Equal(buf, src) {
 				t.Fatalf("n=%d claimed=%d: read %d bytes, %v", n, claimed, len(buf), err)
 			}
-			if claimed >= 0 && cap(buf) != n+1 {
-				t.Errorf("n=%d: cap %d, want %d", n, cap(buf), n+1)
+			want := n + 1
+			if n < firstChunk {
+				want = bodyClassSize(n + 1)
 			}
+			if claimed >= 0 && cap(buf) != want {
+				t.Errorf("n=%d: cap %d, want %d", n, cap(buf), want)
+			}
+			releaseBody(buf)
 		}
 	}
+}
+
+// bodyClassSize is the smallest of 4 KiB and 6 KiB times a power of two
+// that holds n bytes.
+func bodyClassSize(n int) int {
+	for size := 4 << 10; ; size *= 2 {
+		if size >= n {
+			return size
+		}
+		if size*3/2 >= n {
+			return size * 3 / 2
+		}
+	}
+}
+
+// raceEnabled reports a -race build (race_test.go), whose sync.Pool
+// drops a random quarter of the buffers put back.
+var raceEnabled bool
+
+// TestAliasHitRecyclesBody: after a warm-up, an alias hit on hot's 187
+// kB partition document allocates under 32 KiB, read from the
+// runtime.MemStats.TotalAlloc delta over many requests. The body is read
+// into a recycled buffer; a fresh one would cost 256 KiB per request.
+func TestAliasHitRecyclesBody(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers put back")
+	}
+	raw := hotPartitionBody(t)
+	srv := newTestService(t, Config{CacheMaxBytes: 64 << 20})
+	wantState(t, "set-up", postBytes(t, srv, "/v1/partition", raw), "miss")
+	serve := func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/partition", bytes.NewReader(raw)))
+		if rec.Code != http.StatusOK || rec.Header().Get(CacheHeader) != "hit" {
+			t.Fatalf("status %d, %s %q, want 200 hit", rec.Code, CacheHeader, rec.Header().Get(CacheHeader))
+		}
+	}
+	for i := 0; i < 4; i++ {
+		serve()
+	}
+	const n = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 32<<10 {
+		t.Fatalf("an alias hit allocates %d bytes, want under %d", per, 32<<10)
+	}
+}
+
+// TestConcurrentBodiesKeepTheirAnswers: goroutines post different
+// documents of one size class at once, so their bodies share recycled
+// buffers, and each gets exactly the answer its document got alone.
+// Each alternates its bytes, which hit by alias, with a respelling that
+// decodes.
+func TestConcurrentBodiesKeepTheirAnswers(t *testing.T) {
+	net := testNet(t)
+	srv := newTestService(t, Config{Workers: 1, CacheMaxBytes: 8 << 20})
+	const clients = 6
+	var bodies [clients][2][]byte
+	var want [clients][]byte
+	for g := range bodies {
+		raw := marshalBody(t, PartitionRequest{Network: net, K: 2 + g%4, Scheme: "AG", Seed: uint64(g)})
+		bodies[g] = [2][]byte{raw, append(bytes.Clone(raw), ' ')}
+		rec := postBytes(t, srv, "/v1/partition", raw)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("client %d: status %d: %s", g, rec.Code, rec.Body.String())
+		}
+		want[g] = rec.Body.Bytes()
+	}
+	if bodyClass(len(bodies[0][0])+1) != bodyClass(len(bodies[clients-1][1])+1) {
+		t.Fatal("the documents fall in different size classes")
+	}
+	var wg sync.WaitGroup
+	for g := range bodies {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/partition", bytes.NewReader(bodies[g][i%2])))
+				if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want[g]) {
+					t.Errorf("client %d, request %d: status %d, answer differs from the serial one", g, i, rec.Code)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // BenchmarkDecodeRequest decodes the perfbench hot workload's partition
@@ -79,21 +178,7 @@ func TestReadBodySizing(t *testing.T) {
 // decoder, next to encoding/json with DisallowUnknownFields as the
 // reference it replaced.
 func BenchmarkDecodeRequest(b *testing.B) {
-	net, err := gen.City(gen.CityConfig{TargetIntersections: 1200, TargetSegments: 2100, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap, err := traffic.SyntheticField(net, traffic.FieldConfig{Hotspots: 6, Seed: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := traffic.ApplySnapshot(net, snap); err != nil {
-		b.Fatal(err)
-	}
-	body, err := json.Marshal(PartitionRequest{Network: net, K: 6, Scheme: "ASG", Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	body := hotPartitionBody(b)
 	reference := func(dst *PartitionRequest) error {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()

@@ -106,9 +106,18 @@ func (s *service) forwardKeyed(w http.ResponseWriter, r *http.Request, sum uint6
 // answered, its response — success or failure — is the response, so a
 // proxied 429/503 carries the origin shard's Retry-After untouched
 // rather than a hint re-derived from this shard's (idle) queue.
+//
+// The transport reads its own copy of a pooled body: net/http may go on
+// reading a request body after Do returns (a peer can answer before it
+// has read the body, or the exchange is cancelled mid-write), so a
+// buffer that the handler releases once the response is relayed must
+// never reach it.
 func (s *service) proxy(w http.ResponseWriter, r *http.Request, target string, body []byte) bool {
 	var rd io.Reader = http.NoBody
 	if body != nil {
+		if classPool(body) != nil {
+			body = bytes.Clone(body)
+		}
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, target+r.URL.Path, rd)

@@ -64,6 +64,7 @@ func (s *service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	defer releaseBody(raw)
 	spec, err := s.jobSpec(&req)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)

@@ -40,6 +40,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`roadpart_stage_duration_seconds_sum{stage="mcg_shortlist"}`,
 		`roadpart_http_requests_total{code="200",path="/v1/sweep"}`,
 		`roadpart_http_request_duration_seconds_count{path="/v1/sweep"}`,
+		`roadpart_pool_events_total{pool="request_body",result="hit"}`,
 		"# TYPE roadpart_stage_duration_seconds summary",
 		"# TYPE roadpart_http_requests_total counter",
 	} {

@@ -486,7 +486,9 @@ func (s *service) serve(w http.ResponseWriter, r *http.Request, k keyed) {
 // handleKeyed serves POST /v1/partition and POST /v1/sweep: read the
 // body, and unless serveAlias answers it, decode the op's document,
 // resolve it, route it to the fingerprint's owner (an unreachable owner
-// falls through to the local path) and serve it.
+// falls through to the local path) and serve it. Every path that
+// answers here without serving the document hands the body back to its
+// pool; a served one is dropped, as releaseBody says.
 func (s *service) handleKeyed(op string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		raw, ok := readRaw(w, r)
@@ -497,20 +499,24 @@ func (s *service) handleKeyed(op string) http.HandlerFunc {
 		if s.cache != nil {
 			alias = s.cache.Alias(op, raw)
 			if s.serveAlias(w, r, alias, raw) {
+				releaseBody(raw)
 				return
 			}
 		}
 		doc := newDoc(op)
 		if !decodeRaw(w, raw, doc) {
+			releaseBody(raw)
 			return
 		}
 		k, err := s.resolve(doc)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
+			releaseBody(raw)
 			return
 		}
 		k.alias = alias
 		if s.forwardKeyed(w, r, k.key.Sum, raw) {
+			releaseBody(raw)
 			return
 		}
 		s.markShard(w)

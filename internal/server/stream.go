@@ -163,6 +163,7 @@ func (s *service) handleDensities(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadGateway,
 				fmt.Errorf("density-stream home %s unreachable", home))
 		}
+		releaseBody(raw)
 		return
 	}
 	s.markShard(w)
