@@ -9,8 +9,9 @@
 # sharded-serving integration suite (cluster-smoke, docs/DISTRIBUTED.md),
 # the docs checks (gofmt drift + relative-link rot in *.md), the
 # fused-multiply-add scan of the numerical kernels' cross-builds
-# (fma-check), and the vet + unit tests of the nested perfbench module
-# (perfbench-check).
+# (fma-check), the vet + unit tests of the nested perfbench module
+# (perfbench-check), and the experiment record regenerated against its
+# checked-in copy (experiments-check).
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -35,7 +36,7 @@ BENCH_TABLE3_ANCHOR ?= BENCH_4.json
 BENCH_TABLE3_GATE ?= -0.40
 BENCH_SWEEP_RATIO ?= 1.5
 
-.PHONY: build vet test race bench bench-smoke bench-check bench-scale scale-smoke fuzz-smoke loc sse-smoke chaos-smoke cluster-smoke docs-check numerics-check fma-check perfbench-check verify
+.PHONY: build vet test race bench bench-smoke bench-check bench-scale scale-smoke fuzz-smoke loc sse-smoke chaos-smoke cluster-smoke docs-check numerics-check fma-check perfbench-check experiments-check verify
 
 build:
 	$(GO) build ./...
@@ -253,4 +254,41 @@ docs-check:
 perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
-verify: build vet test race fuzz-smoke bench-smoke bench-check scale-smoke sse-smoke chaos-smoke cluster-smoke docs-check numerics-check fma-check perfbench-check
+# experiments-check ties the experiment record to the code: it reruns
+# `go run ./cmd/experiments -exp all -scale small` and diffs its output
+# against docs/results-small-scale.txt (about a minute, most of it the
+# dense eigensolver ablation), failing on any difference and printing its
+# wall time. Only timing fields differ between two runs of the same code,
+# so EXPERIMENTS_MASK replaces exactly these with "~" on both sides, and
+# squeezes the padding around them, in the TABLE3, ABLATIONS and SCALING
+# sections only:
+#   - every Go duration token ("0s", "17ms", "3.384s", "1m2.5s"): the
+#     Table 3 module times, the ablations' Elapsed column and the
+#     eigensolver ablation's lanczos= time, and the scaling study's
+#     module times;
+#   - the eigensolver ablation's speedup=<ratio>x, a ratio of two times;
+#   - the scaling study's fitted growth exponent of total time.
+# Every other field (Tables 1 and 2, Figs. 4-7, ANS, GDBI and the notes
+# columns) must match byte for byte. Re-record with
+#   go run ./cmd/experiments -exp all -scale small > docs/results-small-scale.txt
+# under the docs/NUMERICS.md re-pinning policy, which also asks for the
+# full-scale record in the same commit.
+EXPERIMENTS_MASK = awk '/^=== /{sec = $$2} \
+	sec == "TABLE3" || sec == "ABLATIONS" || sec == "SCALING" { \
+		gsub(/([0-9]+h)?([0-9]+m)?[0-9]+(\.[0-9]+)?(ns|µs|us|ms|s)/, "~"); \
+		gsub(/speedup=[0-9.]+x/, "speedup=~"); \
+		sub(/exponent of total time: -?[0-9.]+/, "exponent of total time: ~"); \
+		gsub(/ +/, " ") } \
+	{print}'
+
+experiments-check:
+	@start=$$(date +%s%N); tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/experiments -exp all -scale small > "$$tmp/new.txt" || exit 1; \
+	$(EXPERIMENTS_MASK) docs/results-small-scale.txt > "$$tmp/record.masked" && \
+	$(EXPERIMENTS_MASK) "$$tmp/new.txt" > "$$tmp/new.masked" || exit 1; \
+	status=0; diff -u "$$tmp/record.masked" "$$tmp/new.masked" || { \
+		echo "experiments-check: output differs from docs/results-small-scale.txt (timing fields masked)"; status=1; }; \
+	echo "experiments-check: checked in $$(( ($$(date +%s%N) - start) / 1000000 )) ms"; \
+	exit $$status
+
+verify: build vet test race fuzz-smoke bench-smoke bench-check scale-smoke sse-smoke chaos-smoke cluster-smoke docs-check numerics-check fma-check perfbench-check experiments-check
