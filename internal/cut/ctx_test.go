@@ -70,21 +70,17 @@ func TestCancelledWarmDoesNotPoisonCache(t *testing.T) {
 	}
 }
 
-// TestFlightCancelPromotesWaiter drives the single-flight protocol's
-// waiter-promotion path deterministically: a waiter blocks on a flight
-// that lands with its owner's cancellation error, and because that error
-// is never cached or propagated, the waiter promotes itself to a fresh
-// flight and succeeds under its own live context.
+// TestFlightCancelPromotesWaiter drives the solve token's failure path
+// deterministically: a waiter queues on a token held by a solve that
+// then stores nothing (as a cancelled solve does), and the waiter takes
+// the token, solves under its own live context and fills the memo.
 func TestFlightCancelPromotesWaiter(t *testing.T) {
 	g := barbell(8, 1, 0.05)
 	s := NewSpectral(g, MethodAlphaCut, Options{Seed: 5})
 
-	// Install a fake in-progress flight, as if another goroutine were
-	// mid-eigensolve.
-	f := &specFlight{want: 4, done: make(chan struct{})}
-	s.mu.Lock()
-	s.flight = f
-	s.mu.Unlock()
+	// Hold the token, as if another call were mid-eigensolve.
+	s.solve <- struct{}{}
+	waits := specWaits.Value()
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -94,34 +90,33 @@ func TestFlightCancelPromotesWaiter(t *testing.T) {
 		waiterErr = s.WarmCtx(context.Background(), 4)
 	}()
 
-	// Let the waiter reach its wait on f.done, then land the flight with
-	// the computing goroutine's cancellation error.
-	time.Sleep(20 * time.Millisecond)
-	s.mu.Lock()
-	s.flight = nil
-	f.err = context.Canceled
-	s.mu.Unlock()
-	close(f.done)
+	// Let the waiter queue on the token, then release it with nothing
+	// stored, as the cancelled holder would.
+	deadline := time.Now().Add(2 * time.Second)
+	for specWaits.Value() == waits {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never queued on the held token")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	<-s.solve
 
 	wg.Wait()
 	if waiterErr != nil {
-		t.Fatalf("waiter with live ctx got %v after computer cancel; promotion failed", waiterErr)
+		t.Fatalf("waiter with live ctx got %v after the holder stored nothing", waiterErr)
 	}
-	if s.dec == nil || len(s.dec.Values) < 4 {
-		t.Fatal("promoted waiter did not populate the cache")
+	if dec := s.Decomposition(); dec == nil || len(dec.Values) < 4 {
+		t.Fatal("waiter did not solve and fill the memo")
 	}
 }
 
 // TestWaiterStopsWaitingOnOwnCancel asserts a waiter abandons a stuck
-// flight the moment its own context expires — it neither blocks on the
-// flight nor disturbs it.
+// solve the moment its own context expires — it neither blocks on the
+// token nor takes or releases it.
 func TestWaiterStopsWaitingOnOwnCancel(t *testing.T) {
 	g := barbell(8, 1, 0.05)
 	s := NewSpectral(g, MethodAlphaCut, Options{Seed: 5})
-	f := &specFlight{want: 4, done: make(chan struct{})} // never closed: a stuck flight
-	s.mu.Lock()
-	s.flight = f
-	s.mu.Unlock()
+	s.solve <- struct{}{} // never released: a stuck solve
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
@@ -133,11 +128,36 @@ func TestWaiterStopsWaitingOnOwnCancel(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("waiter took %v to honor its deadline", elapsed)
 	}
-	// The stuck flight is untouched for its (hypothetical) owner.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.flight != f {
-		t.Fatal("waiter cancellation disturbed the in-progress flight")
+	// The token is still held for its (hypothetical) holder.
+	if len(s.solve) != 1 {
+		t.Fatal("waiter cancellation released the held token")
+	}
+	if s.Decomposition() != nil {
+		t.Fatal("waiter stored a decomposition without the token")
+	}
+}
+
+// TestMemoHitIgnoresHeldToken asserts a k the memo can serve never
+// waits on a solve: with the token held for good, a warm Spectral still
+// answers every k up to its width.
+func TestMemoHitIgnoresHeldToken(t *testing.T) {
+	g := barbell(8, 1, 0.05)
+	s := NewSpectral(g, MethodAlphaCut, Options{Seed: 5})
+	if err := s.WarmCtx(context.Background(), 4); err != nil {
+		t.Fatal(err)
+	}
+	s.solve <- struct{}{} // a stuck solve
+	defer func() { <-s.solve }()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	waits := specWaits.Value()
+	for _, k := range []int{2, 3, 4} {
+		if _, err := s.PartitionCtx(ctx, k); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+	}
+	if got := specWaits.Value() - waits; got != 0 {
+		t.Fatalf("memo hits counted %d waits", got)
 	}
 }
 

@@ -46,7 +46,7 @@ var Stages = []StageInfo{
 	// path, inside spectral_cut's span.
 	{Module: "3", Name: "project", Nested: true},
 	{Module: "3", Name: "refine", Nested: true},
-	// The eigendecomposition runs under the single-flight cache: inside
+	// The eigendecomposition runs under cut.Spectral's solve token: inside
 	// spectral_cut on a cold call, or under k_sweep warming. Its time is
 	// therefore already counted above.
 	{Module: "3", Name: "eigendecompose", Nested: true},

@@ -10,9 +10,8 @@
 // re-runs partitioning on rolling traffic snapshots, both dominated by
 // previously-seen inputs.
 //
-// Concurrency follows the non-poisoning single-flight rule established
-// for the eigendecomposition cache: concurrent lookups of the same key
-// coalesce onto one computing flight; a flight that fails with the
+// Concurrency is a non-poisoning single flight: concurrent lookups of
+// the same key coalesce onto one computing flight; a flight that fails with the
 // owner's context error is never cached or propagated to waiters — a
 // live waiter promotes a fresh flight instead; non-context errors
 // propagate to every waiter but still leave the cache empty, so a later
