@@ -374,27 +374,18 @@ func newPipelineFromGraph(ctx context.Context, g *graph.Graph, f []float64, cfg 
 func (p *Pipeline) PartitionKCtx(ctx context.Context, k int) (*Result, error) {
 	spCut := stageSpectral.Start()
 	t0 := time.Now()
-	var assign []int
-	var kPrime int
+	if p.SG != nil && k > len(p.SG.Nodes) {
+		return nil, fmt.Errorf("core: k=%d exceeds %d supernodes", k, len(p.SG.Nodes))
+	}
+	res, err := p.spec.PartitionCtx(ctx, k)
+	if err != nil {
+		return nil, err
+	}
+	assign, kPrime := res.Assign, res.KPrime
 	if p.SG != nil {
-		if k > len(p.SG.Nodes) {
-			return nil, fmt.Errorf("core: k=%d exceeds %d supernodes", k, len(p.SG.Nodes))
-		}
-		res, err := p.spec.PartitionCtx(ctx, k)
-		if err != nil {
+		if assign, err = p.SG.ExpandAssign(assign); err != nil {
 			return nil, err
 		}
-		kPrime = res.KPrime
-		assign, err = p.SG.ExpandAssign(res.Assign)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		res, err := p.spec.PartitionCtx(ctx, k)
-		if err != nil {
-			return nil, err
-		}
-		assign, kPrime = res.Assign, res.KPrime
 	}
 	// Final C.2 enforcement: merge the disconnected pieces of the k
 	// groups until k connected partitions remain. Far from rare on large
